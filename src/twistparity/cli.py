@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="twistparity", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--threads", type=int, default=0, help="0 = hardware count")
     top.add_argument("--cache", default=None, help="prime-classification cache file")
     sub = top.add_subparsers(dest="cmd", required=True)
 
@@ -91,14 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _threads(args) -> int:
-    if args.threads and args.threads > 0:
-        return args.threads
-    import os
-
-    return os.cpu_count() or 1
-
-
 def _cache_for(args, curve_path) -> PrimeCache:
     if args.cache:
         return PrimeCache(args.cache)
@@ -131,7 +122,7 @@ def _cmd_analyze(args) -> int:
     sigma = sigma_set(curve)
     disc = curve.discriminant()
     r, k1, k2 = real_root_signature(curve.f)
-    verdict = galois_classify(curve, 1000, cache=cache, seed=args.seed)
+    verdict = galois_classify(curve, 1000, cache=cache)
     try:
         torsion = rational_two_torsion_dim(curve)
         torsion_info = {"value": torsion, "provenance": "computed"}
@@ -170,14 +161,7 @@ def _cmd_classify_primes(args) -> int:
     curve = load_curve(args.curve)
     cache = _cache_for(args, args.curve)
     rows = []
-    for pc in prime_scan(
-        curve,
-        2,
-        args.limit + 1,
-        cache=cache,
-        seed=args.seed,
-        threads=_threads(args),
-    ):
+    for pc in prime_scan(curve, 2, args.limit + 1, cache=cache):
         if args.class_index is not None and pc.i != args.class_index:
             continue
         rows.append({"l": pc.l, "cycle_type": list(pc.lengths), "class_index": pc.i})
@@ -303,9 +287,7 @@ def _cmd_find_twist(args) -> int:
     curve = load_curve(args.curve)
     cache = _cache_for(args, args.curve)
     direction = "raise2" if args.direction == "up" else "lower2"
-    recipes = list(
-        find_shift_primes(curve, direction, args.limit, cache=cache, seed=args.seed)
-    )
+    recipes = list(find_shift_primes(curve, direction, args.limit, cache=cache))
     rows = [
         {
             "l": r.l,

@@ -3,21 +3,24 @@
 At a good prime l the degrees of the irreducible factors of f mod l are
 the orbit lengths of Frobenius acting on the roots; the class index of l
 is (number of orbits) - 1.  Everything downstream (local h-invariants,
-parity weights, twist searches) keys off this classification, so results
-are cached per (curve hash, l) in an append-only line file that tolerates
-a torn final record.
+parity weights, twist searches) keys off this classification.  It is a
+deterministic function of (curve, l), computed by ``factor_degrees`` on
+one serial path, and cached per (curve hash, l) in an append-only line
+file that tolerates a torn final record.  A cached cycle type whose
+lengths do not sum to the degree of f is never trusted: it is recomputed
+and the corrected record appended, so deleting or damaging a cache never
+changes a reported value.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import threading
 from dataclasses import dataclass, field
 
 from .curves import CurveSpec, curve_hash
 from .errors import BadPrimeError, InvalidInputError
-from .modular import Place, factor_degrees, factor_integer, iter_primes
+from .modular import Place, factor_degrees, factor_integer, is_prime, iter_primes
 from .ratpoly import RatPoly, rational_roots
 
 __all__ = [
@@ -96,8 +99,9 @@ class PrimeCache:
     """Append-only cycle-type cache: lines of ``<curve_hash> <l> <l1,l2,...>``.
 
     Loading stops at the first corrupt record and truncates the file back
-    to the valid prefix, so a torn write never poisons later runs.  A
-    single lock serializes writers within the process.
+    to the valid prefix, so a torn write never poisons later runs.  A later
+    record for the same key overrides an earlier one.  A single lock
+    serializes writers within the process.
     """
 
     def __init__(self, path=None):
@@ -131,27 +135,26 @@ class PrimeCache:
         return self._mem.get((key, l))
 
     def put(self, key, l, lengths):
+        lengths = tuple(lengths)
         with self._lock:
-            if (key, l) in self._mem:
+            if self._mem.get((key, l)) == lengths:
                 return
-            self._mem[(key, l)] = tuple(lengths)
+            self._mem[(key, l)] = lengths
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(f"{key} {l} {','.join(str(x) for x in lengths)}\n")
 
 
 def classify_prime(
-    curve: CurveSpec, l: int, cache: PrimeCache | None = None, seed: int = 0
+    curve: CurveSpec, l: int, cache: PrimeCache | None = None
 ) -> PrimeClass:
     """Cycle type and class index of a good prime l."""
     if l in sigma_set(curve):
         raise BadPrimeError(f"{l} is a bad prime for this curve")
     key = curve_hash(curve)
     lengths = cache.get(key, l) if cache is not None else None
-    if lengths is None:
-        # stable per-(seed, curve, l) stream; never derived from salted hash()
-        rng = random.Random(((seed & 0xFFFFFFFF) << 96) ^ (int(key, 16) << 32) ^ l)
-        lengths = factor_degrees(curve.f, l, rng)
+    if lengths is None or sum(lengths) != curve.degree:
+        lengths = factor_degrees(curve.f, l)
         if cache is not None:
             cache.put(key, l, lengths)
     return PrimeClass(l=l, lengths=tuple(lengths), i=len(lengths) - 1)
@@ -163,8 +166,6 @@ def prime_scan(
     stop: int,
     predicate=None,
     cache: PrimeCache | None = None,
-    seed: int = 0,
-    threads: int = 1,
     prime_filter=None,
 ):
     """Good primes in [start, stop) whose PrimeClass satisfies ``predicate``.
@@ -172,42 +173,19 @@ def prime_scan(
     ``prime_filter`` is applied to the bare prime before classification
     (use it for congruence or symbol conditions, which are much cheaper
     than factoring f mod l).  Yields PrimeClass records in increasing
-    prime order; resumable by calling again with start = last_prime + 1.
-    With threads > 1 the range is partitioned into chunks classified by a
-    worker pool and merged back in order.
+    prime order, one prime at a time, so a consumer that stops early
+    classifies no further; resumable by calling again with
+    start = last_prime + 1.
     """
     sigma = sigma_set(curve)
-
-    def classify_good(l):
+    for l in iter_primes(start, stop):
         if l in sigma:
-            return None
+            continue
         if prime_filter is not None and not prime_filter(l):
-            return None
-        pc = classify_prime(curve, l, cache=cache, seed=seed)
+            continue
+        pc = classify_prime(curve, l, cache=cache)
         if predicate is None or predicate(pc):
-            return pc
-        return None
-
-    if threads <= 1:
-        for l in iter_primes(start, stop):
-            pc = classify_good(l)
-            if pc is not None:
-                yield pc
-        return
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = 2000
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        edges = list(range(start, stop, chunk)) + [stop]
-        spans = list(zip(edges, edges[1:]))
-
-        def work(span):
-            lo, hi = span
-            return [pc for pc in (classify_good(l) for l in iter_primes(lo, hi)) if pc]
-
-        for res in pool.map(work, spans):
-            yield from res
+            yield pc
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +223,7 @@ def _looks_reducible(curve: CurveSpec) -> bool:
 
 
 def galois_classify(
-    curve: CurveSpec, sample_bound: int, cache: PrimeCache | None = None, seed: int = 0
+    curve: CurveSpec, sample_bound: int, cache: PrimeCache | None = None
 ) -> GaloisVerdict:
     """Classify Gal(f) from the disc-square test plus sampled cycle types.
 
@@ -264,7 +242,7 @@ def galois_classify(
 
     seen: dict = {}
     first_at: dict = {}
-    for pc in prime_scan(curve, 2, sample_bound + 1, cache=cache, seed=seed):
+    for pc in prime_scan(curve, 2, sample_bound + 1, cache=cache):
         t = pc.lengths
         if t not in seen:
             seen[t] = pc.l
@@ -296,7 +274,7 @@ def _pattern_tests(t: tuple, n: int):
     yield "transposition", counts.get(2, 0) == 1 and counts.get(1, 0) == n - 2
     # one 2-cycle, one odd prime q-cycle with q > n/2, rest fixed points:
     # the q-th power of such a permutation is a transposition
-    odd_big = [x for x in t if x % 2 == 1 and x > n / 2 and _is_small_prime(x)]
+    odd_big = [x for x in t if x % 2 == 1 and x > n / 2 and is_prime(x)]
     yield "transposition_power", (
         counts.get(2, 0) == 1
         and len(odd_big) == 1
@@ -306,14 +284,3 @@ def _pattern_tests(t: tuple, n: int):
     yield "n_minus_2_cycle", n > 4 and sorted(t) == sorted((n - 2, 1, 1)) or (
         n == 3 and t == (1, 1, 1)
     )
-
-
-def _is_small_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 1
-    return True

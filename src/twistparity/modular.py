@@ -1,15 +1,18 @@
-"""Prime-field polynomial factorization and the classical quadratic symbols.
+"""Primes, integer factorization, the classical quadratic symbols and
+factor degrees over GF(l).
 
-Factorization over GF(l) is squarefree-input distinct-degree plus
-randomized Cantor-Zassenhaus equal-degree splitting; every call threads
-an explicit ``random.Random`` so runs are reproducible and concurrent
-callers never share state.  Integer primality is deterministic
-Miller-Rabin on the 12-base set valid below 3.3e24, far above anything a
-desk-scale scan touches.
+Only the degrees of the irreducible factors of f mod l are ever needed,
+and distinct-degree factorization yields them without splitting any
+factor: the product g_d of the degree-d factors contributes
+deg(g_d)/d factors of degree d.  The computation is deterministic.
+Primes in a range come from a segmented sieve; single-number primality
+is deterministic Miller-Rabin on the 12-base set valid below 3.3e24, far
+above anything a desk-scale scan touches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +32,6 @@ __all__ = [
     "kronecker_symbol",
     "hilbert_symbol",
     "factor_degrees",
-    "factor_mod_prime",
 ]
 
 # ---------------------------------------------------------------------------
@@ -103,19 +105,30 @@ def sieve_primes(limit: int):
     return [i for i, f in enumerate(flags) if f]
 
 
+_SEGMENT = 1 << 15  # integers sieved per window of iter_primes
+
+
 def iter_primes(start: int, stop: int):
-    """Primes in [start, stop), increasing; resumable by passing a new start."""
-    n = max(start, 2)
-    if n == 2:
-        if 2 < stop:
-            yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    while n < stop:
-        if is_prime(n):
-            yield n
-        n += 2
+    """Primes in [start, stop), increasing; resumable by passing a new start.
+
+    A segmented sieve: the primes up to isqrt(stop) strike out composites
+    in windows of ``_SEGMENT`` integers, so memory stays bounded however
+    long the range is and a consumer that stops early sieves no further.
+    """
+    lo = max(start, 2)
+    if lo >= stop:
+        return
+    base = sieve_primes(math.isqrt(stop))
+    while lo < stop:
+        hi = min(lo + _SEGMENT, stop)
+        flags = bytearray([1]) * (hi - lo)
+        for p in base:
+            if p * p >= hi:
+                break
+            first = max(p * p, -(-lo // p) * p)
+            flags[first - lo :: p] = bytes(len(range(first, hi, p)))
+        yield from itertools.compress(range(lo, hi), flags)
+        lo = hi
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
@@ -352,73 +365,39 @@ def _reduce_poly(f: RatPoly, l: int):
     return [c * inv % l for c in coeffs]
 
 
-def _equal_degree_split(f, d, l, rng: random.Random):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles, l odd."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    exponent = (l**d - 1) // 2
-    while True:
-        a = [rng.randrange(l) for _ in range(n)]
-        _fp_trim(a)
-        if len(a) < 2:
-            continue
-        b = _fp_powmod(a, exponent, f, l)
-        b = list(b)
-        if not b:
-            b = [0]
-        b[0] = (b[0] - 1) % l
-        g = _fp_gcd(f, _fp_trim(b), l)
-        if 0 < len(g) - 1 < n:
-            return _equal_degree_split(g, d, l, rng) + _equal_degree_split(
-                _fp_div(f, g, l), d, l, rng
-            )
-
-
-def factor_mod_prime(f: RatPoly, l: int, rng: random.Random | None = None):
-    """Monic irreducible factors of f mod l at a good odd prime l.
+def factor_degrees(f: RatPoly, l: int):
+    """Sorted tuple of the irreducible factor degrees of f mod l, l a good odd prime.
 
     Good reduction is enforced: l must not divide the leading coefficient,
     any coefficient denominator, or the discriminant (equivalently f mod l
-    must stay separable).  The factor list is sorted by (degree, coeffs) so
-    the output is canonical; the multiset of degrees is seed-independent.
+    must stay separable).  Distinct-degree factorization: with cur the part
+    of f not yet accounted for, g_d = gcd(cur, x^(l^d) - x) is the product
+    of the degree-d factors, so it holds deg(g_d)/d of them.  Once 2d
+    exceeds deg(cur), cur is irreducible.
     """
     if not is_prime(l):
         raise InvalidInputError(f"{l} is not prime")
     if l == 2:
         raise BadPrimeError("2 is always a bad prime here")
-    if rng is None:
-        rng = random.Random(0)
-    g = _reduce_poly(f, l)
-    n = len(g) - 1
-    deriv = _fp_trim([i * c % l for i, c in enumerate(g)][1:])
-    if len(_fp_gcd(g, deriv, l)) - 1 != 0:
+    cur = _reduce_poly(f, l)
+    deriv = _fp_trim([i * c % l for i, c in enumerate(cur)][1:])
+    if len(_fp_gcd(cur, deriv, l)) - 1 != 0:
         raise BadPrimeError(f"{l} divides the discriminant of f")
-    factors = []
-    cur = g
+    degrees = []
     d = 0
     frob = [0, 1]  # x^(l^d) mod cur, maintained incrementally
     while len(cur) - 1 > 0:
         d += 1
         if 2 * d > len(cur) - 1:
-            factors.append(cur)
+            degrees.append(len(cur) - 1)
             break
         frob = _fp_powmod(frob, l, cur, l)
         diff = list(frob) + [0] * max(0, 2 - len(frob))
         diff[1] = (diff[1] - 1) % l
         _fp_trim(diff)
-        if not diff:
-            gd = cur
-        else:
-            gd = _fp_gcd(cur, diff, l)
+        gd = _fp_gcd(cur, diff, l) if diff else cur
         if len(gd) - 1 > 0:
-            factors.extend(_equal_degree_split(gd, d, l, rng))
+            degrees += [d] * ((len(gd) - 1) // d)
             cur = _fp_div(cur, gd, l)
             frob = _fp_rem(frob, cur, l) if len(cur) > 1 else [0]
-    factors.sort(key=lambda p: (len(p), tuple(p)))
-    return factors
-
-
-def factor_degrees(f: RatPoly, l: int, rng: random.Random | None = None):
-    """Multiset (sorted tuple) of irreducible factor degrees of f mod l."""
-    return tuple(sorted(len(p) - 1 for p in factor_mod_prime(f, l, rng)))
+    return tuple(degrees)

@@ -29,6 +29,7 @@ from .errors import (
     BadPrimeError,
     InvalidInputError,
     ResourceLimitError,
+    UnknownFactorizationError,
     UnknownProfileError,
 )
 from .frobenius import PrimeCache, classify_prime, sigma_set
@@ -99,7 +100,6 @@ def good_prime_h(
     l: int,
     behavior: LocalBehavior,
     cache: PrimeCache | None = None,
-    seed: int = 0,
 ) -> int:
     """h_l(chi) at a good prime: 0 unless chi is ramified, then b - 1."""
     if l in sigma_set(curve):
@@ -107,7 +107,7 @@ def good_prime_h(
     if behavior in (LocalBehavior.TRIVIAL, LocalBehavior.UNRAMIFIED_NONTRIVIAL):
         return 0
     if behavior == LocalBehavior.RAMIFIED:
-        return classify_prime(curve, l, cache=cache, seed=seed).i
+        return classify_prime(curve, l, cache=cache).i
     raise InvalidInputError(f"behavior {behavior} does not occur at a finite prime")
 
 
@@ -182,7 +182,6 @@ def global_consistency_check(
     curve: CurveSpec,
     d: QuadTwist,
     cache: PrimeCache | None = None,
-    seed: int = 0,
 ) -> bool:
     """Check (-1)^(sum of good-prime h over l | d) = prod_Sigma (d, disc)_v.
 
@@ -194,7 +193,7 @@ def global_consistency_check(
     hsum = 0
     for l in factor_integer(abs(d.d)):
         if l not in sigma and l != 2:
-            hsum += good_prime_h(curve, l, LocalBehavior.RAMIFIED, cache, seed)
+            hsum += good_prime_h(curve, l, LocalBehavior.RAMIFIED, cache)
     lhs = (-1) ** hsum
     rhs = 1
     disc = curve.discriminant()
@@ -425,7 +424,10 @@ def density_scan(
         if not is_squarefree(n):
             continue
         if restricted:
-            assert sigma_trivial(QuadTwist(n), sigma)
+            if not sigma_trivial(QuadTwist(n), sigma):
+                raise UnknownFactorizationError(
+                    f"d = {n} passes the Sigma-trivial congruences but is not Sigma-trivial"
+                )
             flips.append(1)
         else:
             flips.append(flip_of(QuadTwist(n)))

@@ -56,7 +56,6 @@ def find_shift_primes(
     direction: str,
     limit: int,
     cache: PrimeCache | None = None,
-    seed: int = 0,
 ):
     """Yield TwistRecipe for every good prime <= limit meeting the conditions.
 
@@ -82,8 +81,7 @@ def find_shift_primes(
         return direction != "raise2" or orbit_lengths_coprime(pc.lengths, 2)
 
     for pc in prime_scan(
-        curve, 2, limit + 1, predicate=good, cache=cache, seed=seed,
-        prime_filter=congruences,
+        curve, 2, limit + 1, predicate=good, cache=cache, prime_filter=congruences,
     ):
         conditions = [
             ("good_prime", True),

@@ -298,17 +298,33 @@ def test_cli_scan_monte_carlo(curve_file, tmp_path, capsys):
     assert out1 == out2  # seeded sampling is reproducible
 
 
-def test_cli_classify_primes_threaded(curve_file, capsys):
-    rc1, out1, _ = run_cli(
-        capsys, "--format", "json", "--threads", "4",
-        "classify-primes", "--curve", curve_file, "--limit", "500",
+def test_cli_classify_primes_identical_cold_warm_and_poisoned(tmp_path, capsys):
+    from twistparity.papercases import curve_s5_quintic
+
+    path = tmp_path / "s5.curve"
+    path.write_text(curve_file_text(curve_s5_quintic()))
+    cache = tmp_path / "s5.cache"
+    argv = ["--format", "json", "--cache", str(cache),
+            "classify-primes", "--curve", str(path), "--limit", "2000"]
+    rc, cold, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    filled = cache.read_text()
+    rc, warm, _ = run_cli(capsys, *argv)
+    assert rc == 0 and warm == cold
+    assert cache.read_text() == filled  # the warm run classified nothing anew
+    doc = json.loads(cold)
+    key, l = doc["inputs"]["curve_hash"], doc["outputs"]["primes"][0]["l"]
+    cache.write_text(filled + f"{key} {l} 1,1\n")  # lengths sum to 2 on a quintic
+    rc, poisoned, _ = run_cli(capsys, *argv)
+    assert rc == 0 and poisoned == cold
+
+
+def test_cli_threads_flag_removed(curve_file, capsys):
+    rc, _, err = run_cli(
+        capsys, "--threads=2", "classify-primes", "--curve", curve_file, "--limit", "50"
     )
-    rc2, out2, _ = run_cli(
-        capsys, "--format", "json", "--threads", "1",
-        "classify-primes", "--curve", curve_file, "--limit", "500",
-    )
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+    assert rc == 1
+    assert "unrecognized arguments: --threads" in err
 
 
 def test_cli_find_twist_emit_json_flag(curve_file, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twistparity.curves import CurveSpec
+from twistparity.curves import CurveSpec, curve_hash
 from twistparity.errors import BadPrimeError
 from twistparity.frobenius import (
     PrimeCache,
@@ -122,13 +122,6 @@ def test_prime_scan_empty_range():
     assert list(prime_scan(curve_x3_minus_2(), 10, 10)) == []
 
 
-def test_prime_scan_threaded_matches_serial():
-    c = curve_s5_quintic()
-    serial = [(pc.l, pc.lengths) for pc in prime_scan(c, 2, 3000)]
-    threaded = [(pc.l, pc.lengths) for pc in prime_scan(c, 2, 3000, threads=4)]
-    assert serial == threaded
-
-
 def test_cache_roundtrip_and_truncation(tmp_path):
     path = str(tmp_path / "primes.cache")
     cache = PrimeCache(path)
@@ -149,6 +142,18 @@ def test_cache_roundtrip_and_truncation(tmp_path):
     os.remove(path)
     fresh = [classify_prime(c, l) for l in (5, 7, 11, 13)]
     assert [pc.lengths for pc in fresh] == [pc.lengths for pc in first]
+
+
+def test_poisoned_cache_record_is_recomputed(tmp_path):
+    c = curve_x3_minus_2()
+    key = curve_hash(c)
+    path = tmp_path / "primes.cache"
+    path.write_text(f"{key} 7 1,1\n")  # two lengths on a cubic
+    pc = classify_prime(c, 7, cache=PrimeCache(str(path)))
+    assert pc.lengths == (3,) and pc.i == 0
+    # the corrected record is appended and wins on the next load
+    assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 7 3"]
+    assert PrimeCache(str(path)).get(key, 7) == (3,)
 
 
 def test_galois_classify_examples():

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from twistparity import modular
 from twistparity.errors import BadPrimeError, InvalidInputError
 from twistparity.modular import (
     Place,
     factor_degrees,
     factor_integer,
-    factor_mod_prime,
     hilbert_symbol,
     is_prime,
     is_squarefree,
@@ -43,41 +43,6 @@ def test_factor_degrees_rejects_bad_primes():
         factor_degrees(RatPoly((Fraction(1, 5), 0, 0, 1)), 5)  # denominator
     with pytest.raises(InvalidInputError):
         factor_degrees(X3M2, 15)
-
-
-def test_factor_product_reduces_to_input():
-    rng = random.Random(5)
-    for _ in range(60):
-        f = random_separable_poly(rng, rng.randint(2, 6))
-        for l in (7, 11, 101, 1009):
-            try:
-                factors = factor_mod_prime(f, l)
-            except BadPrimeError:
-                continue
-            prod = [1]
-            for g in factors:
-                out = [0] * (len(prod) + len(g) - 1)
-                for i, a in enumerate(prod):
-                    for j, b in enumerate(g):
-                        out[i + j] = (out[i + j] + a * b) % l
-                prod = out
-            # compare against monic reduction of f mod l
-            inv = pow(f.lead.numerator * pow(f.lead.denominator, -1, l), -1, l)
-            want = [
-                c.numerator * pow(c.denominator, -1, l) * inv % l for c in f.coeffs
-            ]
-            assert prod == want
-            assert sum(len(g) - 1 for g in factors) == f.degree
-
-
-def test_factor_degrees_seed_independent_and_deterministic():
-    f = random_separable_poly(random.Random(1), 6)
-    base = factor_degrees(f, 1013, random.Random(0))
-    for seed in range(1, 8):
-        assert factor_degrees(f, 1013, random.Random(seed)) == base
-    a = factor_mod_prime(f, 1013, random.Random(99))
-    b = factor_mod_prime(f, 1013, random.Random(99))
-    assert a == b
 
 
 def _fp_divides(d, f, l):
@@ -156,6 +121,31 @@ def test_factor_degrees_against_brute_force_oracle():
         inv = pow(f.lead.numerator * pow(f.lead.denominator, -1, l), -1, l)
         monic = [c.numerator * pow(c.denominator, -1, l) * inv % l for c in f.coeffs]
         assert got == _brute_factor_degrees(monic, l), (f, l)
+
+
+def test_factor_degrees_matches_sympy_factor_list():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(2024)
+    primes = [p for p in sieve_primes(10**4) if p > 2]
+    checked = bad = 0
+    for degree in (3, 5, 7):
+        for _ in range(8):
+            f = random_separable_poly(rng, degree, coeff_bound=50)
+            ints = [int(c) for c in reversed(f.coeffs)]
+            for l in [3, 5, 7] + rng.sample(primes, 3):
+                factors = sympy.Poly(ints, x, modulus=l).factor_list()[1]
+                try:
+                    got = factor_degrees(f, l)
+                except BadPrimeError:
+                    # bad reduction: the degree drops or a factor repeats
+                    bad += 1
+                    assert ints[0] % l == 0 or any(e > 1 for _, e in factors), (f, l)
+                    continue
+                checked += 1
+                want = sorted(g.degree() for g, e in factors for _ in range(e))
+                assert got == tuple(want), (f, l)
+    assert checked > 100 and bad > 0
 
 
 def test_kronecker_examples():
@@ -245,6 +235,21 @@ def test_iter_primes_resumable():
     assert first == sieve_primes(49)
     resumed = list(iter_primes(first[3] + 1, 50))
     assert resumed == first[4:]
+
+
+def test_iter_primes_matches_sympy_across_segments():
+    sympy = pytest.importorskip("sympy")
+    seg = modular._SEGMENT
+    windows = [
+        (-10, 30), (0, 3), (1, 2), (2, 3), (15, 16), (9, 200), (25, 25),
+        (seg - 9, seg + 40), (2 * seg - 1, 2 * seg + 1), (seg + 1, 3 * seg + 7),
+        (5 * seg - 21, 5 * seg), (10**6 - 999, 10**6 + 2 * seg + 33), (1, 4 * seg + 5),
+    ]
+    for start, stop in windows:
+        assert list(iter_primes(start, stop)) == list(sympy.primerange(start, stop)), (
+            start,
+            stop,
+        )
 
 
 def test_factor_integer_and_squarefree():
