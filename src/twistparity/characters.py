@@ -14,12 +14,14 @@ integer representative so tables of local data can be keyed bit-exactly:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, UnknownFactorizationError
 from .modular import (
     Place,
     factor_integer,
+    is_squarefree,
     kronecker_symbol,
     sieve_primes,
     squarefree_part,
@@ -32,6 +34,7 @@ __all__ = [
     "twist_norm",
     "enumerate_characters",
     "sigma_trivial",
+    "sigma_trivial_twist",
     "local_classes",
     "local_square_class",
     "smallest_nonresidue",
@@ -65,8 +68,17 @@ class QuadTwist:
             raise InvalidInputError("twist integer must be nonzero")
         return cls(squarefree_part(n))
 
+    @classmethod
+    def _unchecked(cls, d: int) -> "QuadTwist":
+        """A twist for a d the caller has just proven squarefree and nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "d", d)
+        return out
+
     def __mul__(self, other: "QuadTwist") -> "QuadTwist":
-        return QuadTwist.of(self.d * other.d)
+        # for squarefree a, b the product a*b/gcd(a, b)^2 is squarefree
+        g = math.gcd(self.d, other.d)
+        return QuadTwist._unchecked(self.d * other.d // (g * g))
 
     @property
     def is_trivial(self) -> bool:
@@ -87,25 +99,16 @@ class QuadTwist:
 
 
 def local_behavior(d: QuadTwist, place: Place) -> LocalBehavior:
-    """How chi_d restricts to Q_v."""
-    n = d.d
-    if place.is_infinity:
-        return LocalBehavior.SIGN if n < 0 else LocalBehavior.TRIVIAL
-    q = place.q
-    if q == 2:
-        if n % 2 == 0:
-            return LocalBehavior.RAMIFIED
-        r = n % 8
-        if r == 1:
-            return LocalBehavior.TRIVIAL
-        if r == 5:
-            return LocalBehavior.UNRAMIFIED_NONTRIVIAL
-        return LocalBehavior.RAMIFIED
-    if n % q == 0:
-        return LocalBehavior.RAMIFIED
-    if kronecker_symbol(n, q) == 1:
+    """How chi_d restricts to Q_v, read off its local square class."""
+    label = local_square_class(d, place)
+    if label == 1:
         return LocalBehavior.TRIVIAL
-    return LocalBehavior.UNRAMIFIED_NONTRIVIAL
+    if place.is_infinity:
+        return LocalBehavior.SIGN
+    # the one nontrivial unramified class is the nonsquare unit: 5, or u_q
+    if label == local_classes(place)[1]:
+        return LocalBehavior.UNRAMIFIED_NONTRIVIAL
+    return LocalBehavior.RAMIFIED
 
 
 def twist_norm(d: QuadTwist) -> int:
@@ -141,6 +144,22 @@ def sigma_trivial(d: QuadTwist, sigma) -> bool:
     return all(
         local_behavior(d, v) == LocalBehavior.TRIVIAL for v in sigma.iter_places()
     )
+
+
+def sigma_trivial_twist(n: int, sigma) -> QuadTwist | None:
+    """chi_n when n is squarefree and Sigma-trivial, else None.
+
+    The congruences (n > 0, n = 1 mod 8, (n|q) = 1 at each odd bad prime)
+    run before the squarefree test; ``sigma_trivial`` re-checks the result.
+    """
+    if n <= 0 or n % 8 != 1 or any(kronecker_symbol(n, q) != 1 for q in sigma.odd_primes):
+        return None
+    if not is_squarefree(n):
+        return None
+    d = QuadTwist._unchecked(n)
+    if not sigma_trivial(d, sigma):
+        raise UnknownFactorizationError(f"d = {n} passes the congruences but is not Sigma-trivial")
+    return d
 
 
 def smallest_nonresidue(q: int) -> int:

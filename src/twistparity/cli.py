@@ -225,7 +225,7 @@ def _cmd_parity(args) -> int:
 
     for v in sigma_set(curve).iter_places():
         label = local_square_class(d, v)
-        w = omega_v(curve, v, label, _profile_for(curve, v, profiles))
+        w = omega_v(curve, v, label, _profile_for(v, profiles))
         contributions[str(v)] = {"class": label, "omega": w}
     inputs = _curve_inputs(args.curve, curve)
     inputs["d"] = args.d

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InvalidInputError
-from .ratpoly import RatPoly, discriminant, is_separable
+from .ratpoly import RatPoly, discriminant
 
 __all__ = ["CurveSpec", "curve_hash"]
 
@@ -22,14 +23,21 @@ class CurveSpec:
     f: RatPoly
     p: int = 2
     declared_factors: tuple = field(default_factory=tuple)
+    # computed once per curve, then read by sigma sets, omega_v and every classified prime
+    _discriminant: Fraction = field(init=False, repr=False, compare=False)
+    _key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p != 2:
             raise InvalidInputError("global operations require p = 2")
         if self.f.degree < 3 or self.f.degree % 2 == 0:
             raise InvalidInputError("f must have odd degree >= 3")
-        if not is_separable(self.f):
+        disc = discriminant(self.f)
+        if disc == 0:
             raise InvalidInputError("f must be separable")
+        object.__setattr__(self, "_discriminant", disc)
+        key = hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        object.__setattr__(self, "_key", key)
         if self.declared_factors:
             object.__setattr__(self, "declared_factors", tuple(self.declared_factors))
             prod = RatPoly.one()
@@ -48,17 +56,8 @@ class CurveSpec:
     def degree(self) -> int:
         return self.f.degree
 
-    def discriminant(self):
-        return discriminant(self.f)
-
-    def factor_constant(self):
-        """Constant c with f = c * prod(declared_factors)."""
-        if not self.declared_factors:
-            raise InvalidInputError("curve has no declared factors")
-        prod = RatPoly.one()
-        for g in self.declared_factors:
-            prod = prod * g
-        return self.f.lead / prod.lead
+    def discriminant(self) -> Fraction:
+        return self._discriminant
 
     def canonical_text(self) -> str:
         cs = ",".join(str(c) for c in self.f.coeffs)
@@ -70,4 +69,4 @@ class CurveSpec:
 
 def curve_hash(curve: CurveSpec) -> str:
     """Stable 16-hex-digit key for caches and reports."""
-    return hashlib.sha256(curve.canonical_text().encode()).hexdigest()[:16]
+    return curve._key

@@ -15,7 +15,6 @@ changes a reported value.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 from .curves import CurveSpec, curve_hash
@@ -41,6 +40,10 @@ class SigmaSet:
     """The bad set: the real place, 2, and the primes of lead/denominators/disc."""
 
     finite: tuple
+    odd_primes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "odd_primes", tuple(q for q in self.finite if q != 2))
 
     def __contains__(self, place) -> bool:
         if isinstance(place, Place):
@@ -51,10 +54,6 @@ class SigmaSet:
         yield Place.infinity()
         for q in self.finite:
             yield Place.finite(q)
-
-    @property
-    def odd_primes(self):
-        return tuple(q for q in self.finite if q != 2)
 
     def __str__(self):
         return "{inf, " + ", ".join(str(q) for q in self.finite) + "}"
@@ -90,24 +89,19 @@ class PrimeClass:
     lengths: tuple
     i: int
 
-    @property
-    def orbit_count(self) -> int:
-        return len(self.lengths)
-
 
 class PrimeCache:
     """Append-only cycle-type cache: lines of ``<curve_hash> <l> <l1,l2,...>``.
 
     Loading stops at the first corrupt record and truncates the file back
     to the valid prefix, so a torn write never poisons later runs.  A later
-    record for the same key overrides an earlier one.  A single lock
-    serializes writers within the process.
+    record for the same key overrides an earlier one.  Classification runs
+    on one thread, so the cache takes no lock.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._mem: dict = {}
-        self._lock = threading.Lock()
         if path is not None and os.path.exists(path):
             self._load()
 
@@ -136,13 +130,12 @@ class PrimeCache:
 
     def put(self, key, l, lengths):
         lengths = tuple(lengths)
-        with self._lock:
-            if self._mem.get((key, l)) == lengths:
-                return
-            self._mem[(key, l)] = lengths
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(f"{key} {l} {','.join(str(x) for x in lengths)}\n")
+        if self._mem.get((key, l)) == lengths:
+            return
+        self._mem[(key, l)] = lengths
+        if self.path is not None:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(f"{key} {l} {','.join(str(x) for x in lengths)}\n")
 
 
 def classify_prime(

@@ -66,14 +66,13 @@ class Place:
 # integer primality / factorization
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for n < 3.3e24."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -165,7 +164,7 @@ def factor_integer(n: int) -> dict:
         d += inc[i]
         i = (i + 1) % 8
     if n > 1:
-        rng = random.Random(0xC0FFEE ^ n)
+        rng = None  # seeded from the cofactor on the first split, if one is needed
         stack = [n]
         while stack:
             m = stack.pop()
@@ -177,6 +176,8 @@ def factor_integer(n: int) -> dict:
             if (r := math.isqrt(m)) ** 2 == m:
                 stack += [r, r]
                 continue
+            if rng is None:
+                rng = random.Random(0xC0FFEE ^ n)
             g = _pollard_rho(m, rng)
             stack += [g, m // g]
     return out

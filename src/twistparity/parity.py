@@ -11,6 +11,7 @@ and every output that consumed a missing entry says so in its status.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,22 +19,21 @@ from fractions import Fraction
 from .characters import (
     LocalBehavior,
     QuadTwist,
-    enumerate_characters,
-    local_behavior,
     local_classes,
     local_square_class,
     sigma_trivial,
+    sigma_trivial_twist,
 )
 from .curves import CurveSpec
 from .errors import (
     BadPrimeError,
     InvalidInputError,
     ResourceLimitError,
-    UnknownFactorizationError,
     UnknownProfileError,
 )
 from .frobenius import PrimeCache, classify_prime, sigma_set
-from .modular import Place, factor_integer, hilbert_symbol, is_squarefree
+from .metabolic import Subspace
+from .modular import Place, factor_integer, hilbert_symbol, is_squarefree, iter_primes
 from .ratpoly import real_root_signature
 
 __all__ = [
@@ -111,12 +111,9 @@ def good_prime_h(
     raise InvalidInputError(f"behavior {behavior} does not occur at a finite prime")
 
 
-def _profile_for(curve, place, profiles):
-    if place.is_infinity:
-        return infinity_profile(curve)
-    if profiles is None:
-        return None
-    return profiles.get(place)
+def _profile_for(place, profiles):
+    """The user table at a finite place; omega_v fills in the real place itself."""
+    return None if profiles is None or place.is_infinity else profiles.get(place)
 
 
 def omega_v(curve: CurveSpec, place: Place, label: int, profile: LocalProfile | None):
@@ -168,7 +165,7 @@ def parity_flip(
     missing = []
     for place in sigma.iter_places():
         label = local_square_class(d, place)
-        w = omega_v(curve, place, label, _profile_for(curve, place, profiles))
+        w = omega_v(curve, place, label, _profile_for(place, profiles))
         if w is None:
             missing.append(place)
         else:
@@ -209,11 +206,10 @@ def global_consistency_check(
 def delta_v(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> Fraction:
     """Average of omega_v over the local character group (2, 8 or 4 classes)."""
     labels = local_classes(place)
-    prof = infinity_profile(curve) if place.is_infinity else profile
     missing = []
     total = 0
     for label in labels:
-        w = omega_v(curve, place, label, prof)
+        w = omega_v(curve, place, label, profile)
         if w is None:
             missing.append((place, label))
         else:
@@ -254,7 +250,7 @@ def disparity(
     per_place = {}
     prod = Fraction(1)
     for place in sigma.iter_places():
-        dv = delta_v(curve, place, _profile_for(curve, place, profiles))
+        dv = delta_v(curve, place, _profile_for(place, profiles))
         per_place[place] = dv
         prod *= dv
     delta = Fraction((-1) ** (r1_parity % 2)) * prod
@@ -267,7 +263,7 @@ def disparity(
 
 @dataclass(frozen=True)
 class DensityResult:
-    mode: str  # exhaustive | monte_carlo | sigma_trivial_only
+    mode: str  # exhaustive | sigma_trivial_only | monte_carlo | monte_carlo_sigma_trivial
     total: int
     even_count: int
     fraction_even: Fraction
@@ -295,33 +291,88 @@ class DensityResult:
         return out
 
 
-_FALLBACK_SAMPLE = 2000
-_FALLBACK_BOUND = 10**6
-
-
-def _sigma_trivial_congruences(n: int, sigma) -> bool:
-    """Sigma-triviality by congruences alone; exact on squarefree n."""
-    from .modular import kronecker_symbol
-
-    if n <= 0 or n % 8 != 1:
-        return False
-    return all(kronecker_symbol(n, q) == 1 for q in sigma.odd_primes)
-
-
 def _omega_tables(curve, profiles):
-    """Per-place {label: omega} maps; None when some entry is unknown."""
-    sigma = sigma_set(curve)
+    """Per-place {label: omega} maps in local_classes order; None if an entry is unknown."""
     tables = {}
-    for place in sigma.iter_places():
-        prof = _profile_for(curve, place, profiles)
-        tab = {}
-        for label in local_classes(place):
-            w = omega_v(curve, place, label, prof)
-            if w is None:
-                return None
-            tab[label] = w
-        tables[place] = tab
+    for v in sigma_set(curve).iter_places():
+        prof = _profile_for(v, profiles)
+        tables[v] = {label: omega_v(curve, v, label, prof) for label in local_classes(v)}
+        if None in tables[v].values():
+            return None
     return tables
+
+
+def _counts(mode: str, total: int, plus: int, r1: int, **extra) -> DensityResult:
+    """A scan result from the number of characters and how many have flip +1."""
+    even = plus if r1 == 0 else total - plus
+    return DensityResult(
+        mode, total, even, Fraction(even, total), Fraction(2 * plus - total, total), r1, **extra
+    )
+
+
+# Above this norm bound the family size 2^k has more digits than the 4300
+# CPython converts to text by default, so the report could not print it.
+_MAX_NORM = 150_000
+# Largest subspace, by dimension, whose points an exact scan walks.
+_MAX_SPAN_DIM = 20
+
+
+def _image_sum(image: Subspace, dim: int, factors) -> int:
+    """Sum over y in the image W < F_2^dim of prod table[(y >> offset) & mask].
+
+    Walks W or, when smaller, its annihilator: by Poisson summation
+    sum_W f = 2^(rank - dim) * sum over z in W^perp of f^(z), with
+    f^(z) = sum_y f(y) (-1)^(z.y), and the transform of a product over
+    places is the product of the per-place transforms.
+    """
+    shift = dim - image.dim
+    if min(image.dim, shift) > _MAX_SPAN_DIM:
+        raise ResourceLimitError(f"image and annihilator both exceed 2^{_MAX_SPAN_DIM} points")
+    if image.dim <= shift:
+        shift = 0
+    else:
+        image = Subspace.from_vectors(image.annihilator(dim))
+        factors = [
+            (offset, mask, [
+                sum(t * (-1) ** bin(z & y).count("1") for y, t in enumerate(table))
+                for z in range(len(table))
+            ])
+            for offset, mask, table in factors
+        ]
+    terms = (math.prod(t[(y >> off) & mask] for off, mask, t in factors) for y in image.vectors())
+    return sum(terms) >> shift
+
+
+def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
+    """Exact counts over the 2^k characters of norm below max_norm.
+
+    They are the products of -1, 2 and the odd primes below max_norm (only
+    1 at max_norm = 2), as in ``enumerate_characters``.  A flip depends only
+    on the image in prod_{v in Sigma} Q_v^x/(Q_v^x)^2 = F_2^dim (coordinates:
+    the index in ``local_classes(v)``), and each point of the image W has
+    2^k/|W| preimages; the Sigma-trivial twists lie over 0.
+    """
+    if max_norm < 2:
+        raise InvalidInputError("bound must be >= 2")
+    if max_norm > _MAX_NORM:
+        raise ResourceLimitError(f"norm bound {max_norm} > {_MAX_NORM}: 2^k is too long to report")
+    gens = [-1, 2, *iter_primes(3, max_norm)] if max_norm > 2 else []
+    coords, dim = [], 0
+    for v in sigma.iter_places():
+        labels = local_classes(v)
+        coords.append((v, dim, {label: i for i, label in enumerate(labels)}))
+        dim += len(labels).bit_length() - 1
+    image = Subspace.from_vectors(
+        sum(ix[local_square_class(QuadTwist._unchecked(g), v)] << off for v, off, ix in coords)
+        for g in gens
+    )
+    kernel = 1 << (len(gens) - image.dim)
+    if tables is None:
+        warning = "incomplete profiles; restricted to the Sigma-trivial subgroup"
+        return _counts("sigma_trivial_only", kernel, kernel, r1, warning=warning)
+    factors = [(off, len(ix) - 1, list(tables[v].values())) for v, off, ix in coords]
+    plus_in_image = ((1 << image.dim) + _image_sum(image, dim, factors)) // 2
+    return _counts("exhaustive", 1 << len(gens), kernel * plus_in_image, r1)
 
 
 def density_scan(
@@ -332,12 +383,11 @@ def density_scan(
     bound: int | None = None,
     r1_parity: int = 0,
     seed: int = 0,
-    cap: int = 1 << 20,
 ) -> DensityResult:
     """Fraction of twists with even predicted Selmer parity.
 
-    Exhaustive mode enumerates the finite group of characters of norm
-    below ``max_norm``; Monte-Carlo mode draws ``sample`` uniform
+    Exhaustive mode counts, exactly, the finite group of characters of
+    norm below ``max_norm``; Monte-Carlo mode draws ``sample`` uniform
     squarefree d in [-bound, bound] with the recorded seed.  When the
     profiles leave some omega undetermined the scan falls back to the
     Sigma-trivial subgroup (every flip is +1 there) and says so.
@@ -347,104 +397,30 @@ def density_scan(
     r1 = r1_parity % 2
     tables = _omega_tables(curve, profiles)
     sigma = sigma_set(curve)
-
-    def flip_of(d: QuadTwist) -> int:
-        f = 1
-        for place, tab in tables.items():
-            f *= tab[local_square_class(d, place)]
-        return f
-
     if max_norm is not None:
-        try:
-            chars = enumerate_characters(max_norm, cap=cap)
-        except ResourceLimitError:
-            # family too large to enumerate: documented Monte-Carlo fallback
-            fallback = density_scan(
-                curve,
-                profiles,
-                sample=_FALLBACK_SAMPLE,
-                bound=_FALLBACK_BOUND,
-                r1_parity=r1,
-                seed=seed,
-            )
-            warn = (
-                f"norm bound {max_norm} exceeds the enumeration cap; "
-                f"Monte-Carlo fallback over squarefree |d| <= {_FALLBACK_BOUND}"
-            )
-            return DensityResult(
-                mode="monte_carlo_fallback",
-                total=fallback.total,
-                even_count=fallback.even_count,
-                fraction_even=fallback.fraction_even,
-                flip_average=fallback.flip_average,
-                r1_parity=fallback.r1_parity,
-                seed=seed,
-                bound=_FALLBACK_BOUND,
-                warning=(fallback.warning + "; " + warn) if fallback.warning else warn,
-            )
-        if tables is None:
-            kept = [d for d in chars if sigma_trivial(d, sigma)]
-            even = len(kept) if r1 == 0 else 0
-            return DensityResult(
-                mode="sigma_trivial_only",
-                total=len(kept),
-                even_count=even,
-                fraction_even=Fraction(even, len(kept)),
-                flip_average=Fraction(1),
-                r1_parity=r1,
-                warning="incomplete profiles; restricted to the Sigma-trivial subgroup",
-            )
-        flips = [flip_of(d) for d in chars]
-        plus = sum(1 for f in flips if f == 1)
-        even = plus if r1 == 0 else len(flips) - plus
-        return DensityResult(
-            mode="exhaustive",
-            total=len(flips),
-            even_count=even,
-            fraction_even=Fraction(even, len(flips)),
-            flip_average=Fraction(sum(flips), len(flips)),
-            r1_parity=r1,
-        )
+        return _exact_scan(sigma, tables, max_norm, r1)
 
     if bound is None or bound < 2:
         raise InvalidInputError("monte-carlo mode needs a bound >= 2")
     rng = random.Random(seed)
     restricted = tables is None
-    flips = []
-    draws = 0
-    while len(flips) < sample:
+    kept = plus = draws = 0
+    while kept < sample:
         draws += 1
         if draws > 100000 * sample + 1000:
             raise ResourceLimitError("rejection sampling is not terminating")
         n = rng.randint(-bound, bound)
         if n == 0:
             continue
-        if restricted and not _sigma_trivial_congruences(n, sigma):
-            continue  # cheap reject before the squarefree test
-        if not is_squarefree(n):
-            continue
-        if restricted:
-            if not sigma_trivial(QuadTwist(n), sigma):
-                raise UnknownFactorizationError(
-                    f"d = {n} passes the Sigma-trivial congruences but is not Sigma-trivial"
-                )
-            flips.append(1)
-        else:
-            flips.append(flip_of(QuadTwist(n)))
-    plus = sum(1 for f in flips if f == 1)
-    even = plus if r1 == 0 else len(flips) - plus
-    return DensityResult(
-        mode="monte_carlo_sigma_trivial" if restricted else "monte_carlo",
-        total=len(flips),
-        even_count=even,
-        fraction_even=Fraction(even, len(flips)),
-        flip_average=Fraction(sum(flips), len(flips)),
-        r1_parity=r1,
-        seed=seed,
-        bound=bound,
-        warning=(
-            "incomplete profiles; restricted to Sigma-trivial twists"
-            if restricted
-            else None
-        ),
+        if restricted:  # every flip is +1 on the Sigma-trivial twists
+            plus += sigma_trivial_twist(n, sigma) is not None
+            kept = plus
+        elif is_squarefree(n):
+            d = QuadTwist._unchecked(n)
+            kept += 1
+            plus += math.prod(tab[local_square_class(d, v)] for v, tab in tables.items()) == 1
+    return _counts(
+        "monte_carlo_sigma_trivial" if restricted else "monte_carlo", kept, plus, r1,
+        seed=seed, bound=bound,
+        warning="incomplete profiles; restricted to Sigma-trivial twists" if restricted else None,
     )

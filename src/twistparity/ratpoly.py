@@ -62,10 +62,6 @@ class RatPoly:
     def x(cls) -> "RatPoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, c, k: int) -> "RatPoly":
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""

@@ -210,15 +210,21 @@ def test_cli_scan_exhaustive_and_restricted(curve_file, capsys):
     assert doc["outputs"]["scan"]["fraction_even"] == "1"
 
 
-def test_cli_scan_falls_back_to_monte_carlo(curve_file, capsys):
+def test_cli_scan_large_max_norm_is_exact(curve_file, capsys):
     rc, out, _ = run_cli(
         capsys, "--format", "json", "scan", "--curve", curve_file, "--max-norm", "200"
     )
     assert rc == 0
-    doc = json.loads(out)
-    assert doc["outputs"]["scan"]["mode"] == "monte_carlo_fallback"
-    assert "cap" in doc["outputs"]["scan"]["warning"]
-    assert doc["outputs"]["scan"]["seed"] == 0
+    scan = json.loads(out)["outputs"]["scan"]
+    assert scan["mode"] == "sigma_trivial_only"
+    # generators -1, 2 and the 45 odd primes below 200; their square classes
+    # fill all of F_2^6 on Sigma = {inf, 2, 3}, so the kernel has 2^(47-6)
+    assert scan["total"] == scan["even_count"] == 2**41
+    assert "seed" not in scan
+    rc, _, err = run_cli(
+        capsys, "scan", "--curve", curve_file, "--max-norm", "1000000"
+    )
+    assert rc == 3 and "too long to report" in err
 
 
 def test_cli_find_twist(curve_file, capsys):

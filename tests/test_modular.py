@@ -273,3 +273,15 @@ def test_factor_integer_and_squarefree():
 def test_factor_integer_large_semiprime():
     p, q = 1000003, 1000033
     assert factor_integer(p * q) == {p: 1, q: 1}
+
+
+def test_factor_integer_matches_sympy_past_trial_division():
+    """Cofactors built from primes above 2^16 reach Pollard rho."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(53)
+    for _ in range(15):
+        p = sympy.nextprime(rng.randrange(1 << 17, 1 << 26))
+        q = sympy.nextprime(rng.randrange(1 << 17, 1 << 26))
+        small = rng.choice((1, 2, 12, 7 * 11, 30030))
+        for n in (p * q, p * p * q, small * p * q * q, -p * q):
+            assert factor_integer(n) == sympy.factorint(abs(n)), n

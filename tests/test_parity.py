@@ -8,15 +8,22 @@ import pytest
 from twistparity.characters import (
     LocalBehavior,
     QuadTwist,
+    enumerate_characters,
     local_classes,
     local_square_class,
     sigma_trivial,
 )
 from twistparity.curves import CurveSpec
-from twistparity.errors import BadPrimeError, InvalidInputError, UnknownProfileError
+from twistparity.errors import (
+    BadPrimeError,
+    InvalidInputError,
+    ResourceLimitError,
+    UnknownProfileError,
+)
 from twistparity.frobenius import sigma_set
 from twistparity.modular import Place, hilbert_symbol, is_squarefree
 from twistparity.papercases import (
+    GOLDEN_CURVES,
     curve_1440d1,
     curve_g,
     curve_h,
@@ -35,7 +42,9 @@ from twistparity.parity import (
     omega_v,
     parity_flip,
 )
+from twistparity.metabolic import Subspace
 from twistparity.ratpoly import RatPoly, real_root_signature
+from twistparity import parity as parity_module
 
 from conftest import random_separable_poly
 
@@ -291,6 +300,73 @@ def test_density_scan_restricted_mode():
     assert res.mode == "sigma_trivial_only"
     assert res.fraction_even == 1
     assert res.warning
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CURVES))
+def test_density_scan_exact_counts_match_enumeration(name):
+    """Exact counts equal a walk over every character, for bounds 2..30."""
+    curve = GOLDEN_CURVES[name]()
+    sigma = sigma_set(curve)
+    rng = random.Random(name)
+    complete = {
+        place: LocalProfile(place, {k: 0 if k == 1 else rng.randint(0, 1) for k in local_classes(place)})
+        for place in sigma.iter_places()
+        if not place.is_infinity
+    }
+    omega = {
+        place: {k: omega_v(curve, place, k, complete.get(place)) for k in local_classes(place)}
+        for place in sigma.iter_places()
+    }
+    flip = {}
+    for d in enumerate_characters(30):
+        flip[d] = 1
+        for place, tab in omega.items():
+            flip[d] *= tab[local_square_class(d, place)]
+    for bound in range(2, 31):
+        chars = enumerate_characters(bound)
+        kept = [d for d in chars if sigma_trivial(d, sigma)]
+        plus = sum(1 for d in chars if flip[d] == 1)
+        for r1 in (0, 1):
+            res = density_scan(curve, None, max_norm=bound, r1_parity=r1)
+            assert res.mode == "sigma_trivial_only"
+            assert (res.total, res.even_count) == (len(kept), len(kept) * (1 - r1))
+            res = density_scan(curve, complete, max_norm=bound, r1_parity=r1)
+            even = plus if r1 == 0 else len(chars) - plus
+            assert res.mode == "exhaustive"
+            assert (res.total, res.even_count) == (len(chars), even), (bound, r1)
+            assert res.fraction_even == Fraction(even, len(chars))
+            assert res.flip_average == Fraction(sum(flip[d] for d in chars), len(chars))
+
+
+def test_density_scan_exact_resource_limits():
+    c = curve_x3_minus_2()
+    # the report prints 2^k in decimal: k = 13849 at the largest bound allowed
+    res = density_scan(c, zero_profiles(c), max_norm=150_000)
+    assert res.total == 1 << 13849 and len(str(res.total)) < 4300
+    with pytest.raises(ResourceLimitError):
+        density_scan(c, None, max_norm=10**6)
+    # a 22-dimensional image in F_2^44, whose annihilator is 22-dimensional too
+    image = Subspace.from_vectors(1 << i for i in range(22))
+    with pytest.raises(ResourceLimitError):
+        parity_module._image_sum(image, 44, [])
+
+
+def test_image_sum_poisson_matches_direct_walk():
+    rng = random.Random(31)
+    for _ in range(40):
+        widths = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 4))]
+        factors, dim = [], 0
+        for w in widths:
+            factors.append((dim, (1 << w) - 1, [rng.randint(-3, 3) for _ in range(1 << w)]))
+            dim += w
+        image = Subspace.from_vectors(rng.randrange(1 << dim) for _ in range(rng.randint(0, dim)))
+        direct = 0
+        for y in image.vectors():
+            term = 1
+            for offset, mask, table in factors:
+                term *= table[(y >> offset) & mask]
+            direct += term
+        assert parity_module._image_sum(image, dim, factors) == direct
 
 
 def test_density_scan_monte_carlo_deterministic():

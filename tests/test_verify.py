@@ -2,7 +2,7 @@
 
 import json
 
-from twistparity import cli
+from twistparity import cli, verify
 from twistparity.papercases import TRANSFORM_CONSTANT, curve_h, sextic_h0
 from twistparity.ratpoly import RatPoly, compose_rational
 from twistparity.report import Report
@@ -83,3 +83,12 @@ def test_report_json_is_canonical():
     assert doc["tool_version"] == "0.1.0"
     assert rep.to_json() == rep.to_json()
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == rep.to_json()
+
+
+def test_transformation_check_fails_on_a_wrong_quotient(monkeypatch):
+    wrong = dict(transformation_identity(), quotient_numerator="91*x^2 + 60*x + 11")
+    monkeypatch.setattr(verify, "transformation_identity", lambda: wrong)
+    rep = run_paper_verification(seed=0)
+    check = next(c for c in rep.outputs["checks"] if c["name"] == "sextic_transformation_identity")
+    assert check["passed"] is False
+    assert rep.outputs["all_passed"] is False
