@@ -99,16 +99,25 @@ class QuadTwist:
 
 
 def local_behavior(d: QuadTwist, place: Place) -> LocalBehavior:
-    """How chi_d restricts to Q_v, read off its local square class."""
-    label = local_square_class(d, place)
-    if label == 1:
-        return LocalBehavior.TRIVIAL
+    """How chi_d restricts to Q_v."""
+    n = d.d
     if place.is_infinity:
-        return LocalBehavior.SIGN
-    # the one nontrivial unramified class is the nonsquare unit: 5, or u_q
-    if label == local_classes(place)[1]:
-        return LocalBehavior.UNRAMIFIED_NONTRIVIAL
-    return LocalBehavior.RAMIFIED
+        return LocalBehavior.SIGN if n < 0 else LocalBehavior.TRIVIAL
+    q = place.q
+    if q == 2:
+        if n % 2 == 0:
+            return LocalBehavior.RAMIFIED
+        r = n % 8
+        if r == 1:
+            return LocalBehavior.TRIVIAL
+        if r == 5:
+            return LocalBehavior.UNRAMIFIED_NONTRIVIAL
+        return LocalBehavior.RAMIFIED
+    if n % q == 0:
+        return LocalBehavior.RAMIFIED
+    if kronecker_symbol(n, q) == 1:
+        return LocalBehavior.TRIVIAL
+    return LocalBehavior.UNRAMIFIED_NONTRIVIAL
 
 
 def twist_norm(d: QuadTwist) -> int:

@@ -260,6 +260,12 @@ def _cmd_scan(args) -> int:
         r1_parity=args.r1_parity,
         seed=args.seed,
     )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and result.total >= 10**limit:  # 0 means no limit
+        raise ResourceLimitError(
+            f"a {result.total.bit_length()}-bit character count has more than the "
+            f"{limit} digits Python converts to text: too long to report"
+        )
     out = {"scan": result}
     try:
         rep_d = disparity(curve, profiles, args.r1_parity)

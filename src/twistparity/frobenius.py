@@ -95,8 +95,8 @@ class PrimeCache:
 
     Loading stops at the first corrupt record and truncates the file back
     to the valid prefix, so a torn write never poisons later runs.  A later
-    record for the same key overrides an earlier one.  Classification runs
-    on one thread, so the cache takes no lock.
+    record for the same key overrides an earlier one.  A cache is not
+    thread-safe: callers that share one across threads must lock around it.
     """
 
     def __init__(self, path=None):

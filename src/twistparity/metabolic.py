@@ -84,19 +84,6 @@ class Subspace:
             out += [v ^ b for v in out]
         return out
 
-    def annihilator(self, dim: int):
-        """A basis of {z in F_2^dim : z.w = 0 for every w in the subspace}.
-
-        Per non-pivot column j: e_j plus the pivot of each row with a 1 in
-        column j, which the reduced basis makes orthogonal to every row.
-        """
-        pivots = [b.bit_length() - 1 for b in self.basis]
-        return [
-            1 << j | sum(1 << p for b, p in zip(self.basis, pivots) if b >> j & 1)
-            for j in range(dim)
-            if j not in pivots
-        ]
-
     def intersects_trivially(self, other: "Subspace") -> bool:
         joined = _echelonize(self.basis + other.basis)
         return len(joined) == self.dim + other.dim

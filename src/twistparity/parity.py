@@ -292,13 +292,17 @@ class DensityResult:
 
 
 def _omega_tables(curve, profiles):
-    """Per-place {label: omega} maps in local_classes order; None if an entry is unknown."""
+    """Per-place {label: omega} maps in local_classes order; None when some entry is unknown."""
     tables = {}
-    for v in sigma_set(curve).iter_places():
-        prof = _profile_for(v, profiles)
-        tables[v] = {label: omega_v(curve, v, label, prof) for label in local_classes(v)}
-        if None in tables[v].values():
-            return None
+    for place in sigma_set(curve).iter_places():
+        prof = _profile_for(place, profiles)
+        tab = {}
+        for label in local_classes(place):
+            w = omega_v(curve, place, label, prof)
+            if w is None:
+                return None
+            tab[label] = w
+        tables[place] = tab
     return tables
 
 
@@ -310,37 +314,15 @@ def _counts(mode: str, total: int, plus: int, r1: int, **extra) -> DensityResult
     )
 
 
-# Above this norm bound the family size 2^k has more digits than the 4300
-# CPython converts to text by default, so the report could not print it.
-_MAX_NORM = 150_000
-# Largest subspace, by dimension, whose points an exact scan walks.
+# Largest image, by dimension, whose points an exact scan walks.
 _MAX_SPAN_DIM = 20
 
 
-def _image_sum(image: Subspace, dim: int, factors) -> int:
-    """Sum over y in the image W < F_2^dim of prod table[(y >> offset) & mask].
-
-    Walks W or, when smaller, its annihilator: by Poisson summation
-    sum_W f = 2^(rank - dim) * sum over z in W^perp of f^(z), with
-    f^(z) = sum_y f(y) (-1)^(z.y), and the transform of a product over
-    places is the product of the per-place transforms.
-    """
-    shift = dim - image.dim
-    if min(image.dim, shift) > _MAX_SPAN_DIM:
-        raise ResourceLimitError(f"image and annihilator both exceed 2^{_MAX_SPAN_DIM} points")
-    if image.dim <= shift:
-        shift = 0
-    else:
-        image = Subspace.from_vectors(image.annihilator(dim))
-        factors = [
-            (offset, mask, [
-                sum(t * (-1) ** bin(z & y).count("1") for y, t in enumerate(table))
-                for z in range(len(table))
-            ])
-            for offset, mask, table in factors
-        ]
-    terms = (math.prod(t[(y >> off) & mask] for off, mask, t in factors) for y in image.vectors())
-    return sum(terms) >> shift
+def _image_sum(image: Subspace, factors) -> int:
+    """Sum over y in the image W of prod table[(y >> offset) & mask] over places."""
+    if image.dim > _MAX_SPAN_DIM:
+        raise ResourceLimitError(f"square-class image exceeds 2^{_MAX_SPAN_DIM} points")
+    return sum(math.prod(t[(y >> off) & mask] for off, mask, t in factors) for y in image.vectors())
 
 
 def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
@@ -354,8 +336,6 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
     """
     if max_norm < 2:
         raise InvalidInputError("bound must be >= 2")
-    if max_norm > _MAX_NORM:
-        raise ResourceLimitError(f"norm bound {max_norm} > {_MAX_NORM}: 2^k is too long to report")
     gens = [-1, 2, *iter_primes(3, max_norm)] if max_norm > 2 else []
     coords, dim = [], 0
     for v in sigma.iter_places():
@@ -371,7 +351,7 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
         warning = "incomplete profiles; restricted to the Sigma-trivial subgroup"
         return _counts("sigma_trivial_only", kernel, kernel, r1, warning=warning)
     factors = [(off, len(ix) - 1, list(tables[v].values())) for v, off, ix in coords]
-    plus_in_image = ((1 << image.dim) + _image_sum(image, dim, factors)) // 2
+    plus_in_image = ((1 << image.dim) + _image_sum(image, factors)) // 2
     return _counts("exhaustive", 1 << len(gens), kernel * plus_in_image, r1)
 
 

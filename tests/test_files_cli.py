@@ -1,6 +1,7 @@
 """File formats and the command-line front end."""
 
 import json
+import sys
 
 import pytest
 
@@ -221,10 +222,31 @@ def test_cli_scan_large_max_norm_is_exact(curve_file, capsys):
     # fill all of F_2^6 on Sigma = {inf, 2, 3}, so the kernel has 2^(47-6)
     assert scan["total"] == scan["even_count"] == 2**41
     assert "seed" not in scan
-    rc, _, err = run_cli(
-        capsys, "scan", "--curve", curve_file, "--max-norm", "1000000"
-    )
-    assert rc == 3 and "too long to report" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_cli_scan_max_norm_limited_by_int_str_digits(curve_file, capsys):
+    """Exit 3 exactly when the count has more digits than Python prints."""
+    default = sys.get_int_max_str_digits()
+    # (limit, largest bound whose Sigma-trivial count 2^(k-6) has at most
+    # `limit` digits, k-6 there)
+    for limit, ok, k in ((4300, 155_203, 14_284), (640, 18_671, 2_126)):
+        sys.set_int_max_str_digits(limit)
+        try:
+            rc, out, _ = run_cli(
+                capsys, "--format", "json", "scan", "--curve", curve_file, "--max-norm", str(ok)
+            )
+            assert rc == 0 and json.loads(out)["outputs"]["scan"]["total"] == 2**k
+            rc, out, err = run_cli(capsys, "scan", "--curve", curve_file, "--max-norm", str(ok + 1))
+            assert rc == 3 and out == "" and "too long to report" in err
+        finally:
+            sys.set_int_max_str_digits(default)
+    sys.set_int_max_str_digits(0)  # no limit: any bound is reported
+    try:
+        rc, out, _ = run_cli(capsys, "scan", "--curve", curve_file, "--max-norm", "200000")
+        assert rc == 0 and f"characters = {2**17_979}" in out
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_cli_find_twist(curve_file, capsys):

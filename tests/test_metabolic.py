@@ -152,14 +152,3 @@ def test_subspace_canonical_form():
     assert len(a.vectors()) == 4
     assert not a.intersects_trivially(Subspace.from_vectors([0b011]))
     assert a.intersects_trivially(Subspace.from_vectors([0b001]))
-
-
-def test_subspace_annihilator():
-    rng = random.Random(17)
-    for _ in range(60):
-        dim = rng.randint(1, 10)
-        w = Subspace.from_vectors(rng.randrange(1 << dim) for _ in range(rng.randint(0, dim)))
-        ann = w.annihilator(dim)
-        assert Subspace.from_vectors(ann).dim == len(ann) == dim - w.dim
-        for z in ann:
-            assert all(bin(z & b).count("1") % 2 == 0 for b in w.basis)

@@ -340,33 +340,11 @@ def test_density_scan_exact_counts_match_enumeration(name):
 
 def test_density_scan_exact_resource_limits():
     c = curve_x3_minus_2()
-    # the report prints 2^k in decimal: k = 13849 at the largest bound allowed
-    res = density_scan(c, zero_profiles(c), max_norm=150_000)
-    assert res.total == 1 << 13849 and len(str(res.total)) < 4300
+    # generators -1, 2 and the 17,983 odd primes below 200,000: no cap on k
+    res = density_scan(c, zero_profiles(c), max_norm=200_000)
+    assert res.mode == "exhaustive" and res.total == 1 << 17_985
     with pytest.raises(ResourceLimitError):
-        density_scan(c, None, max_norm=10**6)
-    # a 22-dimensional image in F_2^44, whose annihilator is 22-dimensional too
-    image = Subspace.from_vectors(1 << i for i in range(22))
-    with pytest.raises(ResourceLimitError):
-        parity_module._image_sum(image, 44, [])
-
-
-def test_image_sum_poisson_matches_direct_walk():
-    rng = random.Random(31)
-    for _ in range(40):
-        widths = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 4))]
-        factors, dim = [], 0
-        for w in widths:
-            factors.append((dim, (1 << w) - 1, [rng.randint(-3, 3) for _ in range(1 << w)]))
-            dim += w
-        image = Subspace.from_vectors(rng.randrange(1 << dim) for _ in range(rng.randint(0, dim)))
-        direct = 0
-        for y in image.vectors():
-            term = 1
-            for offset, mask, table in factors:
-                term *= table[(y >> offset) & mask]
-            direct += term
-        assert parity_module._image_sum(image, dim, factors) == direct
+        parity_module._image_sum(Subspace.from_vectors(1 << i for i in range(21)), [])
 
 
 def test_density_scan_monte_carlo_deterministic():
