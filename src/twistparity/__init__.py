@@ -70,6 +70,7 @@ from .parity import (  # noqa: F401
     global_consistency_check,
     good_prime_h,
     infinity_profile,
+    omega_tables,
     omega_v,
     parity_flip,
 )

@@ -34,6 +34,7 @@ __all__ = [
     "twist_norm",
     "enumerate_characters",
     "sigma_trivial",
+    "sigma_trivial_congruences",
     "sigma_trivial_twist",
     "local_classes",
     "local_square_class",
@@ -155,15 +156,21 @@ def sigma_trivial(d: QuadTwist, sigma) -> bool:
     )
 
 
+def sigma_trivial_congruences(n: int, sigma) -> bool:
+    """n > 0, n = 1 mod 8 and (n|q) = 1 at each odd bad prime q.
+
+    For squarefree n these hold exactly when chi_n is Sigma-trivial.
+    """
+    return n > 0 and n % 8 == 1 and all(kronecker_symbol(n, q) == 1 for q in sigma.odd_primes)
+
+
 def sigma_trivial_twist(n: int, sigma) -> QuadTwist | None:
     """chi_n when n is squarefree and Sigma-trivial, else None.
 
-    The congruences (n > 0, n = 1 mod 8, (n|q) = 1 at each odd bad prime)
-    run before the squarefree test; ``sigma_trivial`` re-checks the result.
+    The congruences run before the squarefree test; ``sigma_trivial``
+    re-checks the result.
     """
-    if n <= 0 or n % 8 != 1 or any(kronecker_symbol(n, q) != 1 for q in sigma.odd_primes):
-        return None
-    if not is_squarefree(n):
+    if not sigma_trivial_congruences(n, sigma) or not is_squarefree(n):
         return None
     d = QuadTwist._unchecked(n)
     if not sigma_trivial(d, sigma):

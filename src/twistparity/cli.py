@@ -9,31 +9,30 @@ humans and may include timing on stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 
 from .characters import (
     QuadTwist,
     local_behavior,
-    local_classes,
     local_square_class,
     sigma_trivial,
     twist_norm,
 )
 from .curves import curve_hash
 from .errors import ParseError, ResourceLimitError, TwistParityError
-from .files import load_curve, load_profiles
+from .files import load_curve, parse_profiles_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
 from .modular import Place
 from .parity import (
     delta_inf_closed_form,
     density_scan,
     disparity,
+    omega_tables,
     parity_flip,
 )
 from .ratpoly import real_root_signature
-from .report import Report, jsonable, sha256_text
+from .report import Report, sha256_text
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
 from .verify import run_paper_verification
@@ -84,18 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True)
     p.add_argument("--direction", choices=("up", "down"), required=True)
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--emit-json", action="store_true")
 
     sub.add_parser("verify-paper", help="run the built-in example verification suite")
     return top
 
 
 def _cache_for(args, curve_path) -> PrimeCache:
-    if args.cache:
-        return PrimeCache(args.cache)
-    if curve_path:
-        return PrimeCache(str(curve_path) + ".primecache")
-    return PrimeCache(None)
+    return PrimeCache(args.cache or str(curve_path) + ".primecache")
 
 
 def _emit(report: Report, args, text_lines) -> None:
@@ -104,6 +98,16 @@ def _emit(report: Report, args, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _profiles_input(args, inputs):
+    """Parse --profiles (None without it), recording the file's hash in inputs."""
+    if not args.profiles:
+        return None
+    with open(args.profiles, "r", encoding="utf-8") as fh:
+        raw = fh.read()
+    inputs["profiles_sha256"] = sha256_text(raw)
+    return parse_profiles_text(raw)
 
 
 def _curve_inputs(path, curve):
@@ -217,22 +221,17 @@ def _cmd_character(args) -> int:
 
 def _cmd_parity(args) -> int:
     curve = load_curve(args.curve)
-    profiles = load_profiles(args.profiles) if args.profiles else None
+    inputs = _curve_inputs(args.curve, curve)
+    profiles = _profiles_input(args, inputs)
+    if profiles is not None:
+        inputs["profiles_provenance"] = "user"
+    inputs["d"] = args.d
     d = QuadTwist.of(args.d)
     verdict = parity_flip(curve, d, profiles)
     contributions = {}
-    from .parity import omega_v, _profile_for  # local import to reuse internals
-
-    for v in sigma_set(curve).iter_places():
+    for v, row in omega_tables(curve, profiles).items():
         label = local_square_class(d, v)
-        w = omega_v(curve, v, label, _profile_for(v, profiles))
-        contributions[str(v)] = {"class": label, "omega": w}
-    inputs = _curve_inputs(args.curve, curve)
-    inputs["d"] = args.d
-    if args.profiles:
-        with open(args.profiles, "r", encoding="utf-8") as fh:
-            inputs["profiles_sha256"] = sha256_text(fh.read())
-        inputs["profiles_provenance"] = "user"
+        contributions[str(v)] = {"class": label, "omega": row[label]}
     out = {
         "flip": verdict.flip,
         "status": verdict.status,
@@ -250,7 +249,8 @@ def _cmd_parity(args) -> int:
 
 def _cmd_scan(args) -> int:
     curve = load_curve(args.curve)
-    profiles = load_profiles(args.profiles) if args.profiles else None
+    inputs = _curve_inputs(args.curve, curve)
+    profiles = _profiles_input(args, inputs)
     result = density_scan(
         curve,
         profiles,
@@ -272,10 +272,6 @@ def _cmd_scan(args) -> int:
         out["disparity"] = rep_d
     except TwistParityError:
         out["disparity"] = None
-    inputs = _curve_inputs(args.curve, curve)
-    if args.profiles:
-        with open(args.profiles, "r", encoding="utf-8") as fh:
-            inputs["profiles_sha256"] = sha256_text(fh.read())
     rep = Report("scan", args.seed, inputs, out)
     lines = [
         f"mode = {result.mode}  characters = {result.total}",
@@ -310,13 +306,8 @@ def _cmd_find_twist(args) -> int:
         _curve_inputs(args.curve, curve),
         {"direction": direction, "limit": args.limit, "recipes": rows},
     )
-    if args.emit_json or args.format == "json":
-        sys.stdout.write(rep.to_json())
-    else:
-        if not rows:
-            print("(empty stream: no prime satisfies every checkable condition)")
-        for r in rows:
-            print(f"l = {r['l']}  d = {r['d']}  type {r['cycle_type']}")
+    lines = (f"l = {r['l']}  d = {r['d']}  type {r['cycle_type']}" for r in rows)
+    _emit(rep, args, lines if rows else ["(empty stream: no prime satisfies every checkable condition)"])
     return 0
 
 
@@ -324,21 +315,18 @@ def _cmd_verify_paper(args) -> int:
     t0 = time.time()
     rep = run_paper_verification(seed=args.seed)
     ok = rep.outputs["all_passed"]
-    if args.format == "json":
-        sys.stdout.write(rep.to_json())
-    else:
-        for check in rep.outputs["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(f"[{status}] {check['name']}")
-            if check["name"] == "sextic_transformation_identity" and not check[
-                "details"
-            ].get("identity_holds", True):
-                det = check["details"]
-                print(
-                    "       stated identity fails; exact quotient = "
-                    f"({det['quotient_numerator']}) / ({det['quotient_denominator']})"
-                )
-        print(f"overall: {'PASS' if ok else 'FAIL'}", file=sys.stdout)
+    lines = []
+    for check in rep.outputs["checks"]:
+        lines.append(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}")
+        det = check["details"]
+        if check["name"] == "sextic_transformation_identity" and not det.get("identity_holds", True):
+            lines.append(
+                "       stated identity fails; exact quotient = "
+                f"({det['quotient_numerator']}) / ({det['quotient_denominator']})"
+            )
+    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+    _emit(rep, args, lines)
+    if args.format == "text":
         print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
     return 0 if ok else 2
 

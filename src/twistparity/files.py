@@ -38,7 +38,6 @@ __all__ = [
     "load_curve",
     "curve_file_text",
     "parse_profiles_text",
-    "load_profiles",
     "profile_file_text",
 ]
 
@@ -180,11 +179,6 @@ def parse_profiles_text(text: str) -> dict:
             raise ParseError(f"unknown key {key!r}", lineno)
     flush(None)
     return out
-
-
-def load_profiles(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profiles_text(fh.read())
 
 
 def profile_file_text(profiles: dict) -> str:

@@ -18,9 +18,9 @@ import os
 from dataclasses import dataclass, field
 
 from .curves import CurveSpec, curve_hash
-from .errors import BadPrimeError, InvalidInputError
+from .errors import BadPrimeError
 from .modular import Place, factor_degrees, factor_integer, is_prime, iter_primes
-from .ratpoly import RatPoly, rational_roots
+from .ratpoly import rational_roots
 
 __all__ = [
     "SigmaSet",
@@ -41,9 +41,12 @@ class SigmaSet:
 
     finite: tuple
     odd_primes: tuple = field(init=False, repr=False, compare=False)
+    places: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "odd_primes", tuple(q for q in self.finite if q != 2))
+        places = (Place.infinity(), *(Place.finite(q) for q in self.finite))
+        object.__setattr__(self, "places", places)
 
     def __contains__(self, place) -> bool:
         if isinstance(place, Place):
@@ -51,9 +54,7 @@ class SigmaSet:
         return place in self.finite
 
     def iter_places(self):
-        yield Place.infinity()
-        for q in self.finite:
-            yield Place.finite(q)
+        return iter(self.places)
 
     def __str__(self):
         return "{inf, " + ", ".join(str(q) for q in self.finite) + "}"

@@ -41,20 +41,8 @@ def _echelonize(vectors):
         for b in basis:
             v = min(v, v ^ b)
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            # re-reduce so each pivot appears in exactly one row
-            changed = True
-            while changed:
-                changed = False
-                for i, bi in enumerate(basis):
-                    for j, bj in enumerate(basis):
-                        if i != j and bi.bit_length() != bj.bit_length():
-                            r = min(bi, bi ^ bj)
-                            if r != bi:
-                                basis[i] = r
-                                changed = True
-                basis.sort(reverse=True)
+            # v is clear at every pivot; clear v's pivot from the other rows
+            basis = sorted([min(b, b ^ v) for b in basis] + [v], reverse=True)
     return tuple(basis)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "infinity_profile",
     "good_prime_h",
     "omega_v",
+    "omega_tables",
     "ParityVerdict",
     "parity_flip",
     "global_consistency_check",
@@ -111,11 +112,6 @@ def good_prime_h(
     raise InvalidInputError(f"behavior {behavior} does not occur at a finite prime")
 
 
-def _profile_for(place, profiles):
-    """The user table at a finite place; omega_v fills in the real place itself."""
-    return None if profiles is None or place.is_infinity else profiles.get(place)
-
-
 def omega_v(curve: CurveSpec, place: Place, label: int, profile: LocalProfile | None):
     """(-1)^h_v(chi) * chi_v(disc) for the class label, or None when h unknown.
 
@@ -126,10 +122,10 @@ def omega_v(curve: CurveSpec, place: Place, label: int, profile: LocalProfile | 
         raise InvalidInputError("omega_v is defined at places of the bad set")
     if label not in local_classes(place):
         raise InvalidInputError(f"label {label} is not canonical at {place}")
-    if place.is_infinity:
-        profile = infinity_profile(curve)
     if label == 1:
         return 1
+    if place.is_infinity:
+        profile = infinity_profile(curve)
     if profile is None:
         return None
     h = profile.h(label)
@@ -153,26 +149,39 @@ class ParityVerdict:
     missing: tuple = ()
 
 
+def _omega_row(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> dict:
+    """{label: omega_v or None} over ``local_classes(place)``."""
+    return {label: omega_v(curve, place, label, profile) for label in local_classes(place)}
+
+
+def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
+    """{place: {label: omega_v or None}} over Sigma, labels in ``local_classes`` order.
+
+    The real place is filled in from the curve; a finite place reads its h
+    table from ``profiles``, and without one only its trivial class is known.
+    """
+    profiles = profiles or {}
+    return {
+        place: _omega_row(curve, place, profiles.get(place))
+        for place in sigma_set(curve).iter_places()
+    }
+
+
 def parity_flip(
     curve: CurveSpec, d: QuadTwist, profiles: dict | None = None
 ) -> ParityVerdict:
-    sigma = sigma_set(curve)
     if d.is_trivial:
         return ParityVerdict(1, "exact")
-    if sigma_trivial(d, sigma):
+    if sigma_trivial(d, sigma_set(curve)):
         return ParityVerdict(1, "relative_only")
-    flip = 1
-    missing = []
-    for place in sigma.iter_places():
-        label = local_square_class(d, place)
-        w = omega_v(curve, place, label, _profile_for(place, profiles))
-        if w is None:
-            missing.append(place)
-        else:
-            flip *= w
+    weights = {
+        place: row[local_square_class(d, place)]
+        for place, row in omega_tables(curve, profiles).items()
+    }
+    missing = tuple(place for place, w in weights.items() if w is None)
     if missing:
-        return ParityVerdict(None, "unknown", tuple(missing))
-    return ParityVerdict(flip, "exact")
+        return ParityVerdict(None, "unknown", missing)
+    return ParityVerdict(math.prod(weights.values()), "exact")
 
 
 def global_consistency_check(
@@ -205,18 +214,11 @@ def global_consistency_check(
 
 def delta_v(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> Fraction:
     """Average of omega_v over the local character group (2, 8 or 4 classes)."""
-    labels = local_classes(place)
-    missing = []
-    total = 0
-    for label in labels:
-        w = omega_v(curve, place, label, profile)
-        if w is None:
-            missing.append((place, label))
-        else:
-            total += w
+    row = _omega_row(curve, place, profile)
+    missing = [(place, label) for label, w in row.items() if w is None]
     if missing:
         raise UnknownProfileError(missing)
-    return Fraction(total, len(labels))
+    return Fraction(sum(row.values()), len(row))
 
 
 def delta_inf_closed_form(n: int) -> Fraction:
@@ -246,11 +248,11 @@ def disparity(
     curve: CurveSpec, profiles: dict | None, r1_parity: int
 ) -> DisparityReport:
     """delta = (-1)^r1 * prod delta_v and the predicted even-parity density."""
-    sigma = sigma_set(curve)
+    profiles = profiles or {}
     per_place = {}
     prod = Fraction(1)
-    for place in sigma.iter_places():
-        dv = delta_v(curve, place, _profile_for(place, profiles))
+    for place in sigma_set(curve).iter_places():
+        dv = delta_v(curve, place, profiles.get(place))
         per_place[place] = dv
         prod *= dv
     delta = Fraction((-1) ** (r1_parity % 2)) * prod
@@ -289,21 +291,6 @@ class DensityResult:
         if self.warning:
             out["warning"] = self.warning
         return out
-
-
-def _omega_tables(curve, profiles):
-    """Per-place {label: omega} maps in local_classes order; None when some entry is unknown."""
-    tables = {}
-    for place in sigma_set(curve).iter_places():
-        prof = _profile_for(place, profiles)
-        tab = {}
-        for label in local_classes(place):
-            w = omega_v(curve, place, label, prof)
-            if w is None:
-                return None
-            tab[label] = w
-        tables[place] = tab
-    return tables
 
 
 def _counts(mode: str, total: int, plus: int, r1: int, **extra) -> DensityResult:
@@ -375,15 +362,15 @@ def density_scan(
     if (max_norm is None) == (sample is None):
         raise InvalidInputError("choose exactly one of max_norm / sample")
     r1 = r1_parity % 2
-    tables = _omega_tables(curve, profiles)
+    tables = omega_tables(curve, profiles)
+    restricted = any(w is None for row in tables.values() for w in row.values())
     sigma = sigma_set(curve)
     if max_norm is not None:
-        return _exact_scan(sigma, tables, max_norm, r1)
+        return _exact_scan(sigma, None if restricted else tables, max_norm, r1)
 
     if bound is None or bound < 2:
         raise InvalidInputError("monte-carlo mode needs a bound >= 2")
     rng = random.Random(seed)
-    restricted = tables is None
     kept = plus = draws = 0
     while kept < sample:
         draws += 1

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import QuadTwist, sigma_trivial
+from .characters import QuadTwist, sigma_trivial, sigma_trivial_congruences
 from .curves import CurveSpec
 from .errors import InvalidInputError
 from .frobenius import PrimeCache, classify_prime, prime_scan, sigma_set
-from .modular import kronecker_symbol
 from .torsion import orbit_lengths_coprime
 
 __all__ = ["TwistRecipe", "find_shift_primes", "odd_p_orbit_predicate"]
@@ -44,8 +43,7 @@ class TwistRecipe:
         ok = pc.i == 2 and pc.lengths == self.cycle_type
         if self.direction == "raise2":
             ok = ok and orbit_lengths_coprime(pc.lengths, 2)
-        ok = ok and self.l % 8 == 1
-        ok = ok and all(kronecker_symbol(self.l, q) == 1 for q in sigma.odd_primes)
+        ok = ok and sigma_trivial_congruences(self.l, sigma)
         ok = ok and self.d == QuadTwist(self.l)
         ok = ok and sigma_trivial(self.d, sigma)
         return ok
@@ -70,10 +68,6 @@ def find_shift_primes(
     if curve.degree < 3:
         raise InvalidInputError("degree below 3 cannot carry the construction")
     sigma = sigma_set(curve)
-    odd_sigma = sigma.odd_primes
-
-    def congruences(l) -> bool:
-        return l % 8 == 1 and all(kronecker_symbol(l, q) == 1 for q in odd_sigma)
 
     def good(pc) -> bool:
         if pc.i != 2:
@@ -81,7 +75,8 @@ def find_shift_primes(
         return direction != "raise2" or orbit_lengths_coprime(pc.lengths, 2)
 
     for pc in prime_scan(
-        curve, 2, limit + 1, predicate=good, cache=cache, prime_filter=congruences,
+        curve, 2, limit + 1, predicate=good, cache=cache,
+        prime_filter=lambda l: sigma_trivial_congruences(l, sigma),
     ):
         conditions = [
             ("good_prime", True),

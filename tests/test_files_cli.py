@@ -358,13 +358,23 @@ def test_cli_threads_flag_removed(curve_file, capsys):
 def test_cli_find_twist_emit_json_flag(curve_file, capsys):
     rc, out, _ = run_cli(
         capsys,
-        "find-twist", "--curve", curve_file,
-        "--direction", "down", "--limit", "500", "--emit-json",
+        "--format", "json", "find-twist", "--curve", curve_file,
+        "--direction", "down", "--limit", "500",
     )
     assert rc == 0
     doc = json.loads(out)
     assert doc["outputs"]["direction"] == "lower2"
     assert [r["l"] for r in doc["outputs"]["recipes"]] == [433, 457]
+
+
+def test_cli_find_twist_emit_json_flag_removed(curve_file, capsys):
+    rc, _, err = run_cli(
+        capsys,
+        "find-twist", "--curve", curve_file,
+        "--direction", "down", "--limit", "500", "--emit-json",
+    )
+    assert rc == 1
+    assert "unrecognized arguments: --emit-json" in err
 
 
 def test_cli_analyze_s5_torsion_certified(tmp_path, capsys):

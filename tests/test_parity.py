@@ -39,6 +39,7 @@ from twistparity.parity import (
     global_consistency_check,
     good_prime_h,
     infinity_profile,
+    omega_tables,
     omega_v,
     parity_flip,
 )
@@ -317,6 +318,9 @@ def test_density_scan_exact_counts_match_enumeration(name):
         place: {k: omega_v(curve, place, k, complete.get(place)) for k in local_classes(place)}
         for place in sigma.iter_places()
     }
+    tables = omega_tables(curve, complete)
+    assert tables == omega
+    assert all(tuple(row) == local_classes(place) for place, row in tables.items())
     flip = {}
     for d in enumerate_characters(30):
         flip[d] = 1

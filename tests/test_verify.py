@@ -2,7 +2,7 @@
 
 import json
 
-from twistparity import cli, verify
+from twistparity import cli, parity, verify
 from twistparity.papercases import TRANSFORM_CONSTANT, curve_h, sextic_h0
 from twistparity.ratpoly import RatPoly, compose_rational
 from twistparity.report import Report
@@ -83,6 +83,17 @@ def test_report_json_is_canonical():
     assert doc["tool_version"] == "0.1.0"
     assert rep.to_json() == rep.to_json()
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == rep.to_json()
+
+
+def test_sigma_trivial_check_fails_on_wrong_good_prime_h(monkeypatch):
+    """Check c recomputes the consistency identity, so a wrong h must fail it."""
+    right = parity.good_prime_h
+    monkeypatch.setattr(parity, "good_prime_h", lambda *a, **k: right(*a, **k) + 1)
+    rep = run_paper_verification(seed=0)
+    check = next(c for c in rep.outputs["checks"] if c["name"] == "sigma_trivial_parity_preserved")
+    assert check["passed"] is False
+    assert check["details"]["violations"]
+    assert rep.outputs["all_passed"] is False
 
 
 def test_transformation_check_fails_on_a_wrong_quotient(monkeypatch):
