@@ -21,7 +21,7 @@ from .characters import (
 )
 from .curves import curve_hash
 from .errors import ParseError, ResourceLimitError, TwistParityError
-from .files import load_curve, parse_profiles_text
+from .files import parse_curve_text, parse_profiles_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
 from .modular import Place
 from .parity import (
@@ -31,7 +31,6 @@ from .parity import (
     omega_tables,
     parity_flip,
 )
-from .ratpoly import real_root_signature
 from .report import Report, sha256_text
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
@@ -110,10 +109,12 @@ def _profiles_input(args, inputs):
     return parse_profiles_text(raw)
 
 
-def _curve_inputs(path, curve):
+def _curve_input(path):
+    """The curve in the file at path, read once, and the inputs that identify it."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    return {
+    curve = parse_curve_text(raw)
+    return curve, {
         "curve_file_sha256": sha256_text(raw),
         "curve_hash": curve_hash(curve),
         "curve": curve.canonical_text(),
@@ -121,12 +122,12 @@ def _curve_inputs(path, curve):
 
 
 def _cmd_analyze(args) -> int:
-    curve = load_curve(args.curve)
-    cache = _cache_for(args, args.curve)
+    curve, inputs = _curve_input(args.curve)
     sigma = sigma_set(curve)
     disc = curve.discriminant()
-    r, k1, k2 = real_root_signature(curve.f)
-    verdict = galois_classify(curve, 1000, cache=cache)
+    r, k1, k2 = curve.real_root_signature()
+    with _cache_for(args, args.curve) as cache:
+        verdict = galois_classify(curve, 1000, cache=cache)
     try:
         torsion = rational_two_torsion_dim(curve)
         torsion_info = {"value": torsion, "provenance": "computed"}
@@ -142,7 +143,7 @@ def _cmd_analyze(args) -> int:
         "galois": {"label": verdict.label, "evidence": verdict.evidence},
         "two_torsion_dim": torsion_info,
     }
-    rep = Report("analyze", args.seed, _curve_inputs(args.curve, curve), out)
+    rep = Report("analyze", args.seed, inputs, out)
     _emit(
         rep,
         args,
@@ -162,17 +163,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify_primes(args) -> int:
-    curve = load_curve(args.curve)
-    cache = _cache_for(args, args.curve)
+    curve, inputs = _curve_input(args.curve)
     rows = []
-    for pc in prime_scan(curve, 2, args.limit + 1, cache=cache):
-        if args.class_index is not None and pc.i != args.class_index:
-            continue
-        rows.append({"l": pc.l, "cycle_type": list(pc.lengths), "class_index": pc.i})
+    with _cache_for(args, args.curve) as cache:
+        for pc in prime_scan(curve, 2, args.limit + 1, cache=cache):
+            if args.class_index is not None and pc.i != args.class_index:
+                continue
+            rows.append({"l": pc.l, "cycle_type": list(pc.lengths), "class_index": pc.i})
     rep = Report(
         "classify-primes",
         args.seed,
-        _curve_inputs(args.curve, curve),
+        inputs,
         {"limit": args.limit, "class_filter": args.class_index, "primes": rows},
     )
     _emit(
@@ -191,8 +192,8 @@ def _cmd_character(args) -> int:
     inputs = {"d": args.d, "squarefree_kernel": d.d}
     extra = {}
     if args.curve:
-        curve = load_curve(args.curve)
-        inputs.update(_curve_inputs(args.curve, curve))
+        curve, curve_inputs = _curve_input(args.curve)
+        inputs.update(curve_inputs)
         sigma = sigma_set(curve)
         for v in sigma.iter_places():
             if v not in places:
@@ -220,8 +221,7 @@ def _cmd_character(args) -> int:
 
 
 def _cmd_parity(args) -> int:
-    curve = load_curve(args.curve)
-    inputs = _curve_inputs(args.curve, curve)
+    curve, inputs = _curve_input(args.curve)
     profiles = _profiles_input(args, inputs)
     if profiles is not None:
         inputs["profiles_provenance"] = "user"
@@ -248,8 +248,7 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    curve = load_curve(args.curve)
-    inputs = _curve_inputs(args.curve, curve)
+    curve, inputs = _curve_input(args.curve)
     profiles = _profiles_input(args, inputs)
     result = density_scan(
         curve,
@@ -286,10 +285,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_find_twist(args) -> int:
-    curve = load_curve(args.curve)
-    cache = _cache_for(args, args.curve)
+    curve, inputs = _curve_input(args.curve)
     direction = "raise2" if args.direction == "up" else "lower2"
-    recipes = list(find_shift_primes(curve, direction, args.limit, cache=cache))
+    with _cache_for(args, args.curve) as cache:
+        recipes = list(find_shift_primes(curve, direction, args.limit, cache=cache))
     rows = [
         {
             "l": r.l,
@@ -303,7 +302,7 @@ def _cmd_find_twist(args) -> int:
     rep = Report(
         "find-twist",
         args.seed,
-        _curve_inputs(args.curve, curve),
+        inputs,
         {"direction": direction, "limit": args.limit, "recipes": rows},
     )
     lines = (f"l = {r['l']}  d = {r['d']}  type {r['cycle_type']}" for r in rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .ratpoly import RatPoly, discriminant
+from .ratpoly import RatPoly, discriminant, real_root_signature
 
 __all__ = ["CurveSpec", "curve_hash"]
 
@@ -23,8 +23,9 @@ class CurveSpec:
     f: RatPoly
     p: int = 2
     declared_factors: tuple = field(default_factory=tuple)
-    # computed once per curve, then read by sigma sets, omega_v and every classified prime
+    # computed once per curve; read through discriminant(), real_root_signature(), curve_hash()
     _discriminant: Fraction = field(init=False, repr=False, compare=False)
+    _signature: tuple = field(init=False, repr=False, compare=False)
     _key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -36,6 +37,7 @@ class CurveSpec:
         if disc == 0:
             raise InvalidInputError("f must be separable")
         object.__setattr__(self, "_discriminant", disc)
+        object.__setattr__(self, "_signature", real_root_signature(self.f))
         key = hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
         object.__setattr__(self, "_key", key)
         if self.declared_factors:
@@ -58,6 +60,10 @@ class CurveSpec:
 
     def discriminant(self) -> Fraction:
         return self._discriminant
+
+    def real_root_signature(self) -> tuple:
+        """(real root count, k1, k2) of f; see ``ratpoly.real_root_signature``."""
+        return self._signature
 
     def canonical_text(self) -> str:
         cs = ",".join(str(c) for c in self.f.coeffs)

@@ -14,13 +14,14 @@ changes a reported value.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 from .curves import CurveSpec, curve_hash
 from .errors import BadPrimeError
-from .modular import Place, factor_degrees, factor_integer, is_prime, iter_primes
-from .ratpoly import rational_roots
+from .modular import Place, factor_degrees, is_prime, iter_primes
+from .ratpoly import bad_primes, rational_roots
 
 __all__ = [
     "SigmaSet",
@@ -66,20 +67,9 @@ _sigma_cache: dict = {}
 def sigma_set(curve: CurveSpec) -> SigmaSet:
     """Minimal checkable bad set for the curve (always contains 2)."""
     key = curve_hash(curve)
-    hit = _sigma_cache.get(key)
-    if hit is not None:
-        return hit
-    primes = {2}
-    lead = curve.f.lead
-    primes.update(factor_integer(lead.numerator))
-    primes.update(factor_integer(lead.denominator))
-    for c in curve.f.coeffs:
-        if c.denominator != 1:
-            primes.update(factor_integer(c.denominator))
-    primes.update(factor_integer(curve.discriminant().numerator))
-    out = SigmaSet(tuple(sorted(primes)))
-    _sigma_cache[key] = out
-    return out
+    if key not in _sigma_cache:
+        _sigma_cache[key] = SigmaSet(tuple(sorted({2} | bad_primes(curve.f))))
+    return _sigma_cache[key]
 
 
 @dataclass(frozen=True)
@@ -96,14 +86,18 @@ class PrimeCache:
 
     Loading stops at the first corrupt record and truncates the file back
     to the valid prefix, so a torn write never poisons later runs.  A later
-    record for the same key overrides an earlier one.  A cache is not
-    thread-safe: callers that share one across threads must lock around it.
+    record for the same key overrides an earlier one.  The first ``put``
+    opens one append handle, flushed after every record, so a killed scan
+    keeps each record written so far; leaving a ``with`` block closes it.
+    A cache is not thread-safe: callers that share one across threads
+    must lock around it.
     """
 
-    def __init__(self, path=None):
+    def __init__(self, path):
         self.path = path
         self._mem: dict = {}
-        if path is not None and os.path.exists(path):
+        self._fh = None
+        if os.path.exists(path):
             self._load()
 
     def _load(self):
@@ -126,6 +120,14 @@ class PrimeCache:
             with open(self.path, "w", encoding="utf-8") as fh:
                 fh.write(cleaned)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
     def get(self, key, l):
         return self._mem.get((key, l))
 
@@ -134,9 +136,10 @@ class PrimeCache:
         if self._mem.get((key, l)) == lengths:
             return
         self._mem[(key, l)] = lengths
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(f"{key} {l} {','.join(str(x) for x in lengths)}\n")
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.write(f"{key} {l} {','.join(str(x) for x in lengths)}\n")
+        self._fh.flush()
 
 
 def classify_prime(
@@ -204,16 +207,12 @@ def disc_is_square(curve: CurveSpec) -> bool:
 
 
 def _isqrt_exact(n: int):
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
 
 def _looks_reducible(curve: CurveSpec) -> bool:
-    if len(curve.declared_factors) > 1:
-        return True
-    return bool(rational_roots(curve.f)) if curve.f.degree > 1 else False
+    return len(curve.declared_factors) > 1 or bool(rational_roots(curve.f))
 
 
 def galois_classify(

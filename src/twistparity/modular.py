@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrimeError, InvalidInputError
-from .ratpoly import RatPoly
 
 __all__ = [
     "Place",
@@ -27,6 +26,7 @@ __all__ = [
     "iter_primes",
     "sieve_primes",
     "factor_integer",
+    "divisors",
     "squarefree_part",
     "is_squarefree",
     "kronecker_symbol",
@@ -181,6 +181,14 @@ def factor_integer(n: int) -> dict:
             g = _pollard_rho(m, rng)
             stack += [g, m // g]
     return out
+
+
+def divisors(n: int) -> list:
+    """The positive divisors of |n|, increasing; n must be nonzero."""
+    out = [1]
+    for p, e in factor_integer(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def squarefree_part(n: int) -> int:
@@ -351,7 +359,7 @@ def _fp_powmod(base, e, f, l):
     return out
 
 
-def _reduce_poly(f: RatPoly, l: int):
+def _reduce_poly(f, l: int):
     """f mod l as a monic int list; BadPrimeError if l hits lead or denominators."""
     if f.degree < 1:
         raise InvalidInputError("need a nonconstant polynomial")
@@ -366,7 +374,7 @@ def _reduce_poly(f: RatPoly, l: int):
     return [c * inv % l for c in coeffs]
 
 
-def factor_degrees(f: RatPoly, l: int):
+def factor_degrees(f, l: int):
     """Sorted tuple of the irreducible factor degrees of f mod l, l a good odd prime.
 
     Good reduction is enforced: l must not divide the leading coefficient,

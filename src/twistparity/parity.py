@@ -34,7 +34,6 @@ from .errors import (
 from .frobenius import PrimeCache, classify_prime, sigma_set
 from .metabolic import Subspace
 from .modular import Place, factor_integer, hilbert_symbol, is_squarefree, iter_primes
-from .ratpoly import real_root_signature
 
 __all__ = [
     "LocalProfile",
@@ -92,7 +91,7 @@ class LocalProfile:
 
 def infinity_profile(curve: CurveSpec) -> LocalProfile:
     """Auto-filled real-place table: h(sign) = k1 - 1."""
-    _, k1, _ = real_root_signature(curve.f)
+    _, k1, _ = curve.real_root_signature()
     return LocalProfile(Place.infinity(), {1: 0, -1: k1 - 1})
 
 

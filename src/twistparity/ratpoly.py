@@ -14,10 +14,12 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError
+from .modular import divisors, factor_integer
 
 __all__ = [
     "RatPoly",
     "discriminant",
+    "bad_primes",
     "is_separable",
     "real_root_signature",
     "compose_rational",
@@ -265,6 +267,14 @@ def discriminant(f: RatPoly) -> Fraction:
     return resultant(f, f.derivative()) * Fraction(-1) ** (n * (n - 1) // 2) / f.lead
 
 
+def bad_primes(f: RatPoly) -> set:
+    """Primes dividing lead(f), a coefficient denominator or the numerator of disc(f); f separable."""
+    out = set(factor_integer(discriminant(f).numerator))
+    out.update(factor_integer(f.lead.numerator))
+    out.update(factor_integer(math.lcm(*(c.denominator for c in f.coeffs))))
+    return out
+
+
 def is_separable(f: RatPoly) -> bool:
     """True when gcd(f, f') is constant."""
     if f.is_zero():
@@ -346,7 +356,7 @@ def compose_rational(f: RatPoly, num: RatPoly, den: RatPoly, clear_degree: int) 
 
 
 def rational_roots(f: RatPoly):
-    """All rational roots of f, found by the rational root theorem."""
+    """All rational roots of f, by the rational root theorem over ``divisors``."""
     if f.is_zero():
         raise InvalidInputError("zero polynomial")
     ints, _ = f.primitive_int()
@@ -357,25 +367,13 @@ def rational_roots(f: RatPoly):
     ints = ints[k:]
     if len(ints) == 1:
         return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
     g = RatPoly(ints)
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    dens = divisors(ints[-1])
+    for p in divisors(ints[0]):
+        for q in dens:
             if math.gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if g(cand) == 0:
                     roots.append(cand)
     return sorted(set(roots))
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .curves import CurveSpec
 from .errors import InvalidInputError, UnknownFactorizationError
-from .modular import factor_integer
-from .ratpoly import RatPoly, discriminant, rational_roots
+from .modular import factor_degrees, iter_primes
+from .ratpoly import RatPoly, bad_primes, rational_roots
 
 __all__ = [
     "Permutation",
@@ -163,18 +163,9 @@ def _is_irreducible_over_q(g: RatPoly, certify_bound: int) -> bool:
         return False
     if d in (2, 3):
         return True
-    bad = set(factor_integer(g.lead.numerator))
-    bad.update(factor_integer(g.lead.denominator))
-    disc_num = discriminant(g).numerator
-    if disc_num == 0:
-        return False  # inseparable, so certainly reducible as a curve factor
-    bad.update(factor_integer(disc_num))
-    from .modular import factor_degrees, iter_primes
-
+    bad = bad_primes(g)
     for l in iter_primes(3, certify_bound):
-        if l in bad:
-            continue
-        if factor_degrees(g, l) == (d,):
+        if l not in bad and factor_degrees(g, l) == (d,):
             return True
     raise UnknownFactorizationError(
         f"cannot certify irreducibility of {g} below {certify_bound}"

@@ -2,6 +2,7 @@
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,7 @@ from twistparity.papercases import (
     curve_s5_quintic,
     curve_x3_minus_2,
 )
-from twistparity.ratpoly import RatPoly
+from twistparity.ratpoly import RatPoly, is_separable
 from twistparity.torsion import Permutation
 
 
@@ -41,6 +42,27 @@ def test_sigma_includes_denominator_primes():
 
     c = CurveSpec(f=RatPoly((Fraction(1, 7), 0, 0, 1)))
     assert 7 in sigma_set(c).finite
+
+
+def test_sigma_set_matches_sympy_on_rational_coefficients():
+    """{2} plus the primes of lead, denominators and disc, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(61)
+    checked = 0
+    while checked < 24:
+        degree = rng.choice((3, 5))
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree + 1)]
+        f = RatPoly(coeffs)
+        if f.degree != degree or not is_separable(f):
+            continue
+        checked += 1
+        sym = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+        want = {2}
+        for n in (f.lead.numerator, *(c.denominator for c in f.coeffs),
+                  sympy.fraction(sympy.discriminant(sym))[0]):
+            want.update(sympy.primefactors(n))
+        assert sigma_set(CurveSpec(f=f)).finite == tuple(sorted(want)), f
 
 
 def test_classify_prime_examples():

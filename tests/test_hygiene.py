@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every package module imports at its top level only, and
+uses every name it imports."""
 
 import ast
 import pathlib
@@ -27,6 +28,27 @@ def unused_imports(source: str):
         ):
             used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def function_imports(source: str):
+    """(line, function name) of each import statement inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add((node.lineno, fn.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_at_top_level(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_function_level_import_is_reported():
+    src = "import os\n\n\ndef f():\n    import math\n\n    def g():\n        from . import a\n"
+    assert function_imports(src) == [(5, "f"), (8, "f"), (8, "g")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

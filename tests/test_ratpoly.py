@@ -148,6 +148,10 @@ def test_rational_roots():
     assert rational_roots(RatPoly((-2, 0, 0, 1))) == []
     g = RatPoly((0, 1)) * RatPoly((-1, 2)) * RatPoly((3, 0, 1))
     assert rational_roots(g) == [Fraction(0), Fraction(1, 2)]
+    # a 15-digit prime constant term: its divisors come from factor_integer
+    p = 100000000000031
+    h = RatPoly((-p, 3)) * RatPoly((1, 1, 1))
+    assert rational_roots(h) == [Fraction(p, 3)]
 
 
 def test_poly_arithmetic_roundtrips():

@@ -1,6 +1,7 @@
 """The permutation-module oracle and certified rational 2-torsion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,11 @@ def test_two_torsion_certifies_irreducible_quintic():
     c = CurveSpec(f=RatPoly((-1, -1, 0, 0, 0, 1)))
     assert rational_two_torsion_dim(c) == 0
     assert count_irreducible_factors(c) == 1
+    # x^5 + x/3 + 1 and x^5 + x/7 + 1: the certifying scan must skip the
+    # primes of the coefficient denominators, not stop at them
+    for den in (3, 7):
+        c = CurveSpec(f=RatPoly((1, Fraction(1, den), 0, 0, 0, 1)))
+        assert rational_two_torsion_dim(c) == 0
 
 
 def test_declared_factor_must_be_irreducible():
