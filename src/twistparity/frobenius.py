@@ -5,11 +5,16 @@ the orbit lengths of Frobenius acting on the roots; the class index of l
 is (number of orbits) - 1.  Everything downstream (local h-invariants,
 parity weights, twist searches) keys off this classification.  It is a
 deterministic function of (curve, l), computed by ``factor_degrees`` on
-one serial path, and cached per (curve hash, l) in an append-only line
-file that tolerates a torn final record.  A cached cycle type whose
-lengths do not sum to the degree of f is never trusted: it is recomputed
-and the corrected record appended, so deleting or damaging a cache never
-changes a reported value.
+one serial path: distinct-degree factorization in which the sign
+(disc f | l) = (-1)^(n - #orbits) of Stickelberger's theorem decides
+the last step whenever one cycle type alone fits it (every quintic after
+x^l mod f, every cubic with a nonsquare discriminant mod l without it),
+and each step after the first applies the Frobenius matrix of x^l
+instead of powering again.  The result is cached per (curve hash, l) in
+an append-only line file that tolerates a torn final record.  A cached
+cycle type whose lengths do not sum to the degree of f is never trusted:
+it is recomputed and the corrected record appended, so deleting or
+damaging a cache never changes a reported value.
 """
 
 from __future__ import annotations

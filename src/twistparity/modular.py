@@ -4,10 +4,13 @@ factor degrees over GF(l).
 Only the degrees of the irreducible factors of f mod l are ever needed,
 and distinct-degree factorization yields them without splitting any
 factor: the product g_d of the degree-d factors contributes
-deg(g_d)/d factors of degree d.  The computation is deterministic.
+deg(g_d)/d factors of degree d.  Stickelberger's theorem fixes the
+parity of the factor count from Res(f, f') mod l, which often settles
+the last steps without computing them; the GF(l)[x] arithmetic lives in
+``gfpoly``.  The computation is deterministic.
 Primes in a range come from a segmented sieve; single-number primality
-is deterministic Miller-Rabin on the 12-base set valid below 3.3e24, far
-above anything a desk-scale scan touches.
+is deterministic Miller-Rabin below 3.3e24, with the fewest bases proven
+for the number's size, and Baillie-PSW above.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import gfpoly
 from .errors import BadPrimeError, InvalidInputError
 
 __all__ = [
@@ -65,21 +69,34 @@ class Place:
 # ---------------------------------------------------------------------------
 # integer primality / factorization
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (bound, bases): n < bound is prime if it is a strong probable prime to
+# every base.  Each bound is the least strong pseudoprime to its bases:
+# Pomerance, Selfridge and Wagstaff (1980) and Jaeschke (1993) up to the
+# bases 2..17, Jiang and Deng (2014) for 2..23, Sorenson and Webster (2017)
+# for 2..37 and 2..41.
+_MR_BASE_SETS = (
+    (2_047, _SMALL_PRIMES[:1]),
+    (1_373_653, _SMALL_PRIMES[:2]),
+    (25_326_001, _SMALL_PRIMES[:3]),
+    (3_215_031_751, _SMALL_PRIMES[:4]),
+    (2_152_302_898_747, _SMALL_PRIMES[:5]),
+    (3_474_749_660_383, _SMALL_PRIMES[:6]),
+    (341_550_071_728_321, _SMALL_PRIMES[:7]),
+    (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
+)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin: is the odd n > max(bases) a strong probable prime to every base?"""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -90,6 +107,61 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 41 not a square.
+
+    D is the first of 5, -7, 9, -11, ... with (D|n) = -1, P = 1 and
+    Q = (1 - D)/4; n passes when U_d = 0 or V_(d 2^r) = 0 mod n for some
+    0 <= r < s, where n + 1 = d 2^s with d odd.
+    """
+    D = 5
+    while (j := kronecker_symbol(D, n)) != -1:
+        if j == 0:
+            return False  # 1 < gcd(D, n) < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality: a proof below 3.3e24, Baillie-PSW above.
+
+    Below 3,317,044,064,679,887,385,961,981 deterministic Miller-Rabin on
+    the smallest base set proven for n's size; above it, Miller-Rabin to
+    base 2 plus a strong Lucas test (Baillie-PSW: no composite is known to
+    pass, but it is not a proof).
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    for bound, bases in _MR_BASE_SETS:
+        if n < bound:
+            return _strong_probable_prime(n, bases)
+    return (
+        _strong_probable_prime(n, (2,))
+        and math.isqrt(n) ** 2 != n
+        and _strong_lucas_probable_prime(n)
+    )
 
 
 def sieve_primes(limit: int):
@@ -288,75 +360,7 @@ def hilbert_symbol(a, b, place: Place) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over GF(l) (dense int lists, ascending degree)
-
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, l):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % l
-    return _fp_trim(out)
-
-
-def _fp_rem(a, b, l):
-    a = list(a)
-    inv = pow(b[-1], -1, l)
-    while a and len(a) >= len(b):
-        c = a[-1] * inv % l
-        k = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % l
-        _fp_trim(a)
-    return a
-
-
-def _fp_div(a, b, l):
-    a = list(a)
-    inv = pow(b[-1], -1, l)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while a and len(a) >= len(b):
-        c = a[-1] * inv % l
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % l
-        _fp_trim(a)
-    return _fp_trim(q)
-
-
-def _fp_gcd(a, b, l):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_rem(a, b, l)
-    if a:
-        inv = pow(a[-1], -1, l)
-        a = [c * inv % l for c in a]
-    return a
-
-
-def _fp_mulmod(a, b, f, l):
-    return _fp_rem(_fp_mul(a, b, l), f, l)
-
-
-def _fp_powmod(base, e, f, l):
-    out = [1]
-    b = _fp_rem(list(base), f, l)
-    while e:
-        if e & 1:
-            out = _fp_mulmod(out, b, f, l)
-        b = _fp_mulmod(b, b, f, l)
-        e >>= 1
-    return out
+# factor degrees over GF(l)
 
 
 def _reduce_poly(f, l: int):
@@ -378,35 +382,67 @@ def factor_degrees(f, l: int):
     """Sorted tuple of the irreducible factor degrees of f mod l, l a good odd prime.
 
     Good reduction is enforced: l must not divide the leading coefficient,
-    any coefficient denominator, or the discriminant (equivalently f mod l
-    must stay separable).  Distinct-degree factorization: with cur the part
-    of f not yet accounted for, g_d = gcd(cur, x^(l^d) - x) is the product
-    of the degree-d factors, so it holds deg(g_d)/d of them.  Once 2d
-    exceeds deg(cur), cur is irreducible.
+    any coefficient denominator, or the discriminant.  The last is tested
+    as Res(f, f') mod l, which also fixes the parity of the number of
+    factors: by Stickelberger's theorem (in Swan's form),
+    (disc f | l) = (-1)^(n - #factors) with disc f = (-1)^(n(n-1)/2) Res(f, f')
+    for monic f.
+
+    Distinct-degree factorization: with cur the part of f not yet
+    accounted for, g_d = gcd(cur, x^(l^d) - x) is the product of the
+    degree-d factors, so it holds deg(g_d)/d of them.  Before each step,
+    cur has no factor of degree below d; when only one partition of
+    deg(cur) into parts >= d has the number of parts the parity demands,
+    that partition is the answer and the step is skipped.  Since a
+    partition into parts >= d with deg(cur) < 3d has at most two parts,
+    that happens exactly when an odd count is due and deg(cur) < 3d
+    (cur is irreducible), or an even count is due and deg(cur) is 2d or
+    2d + 1 (factors of degrees d and deg(cur) - d).  Once 2d exceeds
+    deg(cur), cur is irreducible in any case.
+
+    Only the first step runs the powering ladder x^l mod cur.  Each later
+    step applies the Frobenius matrix, the powers of x^l mod cur, to the
+    previous x^(l^d): x^(l^(d+1)) = sum of c_i (x^l)^i where
+    x^(l^d) = sum of c_i x^i.  After a division the matrix is rebuilt from
+    x^l reduced mod the new cur.
     """
     if not is_prime(l):
         raise InvalidInputError(f"{l} is not prime")
     if l == 2:
         raise BadPrimeError("2 is always a bad prime here")
     cur = _reduce_poly(f, l)
-    deriv = _fp_trim([i * c % l for i, c in enumerate(cur)][1:])
-    if len(_fp_gcd(cur, deriv, l)) - 1 != 0:
+    n = len(cur) - 1
+    deriv = gfpoly.trim([i * c % l for i, c in enumerate(cur)][1:])
+    res = gfpoly.resultant(cur, deriv, l)
+    if res == 0:
         raise BadPrimeError(f"{l} divides the discriminant of f")
+    disc = -res if n * (n - 1) // 2 % 2 else res
+    parity = (n + (pow(disc, (l - 1) // 2, l) != 1)) % 2  # of the number of factors
     degrees = []
-    d = 0
-    frob = [0, 1]  # x^(l^d) mod cur, maintained incrementally
-    while len(cur) - 1 > 0:
-        d += 1
-        if 2 * d > len(cur) - 1:
-            degrees.append(len(cur) - 1)
+    d = 1
+    xl = frob = matrix = None  # x^l and x^(l^(d-1)) mod cur; Frobenius matrix of cur
+    while (m := len(cur) - 1) > 0:
+        odd = (parity + len(degrees)) % 2  # cur has an odd number of factors
+        if 2 * d > m or (odd and m < 3 * d):
+            degrees.append(m)
             break
-        frob = _fp_powmod(frob, l, cur, l)
-        diff = list(frob) + [0] * max(0, 2 - len(frob))
+        if not odd and m in (2 * d, 2 * d + 1):
+            degrees += [d, m - d]
+            break
+        if xl is None:
+            xl = frob = gfpoly.x_pow(l, gfpoly.fold_columns(cur, l), l)
+        else:
+            if matrix is None:
+                matrix = gfpoly.frobenius_matrix(xl, gfpoly.fold_columns(cur, l), l)
+            frob = gfpoly.frobenius(frob, matrix, l)
+        diff = list(frob)
         diff[1] = (diff[1] - 1) % l
-        _fp_trim(diff)
-        gd = _fp_gcd(cur, diff, l) if diff else cur
-        if len(gd) - 1 > 0:
+        gd = gfpoly.gcd(cur, gfpoly.trim(diff), l)
+        if len(gd) > 1:
             degrees += [d] * ((len(gd) - 1) // d)
-            cur = _fp_div(cur, gd, l)
-            frob = _fp_rem(frob, cur, l) if len(cur) > 1 else [0]
+            cur = gfpoly.quo_rem(cur, gd, l)[0]
+            xl = gfpoly.pad(gfpoly.quo_rem(xl, cur, l)[1], len(cur) - 1)
+            frob = gfpoly.pad(gfpoly.quo_rem(frob, cur, l)[1], len(cur) - 1)
+            matrix = None
+        d += 1
     return tuple(degrees)

@@ -146,12 +146,12 @@ def test_prime_scan_empty_range():
 
 def test_cache_roundtrip_and_truncation(tmp_path):
     path = str(tmp_path / "primes.cache")
-    cache = PrimeCache(path)
     c = curve_x3_minus_2()
-    first = [classify_prime(c, l, cache=cache) for l in (5, 7, 11, 13)]
+    with PrimeCache(path) as cache:
+        first = [classify_prime(c, l, cache=cache) for l in (5, 7, 11, 13)]
     # reload: values come from the file and match a fresh computation
-    cache2 = PrimeCache(path)
-    again = [classify_prime(c, l, cache=cache2) for l in (5, 7, 11, 13)]
+    with PrimeCache(path) as cache2:
+        again = [classify_prime(c, l, cache=cache2) for l in (5, 7, 11, 13)]
     assert [pc.lengths for pc in first] == [pc.lengths for pc in again]
 
     with open(path, "a", encoding="utf-8") as fh:
@@ -171,7 +171,8 @@ def test_poisoned_cache_record_is_recomputed(tmp_path):
     key = curve_hash(c)
     path = tmp_path / "primes.cache"
     path.write_text(f"{key} 7 1,1\n")  # two lengths on a cubic
-    pc = classify_prime(c, 7, cache=PrimeCache(str(path)))
+    with PrimeCache(str(path)) as cache:
+        pc = classify_prime(c, 7, cache=cache)
     assert pc.lengths == (3,) and pc.i == 0
     # the corrected record is appended and wins on the next load
     assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 7 3"]

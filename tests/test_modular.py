@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from twistparity import modular
+from twistparity import gfpoly, modular
+from twistparity.curves import CurveSpec
 from twistparity.errors import BadPrimeError, InvalidInputError
+from twistparity.frobenius import sigma_set
 from twistparity.modular import (
     Place,
     divisors,
@@ -20,7 +22,8 @@ from twistparity.modular import (
     sieve_primes,
     squarefree_part,
 )
-from twistparity.ratpoly import RatPoly
+from twistparity.papercases import curve_s5_quintic, curve_x3_minus_2
+from twistparity.ratpoly import RatPoly, is_separable
 
 from conftest import random_separable_poly
 
@@ -31,6 +34,16 @@ def test_factor_degrees_examples():
     assert factor_degrees(X3M2, 5) == (1, 2)
     assert factor_degrees(X3M2, 7) == (3,)
     assert factor_degrees(X3M2, 31) == (1, 1, 1)
+
+
+def test_factor_degrees_rebuilds_frobenius_matrix_from_x_to_the_l():
+    """Degree 11 mod 11 takes steps d = 2, 3 after dividing out the root.
+
+    The Frobenius matrix after a division must come from x^l mod the new
+    cur; built from x^(l^d) instead, this case reads (1, 2, 4, 4).
+    """
+    f = RatPoly((7, 6, 8, 3, 5, 9, 8, -8, 8, -5, 4, 3))
+    assert factor_degrees(f, 11) == (1, 2, 3, 5)
 
 
 def test_factor_degrees_rejects_bad_primes():
@@ -129,12 +142,12 @@ def test_factor_degrees_matches_sympy_factor_list():
     x = sympy.symbols("x")
     rng = random.Random(2024)
     primes = [p for p in sieve_primes(10**4) if p > 2]
-    checked = bad = 0
-    for degree in (3, 5, 7):
-        for _ in range(8):
+    checked = bad = degree_drops = 0
+    for degree in range(3, 14):
+        for _ in range(6):
             f = random_separable_poly(rng, degree, coeff_bound=50)
             ints = [int(c) for c in reversed(f.coeffs)]
-            for l in [3, 5, 7] + rng.sample(primes, 3):
+            for l in [3, 5, 7, 11, 13] + rng.sample(primes, 2):
                 factors = sympy.Poly(ints, x, modulus=l).factor_list()[1]
                 try:
                     got = factor_degrees(f, l)
@@ -144,9 +157,61 @@ def test_factor_degrees_matches_sympy_factor_list():
                     assert ints[0] % l == 0 or any(e > 1 for _, e in factors), (f, l)
                     continue
                 checked += 1
+                degree_drops += degree % l == 0  # f' mod l has degree below n - 1
                 want = sorted(g.degree() for g, e in factors for _ in range(e))
                 assert got == tuple(want), (f, l)
-    assert checked > 100 and bad > 0
+    assert checked > 300 and bad > 0 and degree_drops > 10
+
+
+def test_factor_count_parity_is_stickelberger():
+    """(disc f | l) = (-1)^(n - #factors), with CurveSpec's discriminant as the oracle."""
+    rng = random.Random(61)
+    primes = [p for p in sieve_primes(3000) if p > 2]
+    checked = 0
+    for degree in (3, 5, 7, 9, 11, 13):
+        for _ in range(6):
+            while True:  # rational coefficients: l must also miss the denominators
+                f = random_separable_poly(rng, degree, coeff_bound=30)
+                f = RatPoly([c / rng.choice((1, 1, 2, 3)) for c in f.coeffs])
+                if is_separable(f):
+                    break
+            disc = CurveSpec(f).discriminant()
+            for l in [3, 5, 7, 11, 13] + rng.sample(primes, 4):
+                try:
+                    got = factor_degrees(f, l)
+                except BadPrimeError:
+                    continue
+                checked += 1
+                symbol = kronecker_symbol(disc.numerator * disc.denominator, l)
+                assert symbol == (-1) ** (degree - len(got)), (f, l, got)
+    assert checked > 200
+
+
+def test_one_powering_ladder_per_prime(monkeypatch):
+    """x^l is powered once per good prime on a quintic, and never where
+    the sign alone settles a cubic."""
+    ladder = gfpoly.x_pow
+    calls = []
+
+    def counting(e, *args):
+        calls.append(e)
+        return ladder(e, *args)
+
+    monkeypatch.setattr(gfpoly, "x_pow", counting)
+    quintic = curve_s5_quintic()
+    good = [l for l in sieve_primes(3000)[1:] if l not in sigma_set(quintic)]
+    for l in good:
+        factor_degrees(quintic.f, l)
+    assert calls == good
+
+    cubic = curve_x3_minus_2()
+    good = [l for l in sieve_primes(3000)[1:] if l not in sigma_set(cubic)]
+    for sign in (-1, 1):
+        calls.clear()
+        primes = [l for l in good if kronecker_symbol(-108, l) == sign]
+        for l in primes:
+            factor_degrees(cubic.f, l)
+        assert calls == ([] if sign == -1 else primes)
 
 
 def test_kronecker_examples():
@@ -229,6 +294,29 @@ def test_is_prime():
     assert not is_prime(1)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+def test_is_prime_matches_sympy_at_strong_pseudoprimes():
+    """Each bound of the Miller-Rabin base table is the least strong
+    pseudoprime to its bases; the last two are the Sorenson-Webster numbers
+    for the first 12 and 13 prime bases, so the last is tested by BPSW."""
+    sympy = pytest.importorskip("sympy")
+    bounds = [bound for bound, _ in modular._MR_BASE_SETS]
+    assert bounds[-2:] == [318665857834031151167461, 3317044064679887385961981]
+    assert 3317044064679887385961981 == 1287836182261 * 2575672364521
+    for n, bases in modular._MR_BASE_SETS:
+        assert modular._strong_probable_prime(n, bases) and not sympy.isprime(n)
+        assert not is_prime(n), n
+    # strong Lucas pseudoprimes that Miller-Rabin to base 2 rejects, and
+    # primes on both sides of the proof limit
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert modular._strong_lucas_probable_prime(n) and not is_prime(n)
+    for n in (sympy.prevprime(bounds[-1]), sympy.nextprime(bounds[-1]), 2**89 - 1, 2**127 - 1):
+        assert is_prime(n)
+    rng = random.Random(67)
+    for _ in range(2000):
+        n = rng.randrange(10**30) | 1
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_iter_primes_resumable():

@@ -13,7 +13,7 @@ from twistparity.characters import (  # noqa: E402
 )
 from twistparity.frobenius import sigma_set  # noqa: E402
 from twistparity.metabolic import Subspace  # noqa: E402
-from twistparity.modular import is_squarefree  # noqa: E402
+from twistparity.modular import is_prime, is_squarefree  # noqa: E402
 from twistparity.papercases import curve_h  # noqa: E402
 
 nonzero = st.integers(-(10**12), 10**12).filter(lambda n: n != 0)
@@ -51,3 +51,16 @@ def test_echelon_basis_is_canonical_reduced_and_spans_the_input(vectors, rnd):
     for v in vectors:
         span |= {s ^ v for s in span}
     assert set(Subspace(basis).vectors()) == span
+
+
+PROOF_LIMIT = 3317044064679887385961981  # is_prime switches to Baillie-PSW here
+
+
+@hypothesis.settings(deadline=None)  # the first example imports sympy
+@hypothesis.given(st.integers(10**11, 10**13), st.integers(-(10**9), 10**9))
+def test_is_prime_on_semiprimes_near_the_proof_limit(a, shift):
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(a)
+    q = sympy.nextprime(PROOF_LIMIT // p + shift)
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q)
