@@ -17,13 +17,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, ResourceLimitError, UnknownFactorizationError
+from .errors import InvalidInputError, UnknownFactorizationError
 from .modular import (
     Place,
     factor_integer,
     is_squarefree,
     kronecker_symbol,
-    sieve_primes,
     squarefree_part,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "LocalBehavior",
     "local_behavior",
     "twist_norm",
-    "enumerate_characters",
     "sigma_trivial",
     "sigma_trivial_congruences",
     "sigma_trivial_twist",
@@ -125,28 +123,6 @@ def twist_norm(d: QuadTwist) -> int:
     """max of the finite ramified primes; 1 when chi_d is unramified everywhere."""
     ram = d.ramified_primes()
     return max(ram) if ram else 1
-
-
-def enumerate_characters(bound: int, cap: int = 1 << 20):
-    """All chi with norm < bound: squarefree d with odd prime factors < bound.
-
-    The group is generated by -1, 2 and the odd primes below the bound;
-    at bound = 2 only the trivial character survives the norm cut.
-    Raises ResourceLimitError when the subgroup would exceed ``cap``
-    elements (sample instead of enumerating at that size).
-    """
-    if bound < 2:
-        raise InvalidInputError("bound must be >= 2")
-    gens = [-1, 2] + [p for p in sieve_primes(bound - 1) if p % 2 == 1]
-    if 1 << len(gens) > cap:
-        raise ResourceLimitError(
-            f"2^{len(gens)} characters exceeds the cap of {cap}; use sampling"
-        )
-    values = [1]
-    for g in gens:
-        values += [v * g for v in values]
-    out = [QuadTwist(v) for v in values]
-    return sorted((t for t in out if twist_norm(t) < bound), key=lambda t: (abs(t.d), -t.d))
 
 
 def sigma_trivial(d: QuadTwist, sigma) -> bool:

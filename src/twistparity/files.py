@@ -33,13 +33,7 @@ from .modular import Place, is_prime
 from .parity import LocalProfile
 from .ratpoly import RatPoly
 
-__all__ = [
-    "parse_curve_text",
-    "load_curve",
-    "curve_file_text",
-    "parse_profiles_text",
-    "profile_file_text",
-]
+__all__ = ["parse_curve_text", "load_curve", "parse_profiles_text"]
 
 
 def _parse_coeff(tok: str, lineno: int) -> Fraction:
@@ -105,18 +99,6 @@ def load_curve(path) -> CurveSpec:
         return parse_curve_text(fh.read())
 
 
-def curve_file_text(curve: CurveSpec, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
-    lines.append(f"p = {curve.p}")
-    lines.append("f = [" + ", ".join(str(c) for c in curve.f.coeffs) + "]")
-    for g in curve.declared_factors:
-        lines.append("factor = [" + ", ".join(str(c) for c in g.coeffs) + "]")
-    return "\n".join(lines) + "\n"
-
-
 def parse_profiles_text(text: str) -> dict:
     """{Place: LocalProfile} from a profile file body."""
     out: dict = {}
@@ -179,14 +161,3 @@ def parse_profiles_text(text: str) -> dict:
             raise ParseError(f"unknown key {key!r}", lineno)
     flush(None)
     return out
-
-
-def profile_file_text(profiles: dict) -> str:
-    lines = []
-    for place in sorted(profiles, key=lambda p: p.q):
-        prof = profiles[place]
-        lines.append(f"place = {place}")
-        for label in local_classes(place):
-            v = prof.h(label)
-            lines.append(f"h[{label}] = {'unknown' if v is None else v}")
-    return "\n".join(lines) + "\n"

@@ -73,7 +73,7 @@ def sigma_set(curve: CurveSpec) -> SigmaSet:
     """Minimal checkable bad set for the curve (always contains 2)."""
     key = curve_hash(curve)
     if key not in _sigma_cache:
-        _sigma_cache[key] = SigmaSet(tuple(sorted({2} | bad_primes(curve.f))))
+        _sigma_cache[key] = SigmaSet(tuple(sorted({2} | bad_primes(curve.f, curve.discriminant()))))
     return _sigma_cache[key]
 
 

@@ -3,9 +3,8 @@
 Vectors live in F_2^(2m) packed as Python ints.  A form is stored as a
 linear part plus the strictly-upper-triangular coefficients of its
 quadratic part; the induced pairing (v,w) = q(v+w)+q(v)+q(w) must be
-nondegenerate.  Spaces are built as orthogonal sums of hyperbolic planes
-(optionally pushed through a change of basis), which guarantees a
-Lagrangian exists.
+nondegenerate.  Spaces are built as orthogonal sums of hyperbolic planes,
+which guarantees a Lagrangian exists.
 
 Enumeration of Lagrangians walks isotropic flags in reduced-echelon
 order: basis rows are added with strictly decreasing pivots and reduced
@@ -72,10 +71,6 @@ class Subspace:
             out += [v ^ b for v in out]
         return out
 
-    def intersects_trivially(self, other: "Subspace") -> bool:
-        joined = _echelonize(self.basis + other.basis)
-        return len(joined) == self.dim + other.dim
-
 
 class QuadraticSpace:
     """(V, q) with V = F_2^dim and q given by linear + upper-triangular data."""
@@ -106,34 +101,6 @@ class QuadraticSpace:
             upper.append(1 << (i + 1) if i % 2 == 0 else 0)
         return cls(2 * m, 0, upper)
 
-    def transformed(self, rows) -> "QuadraticSpace":
-        """The form v -> q(T v) for an invertible matrix with the given rows.
-
-        rows[i] is the bitmask of T's i-th row, so (T v)_i = parity(rows[i] & v).
-        The result stays metabolic because T is invertible.
-        """
-        n = self.dim
-        if len(rows) != n or len(_echelonize(rows)) != n:
-            raise InvalidInputError("transform matrix must be invertible")
-        cols = []
-        for j in range(n):
-            col = 0
-            for i in range(n):
-                if (rows[i] >> j) & 1:
-                    col |= 1 << i
-            cols.append(col)
-        # q'(e_j) and pairings of transformed basis vectors
-        diag = [self.q(cols[j]) for j in range(n)]
-        linear = 0
-        upper = [0] * n
-        for j in range(n):
-            if diag[j]:
-                linear |= 1 << j
-            for k in range(j + 1, n):
-                if self.pair(cols[j], cols[k]):
-                    upper[j] |= 1 << k
-        return QuadraticSpace(n, linear, upper)
-
     # -- evaluation --------------------------------------------------------
 
     def q(self, v: int) -> int:
@@ -157,9 +124,6 @@ class QuadraticSpace:
                     row |= 1 << j
             gram.append(row)
         return len(_echelonize(gram)) == n
-
-    def vectors(self):
-        return range(1 << self.dim)
 
 
 def is_lagrangian(space: QuadraticSpace, sub: Subspace) -> bool:

@@ -82,12 +82,6 @@ class LocalProfile:
             return 0
         return self.table.get(label)
 
-    def fully_specified(self) -> bool:
-        return all(self.h(k) is not None for k in local_classes(self.place))
-
-    def unknown_labels(self):
-        return tuple(k for k in local_classes(self.place) if self.h(k) is None)
-
 
 def infinity_profile(curve: CurveSpec) -> LocalProfile:
     """Auto-filled real-place table: h(sign) = k1 - 1."""
@@ -315,10 +309,10 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
     """Exact counts over the 2^k characters of norm below max_norm.
 
     They are the products of -1, 2 and the odd primes below max_norm (only
-    1 at max_norm = 2), as in ``enumerate_characters``.  A flip depends only
-    on the image in prod_{v in Sigma} Q_v^x/(Q_v^x)^2 = F_2^dim (coordinates:
-    the index in ``local_classes(v)``), and each point of the image W has
-    2^k/|W| preimages; the Sigma-trivial twists lie over 0.
+    1 at max_norm = 2).  A flip depends only on the image in
+    prod_{v in Sigma} Q_v^x/(Q_v^x)^2 = F_2^dim (coordinates: the index in
+    ``local_classes(v)``), and each point of the image W has 2^k/|W|
+    preimages; the Sigma-trivial twists lie over 0.
     """
     if max_norm < 2:
         raise InvalidInputError("bound must be >= 2")

@@ -60,10 +60,6 @@ class RatPoly:
     def one(cls) -> "RatPoly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -180,16 +176,6 @@ class RatPoly:
             a, b = b, a % b
         return a.monic()
 
-    def compose(self, inner: "RatPoly") -> "RatPoly":
-        acc = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatPoly((c,))
-        return acc
-
-    def shift(self, a) -> "RatPoly":
-        """self(x + a)."""
-        return self.compose(RatPoly((a, 1)))
-
     def primitive_int(self):
         """Integer-coefficient polynomial equal to a positive multiple of self.
 
@@ -267,9 +253,9 @@ def discriminant(f: RatPoly) -> Fraction:
     return resultant(f, f.derivative()) * Fraction(-1) ** (n * (n - 1) // 2) / f.lead
 
 
-def bad_primes(f: RatPoly) -> set:
-    """Primes dividing lead(f), a coefficient denominator or the numerator of disc(f); f separable."""
-    out = set(factor_integer(discriminant(f).numerator))
+def bad_primes(f: RatPoly, disc: Fraction) -> set:
+    """Primes dividing lead(f), a coefficient denominator or the numerator of disc = disc(f)."""
+    out = set(factor_integer(disc.numerator))
     out.update(factor_integer(f.lead.numerator))
     out.update(factor_integer(math.lcm(*(c.denominator for c in f.coeffs))))
     return out

@@ -19,7 +19,7 @@ from .errors import InvalidInputError
 from .frobenius import PrimeCache, classify_prime, prime_scan, sigma_set
 from .torsion import orbit_lengths_coprime
 
-__all__ = ["TwistRecipe", "find_shift_primes", "odd_p_orbit_predicate"]
+__all__ = ["TwistRecipe", "find_shift_primes"]
 
 _DIRECTIONS = ("raise2", "lower2")
 
@@ -101,8 +101,3 @@ def find_shift_primes(
             checked_conditions=tuple(conditions),
         )
 
-
-def odd_p_orbit_predicate(cycle_type, p: int) -> bool:
-    """Exactly two orbits, neither of length divisible by the odd prime p."""
-    lengths = tuple(cycle_type)
-    return len(lengths) == 2 and all(x % p != 0 for x in lengths)

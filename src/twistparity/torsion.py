@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import CurveSpec
-from .errors import InvalidInputError, UnknownFactorizationError
+from .errors import BadPrimeError, InvalidInputError, UnknownFactorizationError
 from .modular import factor_degrees, iter_primes
-from .ratpoly import RatPoly, bad_primes, rational_roots
+from .ratpoly import RatPoly, rational_roots
 
 __all__ = [
     "Permutation",
@@ -35,24 +35,6 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(n)):
             raise InvalidInputError("images do not define a bijection")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Permutation":
-        """Build from 1-based disjoint cycles, e.g. [(1,2),(3,4,5)]."""
-        images = list(range(n))
-        seen = set()
-        for cyc in cycles:
-            for a in cyc:
-                if not 1 <= a <= n or a in seen:
-                    raise InvalidInputError(f"bad cycle entry {a}")
-                seen.add(a)
-            for a, b in zip(cyc, cyc[1:] + tuple(cyc[:1])):
-                images[a - 1] = b - 1
-        return cls(tuple(images))
 
     @classmethod
     def random(cls, n: int, rng) -> "Permutation":
@@ -147,26 +129,25 @@ def orbit_lengths_coprime(lengths, p: int) -> bool:
 # rational 2-torsion via certified factor counts
 
 
-def _is_irreducible_over_q(g: RatPoly, certify_bound: int) -> bool:
-    """Certified irreducibility test; UnknownFactorizationError if undecided.
+def _certify_irreducible(g: RatPoly, certify_bound: int) -> None:
+    """Certify g irreducible over Q, given that g is linear or has no rational root.
 
-    Degree <= 3 reduces to rational roots.  Higher degrees fall back to a
+    Degree <= 3 follows from that.  Higher degrees need a
     cycle-type certificate: irreducible mod a good prime forces
-    irreducibility over Q; a bounded scan that never finds one gives up
+    irreducibility over Q (``factor_degrees`` rejects the bad ones); a
+    bounded scan that never finds one raises UnknownFactorizationError
     rather than guessing.
     """
     d = g.degree
-    if d == 1:
-        return True
-    roots = rational_roots(g)
-    if roots:
-        return False
-    if d in (2, 3):
-        return True
-    bad = bad_primes(g)
+    if d <= 3:
+        return
     for l in iter_primes(3, certify_bound):
-        if l not in bad and factor_degrees(g, l) == (d,):
-            return True
+        try:
+            degrees = factor_degrees(g, l)
+        except BadPrimeError:
+            continue
+        if degrees == (d,):
+            return
     raise UnknownFactorizationError(
         f"cannot certify irreducibility of {g} below {certify_bound}"
     )
@@ -182,10 +163,11 @@ def count_irreducible_factors(curve: CurveSpec, certify_bound: int = 2000) -> in
     """
     if curve.declared_factors:
         for g in curve.declared_factors:
-            if not _is_irreducible_over_q(g, certify_bound):
+            if g.degree > 1 and rational_roots(g):
                 raise UnknownFactorizationError(
                     f"declared factor {g} is not irreducible"
                 )
+            _certify_irreducible(g, certify_bound)
         return len(curve.declared_factors)
     f = curve.f
     roots = rational_roots(f)
@@ -193,10 +175,7 @@ def count_irreducible_factors(curve: CurveSpec, certify_bound: int = 2000) -> in
     for r in roots:
         f = f.divmod(RatPoly((-r, 1)))[0]
     if f.degree >= 1:
-        if not _is_irreducible_over_q(f, certify_bound):
-            raise UnknownFactorizationError(
-                f"root-free cofactor {f} is reducible; declare factors explicitly"
-            )
+        _certify_irreducible(f, certify_bound)
         count += 1
     return count
 

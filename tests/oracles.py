@@ -1,0 +1,77 @@
+"""Reference code the tests compare the package against or build fixtures with.
+
+The package itself never calls these: each is a direct, slow construction
+that a faster library path must agree with.
+"""
+
+from twistparity.characters import QuadTwist, twist_norm
+from twistparity.errors import InvalidInputError, ResourceLimitError
+from twistparity.metabolic import QuadraticSpace, Subspace
+from twistparity.modular import sieve_primes
+from twistparity.torsion import Permutation
+
+
+def enumerate_characters(bound: int, cap: int = 1 << 20):
+    """All chi with norm < bound: squarefree d with odd prime factors < bound.
+
+    The group is generated by -1, 2 and the odd primes below the bound;
+    at bound = 2 only the trivial character survives the norm cut.
+    Raises ResourceLimitError when the subgroup would exceed ``cap``
+    elements (sample instead of enumerating at that size).  Oracle for
+    ``parity._exact_scan``.
+    """
+    if bound < 2:
+        raise InvalidInputError("bound must be >= 2")
+    gens = [-1, 2] + [p for p in sieve_primes(bound - 1) if p % 2 == 1]
+    if 1 << len(gens) > cap:
+        raise ResourceLimitError(
+            f"2^{len(gens)} characters exceeds the cap of {cap}; use sampling"
+        )
+    values = [1]
+    for g in gens:
+        values += [v * g for v in values]
+    out = [QuadTwist(v) for v in values]
+    return sorted((t for t in out if twist_norm(t) < bound), key=lambda t: (abs(t.d), -t.d))
+
+
+def from_cycles(n: int, cycles) -> Permutation:
+    """Build a permutation from 1-based disjoint cycles, e.g. [(1,2),(3,4,5)]."""
+    images = list(range(n))
+    seen = set()
+    for cyc in cycles:
+        for a in cyc:
+            if not 1 <= a <= n or a in seen:
+                raise InvalidInputError(f"bad cycle entry {a}")
+            seen.add(a)
+        for a, b in zip(cyc, cyc[1:] + tuple(cyc[:1])):
+            images[a - 1] = b - 1
+    return Permutation(tuple(images))
+
+
+def transformed(space: QuadraticSpace, rows) -> QuadraticSpace:
+    """The form v -> q(T v) for an invertible matrix with the given rows.
+
+    rows[i] is the bitmask of T's i-th row, so (T v)_i = parity(rows[i] & v).
+    The result stays metabolic because T is invertible.
+    """
+    n = space.dim
+    if len(rows) != n or Subspace.from_vectors(rows).dim != n:
+        raise InvalidInputError("transform matrix must be invertible")
+    cols = []
+    for j in range(n):
+        col = 0
+        for i in range(n):
+            if (rows[i] >> j) & 1:
+                col |= 1 << i
+        cols.append(col)
+    # q'(e_j) and pairings of transformed basis vectors
+    diag = [space.q(cols[j]) for j in range(n)]
+    linear = 0
+    upper = [0] * n
+    for j in range(n):
+        if diag[j]:
+            linear |= 1 << j
+        for k in range(j + 1, n):
+            if space.pair(cols[j], cols[k]):
+                upper[j] |= 1 << k
+    return QuadraticSpace(n, linear, upper)

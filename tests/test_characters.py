@@ -7,7 +7,6 @@ import pytest
 from twistparity.characters import (
     LocalBehavior,
     QuadTwist,
-    enumerate_characters,
     local_behavior,
     local_classes,
     local_square_class,
@@ -19,6 +18,8 @@ from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import sigma_set
 from twistparity.modular import Place, hilbert_symbol, is_squarefree
 from twistparity.papercases import curve_x3_minus_2
+
+from oracles import enumerate_characters
 
 INF = Place.infinity()
 P2 = Place.finite(2)

@@ -7,14 +7,9 @@ import pytest
 
 from twistparity.cli import main
 from twistparity.errors import ParseError
-from twistparity.files import (
-    curve_file_text,
-    parse_curve_text,
-    parse_profiles_text,
-    profile_file_text,
-)
+from twistparity.files import parse_curve_text, parse_profiles_text
 from twistparity.modular import Place
-from twistparity.papercases import GOLDEN_CURVES, curve_x3_minus_2
+from twistparity.papercases import GOLDEN_CURVES
 
 GOOD_CURVE = """\
 # a comment
@@ -43,12 +38,10 @@ h[6] = 1
 """
 
 
-def test_curve_file_roundtrip():
+def test_curve_file_parse():
     c = parse_curve_text(GOOD_CURVE)
     assert c.degree == 3
     assert len(c.declared_factors) == 3
-    again = parse_curve_text(curve_file_text(c, "roundtrip"))
-    assert again == c
 
 
 def test_papercase_files_match_embedded(tmp_path):
@@ -86,15 +79,12 @@ def test_curve_parse_error_carries_line_number():
     assert err.value.line == 2
 
 
-def test_profile_roundtrip():
+def test_profile_file_parse():
     profs = parse_profiles_text(GOOD_PROFILES)
     p2, p3 = Place.finite(2), Place.finite(3)
     assert profs[p2].h(-1) == 1
     assert profs[p2].h(-5) is None
-    assert profs[p3].fully_specified()
-    again = parse_profiles_text(profile_file_text(profs))
-    assert again[p2].table == profs[p2].table
-    assert again[p3].table == profs[p3].table
+    assert profs[p3].h(3) == 1
 
 
 @pytest.mark.parametrize(
@@ -118,7 +108,7 @@ def test_profile_parse_errors(text, fragment):
 @pytest.fixture()
 def curve_file(tmp_path):
     path = tmp_path / "c.curve"
-    path.write_text(curve_file_text(curve_x3_minus_2()))
+    path.write_text("p = 2\nf = [-2, 0, 0, 1]\n")
     return str(path)
 
 
@@ -327,10 +317,8 @@ def test_cli_scan_monte_carlo(curve_file, tmp_path, capsys):
 
 
 def test_cli_classify_primes_identical_cold_warm_and_poisoned(tmp_path, capsys):
-    from twistparity.papercases import curve_s5_quintic
-
     path = tmp_path / "s5.curve"
-    path.write_text(curve_file_text(curve_s5_quintic()))
+    path.write_text("p = 2\nf = [-1, -1, 0, 0, 0, 1]\n")
     cache = tmp_path / "s5.cache"
     argv = ["--format", "json", "--cache", str(cache),
             "classify-primes", "--curve", str(path), "--limit", "2000"]
@@ -378,10 +366,8 @@ def test_cli_find_twist_emit_json_flag_removed(curve_file, capsys):
 
 
 def test_cli_analyze_s5_torsion_certified(tmp_path, capsys):
-    from twistparity.papercases import curve_s5_quintic
-
     path = tmp_path / "s5.curve"
-    path.write_text(curve_file_text(curve_s5_quintic()))
+    path.write_text("p = 2\nf = [-1, -1, 0, 0, 0, 1]\n")
     rc, out, _ = run_cli(capsys, "--format", "json", "analyze", "--curve", str(path))
     assert rc == 0
     doc = json.loads(out)

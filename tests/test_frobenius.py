@@ -198,5 +198,42 @@ def test_galois_classify_an_side():
     assert low.label in ("inside_An", "An_certified")
 
 
+def test_galois_classify_agrees_with_sympy_galois_group():
+    """A certified label never disagrees with sympy's Galois group."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    named = {
+        x**3 - 3 * x + 1: "A3",
+        x**3 - 7 * x - 7: "A3",
+        x**3 - x - 1: "S3",
+        x**5 - 5 * x + 12: "D5",
+        x**5 + 20 * x + 16: "A5",
+        x**5 - 2: "M20",
+        x**5 + x**4 - 4 * x**3 - 3 * x**2 + 3 * x + 1: "C5",
+        x**5 - x - 1: "S5",
+    }
+    cases = [(sympy.Poly(e, x), name) for e, name in named.items()]
+    rng = random.Random(2024)
+    while len(cases) < len(named) + 40:
+        poly = sympy.Poly([1] + [rng.randint(-9, 9) for _ in range(rng.choice((3, 5)))], x)
+        if poly.is_irreducible:
+            cases.append((poly, None))
+    labels = set()
+    for poly, name in cases:
+        group, alternating = sympy.galois_group(poly, by_name=True)
+        assert name in (None, group.name)
+        n = poly.degree()
+        curve = CurveSpec(RatPoly([int(c) for c in reversed(poly.all_coeffs())]))
+        label = galois_classify(curve, 1000).label
+        labels.add(label)
+        if label == "Sn_certified":
+            assert group.name == f"S{n}", poly
+        elif label == "An_certified":
+            assert group.name == f"A{n}", poly
+        elif label == "inside_An":
+            assert alternating, poly
+    assert labels == {"Sn_certified", "An_certified", "inside_An", "unknown"}
+
+
 def test_galois_low_bound_degrades_to_unknown():
     assert galois_classify(curve_x3_minus_2(), 4).label == "unknown"

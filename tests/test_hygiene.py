@@ -1,6 +1,7 @@
 """Source hygiene: every package module imports at its top level only, and
-uses every name it imports; every module-level private function or class
-is named somewhere else in the package."""
+uses every name it imports; every module-level private function or class,
+and every public function, class or method, is named somewhere else in the
+package."""
 
 import ast
 import collections
@@ -12,15 +13,21 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "twistparity"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _names(node):
-    """Every name a node mentions: variables, attributes and imported names."""
-    for n in ast.walk(node):
+def _names(node, dead=()):
+    """Every name a node mentions (variables, attributes and imported names)
+    outside the subtrees of the ``dead`` nodes."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n in dead:
+            continue
         if isinstance(n, ast.Name):
             yield n.id
         elif isinstance(n, ast.Attribute):
             yield n.attr
         elif isinstance(n, ast.alias):
             yield n.asname or n.name
+        stack.extend(ast.iter_child_nodes(n))
 
 
 def unused_imports(source: str):
@@ -74,31 +81,63 @@ def test_unused_import_is_reported():
     assert unused_imports(src) == [(1, "os"), (2, "d")]
 
 
-def dead_private_definitions(sources: dict):
-    """(module, name) of each module-level ``_private`` function or class
-    that only its own definition and other dead definitions name."""
-    top = [(module, node) for module, text in sources.items() for node in ast.parse(text).body]
-    private = [
-        (module, node)
-        for module, node in top
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+def _definitions(tree):
+    """(qualified name, node) of each module-level function or class and of
+    each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def dead_definitions(sources: dict, select):
+    """(module, qualified name) of each definition that ``select`` picks by
+    qualified name and that only its own body and other dead definitions
+    name.  Iterated, so a chain of dead definitions is reported whole."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    candidates = [
+        (module, qual, node)
+        for module, tree in trees.items()
+        for qual, node in _definitions(tree)
+        if select(qual)
     ]
     dead: dict = {}
     while True:
         mentions = collections.Counter(
-            name for _, node in top if node not in dead for name in _names(node)
+            name for tree in trees.values() for name in _names(tree, dead)
         )
         found = {
-            node: module
-            for module, node in private
+            node: (module, qual)
+            for module, qual, node in candidates
             if node not in dead
-            and mentions[node.name] == sum(name == node.name for name in _names(node))
+            and mentions[node.name] == sum(name == node.name for name in _names(node, dead))
         }
         if not found:
-            return sorted((module, node.name) for node, module in dead.items())
+            return sorted(dead.values())
         dead.update(found)
+
+
+def dead_private_definitions(sources: dict):
+    """Dead module-level ``_private`` functions and classes."""
+    return dead_definitions(
+        sources, lambda qual: "." not in qual and qual.startswith("_") and not qual.startswith("__")
+    )
+
+
+def dead_public_definitions(sources: dict):
+    """Dead public functions, classes and methods (of any module-level class)."""
+    return dead_definitions(sources, lambda qual: not qual.rpartition(".")[2].startswith("_"))
+
+
+# public definitions that nothing in the package calls, and why they stay
+UNCALLED_PUBLIC = {
+    ("cli.py", "_Parser.error"): "argparse calls it on a usage error",
+    ("files.py", "load_curve"): "the benchmark's set-up imports it",
+    ("search.py", "TwistRecipe.verify"): "tests re-check find_shift_primes with it",
+}
 
 
 def test_no_dead_private_definitions():
@@ -120,4 +159,36 @@ def test_dead_private_definition_is_reported():
         ("a.py", "_dead"),
         ("a.py", "_dead_caller"),
         ("a.py", "_only_dead_callers"),
+    ]
+
+
+def test_every_public_definition_is_called():
+    # a re-export in __init__.py is not a caller, so it is left out
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_public_definitions(sources) == sorted(UNCALLED_PUBLIC)
+
+
+def test_package_init_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = [a.asname or a.name for a in ast.walk(tree) if isinstance(a, ast.alias)]
+    assert bound == ["__version__"]
+
+
+def test_dead_public_definition_is_reported():
+    sources = {
+        "a.py": "class Poly:\n    def used(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.unused()\n\n"
+        "    def shift(self):\n        return self.compose()\n\n"
+        "    def compose(self):\n        pass\n\n\n"
+        "class _Private:\n    def hook(self):\n        pass\n\n\n"
+        "def main():\n    return Poly().used()\n\n\n"
+        "def orphan():\n    return _Private()\n",
+        "b.py": "from .a import main\n\nmain()\n",
+    }
+    assert dead_public_definitions(sources) == [
+        ("a.py", "Poly.compose"),
+        ("a.py", "Poly.shift"),
+        ("a.py", "Poly.unused"),
+        ("a.py", "_Private.hook"),
+        ("a.py", "orphan"),
     ]

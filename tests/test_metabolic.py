@@ -13,6 +13,8 @@ from twistparity.metabolic import (
     lagrangians,
 )
 
+from oracles import transformed
+
 
 def standard_lagrangian(m):
     return Subspace.from_vectors([1 << (2 * i) for i in range(m)])
@@ -25,7 +27,7 @@ def random_transformed(m, rng):
     while True:
         rows = [rng.randrange(1, 1 << n) for _ in range(n)]
         try:
-            return base.transformed(rows)
+            return transformed(base, rows)
         except InvalidInputError:
             continue
 
@@ -150,5 +152,3 @@ def test_subspace_canonical_form():
     assert a.dim == 2
     assert a.contains(0b101) and not a.contains(0b001)
     assert len(a.vectors()) == 4
-    assert not a.intersects_trivially(Subspace.from_vectors([0b011]))
-    assert a.intersects_trivially(Subspace.from_vectors([0b001]))

@@ -62,8 +62,7 @@ def test_real_root_signature_rejects_bad_input():
 
 
 def test_compose_rational_examples():
-    x = RatPoly.x()
-    sq = compose_rational(RatPoly((0, 0, 1)), RatPoly((1, 3)), x, 2)
+    sq = compose_rational(RatPoly((0, 0, 1)), RatPoly((1, 3)), RatPoly((0, 1)), 2)
     assert sq == RatPoly((1, 6, 9))
     shifted = compose_rational(RatPoly((-2, 0, 0, 1)), RatPoly((1, 1)), RatPoly.one(), 0)
     assert shifted == RatPoly((-1, 3, 3, 1))
@@ -72,7 +71,7 @@ def test_compose_rational_examples():
 def test_compose_rational_rejects_nonpolynomial():
     # f(1/x) with no denominator clearing is not a polynomial
     with pytest.raises(InvalidInputError):
-        compose_rational(RatPoly((0, 1)), RatPoly.one(), RatPoly.x(), 0)
+        compose_rational(RatPoly((0, 1)), RatPoly.one(), RatPoly((0, 1)), 0)
     with pytest.raises(InvalidInputError):
         compose_rational(RatPoly((0, 1)), RatPoly.one(), RatPoly.zero(), 1)
 
@@ -122,7 +121,8 @@ def test_disc_translation_invariance():
     for _ in range(40):
         f = random_separable_poly(rng, rng.randint(2, 6))
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        assert discriminant(f.shift(a)) == discriminant(f)
+        shifted = compose_rational(f, RatPoly((a, 1)), RatPoly.one(), f.degree)
+        assert discriminant(shifted) == discriminant(f)
 
 
 def test_disc_of_product_detects_shared_roots():
@@ -152,6 +152,33 @@ def test_rational_roots():
     p = 100000000000031
     h = RatPoly((-p, 3)) * RatPoly((1, 1, 1))
     assert rational_roots(h) == [Fraction(p, 3)]
+
+
+def test_rational_roots_match_sympy_linear_factors():
+    """Products of linear and nonlinear factors, some repeated, scaled by a
+    rational constant: the roots are those of sympy's linear factors."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(5)
+    cases = repeated = 0
+    while cases < 100:
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            factors += [RatPoly((rng.randint(-99, 99), rng.randint(1, 99)))] * rng.choice((1, 1, 2))
+        for _ in range(rng.randint(0, 2)):
+            factors.append(RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 3)]))
+        f = RatPoly((rng.choice((1, -1, 2, 3)),))
+        for g in factors:
+            f = f * g
+        if f.degree < 1 or max(abs(c) for c in f.coeffs) >= 10**4:
+            continue
+        cases += 1
+        _, sym_factors = sympy.Poly([int(c) for c in reversed(f.coeffs)], x).factor_list()
+        repeated += any(e > 1 for _, e in sym_factors)
+        linear = [p.all_coeffs() for p, _ in sym_factors if p.degree() == 1]
+        want = sorted(Fraction(-int(b), int(a)) for a, b in linear)
+        assert rational_roots(f * Fraction(1, rng.randint(1, 7))) == want, str(f)
+    assert repeated >= 5
 
 
 def test_poly_arithmetic_roundtrips():

@@ -1,4 +1,4 @@
-"""Shift-prime searches and the two-orbit predicate."""
+"""Shift-prime searches."""
 
 import itertools
 
@@ -9,19 +9,11 @@ from twistparity.papercases import (
     curve_s5_quintic,
     curve_x3_minus_2,
 )
-from twistparity.search import find_shift_primes, odd_p_orbit_predicate
+from twistparity.search import find_shift_primes
 
 
 def take(stream, k):
     return list(itertools.islice(stream, k))
-
-
-def test_odd_p_orbit_predicate_examples():
-    assert odd_p_orbit_predicate((1, 2), 3)
-    assert not odd_p_orbit_predicate((3, 4), 3)
-    assert not odd_p_orbit_predicate((1, 1, 1), 3)
-    assert odd_p_orbit_predicate((2, 5), 3)
-    assert not odd_p_orbit_predicate((2, 3), 3)
 
 
 def test_x3_minus_2_raise_stream_golden():

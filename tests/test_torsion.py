@@ -22,16 +22,18 @@ from twistparity.torsion import (
     rational_two_torsion_dim,
 )
 
+from oracles import from_cycles
+
 
 def test_fixed_space_dim_examples():
-    assert fixed_space_dim(Permutation.identity(3), 3, 2) == 2
-    assert fixed_space_dim(Permutation.from_cycles(3, [(1, 2, 3)]), 3, 2) == 0
-    assert fixed_space_dim(Permutation.from_cycles(5, [(1, 2), (3, 4, 5)]), 5, 2) == 1
+    assert fixed_space_dim(Permutation((0, 1, 2)), 3, 2) == 2
+    assert fixed_space_dim(from_cycles(3, [(1, 2, 3)]), 3, 2) == 0
+    assert fixed_space_dim(from_cycles(5, [(1, 2), (3, 4, 5)]), 5, 2) == 1
 
 
 def test_fixed_space_dim_rejects_p_dividing_n():
     with pytest.raises(InvalidInputError):
-        fixed_space_dim(Permutation.identity(4), 4, 2)
+        fixed_space_dim(Permutation((0, 1, 2, 3)), 4, 2)
 
 
 def test_oracle_matches_closed_form():
@@ -73,11 +75,11 @@ def test_orbit_lengths_coprime_predicate():
 
 
 def test_permutation_from_cycles_and_product():
-    s = Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])
+    s = from_cycles(5, [(1, 2), (3, 4, 5)])
     assert s.cycle_lengths() == (2, 3)
-    assert (s * s.inverse()) == Permutation.identity(5)
+    assert (s * s.inverse()) == Permutation((0, 1, 2, 3, 4))
     with pytest.raises(InvalidInputError):
-        Permutation.from_cycles(3, [(1, 1)])
+        from_cycles(3, [(1, 1)])
     with pytest.raises(InvalidInputError):
         Permutation((0, 0, 1))
 
