@@ -136,6 +136,8 @@ def parse_profiles_text(text: str) -> dict:
             if not is_prime(q):
                 raise ParseError(f"{q} is not prime", lineno)
             place = Place.finite(q)
+            if place in out:
+                raise ParseError(f"duplicate place {q}", lineno)
         elif key.startswith("h[") and key.endswith("]"):
             if place is None:
                 raise ParseError("h[...] before any 'place =' line", lineno)
@@ -147,6 +149,8 @@ def parse_profiles_text(text: str) -> dict:
                 raise ParseError(
                     f"label {label} is not canonical at place {place}", lineno
                 )
+            if label in table:
+                raise ParseError(f"duplicate h[{label}] at place {place}", lineno)
             if body == "unknown":
                 table[label] = None
             else:

@@ -216,10 +216,6 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def _looks_reducible(curve: CurveSpec) -> bool:
-    return len(curve.declared_factors) > 1 or bool(rational_roots(curve.f))
-
-
 def galois_classify(
     curve: CurveSpec, sample_bound: int, cache: PrimeCache | None = None
 ) -> GaloisVerdict:
@@ -234,7 +230,7 @@ def galois_classify(
     n = curve.degree
     square = disc_is_square(curve)
     evidence: dict = {"disc_square": square, "sample_bound": sample_bound}
-    if _looks_reducible(curve):
+    if len(curve.declared_factors) > 1 or rational_roots(curve.f):
         evidence["note"] = "f reducible over Q"
         return GaloisVerdict("unknown", evidence)
 

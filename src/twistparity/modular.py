@@ -30,7 +30,6 @@ __all__ = [
     "iter_primes",
     "sieve_primes",
     "factor_integer",
-    "divisors",
     "squarefree_part",
     "is_squarefree",
     "kronecker_symbol",
@@ -253,14 +252,6 @@ def factor_integer(n: int) -> dict:
             g = _pollard_rho(m, rng)
             stack += [g, m // g]
     return out
-
-
-def divisors(n: int) -> list:
-    """The positive divisors of |n|, increasing; n must be nonzero."""
-    out = [1]
-    for p, e in factor_integer(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def squarefree_part(n: int) -> int:

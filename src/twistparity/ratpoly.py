@@ -10,11 +10,12 @@ coefficients stay small.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .modular import divisors, factor_integer
+from .modular import factor_integer, is_prime
 
 __all__ = [
     "RatPoly",
@@ -342,24 +343,33 @@ def compose_rational(f: RatPoly, num: RatPoly, den: RatPoly, clear_degree: int) 
 
 
 def rational_roots(f: RatPoly):
-    """All rational roots of f, by the rational root theorem over ``divisors``."""
-    if f.is_zero():
-        raise InvalidInputError("zero polynomial")
-    ints, _ = f.primitive_int()
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    roots = [Fraction(0)] if k else []
-    ints = ints[k:]
-    if len(ints) == 1:
-        return roots
-    g = RatPoly(ints)
-    dens = divisors(ints[-1])
-    for p in divisors(ints[0]):
-        for q in dens:
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if g(cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    """All rational roots of f, increasing, by l-adic Newton lifting (Loos 1983).
+
+    g is the squarefree part of f and l the least odd prime dividing neither
+    lead(g) nor Res(g, g'), so each root r of g mod l is simple and lifts to
+    one l-adic root.  A rational root x has a_n*x integral and, by Cauchy's
+    bound, |a_n*x| <= |a_n| + max|a_i|; once the modulus M exceeds twice
+    that, a_n*x is the symmetric residue of a_n*r mod M.  No integer is factored.
+    """
+    if f.degree < 1:
+        if f.is_zero():
+            raise InvalidInputError("zero polynomial")
+        return []
+    g = RatPoly((f // f.gcd(f.derivative())).primitive_int()[0])
+    dg, lead = g.derivative(), int(g.lead)
+    bad = lead * resultant(g, dg).numerator
+    l = next(q for q in itertools.count(3, 2) if bad % q and is_prime(q))
+    bound = 2 * (abs(lead) + max(abs(c) for c in g.coeffs))
+    roots = []
+    for r in range(l):
+        if g(r) % l:
+            continue
+        m = l
+        while m <= bound:
+            m *= m
+            r = int(r - g(r) * pow(int(dg(r)), -1, m)) % m
+        y = lead * r % m
+        x = Fraction(y - m if 2 * y > m else y, lead)
+        if g(x) == 0:
+            roots.append(x)
+    return sorted(roots)

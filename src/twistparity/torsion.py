@@ -156,27 +156,23 @@ def _certify_irreducible(g: RatPoly, certify_bound: int) -> None:
 def count_irreducible_factors(curve: CurveSpec, certify_bound: int = 2000) -> int:
     """Number of irreducible factors of f over Q, certified or error.
 
-    Uses the declared factorization when present (each declared factor is
-    re-certified irreducible); otherwise strips rational roots and
-    certifies the cofactor.  Never guesses: undecidable inputs raise
+    Takes each declared factor, or f itself when none is declared,
+    divides out its rational roots and certifies the cofactor irreducible
+    when it is not constant.  A declared factor of degree > 1 with a
+    rational root is an error.  Never guesses: undecidable inputs raise
     UnknownFactorizationError.
     """
-    if curve.declared_factors:
-        for g in curve.declared_factors:
-            if g.degree > 1 and rational_roots(g):
-                raise UnknownFactorizationError(
-                    f"declared factor {g} is not irreducible"
-                )
+    count = 0
+    for g in curve.declared_factors or (curve.f,):
+        roots = rational_roots(g)
+        if curve.declared_factors and g.degree > 1 and roots:
+            raise UnknownFactorizationError(f"declared factor {g} is not irreducible")
+        for r in roots:
+            g = g // RatPoly((-r, 1))
+        count += len(roots)
+        if g.degree >= 1:
             _certify_irreducible(g, certify_bound)
-        return len(curve.declared_factors)
-    f = curve.f
-    roots = rational_roots(f)
-    count = len(roots)
-    for r in roots:
-        f = f.divmod(RatPoly((-r, 1)))[0]
-    if f.degree >= 1:
-        _certify_irreducible(f, certify_bound)
-        count += 1
+            count += 1
     return count
 
 

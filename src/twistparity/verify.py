@@ -19,6 +19,7 @@ import random
 
 from .characters import QuadTwist, sigma_trivial_twist
 from .curves import curve_hash
+from .errors import ResourceLimitError
 from .metabolic import QuadraticSpace, Subspace, count_disjoint_lagrangians
 from .modular import is_squarefree
 from .frobenius import sigma_set
@@ -80,7 +81,7 @@ def _sample_sigma_trivial(curve, count, bound, rng):
     while len(out) < count:
         draws += 1
         if draws > 500000:
-            raise RuntimeError("sampling stalled; widen the bound")
+            raise ResourceLimitError("sampling stalled; widen the bound")
         d = rng.randrange(1, bound) | 1
         d += (1 - d) % 8
         t = sigma_trivial_twist(d, sigma) if d != 1 else None

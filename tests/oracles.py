@@ -4,10 +4,13 @@ The package itself never calls these: each is a direct, slow construction
 that a faster library path must agree with.
 """
 
+from fractions import Fraction
+
 from twistparity.characters import QuadTwist, twist_norm
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.metabolic import QuadraticSpace, Subspace
 from twistparity.modular import sieve_primes
+from twistparity.ratpoly import RatPoly
 from twistparity.torsion import Permutation
 
 
@@ -75,3 +78,25 @@ def transformed(space: QuadraticSpace, rows) -> QuadraticSpace:
             if space.pair(cols[j], cols[k]):
                 upper[j] |= 1 << k
     return QuadraticSpace(n, linear, upper)
+
+
+def rational_roots_by_divisors(f: RatPoly):
+    """Rational roots of f by the rational root theorem, for small coefficients.
+
+    Every +-p/q with p dividing the lowest nonzero coefficient and q the
+    leading one, with divisors found by trial division, is tested in f.
+    Oracle for ``ratpoly.rational_roots``.
+    """
+    ints = list(f.primitive_int()[0])
+    roots = {Fraction(0)} if ints[0] == 0 else set()
+    while ints[0] == 0:
+        ints.pop(0)
+    g = RatPoly(ints)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if g(x) == 0)
+    return sorted(roots)

@@ -97,6 +97,8 @@ def test_profile_file_parse():
         ("place = 3\nh[1] = 2\n", "must be 0"),
         ("place = 3\nh[2] = -1\n", "nonnegative"),
         ("place = 3\nh[2] = maybe\n", "integer or 'unknown'"),
+        ("place = 3\nh[2] = 1\nplace = 3\nh[3] = 0\n", "duplicate place 3"),
+        ("place = 3\nh[2] = 1\nh[2] = 0\n", "duplicate h[2]"),
     ],
 )
 def test_profile_parse_errors(text, fragment):

@@ -11,7 +11,6 @@ from twistparity.errors import BadPrimeError, InvalidInputError
 from twistparity.frobenius import sigma_set
 from twistparity.modular import (
     Place,
-    divisors,
     factor_degrees,
     factor_integer,
     hilbert_symbol,
@@ -357,15 +356,6 @@ def test_factor_integer_and_squarefree():
     assert not is_squarefree(12)
     with pytest.raises(InvalidInputError):
         factor_integer(0)
-
-
-def test_divisors_match_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(29)
-    for n in [1, -1, 12, -360, 2**10, 100000000000031] + [rng.randint(2, 10**9) for _ in range(40)]:
-        assert divisors(n) == sympy.divisors(abs(n)), n
-    with pytest.raises(InvalidInputError):
-        divisors(0)
 
 
 def test_factor_integer_large_semiprime():

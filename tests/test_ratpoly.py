@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistparity import modular, ratpoly
 from twistparity.errors import InvalidInputError
 from twistparity.ratpoly import (
     RatPoly,
@@ -19,6 +20,7 @@ from twistparity.ratpoly import (
 from twistparity.papercases import curve_h
 
 from conftest import random_separable_poly
+from oracles import rational_roots_by_divisors
 
 
 def test_discriminant_examples():
@@ -148,7 +150,7 @@ def test_rational_roots():
     assert rational_roots(RatPoly((-2, 0, 0, 1))) == []
     g = RatPoly((0, 1)) * RatPoly((-1, 2)) * RatPoly((3, 0, 1))
     assert rational_roots(g) == [Fraction(0), Fraction(1, 2)]
-    # a 15-digit prime constant term: its divisors come from factor_integer
+    # a 15-digit prime in the numerator of the root
     p = 100000000000031
     h = RatPoly((-p, 3)) * RatPoly((1, 1, 1))
     assert rational_roots(h) == [Fraction(p, 3)]
@@ -179,6 +181,79 @@ def test_rational_roots_match_sympy_linear_factors():
         want = sorted(Fraction(-int(b), int(a)) for a, b in linear)
         assert rational_roots(f * Fraction(1, rng.randint(1, 7))) == want, str(f)
     assert repeated >= 5
+
+
+def test_rational_roots_match_divisor_oracle():
+    rng = random.Random(17)
+    for _ in range(150):
+        f = RatPoly((rng.choice((1, -1, 2, 6)),))
+        for _ in range(rng.randint(0, 3)):
+            f = f * RatPoly((rng.randint(-12, 12), rng.randint(1, 6)))
+        f = f * RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 4)])
+        assert rational_roots(f) == rational_roots_by_divisors(f), str(f)
+
+
+def _sympy_roots(f, sympy):
+    """Roots of the linear factors in sympy's factorization of f over Q."""
+    x = sympy.symbols("x")
+    ints, _ = f.primitive_int()
+    _, factors = sympy.Poly(list(reversed(ints)), x).factor_list()
+    linear = [p.all_coeffs() for p, _ in factors if p.degree() == 1]
+    return sorted(Fraction(-int(b), int(a)) for a, b in linear)
+
+
+def test_rational_roots_match_sympy_on_smooth_end_coefficients():
+    """End coefficients 2^a 3^b 5^c 7^d have many divisors; the lifting
+    never enumerates them."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+
+    def smooth():
+        a, b, c, d = (rng.randint(0, k) for k in (12, 8, 6, 5))
+        return rng.choice((1, -1)) * 2**a * 3**b * 5**c * 7**d
+
+    found = 0
+    for _ in range(40):
+        f = RatPoly((smooth(), 1, 0, abs(smooth())))
+        for _ in range(rng.randint(0, 2)):
+            f = f * RatPoly((smooth(), abs(smooth())))
+        want = _sympy_roots(f, sympy)
+        found += bool(want)
+        assert rational_roots(f) == want, str(f)
+    assert found >= 20
+
+
+def test_rational_roots_match_sympy_on_large_coefficients():
+    """Known linear and nonlinear factors whose products have 20- to
+    40-digit coefficients."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+
+    def big(digits):
+        return rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits)
+
+    for _ in range(25):
+        linear = [RatPoly((big(10), rng.randint(1, 10**5))) for _ in range(rng.randint(1, 2))]
+        other = RatPoly([big(15) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 10**4)])
+        f = other
+        for g in linear:
+            f = f * g
+        digits = max(len(str(abs(c.numerator))) for c in f.coeffs)
+        assert 20 <= digits <= 40, str(f)
+        want = _sympy_roots(f, sympy)
+        assert len(want) >= len(linear)
+        assert rational_roots(f) == want, str(f)
+
+
+def test_rational_roots_factor_no_integer(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factor_integer({n}) called")
+
+    monkeypatch.setattr(ratpoly, "factor_integer", refuse)
+    monkeypatch.setattr(modular, "factor_integer", refuse)
+    assert rational_roots(RatPoly((2**12 * 5**12, 1, 0, 3**12 * 7**12))) == []
+    p = 100000000000031
+    assert rational_roots(RatPoly((-p, 3)) * RatPoly((1, 1, 1))) == [Fraction(p, 3)]
 
 
 def test_poly_arithmetic_roundtrips():

@@ -76,6 +76,12 @@ def test_cli_exit_code_2_on_failed_check(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_cli_exit_code_3_when_sampling_stalls(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "sigma_trivial_twist", lambda d, sigma: None)
+    assert cli.main(["verify-paper"]) == 3
+    assert "sampling stalled" in capsys.readouterr().err
+
+
 def test_report_json_is_canonical():
     rep = run_paper_verification(seed=0)
     doc = json.loads(rep.to_json())
