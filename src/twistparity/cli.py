@@ -92,11 +92,26 @@ def _cache_for(args, curve_path) -> PrimeCache:
 
 
 def _emit(report: Report, args, text_lines) -> None:
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the report as JSON, or as the lines text_lines() returns.
+
+    A value with more digits than Python converts to text raises
+    ResourceLimitError here, for every command and format, before
+    anything is printed: text is printed once every line is built, and
+    JSON is written in batches, the first of which holds every report
+    but the long ones of classify-primes and find-twist, whose numbers
+    are bounded by --limit.
+    """
+    try:
+        if args.format == "json":
+            report.write(sys.stdout)
+            return
+        text = "".join(f"{line}\n" for line in text_lines())
+    except ValueError as exc:  # the int-to-str digit limit
+        raise ResourceLimitError(
+            f"a value has more than the {sys.get_int_max_str_digits()} digits "
+            "Python converts to text: too long to report"
+        ) from exc
+    sys.stdout.write(text)
 
 
 def _profiles_input(args, inputs):
@@ -147,7 +162,7 @@ def _cmd_analyze(args) -> int:
     _emit(
         rep,
         args,
-        [
+        lambda: [
             f"curve: {curve}",
             f"degree n = {curve.degree}",
             f"disc = {disc} (sign {out['disc_sign']})",
@@ -179,7 +194,7 @@ def _cmd_classify_primes(args) -> int:
     _emit(
         rep,
         args,
-        [f"{r['l']}: type {r['cycle_type']} in P_{r['class_index']}" for r in rows]
+        lambda: [f"{r['l']}: type {r['cycle_type']} in P_{r['class_index']}" for r in rows]
         or ["(no matching primes)"],
     )
     return 0
@@ -209,13 +224,14 @@ def _cmd_character(args) -> int:
     }
     out = {"norm": twist_norm(d), "local": behavior, **extra}
     rep = Report("character", args.seed, inputs, out)
-    lines = [f"d = {d.d} (norm {out['norm']})"]
-    lines += [
-        f"  at {v}: {behavior[str(v)]['behavior']} (class {behavior[str(v)]['square_class']})"
-        for v in places
-    ]
-    if "sigma_trivial" in extra:
-        lines.append(f"Sigma-trivial: {extra['sigma_trivial']}")
+
+    def lines():
+        yield f"d = {d.d} (norm {out['norm']})"
+        for v in places:
+            yield f"  at {v}: {behavior[str(v)]['behavior']} (class {behavior[str(v)]['square_class']})"
+        if "sigma_trivial" in extra:
+            yield f"Sigma-trivial: {extra['sigma_trivial']}"
+
     _emit(rep, args, lines)
     return 0
 
@@ -239,10 +255,14 @@ def _cmd_parity(args) -> int:
         "contributions": contributions,
     }
     rep = Report("parity", args.seed, inputs, out)
-    lines = [f"flip = {verdict.flip}  status = {verdict.status}"]
-    if verdict.missing:
-        lines.append("missing profile data at: " + ", ".join(str(v) for v in verdict.missing))
-    lines += [f"  omega_{v} = {c['omega']} (class {c['class']})" for v, c in contributions.items()]
+
+    def lines():
+        yield f"flip = {verdict.flip}  status = {verdict.status}"
+        if verdict.missing:
+            yield "missing profile data at: " + ", ".join(str(v) for v in verdict.missing)
+        for v, c in contributions.items():
+            yield f"  omega_{v} = {c['omega']} (class {c['class']})"
+
     _emit(rep, args, lines)
     return 0
 
@@ -259,12 +279,6 @@ def _cmd_scan(args) -> int:
         r1_parity=args.r1_parity,
         seed=args.seed,
     )
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and result.total >= 10**limit:  # 0 means no limit
-        raise ResourceLimitError(
-            f"a {result.total.bit_length()}-bit character count has more than the "
-            f"{limit} digits Python converts to text: too long to report"
-        )
     out = {"scan": result}
     try:
         rep_d = disparity(curve, profiles, args.r1_parity)
@@ -272,14 +286,15 @@ def _cmd_scan(args) -> int:
     except TwistParityError:
         out["disparity"] = None
     rep = Report("scan", args.seed, inputs, out)
-    lines = [
-        f"mode = {result.mode}  characters = {result.total}",
-        f"fraction even = {result.fraction_even} (flip average {result.flip_average})",
-    ]
-    if result.warning:
-        lines.append(f"warning: {result.warning}")
-    if out["disparity"] is not None:
-        lines.append(f"delta = {out['disparity'].delta}; predicted even density = {out['disparity'].even_density}")
+
+    def lines():
+        yield f"mode = {result.mode}  characters = {result.total}"
+        yield f"fraction even = {result.fraction_even} (flip average {result.flip_average})"
+        if result.warning:
+            yield f"warning: {result.warning}"
+        if out["disparity"] is not None:
+            yield f"delta = {out['disparity'].delta}; predicted even density = {out['disparity'].even_density}"
+
     _emit(rep, args, lines)
     return 0
 
@@ -295,7 +310,7 @@ def _cmd_find_twist(args) -> int:
             "d": r.d.d,
             "direction": r.direction,
             "cycle_type": list(r.cycle_type),
-            "checked_conditions": [[n, v] for n, v in r.checked_conditions],
+            "checked_conditions": r.checked_conditions,
         }
         for r in recipes
     ]
@@ -305,8 +320,12 @@ def _cmd_find_twist(args) -> int:
         inputs,
         {"direction": direction, "limit": args.limit, "recipes": rows},
     )
-    lines = (f"l = {r['l']}  d = {r['d']}  type {r['cycle_type']}" for r in rows)
-    _emit(rep, args, lines if rows else ["(empty stream: no prime satisfies every checkable condition)"])
+    _emit(
+        rep,
+        args,
+        lambda: [f"l = {r['l']}  d = {r['d']}  type {r['cycle_type']}" for r in rows]
+        or ["(empty stream: no prime satisfies every checkable condition)"],
+    )
     return 0
 
 
@@ -314,16 +333,18 @@ def _cmd_verify_paper(args) -> int:
     t0 = time.time()
     rep = run_paper_verification(seed=args.seed)
     ok = rep.outputs["all_passed"]
-    lines = []
-    for check in rep.outputs["checks"]:
-        lines.append(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}")
-        det = check["details"]
-        if check["name"] == "sextic_transformation_identity" and not det.get("identity_holds", True):
-            lines.append(
-                "       stated identity fails; exact quotient = "
-                f"({det['quotient_numerator']}) / ({det['quotient_denominator']})"
-            )
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+
+    def lines():
+        for check in rep.outputs["checks"]:
+            yield f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}"
+            det = check["details"]
+            if check["name"] == "sextic_transformation_identity" and not det.get("identity_holds", True):
+                yield (
+                    "       stated identity fails; exact quotient = "
+                    f"({det['quotient_numerator']}) / ({det['quotient_denominator']})"
+                )
+        yield f"overall: {'PASS' if ok else 'FAIL'}"
+
     _emit(rep, args, lines)
     if args.format == "text":
         print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)

@@ -201,16 +201,40 @@ def iter_primes(start: int, stop: int):
         lo = hi
 
 
+_RHO_BATCH = 128  # differences multiplied together per gcd in _pollard_rho
+
+
 def _pollard_rho(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of the odd composite n, not a perfect square.
+
+    Brent's cycle finding (BIT 20, 1980) on y -> y^2 + c: x is y at the
+    last power of two, and the differences x - y are multiplied mod n in
+    batches of ``_RHO_BATCH``, one gcd per batch.  When a batch's gcd is
+    n, the batch is replayed from its start one gcd at a time; when that
+    too reaches n, another c is drawn.
+    """
     while True:
         c = rng.randrange(1, n)
-        x = y = rng.randrange(n)
-        g = 1
+        y = rng.randrange(n)
+        g = r = q = 1
         while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                start = (start * start + c) % n
+                g = math.gcd(x - start, n)
         if g != n:
             return g
 

@@ -95,7 +95,7 @@ def find_shift_primes(
         ]
         yield TwistRecipe(
             l=pc.l,
-            d=QuadTwist(pc.l),
+            d=QuadTwist._unchecked(pc.l),  # a prime is squarefree
             direction=direction,
             cycle_type=pc.lengths,
             checked_conditions=tuple(conditions),

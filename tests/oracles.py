@@ -4,6 +4,7 @@ The package itself never calls these: each is a direct, slow construction
 that a faster library path must agree with.
 """
 
+import json
 from fractions import Fraction
 
 from twistparity.characters import QuadTwist, twist_norm
@@ -100,3 +101,33 @@ def rational_roots_by_divisors(f: RatPoly):
         for q in divisors(ints[-1]):
             roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if g(x) == 0)
     return sorted(roots)
+
+
+def jsonable(x):
+    """Recursively convert package values into JSON-serializable data."""
+    if isinstance(x, Fraction):
+        return str(x) if x.denominator != 1 else str(x.numerator)
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, (bool, int, str, type(None))):
+        return x
+    if hasattr(x, "as_json_dict"):
+        return jsonable(x.as_json_dict())
+    return str(x)
+
+
+def report_json(report) -> str:
+    """The canonical report text built whole, by converting and then dumping.
+
+    Oracle for ``report.Report.write``.
+    """
+    doc = {
+        "command": report.command,
+        "tool_version": report.tool_version,
+        "seed": report.seed,
+        "inputs": jsonable(report.inputs),
+        "outputs": jsonable(report.outputs),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -6,6 +6,7 @@ alongside the values.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines.
 """
 
+import io
 import random
 import time
 from fractions import Fraction
@@ -231,10 +232,12 @@ def test_acceptance_09_hilbert_product_formula():
 def test_acceptance_10_verify_paper_determinism():
     """Two verify-paper runs at seed 0 give byte-identical JSON reports."""
     t0 = time.monotonic()
-    a = run_paper_verification(seed=0)
-    b = run_paper_verification(seed=0)
-    assert a.to_json() == b.to_json()
-    assert a.outputs["all_passed"] is True
-    assert a.to_json().encode() == b.to_json().encode()
+    a, b = io.StringIO(), io.StringIO()
+    run_paper_verification(seed=0).write(a)
+    rep = run_paper_verification(seed=0)
+    rep.write(b)
+    assert a.getvalue() == b.getvalue()
+    assert rep.outputs["all_passed"] is True
+    assert a.getvalue().encode() == b.getvalue().encode()
     elapsed = time.monotonic() - t0
     _report(10, "verify-paper reports byte-identical, all checks green", elapsed)

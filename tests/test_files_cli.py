@@ -241,6 +241,24 @@ def test_cli_scan_max_norm_limited_by_int_str_digits(curve_file, capsys):
         sys.set_int_max_str_digits(default)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_value_too_long_to_print_exits_3(tmp_path, capsys, fmt):
+    """disc(x^3 + 2^8000) = -27 * 2^16000 has 4,818 digits, over the default 4,300."""
+    path = tmp_path / "big.curve"
+    path.write_text(f"p = 2\nf = [{2**8000}, 0, 0, 1]\n")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, out, err = run_cli(
+            capsys, "--format", fmt, "--cache", str(tmp_path / "c"), "analyze", "--curve", str(path)
+        )
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert rc == 3 and out == ""
+    assert err.startswith("resource limit:") and "too long to report" in err
+
+
 def test_cli_find_twist(curve_file, capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -1,4 +1,5 @@
-"""Property tests of the twist group law, the Sigma-triviality filter and row reduction."""
+"""Property tests of the twist group law, the Sigma-triviality filter, row reduction,
+primality and factoring."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from twistparity.characters import (  # noqa: E402
 )
 from twistparity.frobenius import sigma_set  # noqa: E402
 from twistparity.metabolic import Subspace  # noqa: E402
-from twistparity.modular import is_prime, is_squarefree  # noqa: E402
+from twistparity.modular import factor_integer, is_prime, is_squarefree  # noqa: E402
 from twistparity.papercases import curve_h  # noqa: E402
 
 nonzero = st.integers(-(10**12), 10**12).filter(lambda n: n != 0)
@@ -64,3 +65,15 @@ def test_is_prime_on_semiprimes_near_the_proof_limit(a, shift):
     q = sympy.nextprime(PROOF_LIMIT // p + shift)
     assert is_prime(p) and is_prime(q)
     assert not is_prime(p * q)
+
+
+# a start in [10^(k-1), 0.99 * 10^k): the next prime after it still has k digits
+_prime_starts = st.integers(8, 14).flatmap(lambda k: st.integers(10 ** (k - 1), 99 * 10 ** (k - 2)))
+
+
+@hypothesis.settings(max_examples=10, deadline=None)  # a 14-digit factor takes seconds
+@hypothesis.given(_prime_starts, _prime_starts)
+def test_factor_integer_splits_two_prime_products_like_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    n = sympy.nextprime(a) * sympy.nextprime(b)
+    assert factor_integer(n) == sympy.factorint(n)

@@ -1,6 +1,7 @@
 """Shift-prime searches."""
 
 import itertools
+import sys
 
 from twistparity.frobenius import prime_scan, sigma_set
 from twistparity.papercases import (
@@ -90,3 +91,21 @@ def test_stream_density_sanity():
 
 def test_limit_zero_yields_empty_stream():
     assert list(find_shift_primes(curve_x3_minus_2(), "raise2", 0)) == []
+
+
+def test_find_shift_primes_factors_no_integer_per_recipe(monkeypatch):
+    curve = curve_1440d1()
+    sigma_set(curve)  # factors the discriminant, once per curve
+
+    def refuse(n):
+        raise AssertionError(f"factor_integer({n}) called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twistparity") and hasattr(mod, "factor_integer"):
+            monkeypatch.setattr(mod, "factor_integer", refuse)
+    recipes = [
+        r for direction in ("raise2", "lower2") for r in find_shift_primes(curve, direction, 10**5)
+    ]
+    monkeypatch.undo()
+    assert {r.direction for r in recipes} == {"raise2", "lower2"}
+    assert all(r.verify(curve) for r in recipes)
