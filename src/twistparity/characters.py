@@ -2,9 +2,11 @@
 
 A character chi_d corresponds to the extension Q(sqrt(d)); d = 1 is the
 trivial character and the group law is multiplication followed by
-squarefree reduction.  Local behavior at each place comes from the usual
-congruence criteria, and each local square class gets a fixed canonical
-integer representative so tables of local data can be keyed bit-exactly:
+squarefree reduction.  Each local square class gets a fixed canonical
+integer representative so tables of local data can be keyed bit-exactly,
+and every local fact of chi_d (its behavior, Sigma-triviality, the omega
+entry it selects) is read from the class of d.  The representatives,
+trivial class first:
 
     odd q : 1, u_q, q, u_q*q   (u_q = least positive nonresidue mod q)
     q = 2 : 1, 5, -1, -5, 2, 10, -2, -10
@@ -98,25 +100,13 @@ class QuadTwist:
 
 
 def local_behavior(d: QuadTwist, place: Place) -> LocalBehavior:
-    """How chi_d restricts to Q_v."""
-    n = d.d
-    if place.is_infinity:
-        return LocalBehavior.SIGN if n < 0 else LocalBehavior.TRIVIAL
-    q = place.q
-    if q == 2:
-        if n % 2 == 0:
-            return LocalBehavior.RAMIFIED
-        r = n % 8
-        if r == 1:
-            return LocalBehavior.TRIVIAL
-        if r == 5:
-            return LocalBehavior.UNRAMIFIED_NONTRIVIAL
-        return LocalBehavior.RAMIFIED
-    if n % q == 0:
-        return LocalBehavior.RAMIFIED
-    if kronecker_symbol(n, q) == 1:
+    """How chi_d restricts to Q_v, read off the index of its square class."""
+    i = local_classes(place).index(local_square_class(d, place))
+    if i == 0:
         return LocalBehavior.TRIVIAL
-    return LocalBehavior.UNRAMIFIED_NONTRIVIAL
+    if i == 1:
+        return LocalBehavior.SIGN if place.is_infinity else LocalBehavior.UNRAMIFIED_NONTRIVIAL
+    return LocalBehavior.RAMIFIED
 
 
 def twist_norm(d: QuadTwist) -> int:
@@ -127,9 +117,7 @@ def twist_norm(d: QuadTwist) -> int:
 
 def sigma_trivial(d: QuadTwist, sigma) -> bool:
     """True when chi_d is a local square at every place of the bad set."""
-    return all(
-        local_behavior(d, v) == LocalBehavior.TRIVIAL for v in sigma.iter_places()
-    )
+    return all(local_square_class(d, v) == 1 for v in sigma.iter_places())
 
 
 def sigma_trivial_congruences(n: int, sigma) -> bool:

@@ -24,11 +24,12 @@ real place is never read from a file because its table is auto-filled.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .characters import local_classes
 from .curves import CurveSpec
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .modular import Place, is_prime
 from .parity import LocalProfile
 from .ratpoly import RatPoly
@@ -44,6 +45,13 @@ def _parse_coeff(tok: str, lineno: int) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(tok))
     except (ValueError, ZeroDivisionError):
+        digits = max(sum(map(str.isdigit, part)) for part in tok.split("/"))
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < digits:
+            raise ResourceLimitError(
+                f"line {lineno}: a coefficient of {digits} digits exceeds the "
+                f"{limit} digits Python converts from text"
+            ) from None
         raise ParseError(f"bad coefficient {tok!r}", lineno) from None
 
 

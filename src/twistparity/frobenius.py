@@ -166,15 +166,14 @@ def prime_scan(
     curve: CurveSpec,
     start: int,
     stop: int,
-    predicate=None,
     cache: PrimeCache | None = None,
     prime_filter=None,
 ):
-    """Good primes in [start, stop) whose PrimeClass satisfies ``predicate``.
+    """The PrimeClass of each good prime in [start, stop) passing ``prime_filter``.
 
-    ``prime_filter`` is applied to the bare prime before classification
-    (use it for congruence or symbol conditions, which are much cheaper
-    than factoring f mod l).  Yields PrimeClass records in increasing
+    The filter sees the bare prime before classification (use it for
+    congruence or symbol conditions, which are much cheaper than
+    factoring f mod l).  Yields PrimeClass records in increasing
     prime order, one prime at a time, so a consumer that stops early
     classifies no further; resumable by calling again with
     start = last_prime + 1.
@@ -185,9 +184,7 @@ def prime_scan(
             continue
         if prime_filter is not None and not prime_filter(l):
             continue
-        pc = classify_prime(curve, l, cache=cache)
-        if predicate is None or predicate(pc):
-            yield pc
+        yield classify_prime(curve, l, cache=cache)
 
 
 # ---------------------------------------------------------------------------

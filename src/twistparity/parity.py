@@ -7,6 +7,8 @@ h is computable from the Frobenius cycle type; at the real place it is
 k1 - 1 for the sign character; at finite bad places no algorithm exists
 at this level, so values there are user-supplied tables (LocalProfile)
 and every output that consumed a missing entry says so in its status.
+``omega_tables`` holds omega_v over the local classes at each place of
+Sigma; flips, scans and disparity all read from it.
 """
 
 from __future__ import annotations
@@ -16,21 +18,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import (
-    LocalBehavior,
-    QuadTwist,
-    local_classes,
-    local_square_class,
-    sigma_trivial,
-    sigma_trivial_twist,
-)
+from .characters import QuadTwist, local_classes, local_square_class, sigma_trivial_twist
 from .curves import CurveSpec
-from .errors import (
-    BadPrimeError,
-    InvalidInputError,
-    ResourceLimitError,
-    UnknownProfileError,
-)
+from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
 from .frobenius import PrimeCache, classify_prime, sigma_set
 from .metabolic import Subspace
 from .modular import Place, factor_integer, hilbert_symbol, is_squarefree, iter_primes
@@ -38,8 +28,6 @@ from .modular import Place, factor_integer, hilbert_symbol, is_squarefree, iter_
 __all__ = [
     "LocalProfile",
     "infinity_profile",
-    "good_prime_h",
-    "omega_v",
     "omega_tables",
     "ParityVerdict",
     "parity_flip",
@@ -89,45 +77,6 @@ def infinity_profile(curve: CurveSpec) -> LocalProfile:
     return LocalProfile(Place.infinity(), {1: 0, -1: k1 - 1})
 
 
-def good_prime_h(
-    curve: CurveSpec,
-    l: int,
-    behavior: LocalBehavior,
-    cache: PrimeCache | None = None,
-) -> int:
-    """h_l(chi) at a good prime: 0 unless chi is ramified, then b - 1."""
-    if l in sigma_set(curve):
-        raise BadPrimeError(f"{l} is a bad prime for this curve")
-    if behavior in (LocalBehavior.TRIVIAL, LocalBehavior.UNRAMIFIED_NONTRIVIAL):
-        return 0
-    if behavior == LocalBehavior.RAMIFIED:
-        return classify_prime(curve, l, cache=cache).i
-    raise InvalidInputError(f"behavior {behavior} does not occur at a finite prime")
-
-
-def omega_v(curve: CurveSpec, place: Place, label: int, profile: LocalProfile | None):
-    """(-1)^h_v(chi) * chi_v(disc) for the class label, or None when h unknown.
-
-    chi_v(disc) is evaluated as the Hilbert symbol (label, disc)_v, which
-    only depends on the square class of the label.
-    """
-    if place not in sigma_set(curve):
-        raise InvalidInputError("omega_v is defined at places of the bad set")
-    if label not in local_classes(place):
-        raise InvalidInputError(f"label {label} is not canonical at {place}")
-    if label == 1:
-        return 1
-    if place.is_infinity:
-        profile = infinity_profile(curve)
-    if profile is None:
-        return None
-    h = profile.h(label)
-    if h is None:
-        return None
-    chi_of_disc = hilbert_symbol(label, curve.discriminant(), place)
-    return (-1) ** h * chi_of_disc
-
-
 @dataclass(frozen=True)
 class ParityVerdict:
     """flip = product of omega_v over the bad set; +1 means parity preserved.
@@ -143,8 +92,20 @@ class ParityVerdict:
 
 
 def _omega_row(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> dict:
-    """{label: omega_v or None} over ``local_classes(place)``."""
-    return {label: omega_v(curve, place, label, profile) for label in local_classes(place)}
+    """{label: omega_v or None} over ``local_classes(place)`` at a place of Sigma.
+
+    omega_v = (-1)^h * chi_v(disc), with chi_v(disc) the Hilbert symbol
+    (label, disc)_v, which only depends on the square class of the label;
+    None where h is unknown.  The real place reads h from the curve.
+    """
+    if place.is_infinity:
+        profile = infinity_profile(curve)
+    disc = curve.discriminant()
+    row = {1: 1}
+    for label in local_classes(place)[1:]:
+        h = None if profile is None else profile.h(label)
+        row[label] = None if h is None else (-1) ** h * hilbert_symbol(label, disc, place)
+    return row
 
 
 def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
@@ -165,12 +126,11 @@ def parity_flip(
 ) -> ParityVerdict:
     if d.is_trivial:
         return ParityVerdict(1, "exact")
-    if sigma_trivial(d, sigma_set(curve)):
+    classes = {v: local_square_class(d, v) for v in sigma_set(curve).iter_places()}
+    if all(c == 1 for c in classes.values()):
         return ParityVerdict(1, "relative_only")
-    weights = {
-        place: row[local_square_class(d, place)]
-        for place, row in omega_tables(curve, profiles).items()
-    }
+    tables = omega_tables(curve, profiles)
+    weights = {v: tables[v][c] for v, c in classes.items()}
     missing = tuple(place for place, w in weights.items() if w is None)
     if missing:
         return ParityVerdict(None, "unknown", missing)
@@ -192,7 +152,7 @@ def global_consistency_check(
     hsum = 0
     for l in factor_integer(abs(d.d)):
         if l not in sigma and l != 2:
-            hsum += good_prime_h(curve, l, LocalBehavior.RAMIFIED, cache)
+            hsum += classify_prime(curve, l, cache=cache).i
     lhs = (-1) ** hsum
     rhs = 1
     disc = curve.discriminant()

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import QuadTwist, sigma_trivial, sigma_trivial_congruences
+from .characters import QuadTwist, sigma_trivial_congruences
 from .curves import CurveSpec
 from .errors import InvalidInputError
-from .frobenius import PrimeCache, classify_prime, prime_scan, sigma_set
+from .frobenius import PrimeCache, prime_scan, sigma_set
 from .torsion import orbit_lengths_coprime
 
 __all__ = ["TwistRecipe", "find_shift_primes"]
@@ -33,20 +33,6 @@ class TwistRecipe:
     direction: str
     cycle_type: tuple
     checked_conditions: tuple  # of (name, True | "unverified")
-
-    def verify(self, curve: CurveSpec, cache: PrimeCache | None = None) -> bool:
-        """Recompute all checkable conditions from scratch."""
-        sigma = sigma_set(curve)
-        if self.l in sigma:
-            return False
-        pc = classify_prime(curve, self.l, cache=cache)
-        ok = pc.i == 2 and pc.lengths == self.cycle_type
-        if self.direction == "raise2":
-            ok = ok and orbit_lengths_coprime(pc.lengths, 2)
-        ok = ok and sigma_trivial_congruences(self.l, sigma)
-        ok = ok and self.d == QuadTwist(self.l)
-        ok = ok and sigma_trivial(self.d, sigma)
-        return ok
 
 
 def find_shift_primes(
@@ -68,36 +54,27 @@ def find_shift_primes(
     if curve.degree < 3:
         raise InvalidInputError("degree below 3 cannot carry the construction")
     sigma = sigma_set(curve)
-
-    def good(pc) -> bool:
-        if pc.i != 2:
-            return False
-        return direction != "raise2" or orbit_lengths_coprime(pc.lengths, 2)
-
+    raise2 = direction == "raise2"
+    orbits = (("three_odd_orbits", True),) if raise2 else ()
+    conditions = (
+        ("good_prime", True),
+        ("class_index_2", True),
+        *orbits,
+        ("l_is_1_mod_8", True),
+        ("split_at_odd_sigma_primes", True),
+        ("twist_sigma_trivial", True),
+        ("loc_image_zero" if raise2 else "loc_image_dim_2", "unverified"),
+    )
     for pc in prime_scan(
-        curve, 2, limit + 1, predicate=good, cache=cache,
+        curve, 2, limit + 1, cache=cache,
         prime_filter=lambda l: sigma_trivial_congruences(l, sigma),
     ):
-        conditions = [
-            ("good_prime", True),
-            ("class_index_2", True),
-        ]
-        if direction == "raise2":
-            conditions.append(("three_odd_orbits", True))
-        conditions += [
-            ("l_is_1_mod_8", True),
-            ("split_at_odd_sigma_primes", True),
-            ("twist_sigma_trivial", True),
-            (
-                "loc_image_zero" if direction == "raise2" else "loc_image_dim_2",
-                "unverified",
-            ),
-        ]
+        if pc.i != 2 or (raise2 and not orbit_lengths_coprime(pc.lengths, 2)):
+            continue
         yield TwistRecipe(
             l=pc.l,
             d=QuadTwist._unchecked(pc.l),  # a prime is squarefree
             direction=direction,
             cycle_type=pc.lengths,
-            checked_conditions=tuple(conditions),
+            checked_conditions=conditions,
         )
-

@@ -7,12 +7,18 @@ that a faster library path must agree with.
 import json
 from fractions import Fraction
 
-from twistparity.characters import QuadTwist, twist_norm
+from twistparity.characters import (
+    QuadTwist,
+    sigma_trivial,
+    sigma_trivial_congruences,
+    twist_norm,
+)
 from twistparity.errors import InvalidInputError, ResourceLimitError
+from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import QuadraticSpace, Subspace
 from twistparity.modular import sieve_primes
 from twistparity.ratpoly import RatPoly
-from twistparity.torsion import Permutation
+from twistparity.torsion import Permutation, orbit_lengths_coprime
 
 
 def enumerate_characters(bound: int, cap: int = 1 << 20):
@@ -131,3 +137,21 @@ def report_json(report) -> str:
         "outputs": jsonable(report.outputs),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def verify_recipe(curve, recipe, cache=None) -> bool:
+    """Recompute every checkable condition of a TwistRecipe from scratch.
+
+    Oracle for ``search.find_shift_primes``.
+    """
+    sigma = sigma_set(curve)
+    if recipe.l in sigma:
+        return False
+    pc = classify_prime(curve, recipe.l, cache=cache)
+    ok = pc.i == 2 and pc.lengths == recipe.cycle_type
+    if recipe.direction == "raise2":
+        ok = ok and orbit_lengths_coprime(pc.lengths, 2)
+    ok = ok and sigma_trivial_congruences(recipe.l, sigma)
+    ok = ok and recipe.d == QuadTwist(recipe.l)
+    ok = ok and sigma_trivial(recipe.d, sigma)
+    return ok

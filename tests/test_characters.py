@@ -153,17 +153,27 @@ def test_local_square_class_matches_hilbert_pairing():
             assert hilbert_symbol(rep, x, v) == hilbert_symbol(d.d, x, v), (d, v, x)
 
 
+def behavior_by_congruences(n: int, v: Place) -> LocalBehavior:
+    """The textbook criteria: the sign at infinity, n mod 8 at 2, q | n and (n|q) at odd q."""
+    if v.is_infinity:
+        return LocalBehavior.SIGN if n < 0 else LocalBehavior.TRIVIAL
+    if v.q == 2:
+        if n % 8 == 1:
+            return LocalBehavior.TRIVIAL
+        return LocalBehavior.UNRAMIFIED_NONTRIVIAL if n % 8 == 5 else LocalBehavior.RAMIFIED
+    if n % v.q == 0:
+        return LocalBehavior.RAMIFIED
+    euler = pow(n, (v.q - 1) // 2, v.q)  # Euler's criterion for (n|q)
+    return LocalBehavior.TRIVIAL if euler == 1 else LocalBehavior.UNRAMIFIED_NONTRIVIAL
+
+
 def test_behavior_determines_class_coarsely():
     rng = random.Random(77)
+    seen = set()
     for _ in range(200):
         d = QuadTwist.of(rng.randint(1, 10**4) * rng.choice((1, -1)))
-        for v in (P2, P3, Place.finite(13)):
+        for v in (INF, P2, P3, Place.finite(13)):
             beh = local_behavior(d, v)
-            cls = local_square_class(d, v)
-            if beh == LocalBehavior.TRIVIAL:
-                assert cls == 1
-            elif beh == LocalBehavior.RAMIFIED:
-                if v.q != 2:
-                    assert cls % v.q == 0
-                else:
-                    assert cls % 2 == 0 or cls in (-1, -5)
+            assert beh == behavior_by_congruences(d.d, v), (d, v)
+            seen.add((v.is_infinity, beh))
+    assert len(seen) == 5  # every behavior occurs, SIGN and TRIVIAL at infinity

@@ -259,6 +259,24 @@ def test_cli_value_too_long_to_print_exits_3(tmp_path, capsys, fmt):
     assert err.startswith("resource limit:") and "too long to report" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_cli_coefficient_too_long_to_read_exits_3(tmp_path, capsys):
+    """A 5,001-digit coefficient is a resource limit, named by line and length, not echoed."""
+    path = tmp_path / "big.curve"
+    path.write_text("p = 2\nf = [1" + "0" * 5000 + ", 0, 0, 1]\n")
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, out, err = run_cli(
+            capsys, "--cache", str(tmp_path / "c"), "analyze", "--curve", str(path)
+        )
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert rc == 3 and out == ""
+    assert err.startswith("resource limit: line 2:") and "5001 digits" in err
+    assert len(err) < 200
+
+
 def test_cli_find_twist(curve_file, capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -125,18 +125,13 @@ def test_s3_cycle_type_distribution():
 
 def test_prime_scan_p0_primes_below_50():
     c = curve_x3_minus_2()
-    got = [pc.l for pc in prime_scan(c, 2, 50, predicate=lambda pc: pc.i == 0)]
+    got = [pc.l for pc in prime_scan(c, 2, 50) if pc.i == 0]
     assert got == [7, 13, 19, 37]
 
 
 def test_prime_scan_p2_one_mod_8_below_500():
     c = curve_x3_minus_2()
-    got = [
-        pc.l
-        for pc in prime_scan(
-            c, 2, 501, predicate=lambda pc: pc.i == 2, prime_filter=lambda l: l % 8 == 1
-        )
-    ]
+    got = [pc.l for pc in prime_scan(c, 2, 501, prime_filter=lambda l: l % 8 == 1) if pc.i == 2]
     assert got == [433, 457]
 
 

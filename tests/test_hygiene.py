@@ -136,7 +136,6 @@ def dead_public_definitions(sources: dict):
 UNCALLED_PUBLIC = {
     ("cli.py", "_Parser.error"): "argparse calls it on a usage error",
     ("files.py", "load_curve"): "the benchmark's set-up imports it",
-    ("search.py", "TwistRecipe.verify"): "tests re-check find_shift_primes with it",
 }
 
 

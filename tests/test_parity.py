@@ -5,13 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistparity.characters import (
-    LocalBehavior,
-    QuadTwist,
-    local_classes,
-    local_square_class,
-    sigma_trivial,
-)
+from twistparity.characters import QuadTwist, local_classes, local_square_class, sigma_trivial
 from twistparity.curves import CurveSpec
 from twistparity.errors import (
     BadPrimeError,
@@ -19,7 +13,7 @@ from twistparity.errors import (
     ResourceLimitError,
     UnknownProfileError,
 )
-from twistparity.frobenius import sigma_set
+from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.modular import Place, hilbert_symbol, is_squarefree
 from twistparity.papercases import (
     GOLDEN_CURVES,
@@ -36,10 +30,8 @@ from twistparity.parity import (
     density_scan,
     disparity,
     global_consistency_check,
-    good_prime_h,
     infinity_profile,
     omega_tables,
-    omega_v,
     parity_flip,
 )
 from twistparity.metabolic import Subspace
@@ -86,31 +78,38 @@ def linear_profiles(curve, rng):
     return out
 
 
+def omega_by_definition(curve, place, label, profile):
+    """(-1)^h_v(label) * (label, disc)_v, or None when h is unknown."""
+    if place.is_infinity:
+        h = 0 if label == 1 else real_root_signature(curve.f)[1] - 1
+    else:
+        h = 0 if label == 1 else None if profile is None else profile.h(label)
+    return None if h is None else (-1) ** h * hilbert_symbol(label, curve.discriminant(), place)
+
+
 def test_good_prime_h_examples():
+    """h_l of a character ramified at a good prime l is the class index of l."""
     c = curve_x3_minus_2()
-    assert good_prime_h(c, 5, LocalBehavior.RAMIFIED) == 1
-    assert good_prime_h(c, 7, LocalBehavior.RAMIFIED) == 0
-    assert good_prime_h(c, 5, LocalBehavior.UNRAMIFIED_NONTRIVIAL) == 0
-    assert good_prime_h(c, 7, LocalBehavior.TRIVIAL) == 0
+    assert classify_prime(c, 5).i == 1
+    assert classify_prime(c, 7).i == 0
     with pytest.raises(BadPrimeError):
-        good_prime_h(c, 3, LocalBehavior.RAMIFIED)
+        classify_prime(c, 3)
 
 
 def test_omega_at_infinity_examples():
-    assert omega_v(curve_x3_minus_2(), INF, -1, None) == -1  # h = 0, disc < 0
-    assert omega_v(curve_h(), INF, -1, None) == 1  # (-1)^1 * (-1)^1
-    assert omega_v(curve_x3_minus_2(), INF, 1, None) == 1
+    assert omega_tables(curve_x3_minus_2())[INF] == {1: 1, -1: -1}  # h = 0, disc < 0
+    assert omega_tables(curve_h())[INF][-1] == 1  # (-1)^1 * (-1)^1
 
 
 def test_omega_consumes_profile_entries():
     c = curve_x3_minus_2()
     p3 = Place.finite(3)
     prof = LocalProfile(p3, {1: 0, 2: 1, 3: None, 6: 0})
-    assert omega_v(c, p3, 2, prof) == -hilbert_symbol(2, -108, p3)  # (-1)^1 * chi(disc)
-    assert omega_v(c, p3, 3, prof) is None
-    assert omega_v(c, p3, 6, prof) == hilbert_symbol(6, -108, p3)
-    with pytest.raises(InvalidInputError):
-        omega_v(c, Place.finite(11), 1, None)  # 11 is not a bad place
+    row = omega_tables(c, {p3: prof})[p3]
+    assert row[1] == 1
+    assert row[2] == -hilbert_symbol(2, -108, p3)  # (-1)^1 * chi(disc)
+    assert row[3] is None
+    assert row[6] == hilbert_symbol(6, -108, p3)
 
 
 def test_parity_flip_examples():
@@ -155,7 +154,7 @@ def test_sigma_trivial_twists_of_h_never_flip():
 def test_global_consistency_spec_example():
     c = curve_x3_minus_2()
     # LHS: 5 is in P_1, so h = 1 and the sign is -1
-    assert good_prime_h(c, 5, LocalBehavior.RAMIFIED) == 1
+    assert classify_prime(c, 5).i == 1
     rhs = 1
     for v in sigma_set(c).iter_places():
         rhs *= hilbert_symbol(5, -108, v)
@@ -239,8 +238,8 @@ def test_delta_infinity_every_signature_up_to_degree_11():
 def test_delta_infinity_brute_force_detail():
     # average over {1, sign} by hand
     c = curve_h()
-    w_triv = omega_v(c, INF, 1, None)
-    w_sign = omega_v(c, INF, -1, None)
+    w_triv = omega_by_definition(c, INF, 1, None)
+    w_sign = omega_by_definition(c, INF, -1, None)
     assert delta_v(c, INF, None) == Fraction(w_triv + w_sign, 2) == 1
     assert delta_v(curve_x3_minus_2(), INF, None) == 0
 
@@ -315,7 +314,10 @@ def test_density_scan_exact_counts_match_enumeration(name):
         if not place.is_infinity
     }
     omega = {
-        place: {k: omega_v(curve, place, k, complete.get(place)) for k in local_classes(place)}
+        place: {
+            k: omega_by_definition(curve, place, k, complete.get(place))
+            for k in local_classes(place)
+        }
         for place in sigma.iter_places()
     }
     tables = omega_tables(curve, complete)

@@ -1,5 +1,6 @@
 """The built-in verification suite and its mismatch reporting."""
 
+import dataclasses
 import io
 import json
 
@@ -101,8 +102,13 @@ def test_report_json_is_canonical():
 
 def test_sigma_trivial_check_fails_on_wrong_good_prime_h(monkeypatch):
     """Check c recomputes the consistency identity, so a wrong h must fail it."""
-    right = parity.good_prime_h
-    monkeypatch.setattr(parity, "good_prime_h", lambda *a, **k: right(*a, **k) + 1)
+    right = parity.classify_prime
+
+    def one_too_high(*args, **kwargs):
+        pc = right(*args, **kwargs)
+        return dataclasses.replace(pc, i=pc.i + 1)
+
+    monkeypatch.setattr(parity, "classify_prime", one_too_high)
     rep = run_paper_verification(seed=0)
     check = next(c for c in rep.outputs["checks"] if c["name"] == "sigma_trivial_parity_preserved")
     assert check["passed"] is False
