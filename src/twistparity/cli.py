@@ -46,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="twistparity", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
@@ -73,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="twist-family parity density")
     p.add_argument("--curve", required=True)
     p.add_argument("--max-norm", type=int, default=None)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--profiles", default=None)
     p.add_argument("--r1-parity", type=int, default=0)
@@ -279,12 +289,15 @@ def _cmd_scan(args) -> int:
         r1_parity=args.r1_parity,
         seed=args.seed,
     )
-    out = {"scan": result}
     try:
         rep_d = disparity(curve, profiles, args.r1_parity)
-        out["disparity"] = rep_d
     except TwistParityError:
-        out["disparity"] = None
+        rep_d = None
+    # both records are tuples, which the report writer would write as lists
+    out = {
+        "scan": result.as_json_dict(),
+        "disparity": None if rep_d is None else rep_d.as_json_dict(),
+    }
     rep = Report("scan", args.seed, inputs, out)
 
     def lines():
@@ -292,8 +305,8 @@ def _cmd_scan(args) -> int:
         yield f"fraction even = {result.fraction_even} (flip average {result.flip_average})"
         if result.warning:
             yield f"warning: {result.warning}"
-        if out["disparity"] is not None:
-            yield f"delta = {out['disparity'].delta}; predicted even density = {out['disparity'].even_density}"
+        if rep_d is not None:
+            yield f"delta = {rep_d.delta}; predicted even density = {rep_d.even_density}"
 
     _emit(rep, args, lines)
     return 0

@@ -9,7 +9,6 @@ directly rather than through a curve.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -18,41 +17,42 @@ from .ratpoly import RatPoly, discriminant, real_root_signature
 __all__ = ["CurveSpec", "curve_hash"]
 
 
-@dataclass(frozen=True)
 class CurveSpec:
-    f: RatPoly
-    p: int = 2
-    declared_factors: tuple = field(default_factory=tuple)
-    # computed once per curve; read through discriminant(), real_root_signature(), curve_hash()
-    _discriminant: Fraction = field(init=False, repr=False, compare=False)
-    _signature: tuple = field(init=False, repr=False, compare=False)
-    _key: str = field(init=False, repr=False, compare=False)
+    # discriminant, signature and key are computed once per curve and read
+    # through discriminant(), real_root_signature() and curve_hash()
+    __slots__ = ("f", "p", "declared_factors", "_discriminant", "_signature", "_key")
 
-    def __post_init__(self):
-        if self.p != 2:
+    def __init__(self, f: RatPoly, p: int = 2, declared_factors: tuple = ()):
+        if p != 2:
             raise InvalidInputError("global operations require p = 2")
-        if self.f.degree < 3 or self.f.degree % 2 == 0:
+        if f.degree < 3 or f.degree % 2 == 0:
             raise InvalidInputError("f must have odd degree >= 3")
-        disc = discriminant(self.f)
+        disc = discriminant(f)
         if disc == 0:
             raise InvalidInputError("f must be separable")
-        object.__setattr__(self, "_discriminant", disc)
-        object.__setattr__(self, "_signature", real_root_signature(self.f))
-        key = hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-        object.__setattr__(self, "_key", key)
+        self.f = f
+        self.p = p
+        self.declared_factors = tuple(declared_factors)
+        self._discriminant = disc
+        self._signature = real_root_signature(f)
+        self._key = hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
         if self.declared_factors:
-            object.__setattr__(self, "declared_factors", tuple(self.declared_factors))
             prod = RatPoly.one()
             for g in self.declared_factors:
                 if not isinstance(g, RatPoly) or g.degree < 1:
                     raise InvalidInputError("declared factors must be nonconstant polynomials")
                 prod = prod * g
-            if prod.degree != self.f.degree:
+            if prod.degree != f.degree:
                 raise InvalidInputError("declared factor degrees do not sum to deg(f)")
             # product must equal f up to a nonzero rational constant
-            scaled = prod * (self.f.lead / prod.lead)
-            if scaled != self.f:
+            scaled = prod * (f.lead / prod.lead)
+            if scaled != f:
                 raise InvalidInputError("declared factors do not multiply to f")
+
+    def __eq__(self, other):
+        if not isinstance(other, CurveSpec):
+            return NotImplemented
+        return (self.f, self.p, self.declared_factors) == (other.f, other.p, other.declared_factors)
 
     @property
     def degree(self) -> int:

@@ -36,6 +36,8 @@ from .ratpoly import RatPoly
 
 __all__ = ["parse_curve_text", "load_curve", "parse_profiles_text"]
 
+_ECHO = 20  # characters from each end of a malformed token that an error shows
+
 
 def _parse_coeff(tok: str, lineno: int) -> Fraction:
     tok = tok.strip()
@@ -52,7 +54,11 @@ def _parse_coeff(tok: str, lineno: int) -> Fraction:
                 f"line {lineno}: a coefficient of {digits} digits exceeds the "
                 f"{limit} digits Python converts from text"
             ) from None
-        raise ParseError(f"bad coefficient {tok!r}", lineno) from None
+        if len(tok) > 2 * _ECHO:
+            shown = f"{tok[:_ECHO]!r}...{tok[-_ECHO:]!r} ({len(tok)} characters)"
+        else:
+            shown = repr(tok)
+        raise ParseError(f"bad coefficient {shown}", lineno) from None
 
 
 def _parse_coeff_list(body: str, lineno: int):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .curves import CurveSpec, curve_hash
 from .errors import BadPrimeError
@@ -41,18 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SigmaSet:
     """The bad set: the real place, 2, and the primes of lead/denominators/disc."""
 
-    finite: tuple
-    odd_primes: tuple = field(init=False, repr=False, compare=False)
-    places: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("finite", "odd_primes", "places")
 
-    def __post_init__(self):
-        object.__setattr__(self, "odd_primes", tuple(q for q in self.finite if q != 2))
-        places = (Place.infinity(), *(Place.finite(q) for q in self.finite))
-        object.__setattr__(self, "places", places)
+    def __init__(self, finite: tuple):
+        self.finite = finite
+        self.odd_primes = tuple(q for q in finite if q != 2)
+        self.places = (Place.infinity(), *(Place.finite(q) for q in finite))
 
     def __contains__(self, place) -> bool:
         if isinstance(place, Place):
@@ -77,13 +74,10 @@ def sigma_set(curve: CurveSpec) -> SigmaSet:
     return _sigma_cache[key]
 
 
-@dataclass(frozen=True)
-class PrimeClass:
+class PrimeClass(namedtuple("PrimeClass", "l lengths i")):
     """A good prime with its Frobenius cycle type and class index i = b - 1."""
 
-    l: int
-    lengths: tuple
-    i: int
+    __slots__ = ()
 
 
 class PrimeCache:
@@ -191,12 +185,14 @@ def prime_scan(
 # heuristic Galois classification
 
 
-@dataclass(frozen=True)
 class GaloisVerdict:
     """Certified-or-honest label for Gal(f) with the evidence that produced it."""
 
-    label: str  # Sn_certified | An_certified | inside_An | unknown
-    evidence: dict = field(compare=False, default_factory=dict)
+    __slots__ = ("label", "evidence")
+
+    def __init__(self, label: str, evidence: dict):
+        self.label = label  # Sn_certified | An_certified | inside_An | unknown
+        self.evidence = evidence
 
 
 def disc_is_square(curve: CurveSpec) -> bool:

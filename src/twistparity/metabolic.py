@@ -14,8 +14,6 @@ no dedup pass is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInputError, ResourceLimitError
 
 __all__ = [
@@ -45,11 +43,16 @@ def _echelonize(vectors):
     return tuple(basis)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of F_2^dim in canonical reduced echelon form."""
 
-    basis: tuple
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple):
+        self.basis = basis
+
+    def __eq__(self, other):
+        return self.basis == other.basis if isinstance(other, Subspace) else NotImplemented
 
     @classmethod
     def from_vectors(cls, vectors) -> "Subspace":

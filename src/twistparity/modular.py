@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gfpoly
@@ -41,11 +40,22 @@ __all__ = [
 # places of Q
 
 
-@dataclass(frozen=True, order=True)
 class Place:
     """A place of Q: the archimedean place (q = 0) or a finite prime q."""
 
-    q: int
+    __slots__ = ("q",)
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __eq__(self, other):
+        return self.q == other.q if isinstance(other, Place) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):  # UnknownProfileError lists places in its message
+        return f"Place(q={self.q})"
 
     @classmethod
     def infinity(cls) -> "Place":

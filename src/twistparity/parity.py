@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
-from .characters import QuadTwist, local_classes, local_square_class, sigma_trivial_twist
+from .characters import QuadTwist, local_classes, local_square_class
 from .curves import CurveSpec
 from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
 from .frobenius import PrimeCache, classify_prime, sigma_set
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LocalProfile:
     """h_v values over the local character classes at one place.
 
@@ -49,19 +48,17 @@ class LocalProfile:
     marks an entry as unknown.  The trivial class must carry h = 0.
     """
 
-    place: Place
-    table: dict = field(compare=False)
+    __slots__ = ("place", "table")
 
-    def __post_init__(self):
-        labels = local_classes(self.place)
-        for k in self.table:
+    def __init__(self, place: Place, table: dict):
+        labels = local_classes(place)
+        for k in table:
             if k not in labels:
-                raise InvalidInputError(
-                    f"label {k} is not a canonical class at place {self.place}"
-                )
-        if self.table.get(1, 0) not in (0, None):
+                raise InvalidInputError(f"label {k} is not a canonical class at place {place}")
+        if table.get(1, 0) not in (0, None):
             raise InvalidInputError("h(trivial) must be 0")
-        object.__setattr__(self, "table", dict(self.table))
+        self.place = place
+        self.table = dict(table)
         self.table.setdefault(1, 0)
 
     def h(self, label: int):
@@ -77,8 +74,7 @@ def infinity_profile(curve: CurveSpec) -> LocalProfile:
     return LocalProfile(Place.infinity(), {1: 0, -1: k1 - 1})
 
 
-@dataclass(frozen=True)
-class ParityVerdict:
+class ParityVerdict(namedtuple("ParityVerdict", "flip status missing", defaults=((),))):
     """flip = product of omega_v over the bad set; +1 means parity preserved.
 
     status 'exact' when every consumed h-entry was known, 'relative_only'
@@ -86,9 +82,7 @@ class ParityVerdict:
     needed), 'unknown' with the missing places otherwise (flip is None).
     """
 
-    flip: int | None
-    status: str
-    missing: tuple = ()
+    __slots__ = ()
 
 
 def _omega_row(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> dict:
@@ -181,12 +175,8 @@ def delta_inf_closed_form(n: int) -> Fraction:
     return Fraction(1) if n % 4 == 1 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class DisparityReport:
-    per_place: dict
-    delta: Fraction
-    even_density: Fraction
-    r1_parity: int
+class DisparityReport(namedtuple("DisparityReport", "per_place delta even_density r1_parity")):
+    __slots__ = ()
 
     def as_json_dict(self):
         return {
@@ -216,17 +206,17 @@ def disparity(
 # density scans
 
 
-@dataclass(frozen=True)
-class DensityResult:
-    mode: str  # exhaustive | sigma_trivial_only | monte_carlo | monte_carlo_sigma_trivial
-    total: int
-    even_count: int
-    fraction_even: Fraction
-    flip_average: Fraction
-    r1_parity: int
-    seed: int | None = None
-    bound: int | None = None
-    warning: str | None = None
+class DensityResult(
+    namedtuple(
+        "DensityResult",
+        "mode total even_count fraction_even flip_average r1_parity seed bound warning",
+        defaults=(None, None, None),
+    )
+):
+    """A scan's counts; ``mode`` is exhaustive, sigma_trivial_only,
+    monte_carlo or monte_carlo_sigma_trivial."""
+
+    __slots__ = ()
 
     def as_json_dict(self):
         out = {
@@ -310,19 +300,25 @@ def density_scan(
     norm below ``max_norm``; Monte-Carlo mode draws ``sample`` uniform
     squarefree d in [-bound, bound] with the recorded seed.  When the
     profiles leave some omega undetermined the scan falls back to the
-    Sigma-trivial subgroup (every flip is +1 there) and says so.
+    Sigma-trivial subgroup (every flip is +1 there) and says so; a sampled
+    scan then counts ``sample`` twists, all even-flip, without drawing any.
     """
     if (max_norm is None) == (sample is None):
         raise InvalidInputError("choose exactly one of max_norm / sample")
     r1 = r1_parity % 2
     tables = omega_tables(curve, profiles)
     restricted = any(w is None for row in tables.values() for w in row.values())
-    sigma = sigma_set(curve)
     if max_norm is not None:
-        return _exact_scan(sigma, None if restricted else tables, max_norm, r1)
+        return _exact_scan(sigma_set(curve), None if restricted else tables, max_norm, r1)
 
     if bound is None or bound < 2:
         raise InvalidInputError("monte-carlo mode needs a bound >= 2")
+    if sample < 1:
+        raise InvalidInputError("monte-carlo mode needs a sample >= 1")
+    if restricted:  # every flip is +1 on the Sigma-trivial twists: no draw moves a count
+        warning = "incomplete profiles; restricted to Sigma-trivial twists"
+        return _counts("monte_carlo_sigma_trivial", sample, sample, r1,
+                       seed=seed, bound=bound, warning=warning)
     rng = random.Random(seed)
     kept = plus = draws = 0
     while kept < sample:
@@ -330,17 +326,8 @@ def density_scan(
         if draws > 100000 * sample + 1000:
             raise ResourceLimitError("rejection sampling is not terminating")
         n = rng.randint(-bound, bound)
-        if n == 0:
-            continue
-        if restricted:  # every flip is +1 on the Sigma-trivial twists
-            plus += sigma_trivial_twist(n, sigma) is not None
-            kept = plus
-        elif is_squarefree(n):
+        if n != 0 and is_squarefree(n):
             d = QuadTwist._unchecked(n)
             kept += 1
             plus += math.prod(tab[local_square_class(d, v)] for v, tab in tables.items()) == 1
-    return _counts(
-        "monte_carlo_sigma_trivial" if restricted else "monte_carlo", kept, plus, r1,
-        seed=seed, bound=bound,
-        warning="incomplete profiles; restricted to Sigma-trivial twists" if restricted else None,
-    )
+    return _counts("monte_carlo", kept, plus, r1, seed=seed, bound=bound)

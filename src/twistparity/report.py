@@ -10,7 +10,6 @@ marker by the code that puts them in.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 TOOL_VERSION = "0.1.0"
@@ -24,24 +23,28 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@dataclass
 class Report:
-    command: str
-    seed: int
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    tool_version: str = TOOL_VERSION
+    __slots__ = ("command", "seed", "inputs", "outputs")
+    tool_version = TOOL_VERSION
+
+    def __init__(
+        self, command: str, seed: int, inputs: dict | None = None, outputs: dict | None = None
+    ):
+        self.command = command
+        self.seed = seed
+        self.inputs = {} if inputs is None else inputs
+        self.outputs = {} if outputs is None else outputs
 
     def write(self, fh) -> None:
         """Write the canonical JSON report, one newline-terminated document, to fh.
 
         Sorted keys, two-space indent, ASCII only.  Package values are
         converted on the way: dict keys through ``str`` (a later key wins
-        when two convert alike), tuples as lists, an object with
-        ``as_json_dict`` as that dict, and any other value, a ``Fraction``
-        among them, as the string ``str`` gives.  Pieces of text are handed
-        to ``fh.write`` in batches of ``_BATCH``, so no copy of the whole
-        report is ever built.
+        when two convert alike), tuples, named ones too, as lists, any
+        other object with ``as_json_dict`` as that dict, and any other
+        value, a ``Fraction`` among them, as the string ``str`` gives.
+        Pieces of text are handed to ``fh.write`` in batches of
+        ``_BATCH``, so no copy of the whole report is ever built.
         """
         out = []
         put = out.append

@@ -11,7 +11,7 @@ is a candidate, never a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import QuadTwist, sigma_trivial_congruences
 from .curves import CurveSpec
@@ -24,15 +24,13 @@ __all__ = ["TwistRecipe", "find_shift_primes"]
 _DIRECTIONS = ("raise2", "lower2")
 
 
-@dataclass(frozen=True)
-class TwistRecipe:
-    """A candidate shift prime with every locally checkable condition listed."""
+class TwistRecipe(namedtuple("TwistRecipe", "l d direction cycle_type checked_conditions")):
+    """A candidate shift prime with every locally checkable condition listed.
 
-    l: int
-    d: QuadTwist
-    direction: str
-    cycle_type: tuple
-    checked_conditions: tuple  # of (name, True | "unverified")
+    ``d`` is a QuadTwist; ``checked_conditions`` holds (name, True | "unverified").
+    """
+
+    __slots__ = ()
 
 
 def find_shift_primes(

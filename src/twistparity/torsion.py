@@ -9,8 +9,6 @@ the formula against this oracle instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curves import CurveSpec
 from .errors import BadPrimeError, InvalidInputError, UnknownFactorizationError
 from .modular import factor_degrees, iter_primes
@@ -25,16 +23,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A bijection of {0..n-1} stored as the tuple of images."""
 
-    images: tuple
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+    def __init__(self, images: tuple):
+        if sorted(images) != list(range(len(images))):
             raise InvalidInputError("images do not define a bijection")
+        self.images = images
+
+    def __eq__(self, other):
+        return self.images == other.images if isinstance(other, Permutation) else NotImplemented
 
     @classmethod
     def random(cls, n: int, rng) -> "Permutation":

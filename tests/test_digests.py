@@ -47,6 +47,7 @@ DIGESTS = {
     "scan:s5_quintic": "a82fd657e9635ef5d98b4ca2d5b8ccfdd5e5c6feaa47c31c1dacab06ffbd6f4c",
     "scan:x3_minus_2": "716e939167bb7ac881c30c88cba125b90efd5a1e3618572d866a5d252c4bb097",
     "profiled:x3_minus_2": "7652d296b7b10f2fd2a4b62e39e8a6de778b381f28df2f14fb6ffbe24c148d0d",
+    "sampled:h_quintic": "c64ac303a60fad0c0a15e83413c9502ab95eef493ab981d01925eae392e39b40",
 }
 
 
@@ -56,6 +57,9 @@ def _runs(key, curve, profiles):
         return [[kind, "--curve", curve, "--d", str(d)] for d in DS]
     if kind == "scan":
         return [["scan", "--curve", curve, "--max-norm", "50"]]
+    if kind == "sampled":  # no profiles: restricted to the Sigma-trivial twists
+        sample = ["scan", "--curve", curve, "--sample", "40", "--bound", "1000000"]
+        return [["--seed", seed, *sample] for seed in ("0", "3")]
     return [
         ["parity", "--curve", curve, "--d", "5", "--profiles", profiles],
         ["scan", "--curve", curve, "--max-norm", "50", "--profiles", profiles],

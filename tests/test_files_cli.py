@@ -2,9 +2,11 @@
 
 import json
 import sys
+import types
 
 import pytest
 
+from twistparity import characters, parity
 from twistparity.cli import main
 from twistparity.errors import ParseError
 from twistparity.files import parse_curve_text, parse_profiles_text
@@ -277,6 +279,17 @@ def test_cli_coefficient_too_long_to_read_exits_3(tmp_path, capsys):
     assert len(err) < 200
 
 
+def test_cli_malformed_long_coefficient_echo_is_bounded(tmp_path, capsys):
+    """A 4,001-character token under the digit limit is shown by its ends and its length."""
+    path = tmp_path / "bad.curve"
+    path.write_text("p = 2\nf = [" + "1" * 4000 + "z, 0, 0, 1]\n")
+    rc, out, err = run_cli(capsys, "--cache", str(tmp_path / "c"), "analyze", "--curve", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: line 2: bad coefficient") and "(4001 characters)" in err
+    assert err.rstrip().endswith("1z' (4001 characters)")
+    assert len(err) < 200
+
+
 def test_cli_find_twist(curve_file, capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -352,6 +365,35 @@ def test_cli_scan_monte_carlo(curve_file, tmp_path, capsys):
     assert doc["outputs"]["scan"]["seed"] == 11
     rc, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2  # seeded sampling is reproducible
+
+
+def test_cli_restricted_scan_sample_makes_no_draws(curve_file, monkeypatch, capsys):
+    """Without profiles every kept twist flips +1: the counts are --sample, nothing is drawn."""
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a restricted sampled scan drew a twist")
+
+    for module in (characters, parity):  # wherever a module binds the sampler
+        monkeypatch.setattr(module, "sigma_trivial_twist", no_draw, raising=False)
+    monkeypatch.setattr(parity, "random", types.SimpleNamespace(Random=no_draw))
+    rc, out, _ = run_cli(
+        capsys, "--format", "json", "scan", "--curve", curve_file,
+        "--sample", "5000", "--bound", str(10**40),
+    )
+    assert rc == 0
+    scan = json.loads(out)["outputs"]["scan"]
+    assert scan["mode"] == "monte_carlo_sigma_trivial"
+    assert scan["total"] == scan["even_count"] == 5000
+    assert (scan["seed"], scan["bound"]) == (0, 10**40)
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_cli_scan_sample_below_one_is_a_usage_error(curve_file, capsys, sample):
+    rc, out, err = run_cli(
+        capsys, "scan", "--curve", curve_file, "--sample", sample, "--bound", "100"
+    )
+    assert rc == 1 and out == ""
+    assert "argument --sample: must be at least 1" in err
 
 
 def test_cli_classify_primes_identical_cold_warm_and_poisoned(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Source hygiene: every package module imports at its top level only, and
 uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
-package."""
+package; importing the command line loads no costly standard module."""
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -191,3 +194,22 @@ def test_dead_public_definition_is_reported():
         ("a.py", "_Private.hook"),
         ("a.py", "orphan"),
     ]
+
+
+def _modules_loaded(code: str) -> set:
+    """Modules in sys.modules after a fresh interpreter runs code with PYTHONPATH=src."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = code + "\nimport sys\nprint(*sys.modules)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh interpreter, so each import is paid per command;
+    # against a bare interpreter, so whatever site imports is not counted
+    added = _modules_loaded("import twistparity.cli") - _modules_loaded("")
+    assert "twistparity.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -370,6 +370,9 @@ def test_density_scan_argument_validation():
         density_scan(c, None)
     with pytest.raises(InvalidInputError):
         density_scan(c, None, max_norm=10, sample=5)
+    for profiles in (None, zero_profiles(c)):  # restricted and complete
+        with pytest.raises(InvalidInputError):
+            density_scan(c, profiles, sample=0, bound=100)
 
 
 def test_local_profile_validation():

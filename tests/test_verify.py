@@ -1,10 +1,10 @@
 """The built-in verification suite and its mismatch reporting."""
 
-import dataclasses
 import io
 import json
 
 from twistparity import cli, parity, verify
+from twistparity.frobenius import PrimeClass
 from twistparity.papercases import TRANSFORM_CONSTANT, curve_h, sextic_h0
 from twistparity.ratpoly import RatPoly, compose_rational
 from twistparity.report import Report
@@ -106,7 +106,7 @@ def test_sigma_trivial_check_fails_on_wrong_good_prime_h(monkeypatch):
 
     def one_too_high(*args, **kwargs):
         pc = right(*args, **kwargs)
-        return dataclasses.replace(pc, i=pc.i + 1)
+        return PrimeClass(pc.l, pc.lengths, pc.i + 1)
 
     monkeypatch.setattr(parity, "classify_prime", one_too_high)
     rep = run_paper_verification(seed=0)
