@@ -2,15 +2,11 @@
 
 A character chi_d corresponds to the extension Q(sqrt(d)); d = 1 is the
 trivial character and the group law is multiplication followed by
-squarefree reduction.  Each local square class gets a fixed canonical
-integer representative so tables of local data can be keyed bit-exactly,
-and every local fact of chi_d (its behavior, Sigma-triviality, the omega
-entry it selects) is read from the class of d.  The representatives,
-trivial class first:
-
-    odd q : 1, u_q, q, u_q*q   (u_q = least positive nonresidue mod q)
-    q = 2 : 1, 5, -1, -5, 2, 10, -2, -10
-    real  : 1, -1
+squarefree reduction.  Every local fact of chi_d (its behavior,
+Sigma-triviality, the omega entry it selects) is read from the index of
+the square class of d, ``modular.square_class_index``; tables of local
+data are keyed by the class's canonical representative, the entry of
+``modular.local_classes`` at that index.
 """
 
 from __future__ import annotations
@@ -24,6 +20,8 @@ from .modular import (
     factor_integer,
     is_squarefree,
     kronecker_symbol,
+    local_classes,
+    square_class_index,
     squarefree_part,
 )
 
@@ -31,13 +29,10 @@ __all__ = [
     "QuadTwist",
     "LocalBehavior",
     "local_behavior",
-    "twist_norm",
     "sigma_trivial",
     "sigma_trivial_congruences",
     "sigma_trivial_twist",
-    "local_classes",
     "local_square_class",
-    "smallest_nonresidue",
 ]
 
 
@@ -76,7 +71,7 @@ class QuadTwist:
         """Canonicalize any nonzero integer to its squarefree kernel."""
         if n == 0:
             raise InvalidInputError("twist integer must be nonzero")
-        return cls(squarefree_part(n))
+        return cls._unchecked(squarefree_part(n))
 
     @classmethod
     def _unchecked(cls, d: int) -> "QuadTwist":
@@ -110,7 +105,7 @@ class QuadTwist:
 
 def local_behavior(d: QuadTwist, place: Place) -> LocalBehavior:
     """How chi_d restricts to Q_v, read off the index of its square class."""
-    i = local_classes(place).index(local_square_class(d, place))
+    i = square_class_index(d.d, place)
     if i == 0:
         return LocalBehavior.TRIVIAL
     if i == 1:
@@ -118,15 +113,9 @@ def local_behavior(d: QuadTwist, place: Place) -> LocalBehavior:
     return LocalBehavior.RAMIFIED
 
 
-def twist_norm(d: QuadTwist) -> int:
-    """max of the finite ramified primes; 1 when chi_d is unramified everywhere."""
-    ram = d.ramified_primes()
-    return max(ram) if ram else 1
-
-
 def sigma_trivial(d: QuadTwist, sigma) -> bool:
     """True when chi_d is a local square at every place of the bad set."""
-    return all(local_square_class(d, v) == 1 for v in sigma.iter_places())
+    return all(square_class_index(d.d, v) == 0 for v in sigma.iter_places())
 
 
 def sigma_trivial_congruences(n: int, sigma) -> bool:
@@ -151,45 +140,6 @@ def sigma_trivial_twist(n: int, sigma) -> QuadTwist | None:
     return d
 
 
-def smallest_nonresidue(q: int) -> int:
-    """Least positive quadratic nonresidue mod an odd prime q."""
-    n = 2
-    while kronecker_symbol(n, q) != -1:
-        n += 1
-    return n
-
-
-def local_classes(place: Place):
-    """Canonical representatives of Q_v^x / (Q_v^x)^2, trivial class first."""
-    if place.is_infinity:
-        return (1, -1)
-    q = place.q
-    if q == 2:
-        return (1, 5, -1, -5, 2, 10, -2, -10)
-    u = smallest_nonresidue(q)
-    return (1, u, q, u * q)
-
-
 def local_square_class(d: QuadTwist, place: Place) -> int:
     """The canonical representative of d's square class in Q_v^x/(Q_v^x)^2."""
-    n = d.d
-    if place.is_infinity:
-        return 1 if n > 0 else -1
-    q = place.q
-    if q == 2:
-        odd = n
-        e = 0
-        if odd % 2 == 0:
-            odd //= 2
-            e = 1
-        r = odd % 8
-        unit = {1: 1, 5: 5, 3: -5, 7: -1}[r]
-        return unit * (2 if e else 1)
-    e = 0
-    unit = n
-    if unit % q == 0:
-        unit //= q
-        e = 1
-    res = kronecker_symbol(unit, q)
-    u = 1 if res == 1 else smallest_nonresidue(q)
-    return u * (q if e else 1)
+    return local_classes(place)[square_class_index(d.d, place)]

@@ -12,25 +12,13 @@ import argparse
 import sys
 import time
 
-from .characters import (
-    QuadTwist,
-    local_behavior,
-    local_square_class,
-    sigma_trivial,
-    twist_norm,
-)
+from .characters import QuadTwist, local_behavior, local_square_class, sigma_trivial
 from .curves import curve_hash
-from .errors import ParseError, ResourceLimitError, TwistParityError
+from .errors import ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
 from .modular import Place
-from .parity import (
-    delta_inf_closed_form,
-    density_scan,
-    disparity,
-    omega_tables,
-    parity_flip,
-)
+from .parity import delta_v, density_scan, disparity, omega_tables, parity_flip
 from .report import Report, sha256_text
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
@@ -164,7 +152,7 @@ def _cmd_analyze(args) -> int:
         "disc_sign": -1 if disc < 0 else 1,
         "real_root_signature": {"real_roots": r, "k1": k1, "k2": k2},
         "sigma": [str(v) for v in sigma.iter_places()],
-        "delta_infinity": delta_inf_closed_form(curve.degree),
+        "delta_infinity": delta_v(curve, Place.infinity(), None),
         "galois": {"label": verdict.label, "evidence": verdict.evidence},
         "two_torsion_dim": torsion_info,
     }
@@ -212,8 +200,9 @@ def _cmd_classify_primes(args) -> int:
 
 def _cmd_character(args) -> int:
     d = QuadTwist.of(args.d)
+    ramified = d.ramified_primes()
     places = [Place.infinity(), Place.finite(2)]
-    places += [Place.finite(q) for q in d.ramified_primes() if q != 2]
+    places += [Place.finite(q) for q in ramified if q != 2]
     inputs = {"d": args.d, "squarefree_kernel": d.d}
     extra = {}
     if args.curve:
@@ -232,7 +221,7 @@ def _cmd_character(args) -> int:
         }
         for v in places
     }
-    out = {"norm": twist_norm(d), "local": behavior, **extra}
+    out = {"norm": max(ramified, default=1), "local": behavior, **extra}
     rep = Report("character", args.seed, inputs, out)
 
     def lines():
@@ -383,9 +372,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.cmd](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

@@ -27,10 +27,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .characters import local_classes
 from .curves import CurveSpec
 from .errors import ParseError, ResourceLimitError
-from .modular import Place, is_prime
+from .modular import Place, is_prime, local_classes
 from .parity import LocalProfile
 from .ratpoly import RatPoly
 

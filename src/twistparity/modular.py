@@ -1,5 +1,5 @@
-"""Primes, integer factorization, the classical quadratic symbols and
-factor degrees over GF(l).
+"""Primes, integer factorization, the classical quadratic symbols, the
+square classes of Q_v and factor degrees over GF(l).
 
 Only the degrees of the irreducible factors of f mod l are ever needed,
 and distinct-degree factorization yields them without splitting any
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from fractions import Fraction
 
 from . import gfpoly
 from .errors import BadPrimeError, InvalidInputError
@@ -32,6 +30,9 @@ __all__ = [
     "squarefree_part",
     "is_squarefree",
     "kronecker_symbol",
+    "local_classes",
+    "smallest_nonresidue",
+    "square_class_index",
     "hilbert_symbol",
     "factor_degrees",
 ]
@@ -214,18 +215,18 @@ def iter_primes(start: int, stop: int):
 _RHO_BATCH = 128  # differences multiplied together per gcd in _pollard_rho
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
+def _pollard_rho(n: int) -> int:
     """A nontrivial factor of the odd composite n, not a perfect square.
 
-    Brent's cycle finding (BIT 20, 1980) on y -> y^2 + c: x is y at the
-    last power of two, and the differences x - y are multiplied mod n in
-    batches of ``_RHO_BATCH``, one gcd per batch.  When a batch's gcd is
-    n, the batch is replayed from its start one gcd at a time; when that
-    too reaches n, another c is drawn.
+    Brent's cycle finding (BIT 20, 1980) on y -> y^2 + c from y = 2, for
+    c = 1, 2, ... in turn: x is y at the last power of two, and the
+    differences x - y are multiplied mod n in batches of ``_RHO_BATCH``,
+    one gcd per batch.  When a batch's gcd is n, the batch is replayed
+    from its start one gcd at a time; when that too reaches n, the next c
+    is tried.
     """
-    while True:
-        c = rng.randrange(1, n)
-        y = rng.randrange(n)
+    for c in itertools.count(1):
+        y = 2
         g = r = q = 1
         while g == 1:
             x = y
@@ -269,7 +270,6 @@ def factor_integer(n: int) -> dict:
         d += inc[i]
         i = (i + 1) % 8
     if n > 1:
-        rng = None  # seeded from the cofactor on the first split, if one is needed
         stack = [n]
         while stack:
             m = stack.pop()
@@ -281,9 +281,7 @@ def factor_integer(n: int) -> dict:
             if (r := math.isqrt(m)) ** 2 == m:
                 stack += [r, r]
                 continue
-            if rng is None:
-                rng = random.Random(0xC0FFEE ^ n)
-            g = _pollard_rho(m, rng)
+            g = _pollard_rho(m)
             stack += [g, m // g]
     return out
 
@@ -337,51 +335,85 @@ def kronecker_symbol(a: int, m: int) -> int:
     return res if m == 1 else 0
 
 
-def _val_unit(x, q: int):
-    """(v_q(x), unit part) for nonzero rational x at a finite prime q."""
-    x = Fraction(x)
-    v = 0
+# ---------------------------------------------------------------------------
+# square classes of Q_v and the Hilbert pairing
+
+
+def smallest_nonresidue(q: int) -> int:
+    """Least positive quadratic nonresidue mod an odd prime q."""
+    n = 2
+    while kronecker_symbol(n, q) != -1:
+        n += 1
+    return n
+
+
+def local_classes(place: Place):
+    """Canonical representatives of Q_v^x / (Q_v^x)^2, in index order.
+
+    The class of index i is ``local_classes(place)[i]``, where i is what
+    ``square_class_index`` returns; the trivial class is index 0.
+    """
+    if place.is_infinity:
+        return (1, -1)
+    q = place.q
+    if q == 2:
+        return (1, 5, -1, -5, 2, 10, -2, -10)
+    u = smallest_nonresidue(q)
+    return (1, u, q, u * q)
+
+
+def square_class_index(x, place: Place) -> int:
+    """The index of the square class of a nonzero int or Fraction x at a place.
+
+    The bits of the index are the F_2 coordinates of the class in
+    Q_v^x / (Q_v^x)^2, with x = q^v * unit:
+
+        real  : bit 0 the sign;
+        odd q : bit 1 v mod 2, bit 0 whether the unit is a nonresidue mod q;
+        q = 2 : bit 2 v mod 2, bit 1 eps(unit), bit 0 omega(unit),
+
+    where eps(u) = (u - 1)/2 mod 2 and omega(u) = (u^2 - 1)/8 mod 2 (Serre,
+    *A Course in Arithmetic*, ch. II).  Numerator and denominator are read
+    separately: num * den has the square class of num / den.
+    """
     num, den = x.numerator, x.denominator
+    if num == 0:
+        raise InvalidInputError("zero has no square class")
+    if place.is_infinity:
+        return int(num < 0)
+    q = place.q
+    v = 0
     while num % q == 0:
         num //= q
         v += 1
     while den % q == 0:
         den //= q
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _unit_residue(u: Fraction, m: int) -> int:
-    """u mod m for a rational u whose denominator is invertible mod m."""
-    return u.numerator * pow(u.denominator, -1, m) % m
+        v += 1  # only v mod 2 is kept, and -1 = 1 mod 2
+    unit = num * den
+    if q == 2:
+        return (v & 1) << 2 | (unit % 4 == 3) << 1 | (unit % 8 in (3, 5))
+    return (v & 1) << 1 | (kronecker_symbol(unit, q) == -1)
 
 
 def hilbert_symbol(a, b, place: Place) -> int:
-    """The Hilbert symbol (a, b)_v over Q, via the standard closed forms."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise InvalidInputError("hilbert symbol requires nonzero arguments")
+    """The Hilbert symbol (a, b)_v over Q: the pairing of two square classes.
+
+    With i, j the indices of a, b (see ``square_class_index``), (a, b)_v is
+    (-1)^e for (Serre, ch. III, Theorem 1)
+
+        real  : e = s(a) s(b), s the sign bit;
+        odd q : e = v(a) v(b) eps(q) + v(a) n(b) + v(b) n(a), n the nonresidue bit;
+        q = 2 : e = eps(a) eps(b) + v(a) omega(b) + v(b) omega(a).
+    """
+    i = square_class_index(a, place)
+    j = square_class_index(b, place)
     if place.is_infinity:
-        return -1 if (a < 0 and b < 0) else 1
-    q = place.q
-    alpha, u = _val_unit(a, q)
-    beta, w = _val_unit(b, q)
-    if q == 2:
-        eps_u = (_unit_residue(u, 4) - 1) // 2
-        eps_w = (_unit_residue(w, 4) - 1) // 2
-        omega_u = 1 if _unit_residue(u, 8) in (3, 5) else 0
-        omega_w = 1 if _unit_residue(w, 8) in (3, 5) else 0
-        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
-        return -1 if e % 2 else 1
-    sign = 1
-    if alpha % 2 and beta % 2 and q % 4 == 3:
-        sign = -sign
-    if beta % 2:
-        sign *= kronecker_symbol(_unit_residue(u, q), q)
-    if alpha % 2:
-        sign *= kronecker_symbol(_unit_residue(w, q), q)
-    return sign
+        e = i & j
+    elif place.q == 2:
+        e = ((i >> 1) & (j >> 1)) ^ ((i >> 2) & j) ^ ((j >> 2) & i)
+    else:
+        e = ((i >> 1) & (j >> 1) & (place.q >> 1)) ^ ((i >> 1) & j) ^ ((j >> 1) & i)
+    return -1 if e & 1 else 1
 
 
 # ---------------------------------------------------------------------------

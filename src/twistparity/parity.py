@@ -18,12 +18,20 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import QuadTwist, local_classes, local_square_class
+from .characters import QuadTwist, local_square_class
 from .curves import CurveSpec
 from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
 from .frobenius import PrimeCache, classify_prime, sigma_set
 from .metabolic import Subspace
-from .modular import Place, factor_integer, hilbert_symbol, is_squarefree, iter_primes
+from .modular import (
+    Place,
+    factor_integer,
+    hilbert_symbol,
+    is_squarefree,
+    iter_primes,
+    local_classes,
+    square_class_index,
+)
 
 __all__ = [
     "LocalProfile",
@@ -33,7 +41,6 @@ __all__ = [
     "parity_flip",
     "global_consistency_check",
     "delta_v",
-    "delta_inf_closed_form",
     "DisparityReport",
     "disparity",
     "DensityResult",
@@ -168,13 +175,6 @@ def delta_v(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> Fra
     return Fraction(sum(row.values()), len(row))
 
 
-def delta_inf_closed_form(n: int) -> Fraction:
-    """delta at the real place depends only on n mod 4: 1 or 0."""
-    if n % 2 == 0:
-        raise InvalidInputError("odd degree required")
-    return Fraction(1) if n % 4 == 1 else Fraction(0)
-
-
 class DisparityReport(namedtuple("DisparityReport", "per_place delta even_density r1_parity")):
     __slots__ = ()
 
@@ -260,27 +260,26 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
 
     They are the products of -1, 2 and the odd primes below max_norm (only
     1 at max_norm = 2).  A flip depends only on the image in
-    prod_{v in Sigma} Q_v^x/(Q_v^x)^2 = F_2^dim (coordinates: the index in
-    ``local_classes(v)``), and each point of the image W has 2^k/|W|
-    preimages; the Sigma-trivial twists lie over 0.
+    prod_{v in Sigma} Q_v^x/(Q_v^x)^2 = F_2^dim (coordinates: the bits of
+    ``square_class_index``, place after place), and each point of the image
+    W has 2^k/|W| preimages; the Sigma-trivial twists lie over 0.
     """
     if max_norm < 2:
         raise InvalidInputError("bound must be >= 2")
     gens = [-1, 2, *iter_primes(3, max_norm)] if max_norm > 2 else []
-    coords, dim = [], 0
+    layout, dim = [], 0  # (place, offset of its coordinates, mask of its index)
     for v in sigma.iter_places():
-        labels = local_classes(v)
-        coords.append((v, dim, {label: i for i, label in enumerate(labels)}))
-        dim += len(labels).bit_length() - 1
+        size = len(local_classes(v))
+        layout.append((v, dim, size - 1))
+        dim += size.bit_length() - 1
     image = Subspace.from_vectors(
-        sum(ix[local_square_class(QuadTwist._unchecked(g), v)] << off for v, off, ix in coords)
-        for g in gens
+        sum(square_class_index(g, v) << off for v, off, _ in layout) for g in gens
     )
     kernel = 1 << (len(gens) - image.dim)
     if tables is None:
         warning = "incomplete profiles; restricted to the Sigma-trivial subgroup"
         return _counts("sigma_trivial_only", kernel, kernel, r1, warning=warning)
-    factors = [(off, len(ix) - 1, list(tables[v].values())) for v, off, ix in coords]
+    factors = [(off, mask, list(tables[v].values())) for v, off, mask in layout]
     plus_in_image = ((1 << image.dim) + _image_sum(image, factors)) // 2
     return _counts("exhaustive", 1 << len(gens), kernel * plus_in_image, r1)
 
@@ -319,6 +318,7 @@ def density_scan(
         warning = "incomplete profiles; restricted to Sigma-trivial twists"
         return _counts("monte_carlo_sigma_trivial", sample, sample, r1,
                        seed=seed, bound=bound, warning=warning)
+    rows = [(v, list(row.values())) for v, row in tables.items()]
     rng = random.Random(seed)
     kept = plus = draws = 0
     while kept < sample:
@@ -327,7 +327,6 @@ def density_scan(
             raise ResourceLimitError("rejection sampling is not terminating")
         n = rng.randint(-bound, bound)
         if n != 0 and is_squarefree(n):
-            d = QuadTwist._unchecked(n)
             kept += 1
-            plus += math.prod(tab[local_square_class(d, v)] for v, tab in tables.items()) == 1
+            plus += math.prod(row[square_class_index(n, v)] for v, row in rows) == 1
     return _counts("monte_carlo", kept, plus, r1, seed=seed, bound=bound)

@@ -10,7 +10,9 @@ marker by the code that puts them in.
 from __future__ import annotations
 
 import hashlib
-from json.encoder import encode_basestring_ascii
+
+# the C encoder behind json.encoder's, without importing json.decoder and json.scanner
+from _json import encode_basestring_ascii
 
 TOOL_VERSION = "0.1.0"
 

@@ -7,18 +7,21 @@ that a faster library path must agree with.
 import json
 from fractions import Fraction
 
-from twistparity.characters import (
-    QuadTwist,
-    sigma_trivial,
-    sigma_trivial_congruences,
-    twist_norm,
-)
+from twistparity.characters import QuadTwist, sigma_trivial, sigma_trivial_congruences
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import QuadraticSpace, Subspace
 from twistparity.modular import sieve_primes
 from twistparity.ratpoly import RatPoly
 from twistparity.torsion import Permutation, orbit_lengths_coprime
+
+
+def twist_norm(d: QuadTwist) -> int:
+    """max of the finite ramified primes; 1 when chi_d is unramified everywhere.
+
+    Defines the norm cut of ``enumerate_characters`` and of ``scan --max-norm``.
+    """
+    return max(d.ramified_primes(), default=1)
 
 
 def enumerate_characters(bound: int, cap: int = 1 << 20):
@@ -42,6 +45,38 @@ def enumerate_characters(bound: int, cap: int = 1 << 20):
         values += [v * g for v in values]
     out = [QuadTwist(v) for v in values]
     return sorted((t for t in out if twist_norm(t) < bound), key=lambda t: (abs(t.d), -t.d))
+
+
+def hilbert_by_conic(a: int, b: int, q: int) -> int:
+    """The Hilbert symbol (a, b)_q of squarefree integers a, b, from its definition.
+
+    +1 when a x^2 + b y^2 = z^2 has a nonzero solution over Q_q, else -1.
+    At the real place (q = 0) that is when the form is not definite.  At a
+    prime q it is decided by a solution mod q^2 (mod 16 at q = 2; mod 8 is
+    not enough) with x, y, z not all divisible by q, found by search.
+    Oracle for ``modular.hilbert_symbol``.
+    """
+    if q == 0:
+        return -1 if a < 0 and b < 0 else 1
+    m = 16 if q == 2 else q * q
+    squares = {z * z % m for z in range(m)}
+    unit_squares = {z * z % m for z in range(m) if z % q}
+    for x in range(m):
+        for y in range(m):
+            target = unit_squares if x % q == 0 and y % q == 0 else squares
+            if (a * x * x + b * y * y) % m in target:
+                return 1
+    return -1
+
+
+def delta_inf_closed_form(n: int) -> Fraction:
+    """delta at the real place depends only on the odd degree n mod 4: 1 or 0.
+
+    Oracle for ``parity.delta_v`` at the real place.
+    """
+    if n % 2 == 0:
+        raise InvalidInputError("odd degree required")
+    return Fraction(1) if n % 4 == 1 else Fraction(0)
 
 
 def from_cycles(n: int, cycles) -> Permutation:

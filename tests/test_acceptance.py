@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from twistparity.characters import QuadTwist, local_classes, sigma_trivial
+from twistparity.characters import QuadTwist, sigma_trivial
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import (
     QuadraticSpace,
@@ -23,11 +23,11 @@ from twistparity.modular import (
     factor_integer,
     hilbert_symbol,
     kronecker_symbol,
+    local_classes,
 )
 from twistparity.papercases import curve_g, curve_h
 from twistparity.parity import (
     LocalProfile,
-    delta_inf_closed_form,
     delta_v,
     density_scan,
     disparity,
@@ -40,6 +40,7 @@ from twistparity.verify import run_paper_verification, transformation_identity
 from twistparity.modular import sieve_primes
 
 from conftest import random_separable_poly, squarefree_flags
+from oracles import delta_inf_closed_form
 
 INF = Place.infinity()
 

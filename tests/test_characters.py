@@ -8,18 +8,21 @@ from twistparity.characters import (
     LocalBehavior,
     QuadTwist,
     local_behavior,
-    local_classes,
     local_square_class,
     sigma_trivial,
-    smallest_nonresidue,
-    twist_norm,
 )
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import sigma_set
-from twistparity.modular import Place, hilbert_symbol, is_squarefree
+from twistparity.modular import (
+    Place,
+    hilbert_symbol,
+    is_squarefree,
+    local_classes,
+    smallest_nonresidue,
+)
 from twistparity.papercases import curve_x3_minus_2
 
-from oracles import enumerate_characters
+from oracles import enumerate_characters, twist_norm
 
 INF = Place.infinity()
 P2 = Place.finite(2)

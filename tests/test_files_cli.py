@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from twistparity import characters, parity
+from twistparity import characters, modular, parity
 from twistparity.cli import main
 from twistparity.errors import ParseError
 from twistparity.files import parse_curve_text, parse_profiles_text
@@ -385,6 +385,31 @@ def test_cli_restricted_scan_sample_makes_no_draws(curve_file, monkeypatch, caps
     assert scan["mode"] == "monte_carlo_sigma_trivial"
     assert scan["total"] == scan["even_count"] == 5000
     assert (scan["seed"], scan["bound"]) == (0, 10**40)
+
+
+@pytest.mark.parametrize("command, most", [("parity", 1), ("character", 2)])
+def test_cli_factors_the_twist_few_times(curve_file, monkeypatch, capsys, command, most):
+    """parity factors --d once (for its kernel); character at most twice
+    (the kernel, then the kernel's primes for the places and the norm)."""
+    n = 9 * 1000003 * 1000033  # the kernel's primes are past trial division
+    original = modular.factor_integer
+    calls = []
+
+    def counting(m):
+        if abs(m) in (n, n // 9):
+            calls.append(m)
+        return original(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("twistparity") and getattr(mod, "factor_integer", None) is original:
+            monkeypatch.setattr(mod, "factor_integer", counting)
+    rc, out, _ = run_cli(capsys, "--format", "json", command, "--curve", curve_file, "--d", str(n))
+    assert rc == 0
+    doc = json.loads(out)
+    if command == "character":
+        assert doc["inputs"]["squarefree_kernel"] == n // 9
+        assert doc["outputs"]["norm"] == 1000033
+    assert 1 <= len(calls) <= most, calls
 
 
 @pytest.mark.parametrize("sample", ["0", "-3"])

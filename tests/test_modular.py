@@ -18,13 +18,16 @@ from twistparity.modular import (
     is_squarefree,
     iter_primes,
     kronecker_symbol,
+    local_classes,
     sieve_primes,
+    square_class_index,
     squarefree_part,
 )
 from twistparity.papercases import curve_s5_quintic, curve_x3_minus_2
 from twistparity.ratpoly import RatPoly, is_separable
 
 from conftest import random_separable_poly
+from oracles import hilbert_by_conic
 
 X3M2 = RatPoly((-2, 0, 0, 1))
 
@@ -256,6 +259,39 @@ def test_hilbert_examples():
         hilbert_symbol(0, 1, inf)
 
 
+def test_hilbert_symbol_matches_the_conic_definition():
+    """Seeded squarefree pairs at 2, 3, 5, 7 and the real place, some as
+    fractions r/s, which must pair like the squarefree kernel of r*s."""
+    rng = random.Random(41)
+    for q in (0, 2, 3, 5, 7):
+        v = Place.infinity() if q == 0 else Place.finite(q)
+        for _ in range(150):
+            r, b = (rng.choice((1, -1)) * rng.randint(1, 60) for _ in range(2))
+            s = rng.randint(1, 60)
+            a = Fraction(r, s)
+            want = hilbert_by_conic(squarefree_part(r * s), squarefree_part(b), q)
+            assert hilbert_symbol(a, b, v) == want, (a, b, q)
+            assert hilbert_symbol(squarefree_part(b), a, v) == want, (a, b, q)
+
+
+def test_square_class_index_labels_and_coordinates():
+    """Each label sits at its own index, and the index of a product is the
+    xor of the indices: the bits are F_2 coordinates of the class."""
+    places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(7)]
+    for v in places:
+        labels = local_classes(v)
+        assert [square_class_index(x, v) for x in labels] == list(range(len(labels)))
+    rng = random.Random(12)
+    for _ in range(300):
+        a = Fraction(rng.randint(-500, 500) or 1, rng.randint(1, 500))
+        b = rng.randint(-500, 500) or -1
+        for v in places:
+            assert square_class_index(a * b, v) == square_class_index(a, v) ^ square_class_index(b, v)
+            assert square_class_index(a * 36, v) == square_class_index(a, v)
+    with pytest.raises(InvalidInputError):
+        square_class_index(Fraction(0), Place.finite(3))
+
+
 def test_hilbert_square_class_invariance_and_bilinearity():
     rng = random.Random(17)
     places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(7)]
@@ -285,6 +321,16 @@ def test_hilbert_product_formula_500_pairs():
         for v in places:
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1, (a, b)
+
+
+def test_factor_integer_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_integer built a random number generator")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    # both primes exceed the trial-division bound 2^16, so Pollard rho splits them
+    assert factor_integer(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factor_integer(-(2**31 - 1) * (2**61 - 1) * 3) == {3: 1, 2**31 - 1: 1, 2**61 - 1: 1}
 
 
 def test_is_prime():

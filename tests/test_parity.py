@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistparity.characters import QuadTwist, local_classes, local_square_class, sigma_trivial
+from twistparity.characters import QuadTwist, local_square_class, sigma_trivial
 from twistparity.curves import CurveSpec
 from twistparity.errors import (
     BadPrimeError,
@@ -14,7 +14,7 @@ from twistparity.errors import (
     UnknownProfileError,
 )
 from twistparity.frobenius import classify_prime, sigma_set
-from twistparity.modular import Place, hilbert_symbol, is_squarefree
+from twistparity.modular import Place, hilbert_symbol, is_squarefree, local_classes
 from twistparity.papercases import (
     GOLDEN_CURVES,
     curve_1440d1,
@@ -25,7 +25,6 @@ from twistparity.papercases import (
 )
 from twistparity.parity import (
     LocalProfile,
-    delta_inf_closed_form,
     delta_v,
     density_scan,
     disparity,
@@ -39,7 +38,7 @@ from twistparity.ratpoly import RatPoly, real_root_signature
 from twistparity import parity as parity_module
 
 from conftest import random_separable_poly
-from oracles import enumerate_characters
+from oracles import delta_inf_closed_form, enumerate_characters
 
 INF = Place.infinity()
 
