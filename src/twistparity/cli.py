@@ -177,22 +177,22 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify_primes(args) -> int:
     curve, inputs = _curve_input(args.curve)
-    rows = []
     with _cache_for(args, args.curve) as cache:
-        for pc in prime_scan(curve, 2, args.limit + 1, cache=cache):
-            if args.class_index is not None and pc.i != args.class_index:
-                continue
-            rows.append({"l": pc.l, "cycle_type": list(pc.lengths), "class_index": pc.i})
+        primes = [
+            pc
+            for pc in prime_scan(curve, 2, args.limit + 1, cache=cache)
+            if args.class_index is None or pc.i == args.class_index
+        ]
     rep = Report(
         "classify-primes",
         args.seed,
         inputs,
-        {"limit": args.limit, "class_filter": args.class_index, "primes": rows},
+        {"limit": args.limit, "class_filter": args.class_index, "primes": primes},
     )
     _emit(
         rep,
         args,
-        lambda: [f"{r['l']}: type {r['cycle_type']} in P_{r['class_index']}" for r in rows]
+        lambda: [f"{pc.l}: type {list(pc.lengths)} in P_{pc.i}" for pc in primes]
         or ["(no matching primes)"],
     )
     return 0
@@ -282,12 +282,7 @@ def _cmd_scan(args) -> int:
         rep_d = disparity(curve, profiles, args.r1_parity)
     except TwistParityError:
         rep_d = None
-    # both records are tuples, which the report writer would write as lists
-    out = {
-        "scan": result.as_json_dict(),
-        "disparity": None if rep_d is None else rep_d.as_json_dict(),
-    }
-    rep = Report("scan", args.seed, inputs, out)
+    rep = Report("scan", args.seed, inputs, {"scan": result, "disparity": rep_d})
 
     def lines():
         yield f"mode = {result.mode}  characters = {result.total}"
@@ -306,26 +301,16 @@ def _cmd_find_twist(args) -> int:
     direction = "raise2" if args.direction == "up" else "lower2"
     with _cache_for(args, args.curve) as cache:
         recipes = list(find_shift_primes(curve, direction, args.limit, cache=cache))
-    rows = [
-        {
-            "l": r.l,
-            "d": r.d.d,
-            "direction": r.direction,
-            "cycle_type": list(r.cycle_type),
-            "checked_conditions": r.checked_conditions,
-        }
-        for r in recipes
-    ]
     rep = Report(
         "find-twist",
         args.seed,
         inputs,
-        {"direction": direction, "limit": args.limit, "recipes": rows},
+        {"direction": direction, "limit": args.limit, "recipes": recipes},
     )
     _emit(
         rep,
         args,
-        lambda: [f"l = {r['l']}  d = {r['d']}  type {r['cycle_type']}" for r in rows]
+        lambda: [f"l = {r.l}  d = {r.d.d}  type {list(r.cycle_type)}" for r in recipes]
         or ["(empty stream: no prime satisfies every checkable condition)"],
     )
     return 0

@@ -8,11 +8,11 @@ directly rather than through a curve.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
 from .errors import InvalidInputError
 from .ratpoly import RatPoly, discriminant, real_root_signature
+from .report import sha256_text
 
 __all__ = ["CurveSpec", "curve_hash"]
 
@@ -35,7 +35,7 @@ class CurveSpec:
         self.declared_factors = tuple(declared_factors)
         self._discriminant = disc
         self._signature = real_root_signature(f)
-        self._key = hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        self._key = sha256_text(self.canonical_text())[:16]
         if self.declared_factors:
             prod = RatPoly.one()
             for g in self.declared_factors:

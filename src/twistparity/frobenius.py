@@ -19,6 +19,7 @@ damaging a cache never changes a reported value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import namedtuple
@@ -79,45 +80,87 @@ class PrimeClass(namedtuple("PrimeClass", "l lengths i")):
 
     __slots__ = ()
 
+    def as_json_dict(self) -> dict:
+        return {"l": self.l, "cycle_type": self.lengths, "class_index": self.i}
+
 
 class PrimeCache:
     """Append-only cycle-type cache: lines of ``<curve_hash> <l> <l1,l2,...>``.
 
     Loading stops at the first corrupt record and truncates the file back
     to the valid prefix, so a torn write never poisons later runs.  A later
-    record for the same key overrides an earlier one.  The first ``put``
-    opens one append handle, flushed after every record, so a killed scan
-    keeps each record written so far; leaving a ``with`` block closes it.
-    A cache is not thread-safe: callers that share one across threads
-    must lock around it.
+    record for the same key overrides an earlier one.  Records are held by
+    curve hash, then by l, so each curve hash is one string, and each
+    cycle type read or written is one tuple however many primes share it.
+    The first ``put`` opens one append handle, flushed after every record,
+    so a killed scan keeps each record written so far; leaving a ``with``
+    block closes it.  A cache is not thread-safe: callers that share one
+    across threads must lock around it.
     """
 
     def __init__(self, path):
         self.path = path
-        self._mem: dict = {}
+        self._mem: dict = {}  # curve hash -> {l: cycle type}
+        self._types: dict = {}  # text of a cycle type -> its one tuple
         self._fh = None
         if os.path.exists(path):
             self._load()
 
     def _load(self):
-        good = []
+        """Read the records in one pass, a line at a time.
+
+        Lines are those ``str.splitlines`` gives on the text read with
+        universal newlines.  The valid prefix ends before the first line
+        that is not a record.  Only a file that is not exactly that prefix,
+        each record ended by one newline, is written again.
+        """
+        mem, types = self._mem, self._types
+        kept = 0  # records in the valid prefix
+        exact = True  # the text read so far is its records, each ended by "\n"
         with open(self.path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-        for line in raw.splitlines():
-            try:
-                h, ls, lens = line.split()
-                l = int(ls)
-                lengths = tuple(int(x) for x in lens.split(","))
-                if not lengths or any(x < 1 for x in lengths):
-                    raise ValueError
-            except ValueError:
+            for text in fh:
+                lines = text.splitlines()
+                if len(lines) != 1 or text[-1] != "\n":
+                    exact = False
+                for line in lines:
+                    try:
+                        key, ls, lens = line.split()
+                        l = int(ls)
+                        lengths = types.get(lens)
+                        if lengths is None:
+                            lengths = tuple(int(x) for x in lens.split(","))
+                            if not lengths or any(x < 1 for x in lengths):
+                                raise ValueError
+                            types[lens] = lengths
+                    except ValueError:
+                        break
+                    by_l = mem.get(key)
+                    if by_l is None:
+                        by_l = mem[key] = {}
+                    by_l[l] = lengths
+                    kept += 1
+                else:  # every line of this text is a record
+                    continue
+                exact = False
                 break
-            self._mem[(h, l)] = lengths
-            good.append(line)
-        cleaned = "".join(s + "\n" for s in good)
-        if cleaned != raw:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(cleaned)
+        if not exact:
+            self._rewrite(kept)
+
+    def _rewrite(self, kept):
+        """Write the file again as its first ``kept`` lines, each ended by a newline.
+
+        The lines are read and written in place, in one stream.  A line
+        and its newline take no more bytes than the line and its old ending
+        did (a last line without an ending comes after everything read), so
+        the writer never overwrites bytes the reader has yet to read.
+        """
+        with open(self.path, "r", encoding="utf-8") as src, open(
+            self.path, "r+", encoding="utf-8"
+        ) as dst:
+            lines = (line for text in src for line in text.splitlines())
+            for line in itertools.islice(lines, kept):
+                dst.write(line + "\n")
+            dst.truncate()
 
     def __enter__(self):
         return self
@@ -128,16 +171,19 @@ class PrimeCache:
             self._fh = None
 
     def get(self, key, l):
-        return self._mem.get((key, l))
+        by_l = self._mem.get(key)
+        return None if by_l is None else by_l.get(l)
 
     def put(self, key, l, lengths):
         lengths = tuple(lengths)
-        if self._mem.get((key, l)) == lengths:
+        by_l = self._mem.setdefault(key, {})
+        if by_l.get(l) == lengths:
             return
-        self._mem[(key, l)] = lengths
+        text = ",".join(str(x) for x in lengths)
+        by_l[l] = self._types.setdefault(text, lengths)
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(f"{key} {l} {','.join(str(x) for x in lengths)}\n")
+        self._fh.write(f"{key} {l} {text}\n")
         self._fh.flush()
 
 

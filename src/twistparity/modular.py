@@ -347,6 +347,9 @@ def smallest_nonresidue(q: int) -> int:
     return n
 
 
+_odd_classes: dict = {}  # q -> local_classes at q, so each q's nonresidue is found once
+
+
 def local_classes(place: Place):
     """Canonical representatives of Q_v^x / (Q_v^x)^2, in index order.
 
@@ -358,8 +361,11 @@ def local_classes(place: Place):
     q = place.q
     if q == 2:
         return (1, 5, -1, -5, 2, 10, -2, -10)
-    u = smallest_nonresidue(q)
-    return (1, u, q, u * q)
+    classes = _odd_classes.get(q)
+    if classes is None:
+        u = smallest_nonresidue(q)
+        classes = _odd_classes[q] = (1, u, q, u * q)
+    return classes
 
 
 def square_class_index(x, place: Place) -> int:

@@ -9,10 +9,18 @@ marker by the code that puts them in.
 
 from __future__ import annotations
 
-import hashlib
-
 # the C encoder behind json.encoder's, without importing json.decoder and json.scanner
 from _json import encode_basestring_ascii
+
+# hashlib maps OpenSSL's libcrypto into every command; the interpreter's own
+# SHA-256 module costs nothing to load
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 TOOL_VERSION = "0.1.0"
 
@@ -22,7 +30,7 @@ _BATCH = 8192  # pieces of text joined into one write
 
 
 def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(text.encode()).hexdigest()
 
 
 class Report:
@@ -42,25 +50,30 @@ class Report:
 
         Sorted keys, two-space indent, ASCII only.  Package values are
         converted on the way: dict keys through ``str`` (a later key wins
-        when two convert alike), tuples, named ones too, as lists, any
-        other object with ``as_json_dict`` as that dict, and any other
-        value, a ``Fraction`` among them, as the string ``str`` gives.
-        Pieces of text are handed to ``fh.write`` in batches of
-        ``_BATCH``, so no copy of the whole report is ever built.
+        when two convert alike); an object with ``as_json_dict`` as that
+        dict, a named tuple too, before any tuple or list is written as a
+        list; and any other value, a ``Fraction`` among them, as the
+        string ``str`` gives.  Pieces of text are handed to ``fh.write``
+        in batches of ``_BATCH``, so no copy of the whole report is ever
+        built.
         """
         out = []
         put = out.append
 
         def emit(x, pad):
             # a class derives from at most one of str, int, list, tuple and
-            # dict, so the order of these tests changes no result
+            # dict, so the order of these tests changes no result; the exact
+            # types come first, so a plain list or tuple is never asked for
+            # as_json_dict
             if isinstance(x, str):
                 put(encode_basestring_ascii(x))
             elif x is None or x is True or x is False:
                 put("null" if x is None else "true" if x else "false")
             elif isinstance(x, int):
                 put(int.__repr__(x))
-            elif isinstance(x, (list, tuple)):
+            elif type(x) is list or type(x) is tuple or (
+                isinstance(x, (list, tuple)) and not hasattr(x, "as_json_dict")
+            ):
                 if not x:
                     put("[]")
                     return

@@ -32,6 +32,15 @@ class TwistRecipe(namedtuple("TwistRecipe", "l d direction cycle_type checked_co
 
     __slots__ = ()
 
+    def as_json_dict(self) -> dict:
+        return {
+            "l": self.l,
+            "d": self.d.d,
+            "direction": self.direction,
+            "cycle_type": self.cycle_type,
+            "checked_conditions": self.checked_conditions,
+        }
+
 
 def find_shift_primes(
     curve: CurveSpec,

@@ -145,17 +145,20 @@ def rational_roots_by_divisors(f: RatPoly):
 
 
 def jsonable(x):
-    """Recursively convert package values into JSON-serializable data."""
+    """Recursively convert package values into JSON-serializable data.
+
+    An object with ``as_json_dict`` is its dict even when it is a tuple.
+    """
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else str(x.numerator)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
+    if hasattr(x, "as_json_dict"):
+        return jsonable(x.as_json_dict())
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, (bool, int, str, type(None))):
         return x
-    if hasattr(x, "as_json_dict"):
-        return jsonable(x.as_json_dict())
     return str(x)
 
 
@@ -190,3 +193,33 @@ def verify_recipe(curve, recipe, cache=None) -> bool:
     ok = ok and recipe.d == QuadTwist(recipe.l)
     ok = ok and sigma_trivial(recipe.d, sigma)
     return ok
+
+
+def load_prime_cache_whole(path) -> dict:
+    """The records of a prime-cache file as {(curve hash, l): cycle type}.
+
+    Reads the whole text, takes its ``splitlines``, keeps the lines up to
+    the first that is not a record, and writes the file back as those
+    lines, each ended by a newline, when that differs from the text read.
+    Oracle for ``frobenius.PrimeCache._load``.
+    """
+    records = {}
+    good = []
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read()
+    for line in raw.splitlines():
+        try:
+            h, ls, lens = line.split()
+            l = int(ls)
+            lengths = tuple(int(x) for x in lens.split(","))
+            if not lengths or any(x < 1 for x in lengths):
+                raise ValueError
+        except ValueError:
+            break
+        records[(h, l)] = lengths
+        good.append(line)
+    cleaned = "".join(s + "\n" for s in good)
+    if cleaned != raw:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cleaned)
+    return records

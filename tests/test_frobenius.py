@@ -27,6 +27,8 @@ from twistparity.papercases import (
 from twistparity.ratpoly import RatPoly, is_separable
 from twistparity.torsion import Permutation
 
+from oracles import load_prime_cache_whole
+
 
 def test_sigma_set_examples():
     assert sigma_set(curve_x3_minus_2()).finite == (2, 3)
@@ -172,6 +174,72 @@ def test_poisoned_cache_record_is_recomputed(tmp_path):
     # the corrected record is appended and wins on the next load
     assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 7 3"]
     assert PrimeCache(str(path)).get(key, 7) == (3,)
+
+
+# lines that are not records
+_JUNK = ("", "garbage", "h 5", "h 5 1 2", "h x 1,2", "h 5 0,1", "h 5 1,,2", "h 5 -1", "\t",
+         "h 5 1,2\x0c", "\x0bh 5 1,2", "h 5 1\u20282", "h\x1c5 1,2", "é 5")
+# records spelt as no put writes them
+_ODD_RECORDS = ("h  5\t1,2 ", "h +7 3", "h \u0665 1,2", "h 1_1 2,1", "é 5 1")
+
+
+def _cache_text(rng, keys):
+    """A random cache file: records of several curve hashes over a few
+    primes, so keys repeat, perhaps with a junk or odd line, a torn or
+    unterminated last line, and \\n, \\r\\n or \\r line endings."""
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        lengths = ",".join(str(rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+        lines.append(f"{rng.choice(keys)} {rng.choice((3, 5, 7, 11))} {lengths}")
+    for extra in (_JUNK, _ODD_RECORDS):
+        if rng.random() < 0.3:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(extra))
+    ends = [rng.choice(("\n", "\n", "\r\n", "\r")) for _ in lines]
+    if rng.random() < 0.8:  # one ending for the whole file
+        ends = [ends[0]] * len(ends) if ends else []
+    text = "".join(line + end for line, end in zip(lines, ends))
+    cut = rng.random()
+    if text and cut < 0.2:  # torn while writing its last record
+        text = text[: rng.randrange(len(text))]
+    elif lines and cut < 0.35:  # the last record lost its newline
+        text = text[: len(text) - len(ends[-1])]
+    return text
+
+
+def test_cache_load_matches_the_whole_text_oracle(tmp_path):
+    """Line by line, the loader keeps the records and leaves the bytes that
+    reading the whole text and its splitlines keeps and leaves."""
+    rng = random.Random(2024)
+    keys = ["%016x" % rng.getrandbits(64) for _ in range(3)]
+    ours, oracle = tmp_path / "ours", tmp_path / "oracle"
+    rewritten = kept_as_is = 0
+    for _ in range(1500):
+        data = _cache_text(rng, keys).encode()
+        ours.write_bytes(data)
+        oracle.write_bytes(data)
+        want = load_prime_cache_whole(oracle)
+        cache = PrimeCache(str(ours))
+        got = {(h, l): t for h, by_l in cache._mem.items() for l, t in by_l.items()}
+        assert got == want, data
+        assert ours.read_bytes() == oracle.read_bytes(), data
+        if oracle.read_bytes() == data:
+            kept_as_is += 1
+        else:
+            rewritten += 1
+    assert rewritten > 300 and kept_as_is > 300
+
+
+def test_cache_shares_one_tuple_per_cycle_type(tmp_path):
+    path = tmp_path / "c"
+    keys = ("a" * 16, "b" * 16)
+    path.write_text("".join(f"{h} {l} 1,2,2\n" for h in keys for l in (5, 7, 11)))
+    with PrimeCache(str(path)) as cache:
+        cache.put(keys[0], 13, [1, 2, 2])
+        cache.put(keys[1], 17, (1, 4))
+        cache.put(keys[0], 19, [1, 4])
+        got = [cache.get(h, l) for h in keys for l in (5, 7, 11)] + [cache.get(keys[0], 13)]
+        assert len({id(t) for t in got}) == 1 and got[0] == (1, 2, 2)
+        assert cache.get(keys[1], 17) is cache.get(keys[0], 19)
 
 
 def test_galois_classify_examples():

@@ -292,6 +292,26 @@ def test_square_class_index_labels_and_coordinates():
         square_class_index(Fraction(0), Place.finite(3))
 
 
+def test_local_classes_walk_to_the_nonresidue_once_per_prime(monkeypatch):
+    """The least nonresidue of q is found by one walk of Kronecker symbols;
+    a later call at q makes no symbol call at all."""
+    symbol = modular.kronecker_symbol
+    calls = []
+
+    def counting(a, m):
+        calls.append((a, m))
+        return symbol(a, m)
+
+    monkeypatch.setattr(modular, "kronecker_symbol", counting)
+    monkeypatch.setattr(modular, "_odd_classes", {}, raising=False)  # as in a fresh process
+    for q in (3, 71, 311):  # least nonresidues 2, 7 and 11
+        first = local_classes(Place.finite(q))
+        assert len(calls) == first[1] - 1
+        calls.clear()
+        assert local_classes(Place.finite(q)) == first
+        assert calls == []
+
+
 def test_hilbert_square_class_invariance_and_bilinearity():
     rng = random.Random(17)
     places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(7)]

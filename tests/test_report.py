@@ -1,14 +1,19 @@
-"""The streaming report writer against the convert-then-dump oracle."""
+"""The streaming report writer against the convert-then-dump oracle, and
+the built-in SHA-256 against hashlib's."""
 
 import enum
+import hashlib
 import io
+import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
 from oracles import report_json
 from twistparity import report
-from twistparity.report import Report
+from twistparity.curves import curve_hash
+from twistparity.report import Report, sha256_text
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -24,6 +29,13 @@ class _Tagged:
 
     def as_json_dict(self):
         return self.payload
+
+
+class _Pair(namedtuple("_Pair", "a b")):  # a tuple that is written as its dict
+    __slots__ = ()
+
+    def as_json_dict(self):
+        return {"a": self.a, "b": self.b}
 
 
 class _Writes(list):
@@ -58,7 +70,8 @@ _values = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.lists(st.tuples(_keys, inner), max_size=4).map(dict)
-    | inner.map(_Tagged),
+    | inner.map(_Tagged)
+    | st.tuples(inner, inner).map(lambda ab: _Pair(*ab)),
     max_leaves=20,
 )
 
@@ -85,3 +98,27 @@ def test_large_report_is_written_in_batches():
     assert text == _text(rep) == report_json(rep)
     assert len(writes) >= len(rows) * 10 // report._BATCH  # rows are 10+ pieces each
     assert max(map(len, writes)) < len(text) // 4
+
+
+def test_named_tuple_with_as_json_dict_is_written_as_its_dict():
+    plain = namedtuple("Plain", "x y")
+    rep = Report("cmd", 0, {}, {"pair": _Pair(1, plain(2, (3,))), "plain": plain(4, [])})
+    text = _text(rep)
+    assert text == report_json(rep)
+    assert '"pair": {\n      "a": 1,\n      "b": [\n        2,' in text
+    assert '"plain": [\n      4,\n      []\n    ]' in text
+
+
+def test_sha256_text_matches_hashlib():
+    rng = random.Random(5)
+    alphabet = "az09 ,;=[]/-\n\té€ü漢字🎉\x00\x7f\u2028"
+    texts = ["", "abc", "p=2;f=[-2,0,0,1]"]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(300))) for _ in range(300)]
+    for text in texts:
+        assert sha256_text(text) == hashlib.sha256(text.encode()).hexdigest(), text
+
+
+def test_curve_hash_is_the_head_of_the_canonical_texts_sha256(golden_curves):
+    assert len(golden_curves) == 5
+    for curve in golden_curves.values():
+        assert curve_hash(curve) == sha256_text(curve.canonical_text())[:16]
