@@ -12,12 +12,12 @@ import argparse
 import sys
 import time
 
-from .characters import QuadTwist, local_behavior, local_square_class, sigma_trivial
+from .characters import local_behavior, local_square_class, ramified_primes, sigma_trivial
 from .curves import curve_hash
 from .errors import ResourceLimitError, TwistParityError
-from .files import parse_curve_text, parse_profiles_text
+from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
-from .modular import Place
+from .modular import Place, local_classes, square_class_index, squarefree_part
 from .parity import delta_v, density_scan, disparity, omega_tables, parity_flip
 from .report import Report, sha256_text
 from .search import find_shift_primes
@@ -116,16 +116,14 @@ def _profiles_input(args, inputs):
     """Parse --profiles (None without it), recording the file's hash in inputs."""
     if not args.profiles:
         return None
-    with open(args.profiles, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    raw = read_text(args.profiles)
     inputs["profiles_sha256"] = sha256_text(raw)
     return parse_profiles_text(raw)
 
 
 def _curve_input(path):
     """The curve in the file at path, read once, and the inputs that identify it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    raw = read_text(path)
     curve = parse_curve_text(raw)
     return curve, {
         "curve_file_sha256": sha256_text(raw),
@@ -151,7 +149,7 @@ def _cmd_analyze(args) -> int:
         "discriminant": disc,
         "disc_sign": -1 if disc < 0 else 1,
         "real_root_signature": {"real_roots": r, "k1": k1, "k2": k2},
-        "sigma": [str(v) for v in sigma.iter_places()],
+        "sigma": [str(v) for v in sigma.places],
         "delta_infinity": delta_v(curve, Place.infinity(), None),
         "galois": {"label": verdict.label, "evidence": verdict.evidence},
         "two_torsion_dim": torsion_info,
@@ -199,24 +197,24 @@ def _cmd_classify_primes(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    d = QuadTwist.of(args.d)
-    ramified = d.ramified_primes()
+    d = squarefree_part(args.d)
+    ramified = ramified_primes(d)
     places = [Place.infinity(), Place.finite(2)]
     places += [Place.finite(q) for q in ramified if q != 2]
-    inputs = {"d": args.d, "squarefree_kernel": d.d}
+    inputs = {"d": args.d, "squarefree_kernel": d}
     extra = {}
     if args.curve:
         curve, curve_inputs = _curve_input(args.curve)
         inputs.update(curve_inputs)
         sigma = sigma_set(curve)
-        for v in sigma.iter_places():
+        for v in sigma.places:
             if v not in places:
                 places.append(v)
         extra["sigma_trivial"] = sigma_trivial(d, sigma)
     places = sorted(set(places), key=lambda p: p.q)
     behavior = {
         str(v): {
-            "behavior": local_behavior(d, v).value,
+            "behavior": local_behavior(d, v),
             "square_class": local_square_class(d, v),
         }
         for v in places
@@ -225,7 +223,7 @@ def _cmd_character(args) -> int:
     rep = Report("character", args.seed, inputs, out)
 
     def lines():
-        yield f"d = {d.d} (norm {out['norm']})"
+        yield f"d = {d} (norm {out['norm']})"
         for v in places:
             yield f"  at {v}: {behavior[str(v)]['behavior']} (class {behavior[str(v)]['square_class']})"
         if "sigma_trivial" in extra:
@@ -241,12 +239,12 @@ def _cmd_parity(args) -> int:
     if profiles is not None:
         inputs["profiles_provenance"] = "user"
     inputs["d"] = args.d
-    d = QuadTwist.of(args.d)
+    d = squarefree_part(args.d)
     verdict = parity_flip(curve, d, profiles)
     contributions = {}
     for v, row in omega_tables(curve, profiles).items():
-        label = local_square_class(d, v)
-        contributions[str(v)] = {"class": label, "omega": row[label]}
+        i = square_class_index(d, v)
+        contributions[str(v)] = {"class": local_classes(v)[i], "omega": row[i]}
     out = {
         "flip": verdict.flip,
         "status": verdict.status,
@@ -310,7 +308,7 @@ def _cmd_find_twist(args) -> int:
     _emit(
         rep,
         args,
-        lambda: [f"l = {r.l}  d = {r.d.d}  type {list(r.cycle_type)}" for r in recipes]
+        lambda: [f"l = {r.l}  d = {r.d}  type {list(r.cycle_type)}" for r in recipes]
         or ["(empty stream: no prime satisfies every checkable condition)"],
     )
     return 0

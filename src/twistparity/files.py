@@ -19,6 +19,7 @@ Profile files hold one or more finite-place sections:
     ...
 
 Labels are the canonical square-class representatives of the place; the
+trivial class 1 has h = 0, and a class with no line is unknown.  The
 real place is never read from a file because its table is auto-filled.
 """
 
@@ -30,10 +31,9 @@ from fractions import Fraction
 from .curves import CurveSpec
 from .errors import ParseError, ResourceLimitError
 from .modular import Place, is_prime, local_classes
-from .parity import LocalProfile
 from .ratpoly import RatPoly
 
-__all__ = ["parse_curve_text", "load_curve", "parse_profiles_text"]
+__all__ = ["read_text", "parse_curve_text", "load_curve", "parse_profiles_text"]
 
 _ECHO = 20  # characters from each end of a malformed token that an error shows
 
@@ -107,26 +107,27 @@ def parse_curve_text(text: str) -> CurveSpec:
         raise ParseError(str(exc)) from exc
 
 
-def load_curve(path) -> CurveSpec:
+def read_text(path) -> str:
+    """The text of an input file; ParseError when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_curve_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def load_curve(path) -> CurveSpec:
+    return parse_curve_text(read_text(path))
 
 
 def parse_profiles_text(text: str) -> dict:
-    """{Place: LocalProfile} from a profile file body."""
+    """{Place: h table} from a profile file body.
+
+    An h table is a tuple in ``local_classes(place)`` order: h, or None
+    where unknown, with 0 at the trivial class.
+    """
     out: dict = {}
     place = None
-    table: dict = {}
-
-    def flush(lineno):
-        nonlocal place, table
-        if place is not None:
-            try:
-                out[place] = LocalProfile(place, table)
-            except Exception as exc:
-                raise ParseError(str(exc), lineno) from exc
-        place, table = None, {}
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,7 +138,6 @@ def parse_profiles_text(text: str) -> dict:
         key = key.strip()
         body = body.strip()
         if key == "place":
-            flush(lineno)
             if body == "inf":
                 raise ParseError(
                     "the real place is auto-filled and cannot be supplied", lineno
@@ -148,9 +148,10 @@ def parse_profiles_text(text: str) -> dict:
                 raise ParseError("place must be a prime or 'inf'", lineno) from None
             if not is_prime(q):
                 raise ParseError(f"{q} is not prime", lineno)
-            place = Place.finite(q)
+            place = Place(q)
             if place in out:
                 raise ParseError(f"duplicate place {q}", lineno)
+            table = out[place] = {}
         elif key.startswith("h[") and key.endswith("]"):
             if place is None:
                 raise ParseError("h[...] before any 'place =' line", lineno)
@@ -165,7 +166,7 @@ def parse_profiles_text(text: str) -> dict:
             if label in table:
                 raise ParseError(f"duplicate h[{label}] at place {place}", lineno)
             if body == "unknown":
-                table[label] = None
+                val = None
             else:
                 try:
                     val = int(body)
@@ -173,8 +174,9 @@ def parse_profiles_text(text: str) -> dict:
                     raise ParseError("h value must be an integer or 'unknown'", lineno) from None
                 if val < 0:
                     raise ParseError("h values are nonnegative", lineno)
-                table[label] = val
+            if label == 1 and val:
+                raise ParseError("h(trivial) must be 0", lineno)
+            table[label] = val
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
-    flush(None)
-    return out
+    return {v: (0, *map(table.get, local_classes(v)[1:])) for v, table in out.items()}

@@ -52,13 +52,8 @@ class SigmaSet:
         self.odd_primes = tuple(q for q in finite if q != 2)
         self.places = (Place.infinity(), *(Place.finite(q) for q in finite))
 
-    def __contains__(self, place) -> bool:
-        if isinstance(place, Place):
-            return place.is_infinity or place.q in self.finite
-        return place in self.finite
-
-    def iter_places(self):
-        return iter(self.places)
+    def __contains__(self, q: int) -> bool:
+        return q in self.finite
 
     def __str__(self):
         return "{inf, " + ", ".join(str(q) for q in self.finite) + "}"
@@ -111,19 +106,23 @@ class PrimeCache:
 
         Lines are those ``str.splitlines`` gives on the text read with
         universal newlines.  The valid prefix ends before the first line
-        that is not a record.  Only a file that is not exactly that prefix,
-        each record ended by one newline, is written again.
+        that is not a record; a line holding a byte that is not UTF-8 (read
+        as a lone surrogate, one character per byte) is not.  Only a file
+        that is not exactly that prefix, each record ended by one newline,
+        is written again.
         """
         mem, types = self._mem, self._types
         kept = 0  # records in the valid prefix
         exact = True  # the text read so far is its records, each ended by "\n"
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for text in fh:
                 lines = text.splitlines()
                 if len(lines) != 1 or text[-1] != "\n":
                     exact = False
                 for line in lines:
                     try:
+                        if not line.isascii():
+                            line.encode()  # UnicodeEncodeError on a surrogate
                         key, ls, lens = line.split()
                         l = int(ls)
                         lengths = types.get(lens)
@@ -154,7 +153,7 @@ class PrimeCache:
         did (a last line without an ending comes after everything read), so
         the writer never overwrites bytes the reader has yet to read.
         """
-        with open(self.path, "r", encoding="utf-8") as src, open(
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as src, open(
             self.path, "r+", encoding="utf-8"
         ) as dst:
             lines = (line for text in src for line in text.splitlines())

@@ -5,10 +5,13 @@ by sum_v h_v(chi_v) mod 2, and that sum is controlled place-by-place by
 the weight omega_v(chi) = (-1)^h_v(chi) * chi_v(disc).  At good primes
 h is computable from the Frobenius cycle type; at the real place it is
 k1 - 1 for the sign character; at finite bad places no algorithm exists
-at this level, so values there are user-supplied tables (LocalProfile)
-and every output that consumed a missing entry says so in its status.
-``omega_tables`` holds omega_v over the local classes at each place of
-Sigma; flips, scans and disparity all read from it.
+at this level, so values there are user-supplied tables (``files``
+reads them) and every output that consumed a missing entry says so in
+its status.  Local tables are tuples indexed by
+``modular.square_class_index``: an h table holds h or None (unknown) per
+class, with h = 0 at the trivial class, index 0.  ``omega_tables`` holds
+omega_v in that order at each place of Sigma; flips, scans and disparity
+all read from it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import QuadTwist, local_square_class
+from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
 from .frobenius import PrimeCache, classify_prime, sigma_set
@@ -34,8 +37,6 @@ from .modular import (
 )
 
 __all__ = [
-    "LocalProfile",
-    "infinity_profile",
     "omega_tables",
     "ParityVerdict",
     "parity_flip",
@@ -46,39 +47,6 @@ __all__ = [
     "DensityResult",
     "density_scan",
 ]
-
-
-class LocalProfile:
-    """h_v values over the local character classes at one place.
-
-    Keys are the canonical square-class representatives; a value of None
-    marks an entry as unknown.  The trivial class must carry h = 0.
-    """
-
-    __slots__ = ("place", "table")
-
-    def __init__(self, place: Place, table: dict):
-        labels = local_classes(place)
-        for k in table:
-            if k not in labels:
-                raise InvalidInputError(f"label {k} is not a canonical class at place {place}")
-        if table.get(1, 0) not in (0, None):
-            raise InvalidInputError("h(trivial) must be 0")
-        self.place = place
-        self.table = dict(table)
-        self.table.setdefault(1, 0)
-
-    def h(self, label: int):
-        """h for a class label, or None when unknown."""
-        if label == 1:
-            return 0
-        return self.table.get(label)
-
-
-def infinity_profile(curve: CurveSpec) -> LocalProfile:
-    """Auto-filled real-place table: h(sign) = k1 - 1."""
-    _, k1, _ = curve.real_root_signature()
-    return LocalProfile(Place.infinity(), {1: 0, -1: k1 - 1})
 
 
 class ParityVerdict(namedtuple("ParityVerdict", "flip status missing", defaults=((),))):
@@ -92,25 +60,28 @@ class ParityVerdict(namedtuple("ParityVerdict", "flip status missing", defaults=
     __slots__ = ()
 
 
-def _omega_row(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> dict:
-    """{label: omega_v or None} over ``local_classes(place)`` at a place of Sigma.
+def _omega_row(curve: CurveSpec, place: Place, h: tuple | None) -> tuple:
+    """omega_v or None per class index at a place of Sigma, from its h table.
 
     omega_v = (-1)^h * chi_v(disc), with chi_v(disc) the Hilbert symbol
     (label, disc)_v, which only depends on the square class of the label;
-    None where h is unknown.  The real place reads h from the curve.
+    None where h is unknown, and everywhere but index 0 when h is None.
+    The real place reads h(sign) = k1 - 1 from the curve.
     """
     if place.is_infinity:
-        profile = infinity_profile(curve)
+        h = (0, curve.real_root_signature()[1] - 1)
+    labels = local_classes(place)
+    if h is None:
+        return (1,) + (None,) * (len(labels) - 1)
     disc = curve.discriminant()
-    row = {1: 1}
-    for label in local_classes(place)[1:]:
-        h = None if profile is None else profile.h(label)
-        row[label] = None if h is None else (-1) ** h * hilbert_symbol(label, disc, place)
-    return row
+    return (1, *(
+        None if hi is None else (-1) ** hi * hilbert_symbol(label, disc, place)
+        for label, hi in zip(labels[1:], h[1:])
+    ))
 
 
 def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
-    """{place: {label: omega_v or None}} over Sigma, labels in ``local_classes`` order.
+    """{place: omega_v or None per class index} over Sigma.
 
     The real place is filled in from the curve; a finite place reads its h
     table from ``profiles``, and without one only its trivial class is known.
@@ -118,32 +89,26 @@ def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
     profiles = profiles or {}
     return {
         place: _omega_row(curve, place, profiles.get(place))
-        for place in sigma_set(curve).iter_places()
+        for place in sigma_set(curve).places
     }
 
 
-def parity_flip(
-    curve: CurveSpec, d: QuadTwist, profiles: dict | None = None
-) -> ParityVerdict:
-    if d.is_trivial:
+def parity_flip(curve: CurveSpec, d: int, profiles: dict | None = None) -> ParityVerdict:
+    """The verdict for the twist by a squarefree d."""
+    if d == 1:
         return ParityVerdict(1, "exact")
-    classes = {v: local_square_class(d, v) for v in sigma_set(curve).iter_places()}
-    if all(c == 1 for c in classes.values()):
+    if sigma_trivial(d, sigma_set(curve)):
         return ParityVerdict(1, "relative_only")
     tables = omega_tables(curve, profiles)
-    weights = {v: tables[v][c] for v, c in classes.items()}
+    weights = {v: row[square_class_index(d, v)] for v, row in tables.items()}
     missing = tuple(place for place, w in weights.items() if w is None)
     if missing:
         return ParityVerdict(None, "unknown", missing)
     return ParityVerdict(math.prod(weights.values()), "exact")
 
 
-def global_consistency_check(
-    curve: CurveSpec,
-    d: QuadTwist,
-    cache: PrimeCache | None = None,
-) -> bool:
-    """Check (-1)^(sum of good-prime h over l | d) = prod_Sigma (d, disc)_v.
+def global_consistency_check(curve: CurveSpec, d: int, cache: PrimeCache | None = None) -> bool:
+    """Check (-1)^(sum of good-prime h over l | d) = prod_Sigma (d, disc)_v, d squarefree.
 
     The left side goes through finite-field factorization (cycle types),
     the right side through Hilbert symbols; the identity is a theorem, so
@@ -151,14 +116,14 @@ def global_consistency_check(
     """
     sigma = sigma_set(curve)
     hsum = 0
-    for l in factor_integer(abs(d.d)):
+    for l in factor_integer(d):
         if l not in sigma and l != 2:
             hsum += classify_prime(curve, l, cache=cache).i
     lhs = (-1) ** hsum
     rhs = 1
     disc = curve.discriminant()
-    for place in sigma.iter_places():
-        rhs *= hilbert_symbol(d.d, disc, place)
+    for place in sigma.places:
+        rhs *= hilbert_symbol(d, disc, place)
     return lhs == rhs
 
 
@@ -166,13 +131,13 @@ def global_consistency_check(
 # disparity
 
 
-def delta_v(curve: CurveSpec, place: Place, profile: LocalProfile | None) -> Fraction:
+def delta_v(curve: CurveSpec, place: Place, h: tuple | None) -> Fraction:
     """Average of omega_v over the local character group (2, 8 or 4 classes)."""
-    row = _omega_row(curve, place, profile)
-    missing = [(place, label) for label, w in row.items() if w is None]
+    row = _omega_row(curve, place, h)
+    missing = [(place, label) for label, w in zip(local_classes(place), row) if w is None]
     if missing:
         raise UnknownProfileError(missing)
-    return Fraction(sum(row.values()), len(row))
+    return Fraction(sum(row), len(row))
 
 
 class DisparityReport(namedtuple("DisparityReport", "per_place delta even_density r1_parity")):
@@ -194,7 +159,7 @@ def disparity(
     profiles = profiles or {}
     per_place = {}
     prod = Fraction(1)
-    for place in sigma_set(curve).iter_places():
+    for place in sigma_set(curve).places:
         dv = delta_v(curve, place, profiles.get(place))
         per_place[place] = dv
         prod *= dv
@@ -268,7 +233,7 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
         raise InvalidInputError("bound must be >= 2")
     gens = [-1, 2, *iter_primes(3, max_norm)] if max_norm > 2 else []
     layout, dim = [], 0  # (place, offset of its coordinates, mask of its index)
-    for v in sigma.iter_places():
+    for v in sigma.places:
         size = len(local_classes(v))
         layout.append((v, dim, size - 1))
         dim += size.bit_length() - 1
@@ -279,7 +244,7 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
     if tables is None:
         warning = "incomplete profiles; restricted to the Sigma-trivial subgroup"
         return _counts("sigma_trivial_only", kernel, kernel, r1, warning=warning)
-    factors = [(off, mask, list(tables[v].values())) for v, off, mask in layout]
+    factors = [(off, mask, tables[v]) for v, off, mask in layout]
     plus_in_image = ((1 << image.dim) + _image_sum(image, factors)) // 2
     return _counts("exhaustive", 1 << len(gens), kernel * plus_in_image, r1)
 
@@ -306,7 +271,7 @@ def density_scan(
         raise InvalidInputError("choose exactly one of max_norm / sample")
     r1 = r1_parity % 2
     tables = omega_tables(curve, profiles)
-    restricted = any(w is None for row in tables.values() for w in row.values())
+    restricted = any(None in row for row in tables.values())
     if max_norm is not None:
         return _exact_scan(sigma_set(curve), None if restricted else tables, max_norm, r1)
 
@@ -318,7 +283,6 @@ def density_scan(
         warning = "incomplete profiles; restricted to Sigma-trivial twists"
         return _counts("monte_carlo_sigma_trivial", sample, sample, r1,
                        seed=seed, bound=bound, warning=warning)
-    rows = [(v, list(row.values())) for v, row in tables.items()]
     rng = random.Random(seed)
     kept = plus = draws = 0
     while kept < sample:
@@ -328,5 +292,5 @@ def density_scan(
         n = rng.randint(-bound, bound)
         if n != 0 and is_squarefree(n):
             kept += 1
-            plus += math.prod(row[square_class_index(n, v)] for v, row in rows) == 1
+            plus += math.prod(row[square_class_index(n, v)] for v, row in tables.items()) == 1
     return _counts("monte_carlo", kept, plus, r1, seed=seed, bound=bound)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .characters import QuadTwist, sigma_trivial_congruences
+from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError
 from .frobenius import PrimeCache, prime_scan, sigma_set
@@ -27,7 +27,7 @@ _DIRECTIONS = ("raise2", "lower2")
 class TwistRecipe(namedtuple("TwistRecipe", "l d direction cycle_type checked_conditions")):
     """A candidate shift prime with every locally checkable condition listed.
 
-    ``d`` is a QuadTwist; ``checked_conditions`` holds (name, True | "unverified").
+    ``d`` is the twist, d = l; ``checked_conditions`` holds (name, True | "unverified").
     """
 
     __slots__ = ()
@@ -35,7 +35,7 @@ class TwistRecipe(namedtuple("TwistRecipe", "l d direction cycle_type checked_co
     def as_json_dict(self) -> dict:
         return {
             "l": self.l,
-            "d": self.d.d,
+            "d": self.d,
             "direction": self.direction,
             "cycle_type": self.cycle_type,
             "checked_conditions": self.checked_conditions,
@@ -74,13 +74,13 @@ def find_shift_primes(
     )
     for pc in prime_scan(
         curve, 2, limit + 1, cache=cache,
-        prime_filter=lambda l: sigma_trivial_congruences(l, sigma),
+        prime_filter=lambda l: sigma_trivial(l, sigma),
     ):
         if pc.i != 2 or (raise2 and not orbit_lengths_coprime(pc.lengths, 2)):
             continue
         yield TwistRecipe(
             l=pc.l,
-            d=QuadTwist._unchecked(pc.l),  # a prime is squarefree
+            d=pc.l,
             direction=direction,
             cycle_type=pc.lengths,
             checked_conditions=conditions,

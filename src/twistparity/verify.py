@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .characters import QuadTwist, sigma_trivial_twist
+from .characters import sigma_trivial
 from .curves import curve_hash
 from .errors import ResourceLimitError
 from .metabolic import QuadraticSpace, Subspace, count_disjoint_lagrangians
@@ -84,9 +84,8 @@ def _sample_sigma_trivial(curve, count, bound, rng):
             raise ResourceLimitError("sampling stalled; widen the bound")
         d = rng.randrange(1, bound) | 1
         d += (1 - d) % 8
-        t = sigma_trivial_twist(d, sigma) if d != 1 else None
-        if t is not None:
-            out.append(t)
+        if d != 1 and sigma_trivial(d, sigma) and is_squarefree(d):
+            out.append(d)
     return out
 
 
@@ -125,8 +124,8 @@ def run_paper_verification(seed: int = 0) -> Report:
     # it holds is the consistency identity: prod_Sigma (d, disc)_v = 1, so the
     # good-prime h over the primes of d must sum to an even number
     bad = [
-        t.d for t in twists
-        if parity_flip(ch, t).flip != 1 or not global_consistency_check(ch, t)
+        d for d in twists
+        if parity_flip(ch, d).flip != 1 or not global_consistency_check(ch, d)
     ]
     checks.append(
         {
@@ -135,7 +134,7 @@ def run_paper_verification(seed: int = 0) -> Report:
             "details": {
                 "sampled": len(twists),
                 "violations": bad,
-                "first_five": [t.d for t in twists[:5]],
+                "first_five": twists[:5],
             },
         }
     )
@@ -186,7 +185,7 @@ def run_paper_verification(seed: int = 0) -> Report:
             d = 0
             while d == 0 or not is_squarefree(d):
                 d = rng.randint(-(10**6), 10**6)
-            if global_consistency_check(curve, QuadTwist._unchecked(d)):
+            if global_consistency_check(curve, d):
                 ok += 1
             else:
                 failures.append((name, d))

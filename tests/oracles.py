@@ -7,21 +7,29 @@ that a faster library path must agree with.
 import json
 from fractions import Fraction
 
-from twistparity.characters import QuadTwist, sigma_trivial, sigma_trivial_congruences
+from twistparity.characters import ramified_primes, sigma_trivial
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import QuadraticSpace, Subspace
-from twistparity.modular import sieve_primes
+from twistparity.modular import sieve_primes, square_class_index
 from twistparity.ratpoly import RatPoly
 from twistparity.torsion import Permutation, orbit_lengths_coprime
 
 
-def twist_norm(d: QuadTwist) -> int:
+def twist_norm(d: int) -> int:
     """max of the finite ramified primes; 1 when chi_d is unramified everywhere.
 
     Defines the norm cut of ``enumerate_characters`` and of ``scan --max-norm``.
     """
-    return max(d.ramified_primes(), default=1)
+    return max(ramified_primes(d), default=1)
+
+
+def sigma_trivial_by_classes(d: int, sigma) -> bool:
+    """True when d has square class index 0 at every place of the bad set.
+
+    Oracle for ``characters.sigma_trivial``, which reads congruences.
+    """
+    return all(square_class_index(d, v) == 0 for v in sigma.places)
 
 
 def enumerate_characters(bound: int, cap: int = 1 << 20):
@@ -43,8 +51,7 @@ def enumerate_characters(bound: int, cap: int = 1 << 20):
     values = [1]
     for g in gens:
         values += [v * g for v in values]
-    out = [QuadTwist(v) for v in values]
-    return sorted((t for t in out if twist_norm(t) < bound), key=lambda t: (abs(t.d), -t.d))
+    return sorted((d for d in values if twist_norm(d) < bound), key=lambda d: (abs(d), -d))
 
 
 def hilbert_by_conic(a: int, b: int, q: int) -> int:
@@ -189,9 +196,9 @@ def verify_recipe(curve, recipe, cache=None) -> bool:
     ok = pc.i == 2 and pc.lengths == recipe.cycle_type
     if recipe.direction == "raise2":
         ok = ok and orbit_lengths_coprime(pc.lengths, 2)
-    ok = ok and sigma_trivial_congruences(recipe.l, sigma)
-    ok = ok and recipe.d == QuadTwist(recipe.l)
-    ok = ok and sigma_trivial(recipe.d, sigma)
+    ok = ok and sigma_trivial(recipe.l, sigma)
+    ok = ok and recipe.d == recipe.l
+    ok = ok and sigma_trivial_by_classes(recipe.d, sigma)
     return ok
 
 
@@ -201,14 +208,16 @@ def load_prime_cache_whole(path) -> dict:
     Reads the whole text, takes its ``splitlines``, keeps the lines up to
     the first that is not a record, and writes the file back as those
     lines, each ended by a newline, when that differs from the text read.
+    A line with a byte that is not UTF-8 is not a record.
     Oracle for ``frobenius.PrimeCache._load``.
     """
     records = {}
     good = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         raw = fh.read()
     for line in raw.splitlines():
         try:
+            line.encode("utf-8")  # UnicodeEncodeError on a byte read as a surrogate
             h, ls, lens = line.split()
             l = int(ls)
             lengths = tuple(int(x) for x in lens.split(","))

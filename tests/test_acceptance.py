@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from twistparity.characters import QuadTwist, sigma_trivial
+from twistparity.characters import sigma_trivial
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import (
     QuadraticSpace,
@@ -27,7 +27,6 @@ from twistparity.modular import (
 )
 from twistparity.papercases import curve_g, curve_h
 from twistparity.parity import (
-    LocalProfile,
     delta_v,
     density_scan,
     disparity,
@@ -114,7 +113,7 @@ def test_acceptance_04_global_consistency(golden_curves):
             d = 0
             while d == 0 or not flags[abs(d)]:
                 d = rng.randint(-(10**6), 10**6)
-            assert global_consistency_check(curve, QuadTwist(d)), (name, d)
+            assert global_consistency_check(curve, d), (name, d)
     elapsed = time.monotonic() - t0
     assert elapsed < 60
     _report(4, "global consistency identity, 2500/2500 exact", elapsed)
@@ -147,9 +146,8 @@ def test_acceptance_06_sigma_trivial_preservation(golden_curves):
                 continue
             if any(kronecker_symbol(d, q) != 1 for q in odd_sigma):
                 continue
-            t = QuadTwist(d)
-            assert sigma_trivial(t, sigma)
-            verdict = parity_flip(curve, t)
+            assert sigma_trivial(d, sigma)
+            verdict = parity_flip(curve, d)
             assert verdict.flip == 1, (name, d)
             total += 1
     elapsed = time.monotonic() - t0
@@ -188,8 +186,8 @@ def test_acceptance_08_density_group_identity():
 
     curve = curve_x3_minus_2()
     profiles = {
-        place: LocalProfile(place, {k: 0 for k in local_classes(place)})
-        for place in sigma_set(curve).iter_places()
+        place: (0,) * len(local_classes(place))
+        for place in sigma_set(curve).places
         if not place.is_infinity
     }
     res = density_scan(curve, profiles, max_norm=50)

@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from twistparity import characters, modular, parity
+from twistparity import modular, parity
 from twistparity.cli import main
 from twistparity.errors import ParseError
 from twistparity.files import parse_curve_text, parse_profiles_text
@@ -84,9 +84,8 @@ def test_curve_parse_error_carries_line_number():
 def test_profile_file_parse():
     profs = parse_profiles_text(GOOD_PROFILES)
     p2, p3 = Place.finite(2), Place.finite(3)
-    assert profs[p2].h(-1) == 1
-    assert profs[p2].h(-5) is None
-    assert profs[p3].h(3) == 1
+    # h tables in local_classes order: (1, 5, -1, -5, 2, 10, -2, -10) and (1, 2, 3, 6)
+    assert profs == {p2: (0, 0, 1, None, 0, 0, 0, 0), p3: (0, 0, 1, 1)}
 
 
 @pytest.mark.parametrize(
@@ -107,6 +106,12 @@ def test_profile_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_profiles_text(text)
     assert fragment in str(err.value)
+
+
+def test_profile_parse_error_names_the_line_of_a_nonzero_trivial_h():
+    with pytest.raises(ParseError) as err:
+        parse_profiles_text("place = 3\nh[1] = 1\nh[2] = 0\nplace = 5\nh[2] = 1\n")
+    assert err.value.line == 2
 
 
 @pytest.fixture()
@@ -373,8 +378,8 @@ def test_cli_restricted_scan_sample_makes_no_draws(curve_file, monkeypatch, caps
     def no_draw(*args, **kwargs):
         raise AssertionError("a restricted sampled scan drew a twist")
 
-    for module in (characters, parity):  # wherever a module binds the sampler
-        monkeypatch.setattr(module, "sigma_trivial_twist", no_draw, raising=False)
+    for name in ("sigma_trivial", "is_squarefree"):  # what a draw would test
+        monkeypatch.setattr(parity, name, no_draw)
     monkeypatch.setattr(parity, "random", types.SimpleNamespace(Random=no_draw))
     rc, out, _ = run_cli(
         capsys, "--format", "json", "scan", "--curve", curve_file,
@@ -438,6 +443,37 @@ def test_cli_classify_primes_identical_cold_warm_and_poisoned(tmp_path, capsys):
     cache.write_text(filled + f"{key} {l} 1,1\n")  # lengths sum to 2 on a quintic
     rc, poisoned, _ = run_cli(capsys, *argv)
     assert rc == 0 and poisoned == cold
+
+
+def test_cli_classify_primes_keeps_the_valid_prefix_of_a_cache_that_is_not_utf8(
+    tmp_path, capsys
+):
+    path = tmp_path / "s5.curve"
+    path.write_text("p = 2\nf = [-1, -1, 0, 0, 0, 1]\n")
+    cache = tmp_path / "s5.cache"
+    argv = ["--cache", str(cache), "classify-primes", "--curve", str(path), "--limit", "200"]
+    rc, cold, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    first = cache.read_bytes().splitlines(keepends=True)[0]
+    cache.write_bytes(first + b"\xff\xfe")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (0, cold, "")
+    assert cache.read_bytes().startswith(first)
+    cache.read_bytes().decode("utf-8")  # the bad bytes were truncated away
+
+
+@pytest.mark.parametrize("command", ["analyze", "parity"])
+def test_cli_input_file_that_is_not_utf8_is_a_parse_error(curve_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    if command == "analyze":
+        bad.write_bytes(b"p = 2  # caf\xe9\nf = [-2, 0, 0, 1]\n")
+        argv = ["analyze", "--curve", str(bad)]
+    else:
+        bad.write_bytes(b"# \xff\nplace = 3\nh[2] = 1\n")
+        argv = ["parity", "--curve", curve_file, "--d", "5", "--profiles", str(bad)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "not UTF-8" in err and len(err.splitlines()) == 1
 
 
 def test_cli_threads_flag_removed(curve_file, capsys):

@@ -179,6 +179,8 @@ def test_poisoned_cache_record_is_recomputed(tmp_path):
 # lines that are not records
 _JUNK = ("", "garbage", "h 5", "h 5 1 2", "h x 1,2", "h 5 0,1", "h 5 1,,2", "h 5 -1", "\t",
          "h 5 1,2\x0c", "\x0bh 5 1,2", "h 5 1\u20282", "h\x1c5 1,2", "é 5")
+# bytes that no UTF-8 text holds: lone continuation or lead bytes, a cut sequence
+_NOT_UTF8 = (b"\xff", b"\xfe\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"5\xff 1")
 # records spelt as no put writes them
 _ODD_RECORDS = ("h  5\t1,2 ", "h +7 3", "h \u0665 1,2", "h 1_1 2,1", "é 5 1")
 
@@ -210,23 +212,30 @@ def test_cache_load_matches_the_whole_text_oracle(tmp_path):
     """Line by line, the loader keeps the records and leaves the bytes that
     reading the whole text and its splitlines keeps and leaves."""
     rng = random.Random(2024)
+    spoil = random.Random(7)  # bytes that are not UTF-8, spliced into a copy of some files
     keys = ["%016x" % rng.getrandbits(64) for _ in range(3)]
     ours, oracle = tmp_path / "ours", tmp_path / "oracle"
-    rewritten = kept_as_is = 0
+    rewritten = kept_as_is = spoilt = 0
     for _ in range(1500):
         data = _cache_text(rng, keys).encode()
-        ours.write_bytes(data)
-        oracle.write_bytes(data)
-        want = load_prime_cache_whole(oracle)
-        cache = PrimeCache(str(ours))
-        got = {(h, l): t for h, by_l in cache._mem.items() for l, t in by_l.items()}
-        assert got == want, data
-        assert ours.read_bytes() == oracle.read_bytes(), data
-        if oracle.read_bytes() == data:
-            kept_as_is += 1
-        else:
-            rewritten += 1
-    assert rewritten > 300 and kept_as_is > 300
+        files = [data]
+        if spoil.random() < 0.2:
+            at = spoil.randint(0, len(data))
+            files.append(data[:at] + spoil.choice(_NOT_UTF8) + data[at:])
+        for data in files:
+            ours.write_bytes(data)
+            oracle.write_bytes(data)
+            want = load_prime_cache_whole(oracle)
+            cache = PrimeCache(str(ours))
+            got = {(h, l): t for h, by_l in cache._mem.items() for l, t in by_l.items()}
+            assert got == want, data
+            assert ours.read_bytes() == oracle.read_bytes(), data
+            if oracle.read_bytes() == data:
+                kept_as_is += 1
+            else:
+                rewritten += 1
+        spoilt += len(files) - 1
+    assert rewritten > 300 and kept_as_is > 300 and spoilt > 200
 
 
 def test_cache_shares_one_tuple_per_cycle_type(tmp_path):

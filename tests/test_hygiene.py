@@ -1,7 +1,8 @@
 """Source hygiene: every package module imports at its top level only, and
 uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
-package; importing the command line loads no costly standard module."""
+package; every name a module exports it defines; importing the command
+line loads no costly standard module."""
 
 import ast
 import collections
@@ -82,6 +83,36 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_is_reported():
     src = "import os\nfrom .a import b, c as d\nprint(b)\n"
     assert unused_imports(src) == [(1, "os"), (2, "d")]
+
+
+def stale_exports(source: str):
+    """Names in a module's ``__all__`` that the module does not define at its
+    top level (a def, a class or an assignment); an imported name is stale."""
+    tree = ast.parse(source)
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+    return sorted(name for name in exported if name not in defined)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_exports_only_what_it_defines(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_stale_export_is_reported():
+    src = (
+        "from .a import Gone, kept\n\n__all__ = ['Gone', 'f', 'C', 'X', 'Y', 'kept', 'lost']\n\n"
+        "X = 1\nY: int = 2\nkept = kept\n\n\ndef f():\n    lost = 3\n\n\nclass C:\n    pass\n"
+    )
+    assert stale_exports(src) == ["Gone", "lost"]
 
 
 def _definitions(tree):

@@ -5,16 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from twistparity.characters import QuadTwist, local_square_class, sigma_trivial
+from twistparity.characters import ramified_primes, sigma_trivial
 from twistparity.curves import CurveSpec
 from twistparity.errors import (
     BadPrimeError,
     InvalidInputError,
+    ParseError,
     ResourceLimitError,
     UnknownProfileError,
 )
 from twistparity.frobenius import classify_prime, sigma_set
-from twistparity.modular import Place, hilbert_symbol, is_squarefree, local_classes
+from twistparity.files import parse_profiles_text
+from twistparity.modular import (
+    Place,
+    hilbert_symbol,
+    is_squarefree,
+    local_classes,
+    square_class_index,
+    squarefree_part,
+)
 from twistparity.papercases import (
     GOLDEN_CURVES,
     curve_1440d1,
@@ -24,12 +33,10 @@ from twistparity.papercases import (
     curve_x3_minus_2,
 )
 from twistparity.parity import (
-    LocalProfile,
     delta_v,
     density_scan,
     disparity,
     global_consistency_check,
-    infinity_profile,
     omega_tables,
     parity_flip,
 )
@@ -46,9 +53,9 @@ INF = Place.infinity()
 def zero_profiles(curve):
     """Fully specified h = 0 tables at every finite bad place."""
     out = {}
-    for place in sigma_set(curve).iter_places():
+    for place in sigma_set(curve).places:
         if not place.is_infinity:
-            out[place] = LocalProfile(place, {k: 0 for k in local_classes(place)})
+            out[place] = (0,) * len(local_classes(place))
     return out
 
 
@@ -65,24 +72,24 @@ def linear_profile(place, bits):
     else:
         u, q = local_classes(place)[1], place.q
         table = {1: 0, u: bits[0], q: bits[1], u * q: (bits[0] + bits[1]) % 2}
-    return LocalProfile(place, table)
+    return tuple(table[k] for k in local_classes(place))
 
 
 def linear_profiles(curve, rng):
     out = {}
-    for place in sigma_set(curve).iter_places():
+    for place in sigma_set(curve).places:
         if not place.is_infinity:
             bits = [rng.randrange(2) for _ in range(3)]
             out[place] = linear_profile(place, bits)
     return out
 
 
-def omega_by_definition(curve, place, label, profile):
+def omega_by_definition(curve, place, label, table):
     """(-1)^h_v(label) * (label, disc)_v, or None when h is unknown."""
     if place.is_infinity:
         h = 0 if label == 1 else real_root_signature(curve.f)[1] - 1
     else:
-        h = 0 if label == 1 else None if profile is None else profile.h(label)
+        h = 0 if label == 1 else None if table is None else table[local_classes(place).index(label)]
     return None if h is None else (-1) ** h * hilbert_symbol(label, curve.discriminant(), place)
 
 
@@ -96,39 +103,39 @@ def test_good_prime_h_examples():
 
 
 def test_omega_at_infinity_examples():
-    assert omega_tables(curve_x3_minus_2())[INF] == {1: 1, -1: -1}  # h = 0, disc < 0
-    assert omega_tables(curve_h())[INF][-1] == 1  # (-1)^1 * (-1)^1
+    assert omega_tables(curve_x3_minus_2())[INF] == (1, -1)  # h = 0, disc < 0
+    assert omega_tables(curve_h())[INF][1] == 1  # (-1)^1 * (-1)^1
 
 
 def test_omega_consumes_profile_entries():
     c = curve_x3_minus_2()
     p3 = Place.finite(3)
-    prof = LocalProfile(p3, {1: 0, 2: 1, 3: None, 6: 0})
-    row = omega_tables(c, {p3: prof})[p3]
-    assert row[1] == 1
-    assert row[2] == -hilbert_symbol(2, -108, p3)  # (-1)^1 * chi(disc)
-    assert row[3] is None
-    assert row[6] == hilbert_symbol(6, -108, p3)
+    assert local_classes(p3) == (1, 2, 3, 6)
+    row = omega_tables(c, {p3: (0, 1, None, 0)})[p3]
+    assert row[0] == 1
+    assert row[1] == -hilbert_symbol(2, -108, p3)  # (-1)^1 * chi(disc)
+    assert row[2] is None
+    assert row[3] == hilbert_symbol(6, -108, p3)
 
 
 def test_parity_flip_examples():
     c = curve_x3_minus_2()
-    v = parity_flip(c, QuadTwist(73))
+    v = parity_flip(c, 73)
     assert (v.flip, v.status) == (1, "relative_only")
-    v = parity_flip(c, QuadTwist(1))
+    v = parity_flip(c, 1)
     assert (v.flip, v.status) == (1, "exact")
-    v = parity_flip(c, QuadTwist(5))
+    v = parity_flip(c, 5)
     assert v.flip is None and v.status == "unknown"
     assert set(v.missing) == {Place.finite(2), Place.finite(3)}
     # nontrivial only at the real place: exact without any user profile
-    v = parity_flip(c, QuadTwist(-23))
+    v = parity_flip(c, -23)
     assert (v.flip, v.status) == (-1, "exact")
 
 
 def test_parity_flip_with_full_profiles_is_exact():
     c = curve_x3_minus_2()
     prof = zero_profiles(c)
-    v = parity_flip(c, QuadTwist(5), prof)
+    v = parity_flip(c, 5, prof)
     assert v.status == "exact"
     assert v.flip == hilbert_symbol(5, -108, Place.finite(2)) * hilbert_symbol(
         5, -108, Place.finite(3)
@@ -144,10 +151,9 @@ def test_sigma_trivial_twists_of_h_never_flip():
         d += 8
         if not is_squarefree(d):
             continue
-        t = QuadTwist(d)
-        if sigma_trivial(t, sigma):
+        if sigma_trivial(d, sigma):
             found += 1
-            assert parity_flip(ch, t).flip == 1
+            assert parity_flip(ch, d).flip == 1
 
 
 def test_global_consistency_spec_example():
@@ -155,11 +161,11 @@ def test_global_consistency_spec_example():
     # LHS: 5 is in P_1, so h = 1 and the sign is -1
     assert classify_prime(c, 5).i == 1
     rhs = 1
-    for v in sigma_set(c).iter_places():
+    for v in sigma_set(c).places:
         rhs *= hilbert_symbol(5, -108, v)
     assert rhs == -1
-    assert global_consistency_check(c, QuadTwist(5))
-    assert global_consistency_check(c, QuadTwist(1))
+    assert global_consistency_check(c, 5)
+    assert global_consistency_check(c, 1)
 
 
 def test_global_consistency_random_sweep():
@@ -169,7 +175,7 @@ def test_global_consistency_random_sweep():
         d = 0
         while d == 0 or not is_squarefree(d):
             d = rng.randint(-(10**6), 10**6)
-        assert global_consistency_check(ch, QuadTwist(d)), d
+        assert global_consistency_check(ch, d), d
 
 
 def test_flip_multiplicative_on_disjoint_ramified_sets():
@@ -179,15 +185,15 @@ def test_flip_multiplicative_on_disjoint_ramified_sets():
         profs = linear_profiles(curve, rng)
         pairs = 0
         while pairs < 60:
-            a = QuadTwist.of(rng.randint(1, 5000) * rng.choice((1, -1)))
-            b = QuadTwist.of(rng.randint(1, 5000) * rng.choice((1, -1)))
-            if set(a.ramified_primes()) & set(b.ramified_primes()):
+            a = squarefree_part(rng.randint(1, 5000) * rng.choice((1, -1)))
+            b = squarefree_part(rng.randint(1, 5000) * rng.choice((1, -1)))
+            if set(ramified_primes(a)) & set(ramified_primes(b)):
                 continue
             pairs += 1
             va = parity_flip(curve, a, profs)
             vb = parity_flip(curve, b, profs)
-            vab = parity_flip(curve, a * b, profs)
-            assert va.flip * vb.flip == vab.flip, (a.d, b.d)
+            vab = parity_flip(curve, squarefree_part(a * b), profs)
+            assert va.flip * vb.flip == vab.flip, (a, b)
 
 
 def test_flip_depends_only_on_local_classes():
@@ -197,8 +203,8 @@ def test_flip_depends_only_on_local_classes():
     sigma = sigma_set(c)
     seen = {}
     for _ in range(400):
-        d = QuadTwist.of(rng.randint(1, 10**5) * rng.choice((1, -1)))
-        key = tuple(local_square_class(d, v) for v in sigma.iter_places())
+        d = squarefree_part(rng.randint(1, 10**5) * rng.choice((1, -1)))
+        key = tuple(square_class_index(d, v) for v in sigma.places)
         flip = parity_flip(c, d, profs).flip
         if key in seen:
             assert seen[key] == flip, (key, d)
@@ -246,9 +252,8 @@ def test_delta_infinity_brute_force_detail():
 def test_delta_v_reports_unknown_entries():
     c = curve_x3_minus_2()
     p3 = Place.finite(3)
-    prof = LocalProfile(p3, {1: 0, 2: 1})
     with pytest.raises(UnknownProfileError) as err:
-        delta_v(c, p3, prof)
+        delta_v(c, p3, (0, 1, None, None))
     assert (p3, 3) in err.value.missing and (p3, 6) in err.value.missing
 
 
@@ -308,8 +313,8 @@ def test_density_scan_exact_counts_match_enumeration(name):
     sigma = sigma_set(curve)
     rng = random.Random(name)
     complete = {
-        place: LocalProfile(place, {k: 0 if k == 1 else rng.randint(0, 1) for k in local_classes(place)})
-        for place in sigma.iter_places()
+        place: tuple(0 if k == 1 else rng.randint(0, 1) for k in local_classes(place))
+        for place in sigma.places
         if not place.is_infinity
     }
     omega = {
@@ -317,16 +322,15 @@ def test_density_scan_exact_counts_match_enumeration(name):
             k: omega_by_definition(curve, place, k, complete.get(place))
             for k in local_classes(place)
         }
-        for place in sigma.iter_places()
+        for place in sigma.places
     }
     tables = omega_tables(curve, complete)
-    assert tables == omega
-    assert all(tuple(row) == local_classes(place) for place, row in tables.items())
+    assert tables == {place: tuple(row.values()) for place, row in omega.items()}
     flip = {}
     for d in enumerate_characters(30):
         flip[d] = 1
         for place, tab in omega.items():
-            flip[d] *= tab[local_square_class(d, place)]
+            flip[d] *= tab[local_classes(place)[square_class_index(d, place)]]
     for bound in range(2, 31):
         chars = enumerate_characters(bound)
         kept = [d for d in chars if sigma_trivial(d, sigma)]
@@ -375,20 +379,22 @@ def test_density_scan_argument_validation():
 
 
 def test_local_profile_validation():
+    """A place's h table: canonical labels only, h = 0 at the trivial class,
+    None where unknown, in ``local_classes`` order."""
+    with pytest.raises(ParseError):
+        parse_profiles_text("place = 3\nh[4] = 0\n")  # 4 is not a canonical label at 3
+    with pytest.raises(ParseError):
+        parse_profiles_text("place = 3\nh[1] = 2\n")  # trivial class must have h = 0
     p3 = Place.finite(3)
-    with pytest.raises(InvalidInputError):
-        LocalProfile(p3, {4: 0})  # 4 is not a canonical label at 3
-    with pytest.raises(InvalidInputError):
-        LocalProfile(p3, {1: 2})  # trivial class must have h = 0
-    prof = LocalProfile(p3, {2: 1})
-    assert prof.h(1) == 0
-    assert prof.h(2) == 1
-    assert prof.h(3) is None
+    assert parse_profiles_text("place = 3\nh[2] = 1\n") == {p3: (0, 1, None, None)}
+    assert parse_profiles_text("place = 3\nh[6] = 1\nh[1] = unknown\n") == {p3: (0, None, None, 1)}
 
 
 def test_infinity_profile_auto_fill():
-    prof = infinity_profile(curve_h())
-    assert prof.h(1) == 0
-    assert prof.h(-1) == 1  # k1 - 1 with k1 = 2
-    r, k1, k2 = real_root_signature(curve_h().f)
+    """The real place's h is auto-filled: h(sign) = k1 - 1."""
+    c = curve_h()
+    r, k1, k2 = real_root_signature(c.f)
     assert (r, k1, k2) == (3, 2, 1)
+    sign = hilbert_symbol(-1, c.discriminant(), INF)
+    assert omega_tables(c)[INF] == (1, (-1) ** (k1 - 1) * sign)
+    assert omega_tables(c, {INF: (0, 0)})[INF] == (1, -sign)  # a supplied table is not read

@@ -6,26 +6,28 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from twistparity.characters import (  # noqa: E402
-    QuadTwist,
-    sigma_trivial,
-    sigma_trivial_congruences,
-    sigma_trivial_twist,
-)
+from twistparity.characters import sigma_trivial  # noqa: E402
 from twistparity.frobenius import sigma_set  # noqa: E402
 from twistparity.metabolic import Subspace  # noqa: E402
-from twistparity.modular import factor_integer, is_prime, is_squarefree  # noqa: E402
+from twistparity.modular import (  # noqa: E402
+    factor_integer,
+    is_prime,
+    is_squarefree,
+    squarefree_part,
+)
 from twistparity.papercases import curve_h  # noqa: E402
+
+from oracles import sigma_trivial_by_classes  # noqa: E402
 
 nonzero = st.integers(-(10**12), 10**12).filter(lambda n: n != 0)
 
 
 @hypothesis.given(nonzero, nonzero)
 def test_twist_product_is_the_squarefree_kernel(x, y):
-    a, b = QuadTwist.of(x), QuadTwist.of(y)
-    prod = a * b
-    assert prod == QuadTwist.of(a.d * b.d)
-    assert QuadTwist(prod.d) == prod  # the public constructor accepts it
+    a, b = squarefree_part(x), squarefree_part(y)
+    prod = squarefree_part(a * b)
+    assert prod == squarefree_part(x * y)
+    assert is_squarefree(prod) and squarefree_part(prod) == prod
 
 
 SIGMA_H = sigma_set(curve_h())
@@ -33,10 +35,12 @@ SIGMA_H = sigma_set(curve_h())
 
 @hypothesis.given(st.integers(-(10**8), 10**8).filter(lambda n: n != 0))
 def test_sigma_trivial_twist_keeps_exactly_the_sigma_trivial_squarefree(n):
-    expected = is_squarefree(n) and sigma_trivial(QuadTwist(n), SIGMA_H)
-    assert (sigma_trivial_twist(n, SIGMA_H) is not None) == expected
+    """The sampler's filter, congruences then the squarefree test, keeps the
+    squarefree n of square class index 0 at every place of Sigma."""
+    expected = is_squarefree(n) and sigma_trivial_by_classes(n, SIGMA_H)
+    assert (sigma_trivial(n, SIGMA_H) and is_squarefree(n)) == expected
     if is_squarefree(n):
-        assert sigma_trivial_congruences(n, SIGMA_H) == sigma_trivial(QuadTwist(n), SIGMA_H)
+        assert sigma_trivial(n, SIGMA_H) == sigma_trivial_by_classes(n, SIGMA_H)
 
 
 @hypothesis.given(st.lists(st.integers(0, 255), max_size=10), st.randoms())

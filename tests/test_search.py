@@ -24,7 +24,7 @@ def test_x3_minus_2_raise_stream_golden():
     assert [r.l for r in got] == [433, 457, 601]
     for r in got:
         assert r.cycle_type == (1, 1, 1)
-        assert r.d.d == r.l
+        assert r.d == r.l
         assert verify_recipe(curve_x3_minus_2(), r)
 
 

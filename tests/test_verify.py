@@ -79,7 +79,7 @@ def test_cli_exit_code_2_on_failed_check(monkeypatch, capsys):
 
 
 def test_cli_exit_code_3_when_sampling_stalls(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "sigma_trivial_twist", lambda d, sigma: None)
+    monkeypatch.setattr(verify, "sigma_trivial", lambda d, sigma: False)
     assert cli.main(["verify-paper"]) == 3
     assert "sampling stalled" in capsys.readouterr().err
 
