@@ -11,7 +11,7 @@ only read in profiles and written in reports.
 
 from __future__ import annotations
 
-from .modular import Place, factor_integer, kronecker_symbol, local_classes, square_class_index
+from .modular import factor_integer, kronecker_symbol, local_classes, square_class_index
 
 __all__ = ["ramified_primes", "local_behavior", "sigma_trivial", "local_square_class"]
 
@@ -27,7 +27,7 @@ def ramified_primes(d: int):
     return tuple(sorted(out))
 
 
-def local_behavior(d: int, place: Place) -> str:
+def local_behavior(d: int, place: int) -> str:
     """How chi_d restricts to Q_v, read off the index of its square class.
 
     Index 0 is ``trivial``, index 1 ``sign`` at the real place and
@@ -37,19 +37,20 @@ def local_behavior(d: int, place: Place) -> str:
     if i == 0:
         return "trivial"
     if i == 1:
-        return "sign" if place.is_infinity else "unramified_nontrivial"
+        return "sign" if place == 0 else "unramified_nontrivial"
     return "ramified"
 
 
-def sigma_trivial(d: int, sigma) -> bool:
+def sigma_trivial(d: int, sigma: tuple) -> bool:
     """True when chi_d is a local square at every place of the bad set.
 
     For squarefree d that is d > 0, d = 1 mod 8 and (d|q) = 1 at each odd
-    bad prime q: square class index 0 at the real place, at 2 and at q.
+    bad prime q, ``sigma[2:]``: square class index 0 at the real place, at
+    2 and at q.
     """
-    return d > 0 and d % 8 == 1 and all(kronecker_symbol(d, q) == 1 for q in sigma.odd_primes)
+    return d > 0 and d % 8 == 1 and all(kronecker_symbol(d, q) == 1 for q in sigma[2:])
 
 
-def local_square_class(d: int, place: Place) -> int:
+def local_square_class(d: int, place: int) -> int:
     """The canonical representative of d's square class in Q_v^x/(Q_v^x)^2."""
     return local_classes(place)[square_class_index(d, place)]

@@ -17,7 +17,7 @@ from .curves import curve_hash
 from .errors import ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
-from .modular import Place, local_classes, square_class_index, squarefree_part
+from .modular import local_classes, place_name, square_class_index, squarefree_part
 from .parity import delta_v, density_scan, disparity, omega_tables, parity_flip
 from .report import Report, sha256_text
 from .search import find_shift_primes
@@ -34,13 +34,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        n = int(text)
-    except ValueError:
+        return int(text)
+    except ValueError:  # the message argparse gives for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _twist(text: str) -> int:
+    n = _int(text)
+    if n == 0:
+        raise argparse.ArgumentTypeError("must be nonzero: 0 defines no quadratic twist")
     return n
 
 
@@ -60,12 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_index", type=int, default=None)
 
     p = sub.add_parser("character", help="local behavior of a quadratic twist")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_twist, required=True)
     p.add_argument("--curve", default=None)
 
     p = sub.add_parser("parity", help="parity flip of one twist")
     p.add_argument("--curve", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_twist, required=True)
     p.add_argument("--profiles", default=None)
 
     p = sub.add_parser("scan", help="twist-family parity density")
@@ -134,11 +145,10 @@ def _curve_input(path):
 
 def _cmd_analyze(args) -> int:
     curve, inputs = _curve_input(args.curve)
-    sigma = sigma_set(curve)
     disc = curve.discriminant()
     r, k1, k2 = curve.real_root_signature()
     with _cache_for(args, args.curve) as cache:
-        verdict = galois_classify(curve, 1000, cache=cache)
+        label, evidence = galois_classify(curve, 1000, cache=cache)
     try:
         torsion = rational_two_torsion_dim(curve)
         torsion_info = {"value": torsion, "provenance": "computed"}
@@ -149,9 +159,9 @@ def _cmd_analyze(args) -> int:
         "discriminant": disc,
         "disc_sign": -1 if disc < 0 else 1,
         "real_root_signature": {"real_roots": r, "k1": k1, "k2": k2},
-        "sigma": [str(v) for v in sigma.places],
-        "delta_infinity": delta_v(curve, Place.infinity(), None),
-        "galois": {"label": verdict.label, "evidence": verdict.evidence},
+        "sigma": [place_name(v) for v in sigma_set(curve)],
+        "delta_infinity": delta_v(curve, 0, None),
+        "galois": {"label": label, "evidence": evidence},
         "two_torsion_dim": torsion_info,
     }
     rep = Report("analyze", args.seed, inputs, out)
@@ -163,9 +173,9 @@ def _cmd_analyze(args) -> int:
             f"degree n = {curve.degree}",
             f"disc = {disc} (sign {out['disc_sign']})",
             f"real roots = {r} (k1 = {k1}, k2 = {k2})",
-            f"Sigma = {sigma}",
+            "Sigma = {" + ", ".join(out["sigma"]) + "}",
             f"delta_inf = {out['delta_infinity']}",
-            f"Galois: {verdict.label} {verdict.evidence}",
+            f"Galois: {label} {evidence}",
             f"dim J(Q)[2] = {torsion_info['value']}"
             + (f"  [{torsion_info.get('note')}]" if torsion_info["value"] is None else ""),
         ],
@@ -199,33 +209,29 @@ def _cmd_classify_primes(args) -> int:
 def _cmd_character(args) -> int:
     d = squarefree_part(args.d)
     ramified = ramified_primes(d)
-    places = [Place.infinity(), Place.finite(2)]
-    places += [Place.finite(q) for q in ramified if q != 2]
+    places = {0, 2, *ramified}
     inputs = {"d": args.d, "squarefree_kernel": d}
     extra = {}
     if args.curve:
         curve, curve_inputs = _curve_input(args.curve)
         inputs.update(curve_inputs)
         sigma = sigma_set(curve)
-        for v in sigma.places:
-            if v not in places:
-                places.append(v)
+        places.update(sigma)
         extra["sigma_trivial"] = sigma_trivial(d, sigma)
-    places = sorted(set(places), key=lambda p: p.q)
     behavior = {
-        str(v): {
+        place_name(v): {
             "behavior": local_behavior(d, v),
             "square_class": local_square_class(d, v),
         }
-        for v in places
+        for v in sorted(places)
     }
     out = {"norm": max(ramified, default=1), "local": behavior, **extra}
     rep = Report("character", args.seed, inputs, out)
 
     def lines():
         yield f"d = {d} (norm {out['norm']})"
-        for v in places:
-            yield f"  at {v}: {behavior[str(v)]['behavior']} (class {behavior[str(v)]['square_class']})"
+        for v, b in behavior.items():
+            yield f"  at {v}: {b['behavior']} (class {b['square_class']})"
         if "sigma_trivial" in extra:
             yield f"Sigma-trivial: {extra['sigma_trivial']}"
 
@@ -244,11 +250,11 @@ def _cmd_parity(args) -> int:
     contributions = {}
     for v, row in omega_tables(curve, profiles).items():
         i = square_class_index(d, v)
-        contributions[str(v)] = {"class": local_classes(v)[i], "omega": row[i]}
+        contributions[place_name(v)] = {"class": local_classes(v)[i], "omega": row[i]}
     out = {
         "flip": verdict.flip,
         "status": verdict.status,
-        "missing_places": [str(v) for v in verdict.missing],
+        "missing_places": [place_name(v) for v in verdict.missing],
         "contributions": contributions,
     }
     rep = Report("parity", args.seed, inputs, out)
@@ -256,7 +262,7 @@ def _cmd_parity(args) -> int:
     def lines():
         yield f"flip = {verdict.flip}  status = {verdict.status}"
         if verdict.missing:
-            yield "missing profile data at: " + ", ".join(str(v) for v in verdict.missing)
+            yield "missing profile data at: " + ", ".join(out["missing_places"])
         for v, c in contributions.items():
             yield f"  omega_{v} = {c['omega']} (class {c['class']})"
 

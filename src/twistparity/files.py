@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .curves import CurveSpec
 from .errors import ParseError, ResourceLimitError
-from .modular import Place, is_prime, local_classes
+from .modular import is_prime, local_classes
 from .ratpoly import RatPoly
 
 __all__ = ["read_text", "parse_curve_text", "load_curve", "parse_profiles_text"]
@@ -121,7 +121,7 @@ def load_curve(path) -> CurveSpec:
 
 
 def parse_profiles_text(text: str) -> dict:
-    """{Place: h table} from a profile file body.
+    """{place: h table} from a profile file body, a place being its prime q.
 
     An h table is a tuple in ``local_classes(place)`` order: h, or None
     where unknown, with 0 at the trivial class.
@@ -143,14 +143,13 @@ def parse_profiles_text(text: str) -> dict:
                     "the real place is auto-filled and cannot be supplied", lineno
                 )
             try:
-                q = int(body)
+                place = int(body)
             except ValueError:
                 raise ParseError("place must be a prime or 'inf'", lineno) from None
-            if not is_prime(q):
-                raise ParseError(f"{q} is not prime", lineno)
-            place = Place(q)
+            if not is_prime(place):
+                raise ParseError(f"{place} is not prime", lineno)
             if place in out:
-                raise ParseError(f"duplicate place {q}", lineno)
+                raise ParseError(f"duplicate place {place}", lineno)
             table = out[place] = {}
         elif key.startswith("h[") and key.endswith("]"):
             if place is None:

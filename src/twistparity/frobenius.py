@@ -22,51 +22,37 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .curves import CurveSpec, curve_hash
 from .errors import BadPrimeError
-from .modular import Place, factor_degrees, is_prime, iter_primes
+from .modular import factor_degrees, is_prime, iter_primes
 from .ratpoly import bad_primes, rational_roots
 
 __all__ = [
-    "SigmaSet",
     "sigma_set",
     "PrimeClass",
     "classify_prime",
     "prime_scan",
     "PrimeCache",
-    "GaloisVerdict",
     "galois_classify",
     "disc_is_square",
 ]
 
 
-class SigmaSet:
-    """The bad set: the real place, 2, and the primes of lead/denominators/disc."""
-
-    __slots__ = ("finite", "odd_primes", "places")
-
-    def __init__(self, finite: tuple):
-        self.finite = finite
-        self.odd_primes = tuple(q for q in finite if q != 2)
-        self.places = (Place.infinity(), *(Place.finite(q) for q in finite))
-
-    def __contains__(self, q: int) -> bool:
-        return q in self.finite
-
-    def __str__(self):
-        return "{inf, " + ", ".join(str(q) for q in self.finite) + "}"
-
-
 _sigma_cache: dict = {}
 
 
-def sigma_set(curve: CurveSpec) -> SigmaSet:
-    """Minimal checkable bad set for the curve (always contains 2)."""
+def sigma_set(curve: CurveSpec) -> tuple:
+    """The bad set as its places, sorted: (0, 2, q, ...).
+
+    0 is the real place, then 2 and the primes of the lead coefficient,
+    the denominators and the discriminant, so ``sigma[2:]`` are the odd
+    bad primes.
+    """
     key = curve_hash(curve)
     if key not in _sigma_cache:
-        _sigma_cache[key] = SigmaSet(tuple(sorted({2} | bad_primes(curve.f, curve.discriminant()))))
+        _sigma_cache[key] = (0, *sorted({2} | bad_primes(curve.f, curve.discriminant())))
     return _sigma_cache[key]
 
 
@@ -230,54 +216,38 @@ def prime_scan(
 # heuristic Galois classification
 
 
-class GaloisVerdict:
-    """Certified-or-honest label for Gal(f) with the evidence that produced it."""
-
-    __slots__ = ("label", "evidence")
-
-    def __init__(self, label: str, evidence: dict):
-        self.label = label  # Sn_certified | An_certified | inside_An | unknown
-        self.evidence = evidence
-
-
 def disc_is_square(curve: CurveSpec) -> bool:
     d = curve.discriminant()
-    if d <= 0:
-        return False
-    a = _isqrt_exact(d.numerator)
-    b = _isqrt_exact(d.denominator)
-    return a is not None and b is not None
+    return d > 0 and all(math.isqrt(n) ** 2 == n for n in (d.numerator, d.denominator))
 
 
-def _isqrt_exact(n: int):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache | None = None):
+    """(label, evidence) for Gal(f), from the disc-square test plus sampled cycle types.
 
-
-def galois_classify(
-    curve: CurveSpec, sample_bound: int, cache: PrimeCache | None = None
-) -> GaloisVerdict:
-    """Classify Gal(f) from the disc-square test plus sampled cycle types.
-
-    Only standard sufficient criteria are used, so a certified label is
+    The label is Sn_certified, An_certified, inside_An or unknown.  Only
+    standard sufficient criteria are used, so a certified label is
     trustworthy while everything else degrades to inside_An / unknown.
     Sn needs the disc to be a nonsquare plus an n-cycle, an (n-1)-cycle
-    and a transposition-type pattern; An needs a square disc plus an
-    n-cycle and an (n-2)-cycle with fixed points.
+    and a transposition-type pattern.  An needs a square disc plus an
+    n-cycle and an (n-2)-cycle with fixed points, which for odd n make the
+    group primitive.  When q = n - 1 is a power of 2 above 4, the groups
+    from PGL(2,q) to PGammaL(2,q) on the projective line lie in A_n and
+    hold both cycles too (PSL(2,8) at n = 9), so An also needs a power of
+    an element to be a p-cycle, p prime and p <= n-3: a primitive group
+    with such a cycle contains A_n (Jordan, 1873).
     """
     n = curve.degree
     square = disc_is_square(curve)
     evidence: dict = {"disc_square": square, "sample_bound": sample_bound}
     if len(curve.declared_factors) > 1 or rational_roots(curve.f):
         evidence["note"] = "f reducible over Q"
-        return GaloisVerdict("unknown", evidence)
+        return "unknown", evidence
 
-    seen: dict = {}
+    seen = set()
     first_at: dict = {}
     for pc in prime_scan(curve, 2, sample_bound + 1, cache=cache):
         t = pc.lengths
-        if t not in seen:
-            seen[t] = pc.l
+        seen.add(t)
         for name, ok in _pattern_tests(t, n):
             if ok and name not in first_at:
                 first_at[name] = pc.l
@@ -289,30 +259,43 @@ def galois_classify(
         if has("n_cycle") and has("n_minus_1_cycle") and (
             has("transposition") or has("transposition_power")
         ):
-            return GaloisVerdict("Sn_certified", evidence)
-        return GaloisVerdict("unknown", evidence)
-    if has("n_cycle") and has("n_minus_2_cycle"):
-        return GaloisVerdict("An_certified", evidence)
-    return GaloisVerdict("inside_An", evidence)
+            return "Sn_certified", evidence
+        return "unknown", evidence
+    if has("n_cycle") and has("n_minus_2_cycle") and (
+        not _projective_degree(n) or has("prime_cycle_power")
+    ):
+        return "An_certified", evidence
+    return "inside_An", evidence
+
+
+def _projective_degree(n: int) -> bool:
+    """n - 1 is a power of 2 above 4: PGL(2, n-1) acts on n points."""
+    return n > 5 and (n - 1) & (n - 2) == 0
 
 
 def _pattern_tests(t: tuple, n: int):
     """Cycle-type patterns consumed by the certification rules."""
-    counts: dict = {}
-    for x in t:
-        counts[x] = counts.get(x, 0) + 1
+    counts = Counter(t)
     yield "n_cycle", t == (n,)
     yield "n_minus_1_cycle", n > 2 and sorted(t) == sorted((n - 1, 1))
-    yield "transposition", counts.get(2, 0) == 1 and counts.get(1, 0) == n - 2
+    yield "transposition", counts[2] == 1 and counts[1] == n - 2
     # one 2-cycle, one odd prime q-cycle with q > n/2, rest fixed points:
     # the q-th power of such a permutation is a transposition
     odd_big = [x for x in t if x % 2 == 1 and x > n / 2 and is_prime(x)]
     yield "transposition_power", (
-        counts.get(2, 0) == 1
+        counts[2] == 1
         and len(odd_big) == 1
-        and counts.get(1, 0) == n - 2 - odd_big[0]
+        and counts[1] == n - 2 - odd_big[0]
         and len(t) == n - odd_big[0]
     )
     yield "n_minus_2_cycle", n > 4 and sorted(t) == sorted((n - 2, 1, 1)) or (
         n == 3 and t == (1, 1, 1)
     )
+    if _projective_degree(n):
+        # exactly one cycle of prime length p <= n-3, no other length divisible
+        # by p: the power by the other lengths' lcm is a p-cycle
+        yield "prime_cycle_power", any(
+            counts[x] == 1 and x <= n - 3 and is_prime(x)
+            and all(y % x for y in counts if y != x)
+            for x in counts
+        )

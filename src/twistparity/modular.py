@@ -22,7 +22,7 @@ from . import gfpoly
 from .errors import BadPrimeError, InvalidInputError
 
 __all__ = [
-    "Place",
+    "place_name",
     "is_prime",
     "iter_primes",
     "sieve_primes",
@@ -36,45 +36,6 @@ __all__ = [
     "hilbert_symbol",
     "factor_degrees",
 ]
-
-# ---------------------------------------------------------------------------
-# places of Q
-
-
-class Place:
-    """A place of Q: the archimedean place (q = 0) or a finite prime q."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        self.q = q
-
-    def __eq__(self, other):
-        return self.q == other.q if isinstance(other, Place) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):  # UnknownProfileError lists places in its message
-        return f"Place(q={self.q})"
-
-    @classmethod
-    def infinity(cls) -> "Place":
-        return cls(0)
-
-    @classmethod
-    def finite(cls, q: int) -> "Place":
-        if not is_prime(q):
-            raise InvalidInputError(f"{q} is not prime")
-        return cls(q)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
-
-    def __str__(self):
-        return "inf" if self.q == 0 else str(self.q)
-
 
 # ---------------------------------------------------------------------------
 # integer primality / factorization
@@ -337,6 +298,13 @@ def kronecker_symbol(a: int, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # square classes of Q_v and the Hilbert pairing
+#
+# A place of Q is an int: 0 for the real place, the prime q otherwise.
+
+
+def place_name(place: int) -> str:
+    """How reports and text name a place: ``inf`` or the prime."""
+    return "inf" if place == 0 else str(place)
 
 
 def smallest_nonresidue(q: int) -> int:
@@ -350,25 +318,24 @@ def smallest_nonresidue(q: int) -> int:
 _odd_classes: dict = {}  # q -> local_classes at q, so each q's nonresidue is found once
 
 
-def local_classes(place: Place):
+def local_classes(place: int):
     """Canonical representatives of Q_v^x / (Q_v^x)^2, in index order.
 
     The class of index i is ``local_classes(place)[i]``, where i is what
     ``square_class_index`` returns; the trivial class is index 0.
     """
-    if place.is_infinity:
+    if place == 0:
         return (1, -1)
-    q = place.q
-    if q == 2:
+    if place == 2:
         return (1, 5, -1, -5, 2, 10, -2, -10)
-    classes = _odd_classes.get(q)
+    classes = _odd_classes.get(place)
     if classes is None:
-        u = smallest_nonresidue(q)
-        classes = _odd_classes[q] = (1, u, q, u * q)
+        u = smallest_nonresidue(place)
+        classes = _odd_classes[place] = (1, u, place, u * place)
     return classes
 
 
-def square_class_index(x, place: Place) -> int:
+def square_class_index(x, place: int) -> int:
     """The index of the square class of a nonzero int or Fraction x at a place.
 
     The bits of the index are the F_2 coordinates of the class in
@@ -385,9 +352,9 @@ def square_class_index(x, place: Place) -> int:
     num, den = x.numerator, x.denominator
     if num == 0:
         raise InvalidInputError("zero has no square class")
-    if place.is_infinity:
+    if place == 0:
         return int(num < 0)
-    q = place.q
+    q = place
     v = 0
     while num % q == 0:
         num //= q
@@ -401,7 +368,7 @@ def square_class_index(x, place: Place) -> int:
     return (v & 1) << 1 | (kronecker_symbol(unit, q) == -1)
 
 
-def hilbert_symbol(a, b, place: Place) -> int:
+def hilbert_symbol(a, b, place: int) -> int:
     """The Hilbert symbol (a, b)_v over Q: the pairing of two square classes.
 
     With i, j the indices of a, b (see ``square_class_index``), (a, b)_v is
@@ -413,12 +380,12 @@ def hilbert_symbol(a, b, place: Place) -> int:
     """
     i = square_class_index(a, place)
     j = square_class_index(b, place)
-    if place.is_infinity:
+    if place == 0:
         e = i & j
-    elif place.q == 2:
+    elif place == 2:
         e = ((i >> 1) & (j >> 1)) ^ ((i >> 2) & j) ^ ((j >> 2) & i)
     else:
-        e = ((i >> 1) & (j >> 1) & (place.q >> 1)) ^ ((i >> 1) & j) ^ ((j >> 1) & i)
+        e = ((i >> 1) & (j >> 1) & (place >> 1)) ^ ((i >> 1) & j) ^ ((j >> 1) & i)
     return -1 if e & 1 else 1
 
 

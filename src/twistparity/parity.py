@@ -27,12 +27,12 @@ from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
 from .frobenius import PrimeCache, classify_prime, sigma_set
 from .metabolic import Subspace
 from .modular import (
-    Place,
     factor_integer,
     hilbert_symbol,
     is_squarefree,
     iter_primes,
     local_classes,
+    place_name,
     square_class_index,
 )
 
@@ -60,7 +60,7 @@ class ParityVerdict(namedtuple("ParityVerdict", "flip status missing", defaults=
     __slots__ = ()
 
 
-def _omega_row(curve: CurveSpec, place: Place, h: tuple | None) -> tuple:
+def _omega_row(curve: CurveSpec, place: int, h: tuple | None) -> tuple:
     """omega_v or None per class index at a place of Sigma, from its h table.
 
     omega_v = (-1)^h * chi_v(disc), with chi_v(disc) the Hilbert symbol
@@ -68,7 +68,7 @@ def _omega_row(curve: CurveSpec, place: Place, h: tuple | None) -> tuple:
     None where h is unknown, and everywhere but index 0 when h is None.
     The real place reads h(sign) = k1 - 1 from the curve.
     """
-    if place.is_infinity:
+    if place == 0:
         h = (0, curve.real_root_signature()[1] - 1)
     labels = local_classes(place)
     if h is None:
@@ -87,10 +87,7 @@ def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
     table from ``profiles``, and without one only its trivial class is known.
     """
     profiles = profiles or {}
-    return {
-        place: _omega_row(curve, place, profiles.get(place))
-        for place in sigma_set(curve).places
-    }
+    return {place: _omega_row(curve, place, profiles.get(place)) for place in sigma_set(curve)}
 
 
 def parity_flip(curve: CurveSpec, d: int, profiles: dict | None = None) -> ParityVerdict:
@@ -117,12 +114,12 @@ def global_consistency_check(curve: CurveSpec, d: int, cache: PrimeCache | None 
     sigma = sigma_set(curve)
     hsum = 0
     for l in factor_integer(d):
-        if l not in sigma and l != 2:
+        if l not in sigma:
             hsum += classify_prime(curve, l, cache=cache).i
     lhs = (-1) ** hsum
     rhs = 1
     disc = curve.discriminant()
-    for place in sigma.places:
+    for place in sigma:
         rhs *= hilbert_symbol(d, disc, place)
     return lhs == rhs
 
@@ -131,7 +128,7 @@ def global_consistency_check(curve: CurveSpec, d: int, cache: PrimeCache | None 
 # disparity
 
 
-def delta_v(curve: CurveSpec, place: Place, h: tuple | None) -> Fraction:
+def delta_v(curve: CurveSpec, place: int, h: tuple | None) -> Fraction:
     """Average of omega_v over the local character group (2, 8 or 4 classes)."""
     row = _omega_row(curve, place, h)
     missing = [(place, label) for label, w in zip(local_classes(place), row) if w is None]
@@ -145,7 +142,7 @@ class DisparityReport(namedtuple("DisparityReport", "per_place delta even_densit
 
     def as_json_dict(self):
         return {
-            "delta_v": {str(p): str(v) for p, v in self.per_place.items()},
+            "delta_v": {place_name(v): str(dv) for v, dv in self.per_place.items()},
             "delta": str(self.delta),
             "even_density": str(self.even_density),
             "r1_parity": {"value": self.r1_parity, "provenance": "user"},
@@ -159,7 +156,7 @@ def disparity(
     profiles = profiles or {}
     per_place = {}
     prod = Fraction(1)
-    for place in sigma_set(curve).places:
+    for place in sigma_set(curve):
         dv = delta_v(curve, place, profiles.get(place))
         per_place[place] = dv
         prod *= dv
@@ -233,7 +230,7 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
         raise InvalidInputError("bound must be >= 2")
     gens = [-1, 2, *iter_primes(3, max_norm)] if max_norm > 2 else []
     layout, dim = [], 0  # (place, offset of its coordinates, mask of its index)
-    for v in sigma.places:
+    for v in sigma:
         size = len(local_classes(v))
         layout.append((v, dim, size - 1))
         dim += size.bit_length() - 1

@@ -15,7 +15,7 @@ from .modular import factor_degrees, iter_primes
 from .ratpoly import RatPoly, rational_roots
 
 __all__ = [
-    "Permutation",
+    "cycle_lengths",
     "fixed_space_dim",
     "orbit_lengths_coprime",
     "rational_two_torsion_dim",
@@ -23,53 +23,20 @@ __all__ = [
 ]
 
 
-class Permutation:
-    """A bijection of {0..n-1} stored as the tuple of images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple):
-        if sorted(images) != list(range(len(images))):
-            raise InvalidInputError("images do not define a bijection")
-        self.images = images
-
-    def __eq__(self, other):
-        return self.images == other.images if isinstance(other, Permutation) else NotImplemented
-
-    @classmethod
-    def random(cls, n: int, rng) -> "Permutation":
-        images = list(range(n))
-        rng.shuffle(images)
-        return cls(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition self after other."""
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def cycle_lengths(self) -> tuple:
-        seen = [False] * self.n
-        out = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            m = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                m += 1
+def cycle_lengths(images) -> tuple:
+    """Sorted cycle lengths of the permutation i -> images[i] of {0..n-1}."""
+    seen = [False] * len(images)
+    out = []
+    for i in range(len(images)):
+        m = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            m += 1
+        if m:
             out.append(m)
-        return tuple(sorted(out))
+    return tuple(sorted(out))
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -95,25 +62,26 @@ def _rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def fixed_space_dim(sigma: Permutation, n: int, p: int) -> int:
-    """dim over F_p of the sigma-fixed subspace of F_p^n / <all-ones>.
+def fixed_space_dim(images, p: int) -> int:
+    """dim over F_p of the fixed subspace of F_p^n / <all-ones> under a permutation.
 
-    Computed by row-reducing the matrix of (sigma - 1) composed with the
-    projection killing the all-ones line: v is fixed in the quotient iff
-    (sigma - 1)v lies on the line, and the line itself is always fixed.
+    The permutation sigma: i -> images[i] of {0..n-1} acts on coordinates
+    by (sigma v)_i = v_images[i]; acting through its inverse instead fixes
+    the same vectors.  Computed by row-reducing the matrix of
+    (sigma - 1) composed with the projection killing the all-ones line:
+    v is fixed in the quotient iff (sigma - 1)v lies on the line, and the
+    line itself is always fixed.
     """
-    if sigma.n != n:
-        raise InvalidInputError("permutation degree mismatch")
+    n = len(images)
     if n % p == 0:
         raise InvalidInputError("p must not divide n")
-    inv = sigma.inverse().images
     # B v = projection of (sigma - 1) v: coordinates i < n-1 of w - w_n * 1
     rows = []
     for i in range(n - 1):
         row = [0] * n
-        row[inv[i]] += 1
+        row[images[i]] += 1
         row[i] -= 1
-        row[inv[n - 1]] -= 1
+        row[images[n - 1]] -= 1
         row[n - 1] += 1
         rows.append([x % p for x in row])
     kernel_dim = n - _rank_mod_p(rows, p)

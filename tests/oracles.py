@@ -13,7 +13,7 @@ from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import QuadraticSpace, Subspace
 from twistparity.modular import sieve_primes, square_class_index
 from twistparity.ratpoly import RatPoly
-from twistparity.torsion import Permutation, orbit_lengths_coprime
+from twistparity.torsion import orbit_lengths_coprime
 
 
 def twist_norm(d: int) -> int:
@@ -29,7 +29,7 @@ def sigma_trivial_by_classes(d: int, sigma) -> bool:
 
     Oracle for ``characters.sigma_trivial``, which reads congruences.
     """
-    return all(square_class_index(d, v) == 0 for v in sigma.places)
+    return all(square_class_index(d, v) == 0 for v in sigma)
 
 
 def enumerate_characters(bound: int, cap: int = 1 << 20):
@@ -86,8 +86,8 @@ def delta_inf_closed_form(n: int) -> Fraction:
     return Fraction(1) if n % 4 == 1 else Fraction(0)
 
 
-def from_cycles(n: int, cycles) -> Permutation:
-    """Build a permutation from 1-based disjoint cycles, e.g. [(1,2),(3,4,5)]."""
+def from_cycles(n: int, cycles) -> tuple:
+    """The images of the permutation with 1-based disjoint cycles, e.g. [(1,2),(3,4,5)]."""
     images = list(range(n))
     seen = set()
     for cyc in cycles:
@@ -97,7 +97,7 @@ def from_cycles(n: int, cycles) -> Permutation:
             seen.add(a)
         for a, b in zip(cyc, cyc[1:] + tuple(cyc[:1])):
             images[a - 1] = b - 1
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def transformed(space: QuadraticSpace, rows) -> QuadraticSpace:

@@ -8,7 +8,6 @@ from twistparity.characters import local_behavior, local_square_class, sigma_tri
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import sigma_set
 from twistparity.modular import (
-    Place,
     hilbert_symbol,
     is_squarefree,
     local_classes,
@@ -19,9 +18,9 @@ from twistparity.papercases import curve_x3_minus_2
 
 from oracles import enumerate_characters, twist_norm
 
-INF = Place.infinity()
-P2 = Place.finite(2)
-P3 = Place.finite(3)
+INF = 0  # the real place
+P2 = 2
+P3 = 3
 
 
 def test_local_behavior_examples():
@@ -101,7 +100,7 @@ def test_sigma_trivial_examples():
 
 def test_trivial_behavior_is_a_subgroup():
     rng = random.Random(9)
-    places = [INF, P2, P3, Place.finite(7)]
+    places = [INF, P2, P3, 7]
     for _ in range(200):
         a = squarefree_part(rng.randint(1, 5000) * rng.choice((1, -1)))
         b = squarefree_part(rng.randint(1, 5000) * rng.choice((1, -1)))
@@ -120,7 +119,7 @@ def test_local_classes_shape():
     assert local_classes(INF) == (1, -1)
     assert local_classes(P2) == (1, 5, -1, -5, 2, 10, -2, -10)
     assert local_classes(P3) == (1, 2, 3, 6)
-    assert local_classes(Place.finite(7)) == (1, 3, 7, 21)
+    assert local_classes(7) == (1, 3, 7, 21)
 
 
 def test_local_square_class_examples():
@@ -136,7 +135,7 @@ def test_local_square_class_examples():
 def test_local_square_class_matches_hilbert_pairing():
     """The canonical representative is in the same square class as d."""
     rng = random.Random(31)
-    places = [INF, P2, P3, Place.finite(5), Place.finite(11)]
+    places = [INF, P2, P3, 5, 11]
     for _ in range(250):
         d = squarefree_part(rng.randint(1, 10**5) * rng.choice((1, -1)))
         x = rng.randint(-200, 200) or 7
@@ -145,17 +144,17 @@ def test_local_square_class_matches_hilbert_pairing():
             assert hilbert_symbol(rep, x, v) == hilbert_symbol(d, x, v), (d, v, x)
 
 
-def behavior_by_congruences(n: int, v: Place) -> str:
+def behavior_by_congruences(n: int, v: int) -> str:
     """The textbook criteria: the sign at infinity, n mod 8 at 2, q | n and (n|q) at odd q."""
-    if v.is_infinity:
+    if v == 0:
         return "sign" if n < 0 else "trivial"
-    if v.q == 2:
+    if v == 2:
         if n % 8 == 1:
             return "trivial"
         return "unramified_nontrivial" if n % 8 == 5 else "ramified"
-    if n % v.q == 0:
+    if n % v == 0:
         return "ramified"
-    euler = pow(n, (v.q - 1) // 2, v.q)  # Euler's criterion for (n|q)
+    euler = pow(n, (v - 1) // 2, v)  # Euler's criterion for (n|q)
     return "trivial" if euler == 1 else "unramified_nontrivial"
 
 
@@ -164,8 +163,8 @@ def test_behavior_determines_class_coarsely():
     seen = set()
     for _ in range(200):
         d = squarefree_part(rng.randint(1, 10**4) * rng.choice((1, -1)))
-        for v in (INF, P2, P3, Place.finite(13)):
+        for v in (INF, P2, P3, 13):
             beh = local_behavior(d, v)
             assert beh == behavior_by_congruences(d, v), (d, v)
-            seen.add((v.is_infinity, beh))
+            seen.add((v == 0, beh))
     assert len(seen) == 5  # every behavior occurs, SIGN and TRIVIAL at infinity

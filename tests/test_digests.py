@@ -1,4 +1,5 @@
-"""SHA-256 pins of whole JSON reports, so a refactor cannot move a byte."""
+"""SHA-256 pins of whole JSON reports and of text output, so a refactor
+cannot move a byte."""
 
 import hashlib
 import pathlib
@@ -31,6 +32,11 @@ h[6] = 1
 
 # sha256 of the concatenated JSON reports of each run list below
 DIGESTS = {
+    "analyze:cubic_1440d1": "f0f90170af1eb3a57ba3699b8d42ca2693ee97579b338a7ae619d374488e7cfc",
+    "analyze:g_quintic": "de12c85fc91383f388f8ab93d1f5e8a2b701ebdc4e438fc8885cb7e32b8acbc9",
+    "analyze:h_quintic": "5a1bfdaf667c32ea47f7a0d469b2f80e44a935c1756670267d9636a19bcc07de",
+    "analyze:s5_quintic": "50e50d0734ed4b5d0f05fc72560d6b3c21f2253ee6b8c1821d4a34aa41e297fc",
+    "analyze:x3_minus_2": "f5687a47de4ac6a1c14e984c43c3b9863ddb748dcd8f8e4dba1dd902f2e1a975",
     "character:cubic_1440d1": "0177cd5b04ec541ada95308776aab9d381b70d1bdf005535db1860f24d4cb932",
     "character:g_quintic": "ebbf064c3af7be7eb34310cc7f3143f3dae3e24a4ae27cfae6d262a331b9033c",
     "character:h_quintic": "871a267e3c90aa5f343193e8c0def742ceb85e5fab0e9763c09d2af84466ae12",
@@ -54,10 +60,37 @@ DIGESTS = {
 }
 
 
+# sha256 of the concatenated standard output and standard error, in text
+# format, of each run list below; "profiled-parity" is parity --d 5 with
+# profiles, and the unprofiled parity runs print the places they miss
+TEXT_DIGESTS = {
+    "analyze:cubic_1440d1": "236215a6844733173b439870c6728a526971fcf4631fdb09bf682e8609530c67",
+    "analyze:g_quintic": "568e69f5ae387bc4aea0f4e9fe6d7b7ab0f3603fde87020606e811f33a530f9e",
+    "analyze:h_quintic": "91fb1241a2af2bf707f8af025ab5d7f706a65aa784a7cd5ed68abce3296c029b",
+    "analyze:s5_quintic": "fa025e8fa6d7d7f2e01b94f531bd9623c9314ff8ea2e0a158adab5692c1f7168",
+    "analyze:x3_minus_2": "5e12b9895db83081661cf85412d7ae4b42fe2c82731ce87922e1da1b28b8a39a",
+    "character:cubic_1440d1": "a2dbd4f7f3246a77b77af0eb64289ac7cc352bb22a73664d8248193a7941e21c",
+    "character:g_quintic": "f8ee6781347c9e03ddd152fc418b0e59bbdc5b40668cb1c5c26423ab7b16b956",
+    "character:h_quintic": "e3582cd38076978f5bf7a69b80a60657db74814f1c4576da81f76ffe0375669a",
+    "character:s5_quintic": "c9a1861479d82a72aaaf30e1a0d4027bf1daf828484a5cc34ed23f1f54c9f2ef",
+    "character:x3_minus_2": "f8ee6781347c9e03ddd152fc418b0e59bbdc5b40668cb1c5c26423ab7b16b956",
+    "parity:cubic_1440d1": "58a0c441281003924ff457a9397079503ced6ae2bb75e68afe3bf46221209b8d",
+    "parity:g_quintic": "402133e79aea5423a946d91dcb4a49608182196bac8a8c9eecec16e12cb129f3",
+    "parity:h_quintic": "e3a27a54697117519da7619d0ff623dc227ac30c5208dc506df00727ebb2536a",
+    "parity:s5_quintic": "2b67034da176666df2b31e9b825be4ec83ac4237d25c56c5e2318897a177db48",
+    "parity:x3_minus_2": "7e7d9f4f76a24f120d3ae3aa9b65bf75b42c95d5a75150e0e4c2489c65c36550",
+    "profiled-parity:x3_minus_2": "4a0405a5f0200013ce5f588a16259ee561dc1155ff11d50d33a9f5f7260ab73f",
+}
+
+
 def _runs(key, curve, profiles):
     kind, _ = key.split(":")
     if kind == "verify-paper":
         return [["verify-paper"]]
+    if kind == "analyze":
+        return [["analyze", "--curve", curve]]
+    if kind == "profiled-parity":
+        return [["parity", "--curve", curve, "--d", "5", "--profiles", profiles]]
     if kind == "find-twist":
         return [["find-twist", "--curve", curve, "--direction", way, "--limit", "20000"]
                 for way in ("up", "down")]
@@ -77,14 +110,27 @@ def _runs(key, curve, profiles):
     ]
 
 
-@pytest.mark.parametrize("key", sorted(DIGESTS))
-def test_json_reports_are_byte_identical(key, tmp_path, capsys):
-    assert sorted({k.split(":")[1] for k in DIGESTS} - {""}) == sorted(GOLDEN_CURVES)
+def _digest(key, fmt, tmp_path, capsys, with_stderr=False):
+    """sha256 of what the runs of ``key`` print in the format ``fmt``."""
     profiles = tmp_path / "x3.profiles"
     profiles.write_text(X3_PROFILES)
     curve = str(PAPERCASES / f"{key.split(':')[1]}.curve")
     h = hashlib.sha256()
     for argv in _runs(key, curve, str(profiles)):
-        assert main(["--format", "json", "--cache", str(tmp_path / "c.primecache"), *argv]) == 0
-        h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == DIGESTS[key]
+        assert main(["--format", fmt, "--cache", str(tmp_path / "c.primecache"), *argv]) == 0
+        captured = capsys.readouterr()
+        h.update(captured.out.encode())
+        if with_stderr:
+            h.update(captured.err.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_json_reports_are_byte_identical(key, tmp_path, capsys):
+    assert sorted({k.split(":")[1] for k in DIGESTS} - {""}) == sorted(GOLDEN_CURVES)
+    assert _digest(key, "json", tmp_path, capsys) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_DIGESTS))
+def test_text_output_is_byte_identical(key, tmp_path, capsys):
+    assert _digest(key, "text", tmp_path, capsys, with_stderr=True) == TEXT_DIGESTS[key]

@@ -10,7 +10,6 @@ from twistparity import modular, parity
 from twistparity.cli import main
 from twistparity.errors import ParseError
 from twistparity.files import parse_curve_text, parse_profiles_text
-from twistparity.modular import Place
 from twistparity.papercases import GOLDEN_CURVES
 
 GOOD_CURVE = """\
@@ -83,7 +82,7 @@ def test_curve_parse_error_carries_line_number():
 
 def test_profile_file_parse():
     profs = parse_profiles_text(GOOD_PROFILES)
-    p2, p3 = Place.finite(2), Place.finite(3)
+    p2, p3 = 2, 3
     # h tables in local_classes order: (1, 5, -1, -5, 2, 10, -2, -10) and (1, 2, 3, 6)
     assert profs == {p2: (0, 0, 1, None, 0, 0, 0, 0), p3: (0, 0, 1, 1)}
 
@@ -424,6 +423,13 @@ def test_cli_scan_sample_below_one_is_a_usage_error(curve_file, capsys, sample):
     )
     assert rc == 1 and out == ""
     assert "argument --sample: must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", ["parity", "character"])
+def test_cli_zero_twist_is_a_usage_error(curve_file, capsys, command):
+    rc, out, err = run_cli(capsys, command, "--curve", curve_file, "--d", "0")
+    assert rc == 1 and out == ""
+    assert "argument --d: must be nonzero" in err
 
 
 def test_cli_classify_primes_identical_cold_warm_and_poisoned(tmp_path, capsys):

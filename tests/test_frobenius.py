@@ -1,5 +1,6 @@
 """Sigma sets, prime classification, the disc dichotomy, Galois labels."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -8,8 +9,10 @@ import pytest
 
 from twistparity.curves import CurveSpec, curve_hash
 from twistparity.errors import BadPrimeError
+from twistparity import frobenius
 from twistparity.frobenius import (
     PrimeCache,
+    PrimeClass,
     classify_prime,
     disc_is_square,
     galois_classify,
@@ -25,25 +28,25 @@ from twistparity.papercases import (
     curve_x3_minus_2,
 )
 from twistparity.ratpoly import RatPoly, is_separable
-from twistparity.torsion import Permutation
+from twistparity.torsion import cycle_lengths
 
 from oracles import load_prime_cache_whole
 
 
 def test_sigma_set_examples():
-    assert sigma_set(curve_x3_minus_2()).finite == (2, 3)
-    assert sigma_set(curve_1440d1()).finite == (2, 3, 5)
-    h_sigma = set(sigma_set(curve_h()).finite)
-    assert {2, 3, 5, 7, 13} <= h_sigma
-    assert sigma_set(curve_g()).finite == (2, 3)
-    assert sigma_set(curve_s5_quintic()).finite == (2, 19, 151)
+    assert sigma_set(curve_x3_minus_2()) == (0, 2, 3)
+    assert sigma_set(curve_1440d1()) == (0, 2, 3, 5)
+    h_sigma = set(sigma_set(curve_h()))
+    assert {0, 2, 3, 5, 7, 13} <= h_sigma
+    assert sigma_set(curve_g()) == (0, 2, 3)
+    assert sigma_set(curve_s5_quintic()) == (0, 2, 19, 151)
 
 
 def test_sigma_includes_denominator_primes():
     from fractions import Fraction
 
     c = CurveSpec(f=RatPoly((Fraction(1, 7), 0, 0, 1)))
-    assert 7 in sigma_set(c).finite
+    assert 7 in sigma_set(c)
 
 
 def test_sigma_set_matches_sympy_on_rational_coefficients():
@@ -64,7 +67,7 @@ def test_sigma_set_matches_sympy_on_rational_coefficients():
         for n in (f.lead.numerator, *(c.denominator for c in f.coeffs),
                   sympy.fraction(sympy.discriminant(sym))[0]):
             want.update(sympy.primefactors(n))
-        assert sigma_set(CurveSpec(f=f)).finite == tuple(sorted(want)), f
+        assert sigma_set(CurveSpec(f=f)) == (0, *sorted(want)), f
 
 
 def test_classify_prime_examples():
@@ -97,8 +100,9 @@ def test_class_parity_is_permutation_sign():
     rng = random.Random(15)
     for _ in range(300):
         n = rng.choice((3, 5, 7, 9))
-        sigma = Permutation.random(n, rng)
-        lengths = sigma.cycle_lengths()
+        images = list(range(n))
+        rng.shuffle(images)
+        lengths = cycle_lengths(images)
         i = len(lengths) - 1
         sign = (-1) ** sum(m - 1 for m in lengths)
         assert (-1) ** i == sign * (-1) ** (n - 1)
@@ -252,22 +256,21 @@ def test_cache_shares_one_tuple_per_cycle_type(tmp_path):
 
 
 def test_galois_classify_examples():
-    assert galois_classify(curve_x3_minus_2(), 100).label == "Sn_certified"
-    v = galois_classify(curve_1440d1(), 100)
-    assert v.label == "unknown"
-    assert "reducible" in v.evidence["note"]
-    assert galois_classify(curve_h(), 500).label == "unknown"
-    assert galois_classify(curve_s5_quintic(), 300).label == "Sn_certified"
+    assert galois_classify(curve_x3_minus_2(), 100)[0] == "Sn_certified"
+    label, evidence = galois_classify(curve_1440d1(), 100)
+    assert label == "unknown"
+    assert "reducible" in evidence["note"]
+    assert galois_classify(curve_h(), 500)[0] == "unknown"
+    assert galois_classify(curve_s5_quintic(), 300)[0] == "Sn_certified"
 
 
 def test_galois_classify_an_side():
     # x^3 + x^2 - 2x - 1: cyclic cubic, disc 49
     c = CurveSpec(f=RatPoly((-1, -2, 1, 1)))
     assert disc_is_square(c)
-    assert galois_classify(c, 200).label == "An_certified"
+    assert galois_classify(c, 200)[0] == "An_certified"
     # with a tiny sample bound nothing can be certified
-    low = galois_classify(c, 12)
-    assert low.label in ("inside_An", "An_certified")
+    assert galois_classify(c, 12)[0] in ("inside_An", "An_certified")
 
 
 def test_galois_classify_agrees_with_sympy_galois_group():
@@ -296,7 +299,7 @@ def test_galois_classify_agrees_with_sympy_galois_group():
         assert name in (None, group.name)
         n = poly.degree()
         curve = CurveSpec(RatPoly([int(c) for c in reversed(poly.all_coeffs())]))
-        label = galois_classify(curve, 1000).label
+        label = galois_classify(curve, 1000)[0]
         labels.add(label)
         if label == "Sn_certified":
             assert group.name == f"S{n}", poly
@@ -307,5 +310,70 @@ def test_galois_classify_agrees_with_sympy_galois_group():
     assert labels == {"Sn_certified", "An_certified", "inside_An", "unknown"}
 
 
+def psl28_cycle_types():
+    """The cycle types of PSL(2,8) = PGL(2,8), Mobius maps on P^1(F_8).
+
+    F_8 is F_2[t]/(t^3 + t + 1) with elements as bit masks; 8 is the
+    point at infinity.
+    """
+    def mul(a, b):
+        r = 0
+        for i in range(3):
+            if b >> i & 1:
+                r ^= a << i
+        for i in (4, 3):
+            if r >> i & 1:
+                r ^= 0b1011 << (i - 3)
+        return r
+
+    inv = {a: next(b for b in range(1, 8) if mul(a, b) == 1) for a in range(1, 8)}
+
+    def image(a, b, c, d, x):  # (a x + b) / (c x + d)
+        num, den = (a, c) if x == 8 else (mul(a, x) ^ b, mul(c, x) ^ d)
+        return 8 if den == 0 else mul(num, inv[den])
+
+    group = {
+        tuple(image(*m, x) for x in range(9))
+        for m in itertools.product(range(8), repeat=4)
+        if mul(m[0], m[3]) ^ mul(m[1], m[2])
+    }
+    assert len(group) == 504
+    return sorted({cycle_lengths(g) for g in group})
+
+
+def _classify_types(monkeypatch, degree, types):
+    """galois_classify on an irreducible f of the degree with a square disc,
+    whose Frobenius cycle types at 3, 5, 7, ... are ``types``."""
+    def scan(curve, start, stop, cache=None):
+        return (PrimeClass(l, t, len(t) - 1) for l, t in zip(sieve_primes(stop)[1:], types))
+
+    monkeypatch.setattr(frobenius, "prime_scan", scan)
+    monkeypatch.setattr(frobenius, "disc_is_square", lambda curve: True)
+    curve = CurveSpec(f=RatPoly((-1, -1, *[0] * (degree - 2), 1)))  # x^n - x - 1
+    return galois_classify(curve, 1000)
+
+
+def test_galois_classify_psl28_is_not_certified_alternating(monkeypatch):
+    """PSL(2,8) on 9 points lies in A_9 and holds a 9-cycle and a (7,1,1):
+    the n-cycle and (n-2)-cycle rule alone would call it A_9."""
+    types = psl28_cycle_types()
+    assert types == [(1,) * 9, (1, 1, 7), (1, 2, 2, 2, 2), (3, 3, 3), (9,)]
+    label, evidence = _classify_types(monkeypatch, 9, types)
+    assert label == "inside_An"
+    assert {"n_cycle", "n_minus_2_cycle"} <= evidence["patterns"].keys()
+    # a 3-cycle, or a (5, 2, 2) whose fourth power is a 5-cycle, certifies A_9
+    for extra in [(1,) * 6 + (3,), (2, 2, 5)]:
+        assert _classify_types(monkeypatch, 9, [*types, extra])[0] == "An_certified"
+    # one 3-cycle beside a 6-cycle gives no 3-cycle as a power
+    assert _classify_types(monkeypatch, 9, [*types, (3, 6)])[0] == "inside_An"
+
+
+def test_galois_classify_an_rule_below_degree_9_is_unchanged(monkeypatch):
+    for n in (3, 5, 7):
+        label, evidence = _classify_types(monkeypatch, n, [(n,), (1, 1, n - 2)])
+        assert label == "An_certified"
+        assert "prime_cycle_power" not in evidence["patterns"]
+
+
 def test_galois_low_bound_degrades_to_unknown():
-    assert galois_classify(curve_x3_minus_2(), 4).label == "unknown"
+    assert galois_classify(curve_x3_minus_2(), 4)[0] == "unknown"

@@ -10,7 +10,6 @@ from twistparity.curves import CurveSpec
 from twistparity.errors import BadPrimeError, InvalidInputError
 from twistparity.frobenius import sigma_set
 from twistparity.modular import (
-    Place,
     factor_degrees,
     factor_integer,
     hilbert_symbol,
@@ -247,14 +246,14 @@ def test_kronecker_agrees_with_euler_criterion():
 
 
 def test_hilbert_examples():
-    inf = Place.infinity()
+    inf = 0
     assert hilbert_symbol(-1, -1, inf) == -1
-    assert hilbert_symbol(-1, -1, Place.finite(2)) == -1
-    assert hilbert_symbol(-1, -1, Place.finite(5)) == 1
-    assert hilbert_symbol(2, 3, Place.finite(3)) == -1
+    assert hilbert_symbol(-1, -1, 2) == -1
+    assert hilbert_symbol(-1, -1, 5) == 1
+    assert hilbert_symbol(2, 3, 3) == -1
     # square classes 2 and -3: the conic 2x^2 - 3y^2 = z^2 has no Q_2 point
-    assert hilbert_symbol(Fraction(1, 2), Fraction(-3, 4), Place.finite(2)) == -1
-    assert hilbert_symbol(Fraction(1, 2), Fraction(-3, 4), Place.finite(2)) == hilbert_symbol(2, -3, Place.finite(2))
+    assert hilbert_symbol(Fraction(1, 2), Fraction(-3, 4), 2) == -1
+    assert hilbert_symbol(Fraction(1, 2), Fraction(-3, 4), 2) == hilbert_symbol(2, -3, 2)
     with pytest.raises(InvalidInputError):
         hilbert_symbol(0, 1, inf)
 
@@ -264,20 +263,19 @@ def test_hilbert_symbol_matches_the_conic_definition():
     fractions r/s, which must pair like the squarefree kernel of r*s."""
     rng = random.Random(41)
     for q in (0, 2, 3, 5, 7):
-        v = Place.infinity() if q == 0 else Place.finite(q)
         for _ in range(150):
             r, b = (rng.choice((1, -1)) * rng.randint(1, 60) for _ in range(2))
             s = rng.randint(1, 60)
             a = Fraction(r, s)
             want = hilbert_by_conic(squarefree_part(r * s), squarefree_part(b), q)
-            assert hilbert_symbol(a, b, v) == want, (a, b, q)
-            assert hilbert_symbol(squarefree_part(b), a, v) == want, (a, b, q)
+            assert hilbert_symbol(a, b, q) == want, (a, b, q)
+            assert hilbert_symbol(squarefree_part(b), a, q) == want, (a, b, q)
 
 
 def test_square_class_index_labels_and_coordinates():
     """Each label sits at its own index, and the index of a product is the
     xor of the indices: the bits are F_2 coordinates of the class."""
-    places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(7)]
+    places = [0, 2, 3, 5, 7]
     for v in places:
         labels = local_classes(v)
         assert [square_class_index(x, v) for x in labels] == list(range(len(labels)))
@@ -289,7 +287,7 @@ def test_square_class_index_labels_and_coordinates():
             assert square_class_index(a * b, v) == square_class_index(a, v) ^ square_class_index(b, v)
             assert square_class_index(a * 36, v) == square_class_index(a, v)
     with pytest.raises(InvalidInputError):
-        square_class_index(Fraction(0), Place.finite(3))
+        square_class_index(Fraction(0), 3)
 
 
 def test_local_classes_walk_to_the_nonresidue_once_per_prime(monkeypatch):
@@ -305,16 +303,16 @@ def test_local_classes_walk_to_the_nonresidue_once_per_prime(monkeypatch):
     monkeypatch.setattr(modular, "kronecker_symbol", counting)
     monkeypatch.setattr(modular, "_odd_classes", {}, raising=False)  # as in a fresh process
     for q in (3, 71, 311):  # least nonresidues 2, 7 and 11
-        first = local_classes(Place.finite(q))
+        first = local_classes(q)
         assert len(calls) == first[1] - 1
         calls.clear()
-        assert local_classes(Place.finite(q)) == first
+        assert local_classes(q) == first
         assert calls == []
 
 
 def test_hilbert_square_class_invariance_and_bilinearity():
     rng = random.Random(17)
-    places = [Place.infinity(), Place.finite(2), Place.finite(3), Place.finite(7)]
+    places = [0, 2, 3, 7]
     for _ in range(200):
         a = rng.randint(-80, 80) or 3
         b = rng.randint(-80, 80) or 5
@@ -332,11 +330,11 @@ def test_hilbert_product_formula_500_pairs():
     for _ in range(500):
         a = rng.randint(-10**4, 10**4) or 1
         b = rng.randint(-10**4, 10**4) or -1
-        places = {Place.infinity(), Place.finite(2)}
+        places = {0, 2}
         for n in (a, b):
             for p in factor_integer(n):
                 if p != 2:
-                    places.add(Place.finite(p))
+                    places.add(p)
         prod = 1
         for v in places:
             prod *= hilbert_symbol(a, b, v)

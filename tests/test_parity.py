@@ -17,7 +17,6 @@ from twistparity.errors import (
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.files import parse_profiles_text
 from twistparity.modular import (
-    Place,
     hilbert_symbol,
     is_squarefree,
     local_classes,
@@ -47,14 +46,14 @@ from twistparity import parity as parity_module
 from conftest import random_separable_poly
 from oracles import delta_inf_closed_form, enumerate_characters
 
-INF = Place.infinity()
+INF = 0  # the real place
 
 
 def zero_profiles(curve):
     """Fully specified h = 0 tables at every finite bad place."""
     out = {}
-    for place in sigma_set(curve).places:
-        if not place.is_infinity:
+    for place in sigma_set(curve):
+        if place:
             out[place] = (0,) * len(local_classes(place))
     return out
 
@@ -65,20 +64,20 @@ def linear_profile(place, bits):
         2: {5: 0, -1: 1, 2: 2},
     }
     table = {}
-    if place.q == 2:
+    if place == 2:
         vecs = {1: (), 5: (5,), -1: (-1,), -5: (5, -1), 2: (2,), 10: (5, 2), -2: (-1, 2), -10: (5, -1, 2)}
         for label, gen_list in vecs.items():
             table[label] = sum(bits[gens[2][g]] for g in gen_list) % 2
     else:
-        u, q = local_classes(place)[1], place.q
+        u, q = local_classes(place)[1], place
         table = {1: 0, u: bits[0], q: bits[1], u * q: (bits[0] + bits[1]) % 2}
     return tuple(table[k] for k in local_classes(place))
 
 
 def linear_profiles(curve, rng):
     out = {}
-    for place in sigma_set(curve).places:
-        if not place.is_infinity:
+    for place in sigma_set(curve):
+        if place:
             bits = [rng.randrange(2) for _ in range(3)]
             out[place] = linear_profile(place, bits)
     return out
@@ -86,7 +85,7 @@ def linear_profiles(curve, rng):
 
 def omega_by_definition(curve, place, label, table):
     """(-1)^h_v(label) * (label, disc)_v, or None when h is unknown."""
-    if place.is_infinity:
+    if place == 0:
         h = 0 if label == 1 else real_root_signature(curve.f)[1] - 1
     else:
         h = 0 if label == 1 else None if table is None else table[local_classes(place).index(label)]
@@ -109,7 +108,7 @@ def test_omega_at_infinity_examples():
 
 def test_omega_consumes_profile_entries():
     c = curve_x3_minus_2()
-    p3 = Place.finite(3)
+    p3 = 3
     assert local_classes(p3) == (1, 2, 3, 6)
     row = omega_tables(c, {p3: (0, 1, None, 0)})[p3]
     assert row[0] == 1
@@ -126,7 +125,7 @@ def test_parity_flip_examples():
     assert (v.flip, v.status) == (1, "exact")
     v = parity_flip(c, 5)
     assert v.flip is None and v.status == "unknown"
-    assert set(v.missing) == {Place.finite(2), Place.finite(3)}
+    assert set(v.missing) == {2, 3}
     # nontrivial only at the real place: exact without any user profile
     v = parity_flip(c, -23)
     assert (v.flip, v.status) == (-1, "exact")
@@ -137,8 +136,8 @@ def test_parity_flip_with_full_profiles_is_exact():
     prof = zero_profiles(c)
     v = parity_flip(c, 5, prof)
     assert v.status == "exact"
-    assert v.flip == hilbert_symbol(5, -108, Place.finite(2)) * hilbert_symbol(
-        5, -108, Place.finite(3)
+    assert v.flip == hilbert_symbol(5, -108, 2) * hilbert_symbol(
+        5, -108, 3
     )
 
 
@@ -161,7 +160,7 @@ def test_global_consistency_spec_example():
     # LHS: 5 is in P_1, so h = 1 and the sign is -1
     assert classify_prime(c, 5).i == 1
     rhs = 1
-    for v in sigma_set(c).places:
+    for v in sigma_set(c):
         rhs *= hilbert_symbol(5, -108, v)
     assert rhs == -1
     assert global_consistency_check(c, 5)
@@ -204,7 +203,7 @@ def test_flip_depends_only_on_local_classes():
     seen = {}
     for _ in range(400):
         d = squarefree_part(rng.randint(1, 10**5) * rng.choice((1, -1)))
-        key = tuple(square_class_index(d, v) for v in sigma.places)
+        key = tuple(square_class_index(d, v) for v in sigma)
         flip = parity_flip(c, d, profs).flip
         if key in seen:
             assert seen[key] == flip, (key, d)
@@ -251,7 +250,7 @@ def test_delta_infinity_brute_force_detail():
 
 def test_delta_v_reports_unknown_entries():
     c = curve_x3_minus_2()
-    p3 = Place.finite(3)
+    p3 = 3
     with pytest.raises(UnknownProfileError) as err:
         delta_v(c, p3, (0, 1, None, None))
     assert (p3, 3) in err.value.missing and (p3, 6) in err.value.missing
@@ -266,7 +265,7 @@ def test_disparity_report():
         prod *= v
         assert -1 <= v <= 1
         # an average of +-1 over the local class group
-        group = 2 if place.is_infinity else (8 if place.q == 2 else 4)
+        group = 2 if place == 0 else (8 if place == 2 else 4)
         assert (v * group).denominator == 1
     assert rep.delta == prod
     assert -1 <= rep.delta <= 1
@@ -314,15 +313,15 @@ def test_density_scan_exact_counts_match_enumeration(name):
     rng = random.Random(name)
     complete = {
         place: tuple(0 if k == 1 else rng.randint(0, 1) for k in local_classes(place))
-        for place in sigma.places
-        if not place.is_infinity
+        for place in sigma
+        if place
     }
     omega = {
         place: {
             k: omega_by_definition(curve, place, k, complete.get(place))
             for k in local_classes(place)
         }
-        for place in sigma.places
+        for place in sigma
     }
     tables = omega_tables(curve, complete)
     assert tables == {place: tuple(row.values()) for place, row in omega.items()}
@@ -385,7 +384,7 @@ def test_local_profile_validation():
         parse_profiles_text("place = 3\nh[4] = 0\n")  # 4 is not a canonical label at 3
     with pytest.raises(ParseError):
         parse_profiles_text("place = 3\nh[1] = 2\n")  # trivial class must have h = 0
-    p3 = Place.finite(3)
+    p3 = 3
     assert parse_profiles_text("place = 3\nh[2] = 1\n") == {p3: (0, 1, None, None)}
     assert parse_profiles_text("place = 3\nh[6] = 1\nh[1] = unknown\n") == {p3: (0, None, None, 1)}
 

@@ -15,8 +15,8 @@ from twistparity.papercases import (
 )
 from twistparity.ratpoly import RatPoly
 from twistparity.torsion import (
-    Permutation,
     count_irreducible_factors,
+    cycle_lengths,
     fixed_space_dim,
     orbit_lengths_coprime,
     rational_two_torsion_dim,
@@ -25,15 +25,22 @@ from twistparity.torsion import (
 from oracles import from_cycles
 
 
+def random_images(n, rng):
+    """A uniform permutation of {0..n-1} as its images."""
+    images = list(range(n))
+    rng.shuffle(images)
+    return images
+
+
 def test_fixed_space_dim_examples():
-    assert fixed_space_dim(Permutation((0, 1, 2)), 3, 2) == 2
-    assert fixed_space_dim(from_cycles(3, [(1, 2, 3)]), 3, 2) == 0
-    assert fixed_space_dim(from_cycles(5, [(1, 2), (3, 4, 5)]), 5, 2) == 1
+    assert fixed_space_dim((0, 1, 2), 2) == 2
+    assert fixed_space_dim(from_cycles(3, [(1, 2, 3)]), 2) == 0
+    assert fixed_space_dim(from_cycles(5, [(1, 2), (3, 4, 5)]), 2) == 1
 
 
 def test_fixed_space_dim_rejects_p_dividing_n():
     with pytest.raises(InvalidInputError):
-        fixed_space_dim(Permutation((0, 1, 2, 3)), 4, 2)
+        fixed_space_dim((0, 1, 2, 3), 2)
 
 
 def test_oracle_matches_closed_form():
@@ -46,8 +53,8 @@ def test_oracle_matches_closed_form():
         if n % p == 0:
             continue
         done += 1
-        sigma = Permutation.random(n, rng)
-        assert fixed_space_dim(sigma, n, p) == len(sigma.cycle_lengths()) - 1
+        images = random_images(n, rng)
+        assert fixed_space_dim(images, p) == len(cycle_lengths(images)) - 1
 
 
 def test_oracle_conjugation_invariance():
@@ -55,10 +62,13 @@ def test_oracle_conjugation_invariance():
     for _ in range(100):
         n = rng.choice((3, 5, 7))
         p = rng.choice((2, 5)) if n != 5 else rng.choice((2, 3))
-        sigma = Permutation.random(n, rng)
-        tau = Permutation.random(n, rng)
-        conj = tau * sigma * tau.inverse()
-        assert fixed_space_dim(conj, n, p) == fixed_space_dim(sigma, n, p)
+        sigma = random_images(n, rng)
+        tau = random_images(n, rng)
+        # tau sigma tau^-1 sends tau(i) to tau(sigma(i))
+        conj = [0] * n
+        for i in range(n):
+            conj[tau[i]] = tau[sigma[i]]
+        assert fixed_space_dim(conj, p) == fixed_space_dim(sigma, p)
 
 
 def test_orbit_lengths_coprime_predicate():
@@ -68,20 +78,19 @@ def test_orbit_lengths_coprime_predicate():
     assert not orbit_lengths_coprime((3, 4), 3)
     rng = random.Random(8)
     for _ in range(100):
-        sigma = Permutation.random(7, rng)
-        lengths = sigma.cycle_lengths()
+        lengths = cycle_lengths(random_images(7, rng))
         for p in (2, 3, 5):
             assert orbit_lengths_coprime(lengths, p) == all(x % p for x in lengths)
 
 
-def test_permutation_from_cycles_and_product():
+def test_permutation_from_cycles():
     s = from_cycles(5, [(1, 2), (3, 4, 5)])
-    assert s.cycle_lengths() == (2, 3)
-    assert (s * s.inverse()) == Permutation((0, 1, 2, 3, 4))
+    assert s == (1, 0, 3, 4, 2)
+    assert cycle_lengths(s) == (2, 3)
+    assert cycle_lengths(()) == ()
+    assert cycle_lengths(from_cycles(4, [])) == (1, 1, 1, 1)
     with pytest.raises(InvalidInputError):
         from_cycles(3, [(1, 1)])
-    with pytest.raises(InvalidInputError):
-        Permutation((0, 0, 1))
 
 
 def test_two_torsion_examples():
