@@ -181,7 +181,7 @@ def classify_prime(
     key = curve_hash(curve)
     lengths = cache.get(key, l) if cache is not None else None
     if lengths is None or sum(lengths) != curve.degree:
-        lengths = factor_degrees(curve.f, l)
+        lengths = factor_degrees(curve.f, l, curve.discriminant())
         if cache is not None:
             cache.put(key, l, lengths)
     return PrimeClass(l=l, lengths=tuple(lengths), i=len(lengths) - 1)

@@ -17,7 +17,6 @@ __all__ = [
     "trim",
     "quo_rem",
     "gcd",
-    "resultant",
     "fold_columns",
     "fold",
     "modmul",
@@ -59,24 +58,6 @@ def gcd(a, b, l):
         inv = pow(a[-1], -1, l)
         a = [c * inv % l for c in a]
     return a
-
-
-def resultant(a, b, l):
-    """Res(a, b) mod l along the Euclidean remainder sequence of a and b.
-
-    Res(a, b) = (-1)^(deg a * deg b) * lc(b)^(deg a - deg r) * Res(b, r)
-    with r = a mod b, down to Res(a, c) = c^deg(a) for a constant c.
-    """
-    res = 1
-    while len(b) > 1:
-        r = quo_rem(a, b, l)[1]
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), l) % l
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, l) % l if b else 0
 
 
 def fold_columns(f, l):

@@ -5,9 +5,9 @@ Only the degrees of the irreducible factors of f mod l are ever needed,
 and distinct-degree factorization yields them without splitting any
 factor: the product g_d of the degree-d factors contributes
 deg(g_d)/d factors of degree d.  Stickelberger's theorem fixes the
-parity of the factor count from Res(f, f') mod l, which often settles
-the last steps without computing them; the GF(l)[x] arithmetic lives in
-``gfpoly``.  The computation is deterministic.
+parity of the factor count from the discriminant of f mod l, which often
+settles the last steps without computing them; the GF(l)[x] arithmetic
+lives in ``gfpoly``.  The computation is deterministic.
 Primes in a range come from a segmented sieve; single-number primality
 is deterministic Miller-Rabin below 3.3e24, with the fewest bases proven
 for the number's size, and Baillie-PSW above.
@@ -408,15 +408,16 @@ def _reduce_poly(f, l: int):
     return [c * inv % l for c in coeffs]
 
 
-def factor_degrees(f, l: int):
+def factor_degrees(f, l: int, disc):
     """Sorted tuple of the irreducible factor degrees of f mod l, l a good odd prime.
 
-    Good reduction is enforced: l must not divide the leading coefficient,
-    any coefficient denominator, or the discriminant.  The last is tested
-    as Res(f, f') mod l, which also fixes the parity of the number of
-    factors: by Stickelberger's theorem (in Swan's form),
-    (disc f | l) = (-1)^(n - #factors) with disc f = (-1)^(n(n-1)/2) Res(f, f')
-    for monic f.
+    ``disc`` is the exact discriminant of f, which the caller holds.  Good
+    reduction is enforced: l must not divide the leading coefficient, any
+    coefficient denominator, or the numerator of disc.  The discriminant
+    also fixes the parity of the number of factors: by Stickelberger's
+    theorem (in Swan's form), (disc g | l) = (-1)^(n - #factors) for the
+    monic g = f/lead mod l, and disc f = lead^(2n-2) disc(f/lead) has the
+    same quadratic character mod l.
 
     Distinct-degree factorization: with cur the part of f not yet
     accounted for, g_d = gcd(cur, x^(l^d) - x) is the product of the
@@ -441,13 +442,10 @@ def factor_degrees(f, l: int):
     if l == 2:
         raise BadPrimeError("2 is always a bad prime here")
     cur = _reduce_poly(f, l)
-    n = len(cur) - 1
-    deriv = gfpoly.trim([i * c % l for i, c in enumerate(cur)][1:])
-    res = gfpoly.resultant(cur, deriv, l)
-    if res == 0:
+    if disc.numerator % l == 0:
         raise BadPrimeError(f"{l} divides the discriminant of f")
-    disc = -res if n * (n - 1) // 2 % 2 else res
-    parity = (n + (pow(disc, (l - 1) // 2, l) != 1)) % 2  # of the number of factors
+    square = pow(disc.numerator * disc.denominator, (l - 1) // 2, l) == 1
+    parity = (len(cur) - 1 + (not square)) % 2  # of the number of factors
     degrees = []
     d = 1
     xl = frob = matrix = None  # x^l and x^(l^(d-1)) mod cur; Frobenius matrix of cur

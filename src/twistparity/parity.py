@@ -24,8 +24,8 @@ from fractions import Fraction
 from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
-from .frobenius import PrimeCache, classify_prime, sigma_set
-from .metabolic import Subspace
+from .frobenius import classify_prime, sigma_set
+from .metabolic import echelon, span
 from .modular import (
     factor_integer,
     hilbert_symbol,
@@ -104,7 +104,7 @@ def parity_flip(curve: CurveSpec, d: int, profiles: dict | None = None) -> Parit
     return ParityVerdict(math.prod(weights.values()), "exact")
 
 
-def global_consistency_check(curve: CurveSpec, d: int, cache: PrimeCache | None = None) -> bool:
+def global_consistency_check(curve: CurveSpec, d: int) -> bool:
     """Check (-1)^(sum of good-prime h over l | d) = prod_Sigma (d, disc)_v, d squarefree.
 
     The left side goes through finite-field factorization (cycle types),
@@ -115,7 +115,7 @@ def global_consistency_check(curve: CurveSpec, d: int, cache: PrimeCache | None 
     hsum = 0
     for l in factor_integer(d):
         if l not in sigma:
-            hsum += classify_prime(curve, l, cache=cache).i
+            hsum += classify_prime(curve, l).i
     lhs = (-1) ** hsum
     rhs = 1
     disc = curve.discriminant()
@@ -210,11 +210,11 @@ def _counts(mode: str, total: int, plus: int, r1: int, **extra) -> DensityResult
 _MAX_SPAN_DIM = 20
 
 
-def _image_sum(image: Subspace, factors) -> int:
-    """Sum over y in the image W of prod table[(y >> offset) & mask] over places."""
-    if image.dim > _MAX_SPAN_DIM:
+def _image_sum(image: tuple, factors) -> int:
+    """Sum over y in the image W, an echelon basis, of prod table[(y >> off) & mask] over places."""
+    if len(image) > _MAX_SPAN_DIM:
         raise ResourceLimitError(f"square-class image exceeds 2^{_MAX_SPAN_DIM} points")
-    return sum(math.prod(t[(y >> off) & mask] for off, mask, t in factors) for y in image.vectors())
+    return sum(math.prod(t[(y >> off) & mask] for off, mask, t in factors) for y in span(image))
 
 
 def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
@@ -234,15 +234,13 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
         size = len(local_classes(v))
         layout.append((v, dim, size - 1))
         dim += size.bit_length() - 1
-    image = Subspace.from_vectors(
-        sum(square_class_index(g, v) << off for v, off, _ in layout) for g in gens
-    )
-    kernel = 1 << (len(gens) - image.dim)
+    image = echelon(sum(square_class_index(g, v) << off for v, off, _ in layout) for g in gens)
+    kernel = 1 << (len(gens) - len(image))
     if tables is None:
         warning = "incomplete profiles; restricted to the Sigma-trivial subgroup"
         return _counts("sigma_trivial_only", kernel, kernel, r1, warning=warning)
     factors = [(off, mask, tables[v]) for v, off, mask in layout]
-    plus_in_image = ((1 << image.dim) + _image_sum(image, factors)) // 2
+    plus_in_image = ((1 << len(image)) + _image_sum(image, factors)) // 2
     return _counts("exhaustive", 1 << len(gens), kernel * plus_in_image, r1)
 
 

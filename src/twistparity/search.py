@@ -17,7 +17,6 @@ from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError
 from .frobenius import PrimeCache, prime_scan, sigma_set
-from .torsion import orbit_lengths_coprime
 
 __all__ = ["TwistRecipe", "find_shift_primes"]
 
@@ -76,7 +75,7 @@ def find_shift_primes(
         curve, 2, limit + 1, cache=cache,
         prime_filter=lambda l: sigma_trivial(l, sigma),
     ):
-        if pc.i != 2 or (raise2 and not orbit_lengths_coprime(pc.lengths, 2)):
+        if pc.i != 2 or (raise2 and not all(x % 2 for x in pc.lengths)):
             continue
         yield TwistRecipe(
             l=pc.l,

@@ -1,10 +1,16 @@
-"""Brute-force model of the pi-torsion as a permutation module.
+"""The pi-torsion as a permutation module, and the rational 2-torsion.
 
 The torsion sits inside F_p^n spanned by root classes, modulo the
 all-ones relation.  The fixed-space dimension of a permutation acting on
 that quotient is computed by honest row reduction; the closed form
 (#cycles - 1) is deliberately NOT used here so the test suite can check
 the formula against this oracle instead of assuming it.
+
+The rational 2-torsion of the curve's Jacobian has F_2-dimension one less
+than the number of irreducible factors of f over Q.  That count divides
+out rational roots and certifies each cofactor of degree above 3
+irreducible by a prime where it stays irreducible; a count it cannot
+certify is an error, never a guess.
 """
 
 from __future__ import annotations
@@ -12,14 +18,12 @@ from __future__ import annotations
 from .curves import CurveSpec
 from .errors import BadPrimeError, InvalidInputError, UnknownFactorizationError
 from .modular import factor_degrees, iter_primes
-from .ratpoly import RatPoly, rational_roots
+from .ratpoly import RatPoly, discriminant, rational_roots
 
 __all__ = [
     "cycle_lengths",
     "fixed_space_dim",
-    "orbit_lengths_coprime",
     "rational_two_torsion_dim",
-    "count_irreducible_factors",
 ]
 
 
@@ -88,16 +92,14 @@ def fixed_space_dim(images, p: int) -> int:
     return kernel_dim - 1
 
 
-def orbit_lengths_coprime(lengths, p: int) -> bool:
-    """True when no orbit length is divisible by p."""
-    return all(x % p != 0 for x in lengths)
-
-
 # ---------------------------------------------------------------------------
 # rational 2-torsion via certified factor counts
 
+# primes below this bound are tried for an irreducibility certificate
+_CERTIFY_BOUND = 2000
 
-def _certify_irreducible(g: RatPoly, certify_bound: int) -> None:
+
+def _certify_irreducible(g: RatPoly) -> None:
     """Certify g irreducible over Q, given that g is linear or has no rational root.
 
     Degree <= 3 follows from that.  Higher degrees need a
@@ -109,26 +111,27 @@ def _certify_irreducible(g: RatPoly, certify_bound: int) -> None:
     d = g.degree
     if d <= 3:
         return
-    for l in iter_primes(3, certify_bound):
+    disc = discriminant(g)
+    for l in iter_primes(3, _CERTIFY_BOUND):
         try:
-            degrees = factor_degrees(g, l)
+            degrees = factor_degrees(g, l, disc)
         except BadPrimeError:
             continue
         if degrees == (d,):
             return
     raise UnknownFactorizationError(
-        f"cannot certify irreducibility of {g} below {certify_bound}"
+        f"cannot certify irreducibility of {g} below {_CERTIFY_BOUND}"
     )
 
 
-def count_irreducible_factors(curve: CurveSpec, certify_bound: int = 2000) -> int:
-    """Number of irreducible factors of f over Q, certified or error.
+def rational_two_torsion_dim(curve: CurveSpec) -> int:
+    """dim_F2 J(Q)[2] = (number of irreducible factors of f over Q) - 1.
 
-    Takes each declared factor, or f itself when none is declared,
-    divides out its rational roots and certifies the cofactor irreducible
-    when it is not constant.  A declared factor of degree > 1 with a
-    rational root is an error.  Never guesses: undecidable inputs raise
-    UnknownFactorizationError.
+    The factors are counted from each declared factor, or f itself when
+    none is declared: its rational roots are divided out and the cofactor,
+    when it is not constant, is certified irreducible.  A declared factor
+    of degree > 1 with a rational root is an error.  Never guesses:
+    undecidable inputs raise UnknownFactorizationError.
     """
     count = 0
     for g in curve.declared_factors or (curve.f,):
@@ -139,11 +142,6 @@ def count_irreducible_factors(curve: CurveSpec, certify_bound: int = 2000) -> in
             g = g // RatPoly((-r, 1))
         count += len(roots)
         if g.degree >= 1:
-            _certify_irreducible(g, certify_bound)
+            _certify_irreducible(g)
             count += 1
-    return count
-
-
-def rational_two_torsion_dim(curve: CurveSpec, certify_bound: int = 2000) -> int:
-    """dim_F2 J(Q)[2] = (number of irreducible factors of f over Q) - 1."""
-    return count_irreducible_factors(curve, certify_bound) - 1
+    return count - 1

@@ -20,7 +20,7 @@ import random
 from .characters import sigma_trivial
 from .curves import curve_hash
 from .errors import ResourceLimitError
-from .metabolic import QuadraticSpace, Subspace, count_disjoint_lagrangians
+from .metabolic import count_disjoint_lagrangians, echelon
 from .modular import is_squarefree
 from .frobenius import sigma_set
 from .papercases import (
@@ -161,11 +161,9 @@ def run_paper_verification(seed: int = 0) -> Report:
     )
 
     # e. disjoint-Lagrangian counts in dims 2, 4, 6
-    counts = []
-    for m in (1, 2, 3):
-        space = QuadraticSpace.hyperbolic(m)
-        x = Subspace.from_vectors([1 << (2 * i) for i in range(m)])
-        counts.append(count_disjoint_lagrangians(space, x))
+    counts = [
+        count_disjoint_lagrangians(m, echelon(1 << (2 * i) for i in range(m))) for m in (1, 2, 3)
+    ]
     checks.append(
         {
             "name": "disjoint_lagrangian_counts",

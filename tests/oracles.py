@@ -10,10 +10,8 @@ from fractions import Fraction
 from twistparity.characters import ramified_primes, sigma_trivial
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import classify_prime, sigma_set
-from twistparity.metabolic import QuadraticSpace, Subspace
 from twistparity.modular import sieve_primes, square_class_index
 from twistparity.ratpoly import RatPoly
-from twistparity.torsion import orbit_lengths_coprime
 
 
 def twist_norm(d: int) -> int:
@@ -100,33 +98,24 @@ def from_cycles(n: int, cycles) -> tuple:
     return tuple(images)
 
 
-def transformed(space: QuadraticSpace, rows) -> QuadraticSpace:
-    """The form v -> q(T v) for an invertible matrix with the given rows.
+def hyperbolic_q(m: int, v: int) -> int:
+    """sum of x_i y_i mod 2 over the m hyperbolic planes, coordinate by coordinate."""
+    return sum((v >> 2 * i & 1) * (v >> 2 * i + 1 & 1) for i in range(m)) % 2
 
-    rows[i] is the bitmask of T's i-th row, so (T v)_i = parity(rows[i] & v).
-    The result stays metabolic because T is invertible.
+
+def is_lagrangian(m: int, basis) -> bool:
+    """True when the vectors span a Lagrangian of the hyperbolic space F_2^(2m).
+
+    q(v) = sum of x_i y_i, read bit by bit with x_i at bit 2i and y_i at
+    bit 2i + 1.  The span is Lagrangian when it has 2^m points and q
+    vanishes on every one of them.  Oracle for ``metabolic.lagrangians``.
     """
-    n = space.dim
-    if len(rows) != n or Subspace.from_vectors(rows).dim != n:
-        raise InvalidInputError("transform matrix must be invertible")
-    cols = []
-    for j in range(n):
-        col = 0
-        for i in range(n):
-            if (rows[i] >> j) & 1:
-                col |= 1 << i
-        cols.append(col)
-    # q'(e_j) and pairings of transformed basis vectors
-    diag = [space.q(cols[j]) for j in range(n)]
-    linear = 0
-    upper = [0] * n
-    for j in range(n):
-        if diag[j]:
-            linear |= 1 << j
-        for k in range(j + 1, n):
-            if space.pair(cols[j], cols[k]):
-                upper[j] |= 1 << k
-    return QuadraticSpace(n, linear, upper)
+    if any(b >> 2 * m for b in basis):
+        raise InvalidInputError("subspace vector outside the ambient space")
+    points = {0}
+    for b in basis:
+        points |= {v ^ b for v in points}
+    return len(points) == 1 << m and not any(hyperbolic_q(m, v) for v in points)
 
 
 def rational_roots_by_divisors(f: RatPoly):
@@ -195,7 +184,7 @@ def verify_recipe(curve, recipe, cache=None) -> bool:
     pc = classify_prime(curve, recipe.l, cache=cache)
     ok = pc.i == 2 and pc.lengths == recipe.cycle_type
     if recipe.direction == "raise2":
-        ok = ok and orbit_lengths_coprime(pc.lengths, 2)
+        ok = ok and all(x % 2 for x in pc.lengths)
     ok = ok and sigma_trivial(recipe.l, sigma)
     ok = ok and recipe.d == recipe.l
     ok = ok and sigma_trivial_by_classes(recipe.d, sigma)

@@ -1,6 +1,7 @@
 """Sigma sets, prime classification, the disc dichotomy, Galois labels."""
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -310,47 +311,62 @@ def test_galois_classify_agrees_with_sympy_galois_group():
     assert labels == {"Sn_certified", "An_certified", "inside_An", "unknown"}
 
 
-def psl28_cycle_types():
-    """The cycle types of PSL(2,8) = PGL(2,8), Mobius maps on P^1(F_8).
+def _closure(gens):
+    """The permutation group that the image tuples ``gens`` generate."""
+    group = frontier = {tuple(range(len(gens[0])))}
+    while frontier:
+        frontier = {tuple(s[i] for i in g) for g in frontier for s in gens} - group
+        group |= frontier
+    return group
 
-    F_8 is F_2[t]/(t^3 + t + 1) with elements as bit masks; 8 is the
-    point at infinity.
+
+def projective_line_group(modulus, field_automorphisms=False):
+    """PSL(2,q) on P^1(F_q), q = 2^k; with x -> x^2 added, PGammaL(2,q).
+
+    F_q is F_2[t]/(modulus) with elements as bit masks, for a modulus
+    whose t generates F_q^*; q is the point at infinity.  The maps x + 1,
+    t x and 1/x generate PSL(2,q) = SL(2,q), since the first two generate
+    all of the affine maps x -> a x + b.
     """
+    q = 1 << (modulus.bit_length() - 1)
+
     def mul(a, b):
         r = 0
-        for i in range(3):
-            if b >> i & 1:
-                r ^= a << i
-        for i in (4, 3):
-            if r >> i & 1:
-                r ^= 0b1011 << (i - 3)
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & q:
+                a ^= modulus
         return r
 
-    inv = {a: next(b for b in range(1, 8) if mul(a, b) == 1) for a in range(1, 8)}
+    inv = {a: next(b for b in range(1, q) if mul(a, b) == 1) for a in range(1, q)}
+    maps = [lambda x: x ^ 1, lambda x: mul(2, x)]
+    if field_automorphisms:
+        maps.append(lambda x: mul(x, x))
+    gens = [tuple(f(x) for x in range(q)) + (q,) for f in maps]
+    gens.append(tuple(q if x == 0 else inv[x] for x in range(q)) + (0,))
+    return _closure(gens)
 
-    def image(a, b, c, d, x):  # (a x + b) / (c x + d)
-        num, den = (a, c) if x == 8 else (mul(a, x) ^ b, mul(c, x) ^ d)
-        return 8 if den == 0 else mul(num, inv[den])
 
-    group = {
-        tuple(image(*m, x) for x in range(9))
-        for m in itertools.product(range(8), repeat=4)
-        if mul(m[0], m[3]) ^ mul(m[1], m[2])
-    }
+def psl28_cycle_types():
+    """The cycle types of PSL(2,8) = PGL(2,8), Mobius maps on P^1(F_8)."""
+    group = projective_line_group(0b1011)  # t^3 + t + 1
     assert len(group) == 504
     return sorted({cycle_lengths(g) for g in group})
 
 
-def _classify_types(monkeypatch, degree, types):
-    """galois_classify on an irreducible f of the degree with a square disc,
-    whose Frobenius cycle types at 3, 5, 7, ... are ``types``."""
+def _classify_types(monkeypatch, degree, types, square=True):
+    """galois_classify on an irreducible f of the degree whose disc is a
+    square or not, and whose Frobenius cycle types at 3, 5, 7, ... are ``types``."""
     def scan(curve, start, stop, cache=None):
         return (PrimeClass(l, t, len(t) - 1) for l, t in zip(sieve_primes(stop)[1:], types))
 
     monkeypatch.setattr(frobenius, "prime_scan", scan)
-    monkeypatch.setattr(frobenius, "disc_is_square", lambda curve: True)
+    monkeypatch.setattr(frobenius, "disc_is_square", lambda curve: square)
     curve = CurveSpec(f=RatPoly((-1, -1, *[0] * (degree - 2), 1)))  # x^n - x - 1
-    return galois_classify(curve, 1000)
+    return galois_classify(curve, 3000)
 
 
 def test_galois_classify_psl28_is_not_certified_alternating(monkeypatch):
@@ -373,6 +389,82 @@ def test_galois_classify_an_rule_below_degree_9_is_unchanged(monkeypatch):
         label, evidence = _classify_types(monkeypatch, n, [(n,), (1, 1, n - 2)])
         assert label == "An_certified"
         assert "prime_cycle_power" not in evidence["patterns"]
+
+
+def transitive_groups():
+    """(name, degree, group) for transitive groups of odd degree up to 17,
+    each group a set of image tuples."""
+    for n in range(3, 18, 2):
+        rotations = {tuple((x + k) % n for x in range(n)) for k in range(n)}
+        yield f"C{n}", n, rotations
+        yield f"D{n}", n, rotations | {tuple((k - x) % n for x in range(n)) for k in range(n)}
+    for p in (5, 7, 11, 13, 17):
+        maps = {tuple((a * x + b) % p for x in range(p)) for a in range(1, p) for b in range(p)}
+        yield f"AGL(1,{p})", p, maps
+    # x -> A x + b on F_3^2, the point (x, y) numbered 3x + y
+    yield "AGL(2,3)", 9, {
+        tuple(3 * ((a * x + b * y + e) % 3) + (c * x + d * y + f) % 3
+              for x in range(3) for y in range(3))
+        for a, b, c, d, e, f in itertools.product(range(3), repeat=6)
+        if (a * d - b * c) % 3
+    }
+    # GL(3,2) on the nonzero vectors of F_2^3, the vector v numbered v - 1
+    psl32 = set()
+    for cols in itertools.product(range(1, 8), repeat=3):
+        images = []
+        for v in range(1, 8):
+            w = 0
+            for i, col in enumerate(cols):
+                if v >> i & 1:
+                    w ^= col
+            images.append(w - 1)
+        if len(set(images)) == 7:
+            psl32.add(tuple(images))
+    yield "PSL(3,2)", 7, psl32
+    yield "PSL(2,8)", 9, projective_line_group(0b1011)
+    yield "PGammaL(2,8)", 9, projective_line_group(0b1011, field_automorphisms=True)
+    yield "PSL(2,16)", 17, projective_line_group(0b10011)  # t^4 + t + 1
+    yield "PGammaL(2,16)", 17, projective_line_group(0b10011, field_automorphisms=True)
+
+
+def _partitions(n, largest=None):
+    """The partitions of n into parts of at most ``largest``, as sorted tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield tuple(sorted((part, *rest)))
+
+
+def test_galois_classify_certifies_only_alternating_or_symmetric_groups(monkeypatch):
+    """Fed the cycle types of a transitive group, Sn_certified fires only for
+    S_n and An_certified only for a group of order at least n!/2; A_n and S_n
+    themselves, their cycle types read from the partitions of n, are
+    always certified.  The disc is a square when every element is even."""
+    orders = {
+        "AGL(2,3)": 432, "PSL(3,2)": 168, "PSL(2,8)": 504, "PGammaL(2,8)": 1512,
+        "PSL(2,16)": 4080, "PGammaL(2,16)": 16320,
+    }
+    labels = {}
+    for name, n, group in transitive_groups():
+        assert len(group) == orders.get(name, len(group)), name
+        types = {cycle_lengths(g) for g in group}
+        assert all(sorted(g) == list(range(n)) for g in group)
+        square = all((n - len(t)) % 2 == 0 for t in types)
+        label = _classify_types(monkeypatch, n, sorted(types), square)[0]
+        labels[name] = label
+        if label == "Sn_certified":
+            assert len(group) == math.factorial(n), name
+        elif label == "An_certified":
+            assert len(group) >= math.factorial(n) // 2, name
+    assert labels["C3"] == "An_certified" and labels["D3"] == "Sn_certified"
+    assert labels["PSL(2,16)"] == labels["PGammaL(2,16)"] == "inside_An"
+    for n in range(3, 18, 2):
+        types = sorted(_partitions(n))
+        even = [t for t in types if (n - len(t)) % 2 == 0]
+        assert _classify_types(monkeypatch, n, types, square=False)[0] == "Sn_certified", n
+        assert _classify_types(monkeypatch, n, even, square=True)[0] == "An_certified", n
 
 
 def test_galois_low_bound_degrades_to_unknown():

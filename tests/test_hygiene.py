@@ -1,8 +1,9 @@
 """Source hygiene: every package module imports at its top level only, and
 uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
-package; every name a module exports it defines; importing the command
-line loads no costly standard module; the benchmark's hooks resolve."""
+package; every defaulted parameter is passed by some call in the package;
+every name a module exports it defines; importing the command line loads
+no costly standard module; the benchmark's hooks resolve."""
 
 import ast
 import collections
@@ -229,6 +230,74 @@ def test_dead_public_definition_is_reported():
         ("a.py", "Poly.unused"),
         ("a.py", "_Private.hook"),
         ("a.py", "orphan"),
+    ]
+
+
+def unpassed_defaults(sources: dict):
+    """(module, qualified name.parameter) of each defaulted parameter of a
+    module-level function, a method or a constructor that no call in the
+    sources passes, by position or by keyword.  Calls are matched by name,
+    a constructor's by its class's name; a call with ``*args`` or
+    ``**kwargs`` passes every parameter."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", getattr(func, "attr", None))].append(node)
+    found = []
+    for module, tree in trees.items():
+        for qual, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            owner, _, name = qual.rpartition(".")
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            args = node.args
+            # a method's first parameter is filled by the object, not an argument
+            positional = [a.arg for a in args.posonlyargs + args.args][bool(owner) and not static:]
+            defaulted = list(enumerate(positional))[len(positional) - len(args.defaults):]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            callers = calls[owner if name == "__init__" else name]
+            for index, param in defaulted:
+                if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(kw.arg in (None, param) for kw in call.keywords)
+                    or index is not None and len(call.args) > index
+                    for call in callers
+                ):
+                    found.append((module, f"{qual}.{param}"))
+    return sorted(found)
+
+
+# defaulted parameters that no call in the package passes, and why they stay
+UNPASSED_DEFAULTS = {
+    ("cli.py", "main.argv"): "the console script calls main() bare",
+}
+
+
+def test_every_default_is_passed_somewhere():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unpassed_defaults(sources) == sorted(UNPASSED_DEFAULTS)
+
+
+def test_unpassed_default_is_reported():
+    sources = {
+        "a.py": "def f(x, y=1, *, z=2, w=3):\n    pass\n\n\n"
+        "def k(p=1, q=2):\n    pass\n\n\n"
+        "def kw(p=1):\n    pass\n\n\n"
+        "class C:\n    def __init__(self, a=0, b=1):\n        pass\n\n"
+        "    def m(self, n=5):\n        pass\n\n"
+        "    @staticmethod\n    def s(n=5):\n        pass\n\n\n"
+        "def g(*args, v=1, **kwargs):\n    k(*args)\n    kw(**kwargs)\n",
+        "b.py": "from .a import C, f\n\nf(0, z=1)\nC(1)\nC().m(2)\nC.s()\n",
+    }
+    assert unpassed_defaults(sources) == [
+        ("a.py", "C.__init__.b"),
+        ("a.py", "C.s.n"),
+        ("a.py", "f.w"),
+        ("a.py", "f.y"),
+        ("a.py", "g.v"),
     ]
 
 

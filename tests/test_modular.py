@@ -23,18 +23,19 @@ from twistparity.modular import (
     squarefree_part,
 )
 from twistparity.papercases import curve_s5_quintic, curve_x3_minus_2
-from twistparity.ratpoly import RatPoly, is_separable
+from twistparity.ratpoly import RatPoly, discriminant, is_separable
 
 from conftest import random_separable_poly
 from oracles import hilbert_by_conic
 
 X3M2 = RatPoly((-2, 0, 0, 1))
+X3M2_DISC = discriminant(X3M2)  # -108
 
 
 def test_factor_degrees_examples():
-    assert factor_degrees(X3M2, 5) == (1, 2)
-    assert factor_degrees(X3M2, 7) == (3,)
-    assert factor_degrees(X3M2, 31) == (1, 1, 1)
+    assert factor_degrees(X3M2, 5, X3M2_DISC) == (1, 2)
+    assert factor_degrees(X3M2, 7, X3M2_DISC) == (3,)
+    assert factor_degrees(X3M2, 31, X3M2_DISC) == (1, 1, 1)
 
 
 def test_factor_degrees_rebuilds_frobenius_matrix_from_x_to_the_l():
@@ -44,20 +45,20 @@ def test_factor_degrees_rebuilds_frobenius_matrix_from_x_to_the_l():
     cur; built from x^(l^d) instead, this case reads (1, 2, 4, 4).
     """
     f = RatPoly((7, 6, 8, 3, 5, 9, 8, -8, 8, -5, 4, 3))
-    assert factor_degrees(f, 11) == (1, 2, 3, 5)
+    assert factor_degrees(f, 11, discriminant(f)) == (1, 2, 3, 5)
 
 
 def test_factor_degrees_rejects_bad_primes():
     with pytest.raises(BadPrimeError):
-        factor_degrees(X3M2, 2)
+        factor_degrees(X3M2, 2, X3M2_DISC)
     with pytest.raises(BadPrimeError):
-        factor_degrees(X3M2, 3)  # 3 | disc = -108
+        factor_degrees(X3M2, 3, X3M2_DISC)  # 3 | disc = -108
     with pytest.raises(BadPrimeError):
-        factor_degrees(RatPoly((1, 0, 5)), 5)  # 5 | lead
+        factor_degrees(RatPoly((1, 0, 5)), 5, Fraction(-20))  # 5 | lead
     with pytest.raises(BadPrimeError):
-        factor_degrees(RatPoly((Fraction(1, 5), 0, 0, 1)), 5)  # denominator
+        factor_degrees(RatPoly((Fraction(1, 5), 0, 0, 1)), 5, Fraction(-27, 25))  # denominator
     with pytest.raises(InvalidInputError):
-        factor_degrees(X3M2, 15)
+        factor_degrees(X3M2, 15, X3M2_DISC)
 
 
 def _fp_divides(d, f, l):
@@ -129,7 +130,7 @@ def test_factor_degrees_against_brute_force_oracle():
         f = random_separable_poly(rng, rng.randint(2, 5), coeff_bound=20)
         l = rng.choice((3, 5, 7, 11, 13))
         try:
-            got = factor_degrees(f, l)
+            got = factor_degrees(f, l, discriminant(f))
         except BadPrimeError:
             continue
         checked += 1
@@ -148,10 +149,11 @@ def test_factor_degrees_matches_sympy_factor_list():
         for _ in range(6):
             f = random_separable_poly(rng, degree, coeff_bound=50)
             ints = [int(c) for c in reversed(f.coeffs)]
+            disc = discriminant(f)
             for l in [3, 5, 7, 11, 13] + rng.sample(primes, 2):
                 factors = sympy.Poly(ints, x, modulus=l).factor_list()[1]
                 try:
-                    got = factor_degrees(f, l)
+                    got = factor_degrees(f, l, disc)
                 except BadPrimeError:
                     # bad reduction: the degree drops or a factor repeats
                     bad += 1
@@ -179,7 +181,7 @@ def test_factor_count_parity_is_stickelberger():
             disc = CurveSpec(f).discriminant()
             for l in [3, 5, 7, 11, 13] + rng.sample(primes, 4):
                 try:
-                    got = factor_degrees(f, l)
+                    got = factor_degrees(f, l, disc)
                 except BadPrimeError:
                     continue
                 checked += 1
@@ -202,7 +204,7 @@ def test_one_powering_ladder_per_prime(monkeypatch):
     quintic = curve_s5_quintic()
     good = [l for l in sieve_primes(3000)[1:] if l not in sigma_set(quintic)]
     for l in good:
-        factor_degrees(quintic.f, l)
+        factor_degrees(quintic.f, l, quintic.discriminant())
     assert calls == good
 
     cubic = curve_x3_minus_2()
@@ -211,7 +213,7 @@ def test_one_powering_ladder_per_prime(monkeypatch):
         calls.clear()
         primes = [l for l in good if kronecker_symbol(-108, l) == sign]
         for l in primes:
-            factor_degrees(cubic.f, l)
+            factor_degrees(cubic.f, l, cubic.discriminant())
         assert calls == ([] if sign == -1 else primes)
 
 

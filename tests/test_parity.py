@@ -39,7 +39,7 @@ from twistparity.parity import (
     omega_tables,
     parity_flip,
 )
-from twistparity.metabolic import Subspace
+from twistparity.metabolic import echelon
 from twistparity.ratpoly import RatPoly, real_root_signature
 from twistparity import parity as parity_module
 
@@ -352,7 +352,7 @@ def test_density_scan_exact_resource_limits():
     res = density_scan(c, zero_profiles(c), max_norm=200_000)
     assert res.mode == "exhaustive" and res.total == 1 << 17_985
     with pytest.raises(ResourceLimitError):
-        parity_module._image_sum(Subspace.from_vectors(1 << i for i in range(21)), [])
+        parity_module._image_sum(echelon(1 << i for i in range(21)), [])
 
 
 def test_density_scan_monte_carlo_deterministic():

@@ -8,7 +8,7 @@ st = hypothesis.strategies
 
 from twistparity.characters import sigma_trivial  # noqa: E402
 from twistparity.frobenius import sigma_set  # noqa: E402
-from twistparity.metabolic import Subspace  # noqa: E402
+from twistparity.metabolic import echelon, span  # noqa: E402
 from twistparity.modular import (  # noqa: E402
     factor_integer,
     is_prime,
@@ -45,17 +45,17 @@ def test_sigma_trivial_twist_keeps_exactly_the_sigma_trivial_squarefree(n):
 
 @hypothesis.given(st.lists(st.integers(0, 255), max_size=10), st.randoms())
 def test_echelon_basis_is_canonical_reduced_and_spans_the_input(vectors, rnd):
-    basis = Subspace.from_vectors(vectors).basis
+    basis = echelon(vectors)
     shuffled = list(vectors)
     rnd.shuffle(shuffled)
-    assert Subspace.from_vectors(shuffled).basis == basis
+    assert echelon(shuffled) == basis
     pivots = [b.bit_length() - 1 for b in basis]
     assert pivots == sorted(set(pivots), reverse=True)
     assert all(sum(b >> p & 1 for b in basis) == 1 for p in pivots)
-    span = {0}
+    points = {0}
     for v in vectors:
-        span |= {s ^ v for s in span}
-    assert set(Subspace(basis).vectors()) == span
+        points |= {s ^ v for s in points}
+    assert set(span(basis)) == points
 
 
 PROOF_LIMIT = 3317044064679887385961981  # is_prime switches to Baillie-PSW here

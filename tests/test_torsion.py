@@ -13,14 +13,9 @@ from twistparity.papercases import (
     curve_h,
     curve_x3_minus_2,
 )
+from twistparity import torsion
 from twistparity.ratpoly import RatPoly
-from twistparity.torsion import (
-    count_irreducible_factors,
-    cycle_lengths,
-    fixed_space_dim,
-    orbit_lengths_coprime,
-    rational_two_torsion_dim,
-)
+from twistparity.torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
 
 from oracles import from_cycles
 
@@ -71,18 +66,6 @@ def test_oracle_conjugation_invariance():
         assert fixed_space_dim(conj, p) == fixed_space_dim(sigma, p)
 
 
-def test_orbit_lengths_coprime_predicate():
-    assert orbit_lengths_coprime((1, 1, 3), 2)
-    assert not orbit_lengths_coprime((1, 2, 2), 2)
-    assert orbit_lengths_coprime((1, 2), 3)
-    assert not orbit_lengths_coprime((3, 4), 3)
-    rng = random.Random(8)
-    for _ in range(100):
-        lengths = cycle_lengths(random_images(7, rng))
-        for p in (2, 3, 5):
-            assert orbit_lengths_coprime(lengths, p) == all(x % p for x in lengths)
-
-
 def test_permutation_from_cycles():
     s = from_cycles(5, [(1, 2), (3, 4, 5)])
     assert s == (1, 0, 3, 4, 2)
@@ -100,20 +83,20 @@ def test_two_torsion_examples():
     assert rational_two_torsion_dim(curve_1440d1()) == 2
 
 
-def test_two_torsion_without_declared_factors():
+def test_two_torsion_without_declared_factors(monkeypatch):
     # same h polynomial but with no factorization supplied: the linear
     # factor is found by root extraction, but the quartic cofactor is a
     # product of two quadratics, irreducible mod nothing -> must refuse
+    monkeypatch.setattr(torsion, "_CERTIFY_BOUND", 300)
     f = curve_h().f
     bare = CurveSpec(f=f)
-    with pytest.raises(UnknownFactorizationError):
-        rational_two_torsion_dim(bare, certify_bound=300)
+    with pytest.raises(UnknownFactorizationError, match="below 300"):
+        rational_two_torsion_dim(bare)
 
 
 def test_two_torsion_certifies_irreducible_quintic():
     c = CurveSpec(f=RatPoly((-1, -1, 0, 0, 0, 1)))
     assert rational_two_torsion_dim(c) == 0
-    assert count_irreducible_factors(c) == 1
     # x^5 + x/3 + 1 and x^5 + x/7 + 1: the certifying scan must skip the
     # primes of the coefficient denominators, not stop at them
     for den in (3, 7):
@@ -126,4 +109,4 @@ def test_declared_factor_must_be_irreducible():
     f = RatPoly((-1, 0, 1)) * RatPoly((-2, 1))
     c = CurveSpec(f=f, declared_factors=(RatPoly((-1, 0, 1)), RatPoly((-2, 1))))
     with pytest.raises(UnknownFactorizationError):
-        count_irreducible_factors(c)
+        rational_two_torsion_dim(c)
