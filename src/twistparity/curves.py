@@ -1,9 +1,8 @@
 """Curve descriptions: an odd-degree separable polynomial over Q.
 
-A ``CurveSpec`` is the hyperelliptic model y^2 = f(x).  The torsion prime
-is fixed to 2 for every global operation; the permutation-module oracle
-is the only consumer that accepts other primes, and it takes them
-directly rather than through a curve.
+A ``CurveSpec`` is the hyperelliptic model y^2 = f(x).  Every global
+operation works with the 2-torsion, so the torsion prime is 2 throughout;
+the curve file format still names it on its 'p = 2' line.
 """
 
 from __future__ import annotations
@@ -20,24 +19,21 @@ __all__ = ["CurveSpec", "curve_hash"]
 class CurveSpec:
     # discriminant, signature and key are computed once per curve and read
     # through discriminant(), real_root_signature() and curve_hash()
-    __slots__ = ("f", "p", "declared_factors", "_discriminant", "_signature", "_key")
+    __slots__ = ("f", "declared_factors", "_discriminant", "_signature", "_key")
 
-    def __init__(self, f: RatPoly, p: int = 2, declared_factors: tuple = ()):
-        if p != 2:
-            raise InvalidInputError("global operations require p = 2")
+    def __init__(self, f: RatPoly, declared_factors: tuple = ()):
         if f.degree < 3 or f.degree % 2 == 0:
             raise InvalidInputError("f must have odd degree >= 3")
         disc = discriminant(f)
         if disc == 0:
             raise InvalidInputError("f must be separable")
         self.f = f
-        self.p = p
         self.declared_factors = tuple(declared_factors)
         self._discriminant = disc
         self._signature = real_root_signature(f)
         self._key = sha256_text(self.canonical_text())[:16]
         if self.declared_factors:
-            prod = RatPoly.one()
+            prod = RatPoly((1,))
             for g in self.declared_factors:
                 if not isinstance(g, RatPoly) or g.degree < 1:
                     raise InvalidInputError("declared factors must be nonconstant polynomials")
@@ -48,11 +44,6 @@ class CurveSpec:
             scaled = prod * (f.lead / prod.lead)
             if scaled != f:
                 raise InvalidInputError("declared factors do not multiply to f")
-
-    def __eq__(self, other):
-        if not isinstance(other, CurveSpec):
-            return NotImplemented
-        return (self.f, self.p, self.declared_factors) == (other.f, other.p, other.declared_factors)
 
     @property
     def degree(self) -> int:
@@ -67,7 +58,7 @@ class CurveSpec:
 
     def canonical_text(self) -> str:
         cs = ",".join(str(c) for c in self.f.coeffs)
-        return f"p={self.p};f=[{cs}]"
+        return f"p=2;f=[{cs}]"
 
     def __str__(self):
         return f"y^2 = {self.f}"

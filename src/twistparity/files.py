@@ -70,10 +70,9 @@ def _parse_coeff_list(body: str, lineno: int):
     return [_parse_coeff(t, lineno) for t in inner.split(",")]
 
 
-def parse_curve_text(text: str) -> CurveSpec:
-    p = None
-    f = None
-    factors = []
+def _entries(text: str):
+    """(line number, key, value) of each 'key = value' line, both stripped,
+    skipping blank lines and '#' comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,10 +80,17 @@ def parse_curve_text(text: str) -> CurveSpec:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, body = line.partition("=")
-        key = key.strip()
+        yield lineno, key.strip(), body.strip()
+
+
+def parse_curve_text(text: str) -> CurveSpec:
+    p = None
+    f = None
+    factors = []
+    for lineno, key, body in _entries(text):
         if key == "p":
             try:
-                p = int(body.strip())
+                p = int(body)
             except ValueError:
                 raise ParseError("p must be an integer", lineno) from None
             if p != 2:
@@ -102,7 +108,7 @@ def parse_curve_text(text: str) -> CurveSpec:
     if f is None:
         raise ParseError("missing 'f = [...]' line")
     try:
-        return CurveSpec(f=f, p=p, declared_factors=tuple(factors))
+        return CurveSpec(f=f, declared_factors=tuple(factors))
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 
@@ -128,15 +134,7 @@ def parse_profiles_text(text: str) -> dict:
     """
     out: dict = {}
     place = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", lineno)
-        key, _, body = line.partition("=")
-        key = key.strip()
-        body = body.strip()
+    for lineno, key, body in _entries(text):
         if key == "place":
             if body == "inf":
                 raise ParseError(

@@ -49,7 +49,7 @@ def curve_h() -> CurveSpec:
 
 def curve_g() -> CurveSpec:
     """y^2 = (2x+1)(3x^2+4x+2)(3x^2+2x+1)."""
-    f = RatPoly.one()
+    f = RatPoly((1,))
     for g in _G_FACTORS:
         f = f * g
     return CurveSpec(f=f, declared_factors=_G_FACTORS)

@@ -1,17 +1,19 @@
 """Exact univariate polynomial algebra over the rationals.
 
-Polynomials are immutable tuples of ``fractions.Fraction`` in ascending
-degree with a nonzero leading coefficient (the zero polynomial is the
-empty tuple).  Everything here is exact: resultants run the classical
-Euclidean recursion over Q, and real-root counts come from Sturm chains
-whose members are reduced to primitive integer form at every step so the
-coefficients stay small.
+Polynomials are tuples of ``fractions.Fraction`` in ascending degree with
+a nonzero leading coefficient (the zero polynomial is the empty tuple).
+Everything here is exact.  The discriminant and the real-root count of f
+both come from one sequence over Q: f, f' and the negated Euclidean
+remainders.  Sturm's theorem reads the signs of its members, and the
+resultant recursion reads their degrees and leading coefficients (Cohen,
+A Course in Computational Algebraic Number Theory, section 3.3).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -21,22 +23,10 @@ __all__ = [
     "RatPoly",
     "discriminant",
     "bad_primes",
-    "is_separable",
     "real_root_signature",
-    "compose_rational",
-    "sturm_real_root_count",
+    "homogenize",
     "rational_roots",
 ]
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InvalidInputError(f"cannot coerce {x!r} to a rational coefficient")
 
 
 class RatPoly:
@@ -45,21 +35,10 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("RatPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -72,23 +51,16 @@ class RatPoly:
             raise InvalidInputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __neg__(self):
         return RatPoly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        other = _coerce_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         out = [Fraction(0)] * n
         for i, c in enumerate(self.coeffs):
@@ -97,38 +69,18 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce_poly(other))
-
-    def __rsub__(self, other):
-        return _coerce_poly(other) + (-self)
-
     def __mul__(self, other):
-        other = _coerce_poly(other)
+        """The product with a polynomial or with a rational scalar."""
+        if not isinstance(other, RatPoly):
+            return RatPoly(tuple(c * other for c in self.coeffs))
         if not self.coeffs or not other.coeffs:
-            return RatPoly.zero()
+            return RatPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise InvalidInputError("negative polynomial power")
-        out = RatPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __call__(self, x):
         acc = Fraction(0)
@@ -138,7 +90,6 @@ class RatPoly:
 
     def divmod(self, other: "RatPoly"):
         """Exact quotient and remainder over Q."""
-        other = _coerce_poly(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -172,7 +123,7 @@ class RatPoly:
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic greatest common divisor."""
-        a, b = self, _coerce_poly(other)
+        a, b = self, other
         while b:
             a, b = b, a % b
         return a.monic()
@@ -219,39 +170,37 @@ class RatPoly:
         return f"RatPoly({self})"
 
 
-def _coerce_poly(x) -> RatPoly:
-    if isinstance(x, RatPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatPoly((x,))
-    raise InvalidInputError(f"cannot coerce {x!r} to RatPoly")
-
-
-def resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Res(f, g) by the Euclidean recursion, exact over Q."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    r = f % g
-    if r.is_zero():
-        return Fraction(0)
-    sign = Fraction(-1) ** (f.degree * g.degree)
-    return sign * g.lead ** (f.degree - r.degree) * resultant(g, r)
+def _sturm_sequence(f: RatPoly) -> list:
+    """[f, f', -(a_0 mod a_1), ...] over Q, ending at the last nonzero
+    member, which is gcd(f, f') up to a constant."""
+    seq = [f, f.derivative()]
+    while seq[-1]:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq.pop()
+    return seq
 
 
 def discriminant(f: RatPoly) -> Fraction:
     """Discriminant normalized so Res(f, f') * (-1)^(n(n-1)/2) / lead(f).
 
     Equals lead(f)^(2n-2) * prod_(i<j) (root_i - root_j)^2, so its sign and
-    square class agree with the root-difference product for monic f.
+    square class agree with the root-difference product for monic f; it is
+    1 for linear f and 0 when f has a repeated factor.  With a_k the
+    members of the Sturm sequence and d_k their degrees, a_m the last,
+    Res(f, f') = a_m^(d_(m-1)) * prod_(k=1..m-1) (-1)^((d_(k-1)+1) d_k)
+    lead(a_k)^(d_(k-1) - d_(k+1)).
     """
     n = f.degree
-    if n < 2:
-        raise InvalidInputError("discriminant requires degree >= 2")
-    return resultant(f, f.derivative()) * Fraction(-1) ** (n * (n - 1) // 2) / f.lead
+    if n < 1:
+        raise InvalidInputError("discriminant requires degree >= 1")
+    seq = _sturm_sequence(f)
+    d = [a.degree for a in seq]
+    if d[-1] > 0:
+        return Fraction(0)
+    res = seq[-1].lead ** d[-2]
+    for k in range(1, len(seq) - 1):
+        res *= (-1) ** ((d[k - 1] + 1) * d[k]) * seq[k].lead ** (d[k - 1] - d[k + 1])
+    return res * (-1) ** (n * (n - 1) // 2) / f.lead
 
 
 def bad_primes(f: RatPoly, disc: Fraction) -> set:
@@ -262,84 +211,30 @@ def bad_primes(f: RatPoly, disc: Fraction) -> set:
     return out
 
 
-def is_separable(f: RatPoly) -> bool:
-    """True when gcd(f, f') is constant."""
-    if f.is_zero():
-        raise InvalidInputError("zero polynomial")
-    if f.degree == 0:
-        return True
-    return f.gcd(f.derivative()).degree == 0
-
-
-def _sign_variations(signs) -> int:
-    filtered = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(filtered, filtered[1:]) if a * b < 0)
-
-
-def _sturm_chain(f: RatPoly):
-    """Sturm chain as primitive integer tuples (positive rescaling only)."""
-    chain = []
-    cur, _ = f.primitive_int()
-    nxt, _ = f.derivative().primitive_int()
-    chain.append(cur)
-    while nxt:
-        chain.append(nxt)
-        rem = -(RatPoly(cur) % RatPoly(nxt))
-        cur, nxt = nxt, rem.primitive_int()[0]
-    return chain
-
-
-def sturm_real_root_count(f: RatPoly) -> int:
-    """Number of distinct real roots of f, by Sturm's theorem on (-inf, inf)."""
-    if f.is_zero():
-        raise InvalidInputError("zero polynomial")
-    if f.degree == 0:
-        return 0
-    chain = _sturm_chain(f)
-    at_pos = [(1 if p[-1] > 0 else -1) for p in chain]
-    at_neg = [s * (-1) ** (len(p) - 1) for s, p in zip(at_pos, chain)]
-    return _sign_variations(at_neg) - _sign_variations(at_pos)
-
-
 def real_root_signature(f: RatPoly):
     """(real root count, k1, k2) for separable odd-degree f.
 
-    f has 2*k1 - 1 real roots and 2*k2 complex roots.
+    f has 2*k1 - 1 real roots and 2*k2 complex roots.  The count is
+    Sturm's: the sign changes of the sequence at -inf less those at +inf.
     """
     if f.degree < 1 or f.degree % 2 == 0:
         raise InvalidInputError("real_root_signature requires odd degree")
-    if not is_separable(f):
+    seq = _sturm_sequence(f)
+    if seq[-1].degree > 0:
         raise InvalidInputError("real_root_signature requires a separable polynomial")
-    r = sturm_real_root_count(f)
+    at_pos = [a.lead > 0 for a in seq]  # each member positive at +inf
+    at_neg = [s == (a.degree % 2 == 0) for s, a in zip(at_pos, seq)]  # and at -inf
+    r = sum(map(operator.ne, at_neg, at_neg[1:])) - sum(map(operator.ne, at_pos, at_pos[1:]))
     return r, (r + 1) // 2, (f.degree - r) // 2
 
 
-def compose_rational(f: RatPoly, num: RatPoly, den: RatPoly, clear_degree: int) -> RatPoly:
-    """den(x)^clear_degree * f(num(x)/den(x)), exact; errors if not a polynomial."""
-    if den.is_zero():
-        raise InvalidInputError("zero denominator in rational composition")
-    if clear_degree < 0:
-        raise InvalidInputError("clear_degree must be nonnegative")
-    d = max(f.degree, 0)
-    acc = RatPoly.zero()
-    num_pow = RatPoly.one()
-    den_pows = [RatPoly.one()]
-    for _ in range(d):
-        den_pows.append(den_pows[-1] * den)
-    for i, c in enumerate(f.coeffs):
-        if c:
-            acc = acc + RatPoly((c,)) * num_pow * den_pows[d - i]
-        if i < d:
-            num_pow = num_pow * num
-    if clear_degree >= d:
-        return acc * den ** (clear_degree - d)
-    q, r = acc.divmod(den ** (d - clear_degree))
-    if not r.is_zero():
-        raise InvalidInputError(
-            "clearing denominators does not produce a polynomial "
-            f"(remainder {r} after dividing by den^{d - clear_degree})"
-        )
-    return q
+def homogenize(f: RatPoly, num: RatPoly, den: RatPoly) -> RatPoly:
+    """den^n * f(num/den) with n = deg f, by Horner's rule."""
+    acc, power = RatPoly(), RatPoly((1,))
+    for c in reversed(f.coeffs):
+        acc = acc * num + power * c
+        power = power * den
+    return acc
 
 
 def rational_roots(f: RatPoly):
@@ -352,12 +247,15 @@ def rational_roots(f: RatPoly):
     that, a_n*x is the symmetric residue of a_n*r mod M.  No integer is factored.
     """
     if f.degree < 1:
-        if f.is_zero():
+        if not f:
             raise InvalidInputError("zero polynomial")
         return []
-    g = RatPoly((f // f.gcd(f.derivative())).primitive_int()[0])
+    # the sequence ends at gcd(f, f') times a constant whose numerator and
+    # denominator grow like Res(f, f'); dividing by it unscaled would carry them into g
+    g = RatPoly((f // _sturm_sequence(f)[-1].monic()).primitive_int()[0])
     dg, lead = g.derivative(), int(g.lead)
-    bad = lead * resultant(g, dg).numerator
+    # lead * disc(g) is Res(g, g') up to sign
+    bad = lead * (lead * discriminant(g)).numerator
     l = next(q for q in itertools.count(3, 2) if bad % q and is_prime(q))
     bound = 2 * (abs(lead) + max(abs(c) for c in g.coeffs))
     roots = []

@@ -31,7 +31,7 @@ from .papercases import (
     sextic_h0,
 )
 from .parity import global_consistency_check, parity_flip
-from .ratpoly import RatPoly, compose_rational
+from .ratpoly import RatPoly, homogenize
 from .report import Report
 from .torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
 
@@ -51,7 +51,7 @@ def transformation_identity():
     h = curve_h().f
     num = RatPoly((1, 3))
     den = RatPoly((0, 1))
-    lhs = compose_rational(h0, num, den, 6)
+    lhs = homogenize(h0, num, den)
     rhs = h * TRANSFORM_CONSTANT**2
     if lhs == rhs:
         return {"identity_holds": True, "constant": str(TRANSFORM_CONSTANT)}

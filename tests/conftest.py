@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twistparity.papercases import GOLDEN_CURVES
-from twistparity.ratpoly import RatPoly, is_separable
+from twistparity.ratpoly import RatPoly, discriminant
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +20,7 @@ def random_separable_poly(rng: random.Random, degree: int, coeff_bound: int = 9)
         while lead == 0:
             lead = rng.randint(-coeff_bound, coeff_bound)
         f = RatPoly(coeffs + [Fraction(lead)])
-        if is_separable(f):
+        if discriminant(f) != 0:
             return f
 
 

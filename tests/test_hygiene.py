@@ -2,12 +2,14 @@
 uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
 package; every defaulted parameter is passed by some call in the package;
-every name a module exports it defines; importing the command line loads
-no costly standard module; the benchmark's hooks resolve."""
+every name a module exports it defines; every function and method runs in
+some command line run; importing the command line loads no costly standard
+module; the benchmark's hooks resolve."""
 
 import ast
 import collections
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -15,6 +17,7 @@ import sys
 
 import pytest
 
+from twistparity.cli import main
 from twistparity.files import load_curve
 from twistparity.frobenius import sigma_set
 
@@ -231,6 +234,99 @@ def test_dead_public_definition_is_reported():
         ("a.py", "_Private.hook"),
         ("a.py", "orphan"),
     ]
+
+
+def unreached_definitions(paths, run):
+    """(file name, qualified name) of each module-level function and each
+    method of a module-level class in the files at ``paths`` that no frame
+    enters while ``run()`` runs.  A frame is matched to a definition by its
+    code's file and first line, which is a decorator's when there is one."""
+    codes = set()
+    outer = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code))
+    try:
+        run()
+    finally:
+        sys.setprofile(outer)
+    entered = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
+    found = []
+    for path in paths:
+        for qual, node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not isinstance(node, ast.ClassDef) and (os.path.realpath(path), first) not in entered:
+                found.append((path.name, qual))
+    return sorted(found)
+
+
+# definitions that no command line run enters, and why they stay
+UNREACHED = {
+    ("files.py", "load_curve"): "the benchmark's set-up imports it",
+    ("ratpoly.py", "RatPoly.__repr__"): "pytest shows it when an assertion on polynomials fails",
+}
+
+# x3_minus_2 has Sigma = {inf, 2, 3}: this file knows every h there
+_FULL_PROFILES = (
+    "place = 2\nh[1] = 0\nh[5] = 0\nh[-1] = 1\nh[-5] = 1\nh[2] = 0\nh[10] = 0\nh[-2] = 1\nh[-10] = 1\n"
+    "place = 3\nh[1] = 0\nh[2] = 1\nh[3] = 0\nh[6] = 1\n"
+)
+
+
+def test_every_definition_is_reached(tmp_path, capsys):
+    """Each function and method in the package runs in some command: a fixed
+    set of in-process runs, every file and cache under tmp_path, leaves
+    unentered only the allow-listed definitions."""
+    for path in (ROOT / "papercases").glob("*.curve"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "septic.curve").write_text("p = 2\nf = [-1, -1, 0, 0, 0, 0, 0, 1]\n")
+    (tmp_path / "malformed.curve").write_text("p = 2\nf = [1, 0, 1]\n")
+    (tmp_path / "corrupt.cache").write_text("0123456789abcdef 3 1,2\nnot a record\n")
+    (tmp_path / "full.profiles").write_text(_FULL_PROFILES)
+
+    def curve(name):
+        return ["--curve", str(tmp_path / f"{name}.curve")]
+
+    profiles = ["--profiles", str(tmp_path / "full.profiles")]
+    runs = [
+        (0, ["analyze", *curve("x3_minus_2")]),
+        (0, ["--format", "json", "analyze", *curve("h_quintic")]),
+        (0, ["--format", "json", "classify-primes", *curve("septic"), "--limit", "300"]),
+        (0, ["--cache", str(tmp_path / "corrupt.cache"), "classify-primes",
+             *curve("cubic_1440d1"), "--limit", "100", "--class", "0"]),
+        (0, ["--format", "json", "find-twist", *curve("s5_quintic"), "--direction", "up", "--limit", "2000"]),
+        (0, ["find-twist", *curve("x3_minus_2"), "--direction", "down", "--limit", "2000"]),
+        (0, ["--format", "json", "parity", *curve("x3_minus_2"), "--d", "-15", *profiles]),
+        (0, ["parity", *curve("g_quintic"), "--d", "7"]),
+        (0, ["--format", "json", "scan", *curve("x3_minus_2"), "--max-norm", "30", *profiles]),
+        (0, ["scan", *curve("x3_minus_2"), "--sample", "20", "--bound", "1000", *profiles]),
+        (0, ["scan", *curve("h_quintic"), "--max-norm", "20"]),
+        (0, ["--format", "json", "character", "--d", str(10**25 + 13)]),
+        (0, ["character", "--d", str(10000000019 * 10000000033), *curve("cubic_1440d1")]),
+        (1, ["character", "--d", "0"]),
+        (1, ["analyze", *curve("malformed")]),
+        (0, ["--format", "json", "verify-paper"]),
+    ]
+    codes = []
+    unreached = unreached_definitions(
+        MODULES, lambda: codes.extend((main(argv), argv) for _, argv in runs)
+    )
+    capsys.readouterr()
+    assert codes == runs
+    assert unreached == sorted(UNREACHED)
+
+
+def test_unreached_definition_is_reported(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def used():\n    return C().method()\n\n\n"
+        "def unused():\n    pass\n\n\n"
+        "class C:\n    @property\n    def prop(self):\n        return 1\n\n"
+        "    def method(self):\n        return self.prop\n\n"
+        "    def never(self):\n        pass\n"
+    )
+    spec = importlib.util.spec_from_file_location("probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert unreached_definitions([path], probe.used) == [("probe.py", "C.never"), ("probe.py", "unused")]
 
 
 def unpassed_defaults(sources: dict):

@@ -229,7 +229,7 @@ def test_delta_infinity_every_signature_up_to_degree_11():
     for n in (3, 5, 7, 9, 11):
         for k1 in range(1, (n + 1) // 2 + 1):
             r = 2 * k1 - 1
-            f = RatPoly.one()
+            f = RatPoly((1,))
             for a in range(r):
                 f = f * RatPoly((-a, 1))  # distinct real roots 0..r-1
             for b in range((n - r) // 2):

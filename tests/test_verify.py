@@ -6,7 +6,7 @@ import json
 from twistparity import cli, parity, verify
 from twistparity.frobenius import PrimeClass
 from twistparity.papercases import TRANSFORM_CONSTANT, curve_h, sextic_h0
-from twistparity.ratpoly import RatPoly, compose_rational
+from twistparity.ratpoly import RatPoly, homogenize
 from twistparity.report import Report
 from twistparity.verify import run_paper_verification, transformation_identity
 
@@ -14,7 +14,7 @@ from twistparity.verify import run_paper_verification, transformation_identity
 def test_transformation_identity_quotient_closes_algebraically():
     """lhs * den(quotient) == rhs * num(quotient) as exact polynomials."""
     ident = transformation_identity()
-    lhs = compose_rational(sextic_h0(), RatPoly((1, 3)), RatPoly((0, 1)), 6)
+    lhs = homogenize(sextic_h0(), RatPoly((1, 3)), RatPoly((0, 1)))
     rhs = curve_h().f * TRANSFORM_CONSTANT**2
     if ident["identity_holds"]:
         assert lhs == rhs
