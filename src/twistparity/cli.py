@@ -14,7 +14,7 @@ import time
 
 from .characters import local_behavior, local_square_class, ramified_primes, sigma_trivial
 from .curves import curve_hash
-from .errors import ResourceLimitError, TwistParityError
+from .errors import InvalidInputError, ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
 from .modular import local_classes, place_name, square_class_index, squarefree_part
@@ -81,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="twist-family parity density")
     p.add_argument("--curve", required=True)
-    p.add_argument("--max-norm", type=int, default=None)
-    p.add_argument("--sample", type=_positive_int, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--max-norm", type=int, default=None)
+    mode.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--profiles", default=None)
     p.add_argument("--r1-parity", type=int, default=0)
@@ -188,7 +189,7 @@ def _cmd_classify_primes(args) -> int:
     with _cache_for(args, args.curve) as cache:
         primes = [
             pc
-            for pc in prime_scan(curve, 2, args.limit + 1, cache=cache)
+            for pc in prime_scan(curve, args.limit + 1, cache=cache)
             if args.class_index is None or pc.i == args.class_index
         ]
     rep = Report(
@@ -271,6 +272,10 @@ def _cmd_parity(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.max_norm is not None and args.max_norm < 2:
+        raise InvalidInputError("--max-norm must be >= 2")
+    if args.sample is not None and (args.bound is None or args.bound < 2):
+        raise InvalidInputError("--sample needs --bound >= 2")
     curve, inputs = _curve_input(args.curve)
     profiles = _profiles_input(args, inputs)
     result = density_scan(

@@ -11,7 +11,7 @@ the last step whenever one cycle type alone fits it (every quintic after
 x^l mod f, every cubic with a nonsquare discriminant mod l without it),
 and each step after the first applies the Frobenius matrix of x^l
 instead of powering again.  The result is cached per (curve hash, l) in
-an append-only line file that tolerates a torn final record.  A cached
+an append-only line file, cut back after its last whole record.  A cached
 cycle type whose lengths do not sum to the degree of f is never trusted:
 it is recomputed and the corrected record appended, so deleting or
 damaging a cache never changes a reported value.
@@ -19,7 +19,6 @@ damaging a cache never changes a reported value.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import Counter, namedtuple
@@ -68,84 +67,50 @@ class PrimeClass(namedtuple("PrimeClass", "l lengths i")):
 class PrimeCache:
     """Append-only cycle-type cache: lines of ``<curve_hash> <l> <l1,l2,...>``.
 
-    Loading stops at the first corrupt record and truncates the file back
-    to the valid prefix, so a torn write never poisons later runs.  A later
-    record for the same key overrides an earlier one.  Records are held by
-    curve hash, then by l, so each curve hash is one string, and each
-    cycle type read or written is one tuple however many primes share it.
-    The first ``put`` opens one append handle, flushed after every record,
-    so a killed scan keeps each record written so far; leaving a ``with``
-    block closes it.  A cache is not thread-safe: callers that share one
-    across threads must lock around it.
+    A record is such a line split at single spaces: a UTF-8 curve hash, an
+    int l and ints >= 1, ended by a newline.  Loading stops at the first
+    line that is not a record and truncates the file after the last one
+    when more bytes follow, so a torn write never poisons later runs and a
+    valid file is only read.  A later record for the same key overrides an
+    earlier one.  Records are held by curve hash, then by l, so each curve
+    hash is one string, and each cycle type read or written is one tuple
+    however many primes share it.  The first ``put`` opens one append
+    handle, flushed after every record, so a killed scan keeps each record
+    written so far; leaving a ``with`` block closes it.
     """
 
     def __init__(self, path):
         self.path = path
         self._mem: dict = {}  # curve hash -> {l: cycle type}
-        self._types: dict = {}  # text of a cycle type -> its one tuple
+        self._types: dict = {}  # bytes of a lengths field, newline included -> its one tuple
         self._fh = None
         if os.path.exists(path):
             self._load()
 
     def _load(self):
-        """Read the records in one pass, a line at a time.
-
-        Lines are those ``str.splitlines`` gives on the text read with
-        universal newlines.  The valid prefix ends before the first line
-        that is not a record; a line holding a byte that is not UTF-8 (read
-        as a lone surrogate, one character per byte) is not.  Only a file
-        that is not exactly that prefix, each record ended by one newline,
-        is written again.
-        """
+        """Read the records, truncating the file after them when more bytes follow."""
         mem, types = self._mem, self._types
-        kept = 0  # records in the valid prefix
-        exact = True  # the text read so far is its records, each ended by "\n"
-        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for text in fh:
-                lines = text.splitlines()
-                if len(lines) != 1 or text[-1] != "\n":
-                    exact = False
-                for line in lines:
-                    try:
-                        if not line.isascii():
-                            line.encode()  # UnicodeEncodeError on a surrogate
-                        key, ls, lens = line.split()
-                        l = int(ls)
-                        lengths = types.get(lens)
-                        if lengths is None:
-                            lengths = tuple(int(x) for x in lens.split(","))
-                            if not lengths or any(x < 1 for x in lengths):
-                                raise ValueError
-                            types[lens] = lengths
-                    except ValueError:
-                        break
-                    by_l = mem.get(key)
-                    if by_l is None:
-                        by_l = mem[key] = {}
-                    by_l[l] = lengths
-                    kept += 1
-                else:  # every line of this text is a record
-                    continue
-                exact = False
-                break
-        if not exact:
-            self._rewrite(kept)
-
-    def _rewrite(self, kept):
-        """Write the file again as its first ``kept`` lines, each ended by a newline.
-
-        The lines are read and written in place, in one stream.  A line
-        and its newline take no more bytes than the line and its old ending
-        did (a last line without an ending comes after everything read), so
-        the writer never overwrites bytes the reader has yet to read.
-        """
-        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as src, open(
-            self.path, "r+", encoding="utf-8"
-        ) as dst:
-            lines = (line for text in src for line in text.splitlines())
-            for line in itertools.islice(lines, kept):
-                dst.write(line + "\n")
-            dst.truncate()
+        end = 0  # bytes in the records read so far
+        with open(self.path, "rb") as fh:
+            for line in fh:
+                try:
+                    key, ls, lens = line.split(b" ")
+                    l = int(ls)
+                    lengths = types.get(lens)
+                    if lengths is None:  # every field in types ends in a newline
+                        lengths = tuple(int(x) for x in lens.split(b","))
+                        if lens[-1:] != b"\n" or min(lengths) < 1:
+                            raise ValueError
+                        types[lens] = lengths
+                    key = key.decode()
+                except ValueError:  # UnicodeDecodeError included
+                    os.truncate(self.path, end)
+                    break
+                by_l = mem.get(key)
+                if by_l is None:
+                    by_l = mem[key] = {}
+                by_l[l] = lengths
+                end += len(line)
 
     def __enter__(self):
         return self
@@ -164,11 +129,11 @@ class PrimeCache:
         by_l = self._mem.setdefault(key, {})
         if by_l.get(l) == lengths:
             return
-        text = ",".join(str(x) for x in lengths)
-        by_l[l] = self._types.setdefault(text, lengths)
+        text = b",".join(b"%d" % x for x in lengths)
+        by_l[l] = self._types.setdefault(text + b"\n", lengths)
         if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(f"{key} {l} {text}\n")
+            self._fh = open(self.path, "ab")
+        self._fh.write(b"%s %d %s\n" % (key.encode(), l, text))
         self._fh.flush()
 
 
@@ -189,22 +154,20 @@ def classify_prime(
 
 def prime_scan(
     curve: CurveSpec,
-    start: int,
     stop: int,
     cache: PrimeCache | None = None,
     prime_filter=None,
 ):
-    """The PrimeClass of each good prime in [start, stop) passing ``prime_filter``.
+    """The PrimeClass of each good prime in [2, stop) passing ``prime_filter``.
 
     The filter sees the bare prime before classification (use it for
     congruence or symbol conditions, which are much cheaper than
     factoring f mod l).  Yields PrimeClass records in increasing
     prime order, one prime at a time, so a consumer that stops early
-    classifies no further; resumable by calling again with
-    start = last_prime + 1.
+    classifies no further.
     """
     sigma = sigma_set(curve)
-    for l in iter_primes(start, stop):
+    for l in iter_primes(2, stop):
         if l in sigma:
             continue
         if prime_filter is not None and not prime_filter(l):
@@ -245,7 +208,7 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache | Non
 
     seen = set()
     first_at: dict = {}
-    for pc in prime_scan(curve, 2, sample_bound + 1, cache=cache):
+    for pc in prime_scan(curve, sample_bound + 1, cache=cache):
         t = pc.lengths
         seen.add(t)
         for name, ok in _pattern_tests(t, n):

@@ -25,7 +25,6 @@ __all__ = [
     "place_name",
     "is_prime",
     "iter_primes",
-    "sieve_primes",
     "factor_integer",
     "squarefree_part",
     "is_squarefree",
@@ -135,32 +134,20 @@ def is_prime(n: int) -> bool:
     )
 
 
-def sieve_primes(limit: int):
-    """All primes <= limit."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i, f in enumerate(flags) if f]
-
-
 _SEGMENT = 1 << 15  # integers sieved per window of iter_primes
 
 
 def iter_primes(start: int, stop: int):
     """Primes in [start, stop), increasing; resumable by passing a new start.
 
-    A segmented sieve: the primes up to isqrt(stop) strike out composites
-    in windows of ``_SEGMENT`` integers, so memory stays bounded however
-    long the range is and a consumer that stops early sieves no further.
+    A segmented sieve: the primes up to isqrt(stop), sieved the same way,
+    strike out composites in windows of ``_SEGMENT`` integers, so memory
+    stays bounded and a consumer that stops early sieves no further.
     """
     lo = max(start, 2)
     if lo >= stop:
         return
-    base = sieve_primes(math.isqrt(stop))
+    base = list(iter_primes(2, math.isqrt(stop) + 1))
     while lo < stop:
         hi = min(lo + _SEGMENT, stop)
         flags = bytearray([1]) * (hi - lo)

@@ -72,7 +72,7 @@ def find_shift_primes(
         ("loc_image_zero" if raise2 else "loc_image_dim_2", "unverified"),
     )
     for pc in prime_scan(
-        curve, 2, limit + 1, cache=cache,
+        curve, limit + 1, cache=cache,
         prime_filter=lambda l: sigma_trivial(l, sigma),
     ):
         if pc.i != 2 or (raise2 and not all(x % 2 for x in pc.lengths)):

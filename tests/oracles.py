@@ -10,7 +10,7 @@ from fractions import Fraction
 from twistparity.characters import ramified_primes, sigma_trivial
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import classify_prime, sigma_set
-from twistparity.modular import sieve_primes, square_class_index
+from twistparity.modular import iter_primes, square_class_index
 from twistparity.ratpoly import RatPoly
 
 
@@ -41,7 +41,7 @@ def enumerate_characters(bound: int, cap: int = 1 << 20):
     """
     if bound < 2:
         raise InvalidInputError("bound must be >= 2")
-    gens = [-1, 2] + [p for p in sieve_primes(bound - 1) if p % 2 == 1]
+    gens = [-1, 2] + [p for p in iter_primes(2, bound) if p % 2 == 1]
     if 1 << len(gens) > cap:
         raise ResourceLimitError(
             f"2^{len(gens)} characters exceeds the cap of {cap}; use sampling"
@@ -194,30 +194,27 @@ def verify_recipe(curve, recipe, cache=None) -> bool:
 def load_prime_cache_whole(path) -> dict:
     """The records of a prime-cache file as {(curve hash, l): cycle type}.
 
-    Reads the whole text, takes its ``splitlines``, keeps the lines up to
-    the first that is not a record, and writes the file back as those
-    lines, each ended by a newline, when that differs from the text read.
-    A line with a byte that is not UTF-8 is not a record.
-    Oracle for ``frobenius.PrimeCache._load``.
+    Reads the whole file as bytes, splits it at b"\\n", keeps the complete
+    lines up to the first that is not a record, and truncates the file
+    after them when more bytes follow.  A piece after the last b"\\n" is
+    never complete.  Oracle for ``frobenius.PrimeCache._load``.
     """
     records = {}
-    good = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
-    for line in raw.splitlines():
+    kept = 0
+    for line in raw.split(b"\n")[:-1]:
         try:
-            line.encode("utf-8")  # UnicodeEncodeError on a byte read as a surrogate
-            h, ls, lens = line.split()
+            h, ls, lens = line.split(b" ")
             l = int(ls)
-            lengths = tuple(int(x) for x in lens.split(","))
-            if not lengths or any(x < 1 for x in lengths):
+            lengths = tuple(int(x) for x in lens.split(b","))
+            if any(x < 1 for x in lengths):
                 raise ValueError
-        except ValueError:
+            records[(h.decode("utf-8"), l)] = lengths
+        except ValueError:  # UnicodeDecodeError is one
             break
-        records[(h, l)] = lengths
-        good.append(line)
-    cleaned = "".join(s + "\n" for s in good)
-    if cleaned != raw:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(cleaned)
+        kept += len(line) + 1
+    if kept < len(raw):
+        with open(path, "r+b") as fh:
+            fh.truncate(kept)
     return records

@@ -31,7 +31,7 @@ from twistparity.parity import (
 from twistparity.curves import CurveSpec
 from twistparity.torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
 from twistparity.verify import run_paper_verification, transformation_identity
-from twistparity.modular import sieve_primes
+from twistparity.modular import iter_primes
 
 from conftest import random_separable_poly, squarefree_flags
 from oracles import delta_inf_closed_form
@@ -80,7 +80,7 @@ def test_acceptance_02_lagrangian_counts():
 def test_acceptance_03_class_parity_dichotomy(golden_curves):
     """Class index even iff (disc|l) = +1, all good odd l <= 2000, 5 curves, < 30 s."""
     t0 = time.monotonic()
-    primes = sieve_primes(2000)
+    primes = list(iter_primes(2, 2001))
     checked = 0
     for name, curve in golden_curves.items():
         disc = curve.discriminant()

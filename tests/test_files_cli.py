@@ -428,6 +428,20 @@ def test_cli_scan_sample_below_one_is_a_usage_error(curve_file, capsys, sample):
     assert "argument --sample: must be at least 1" in err
 
 
+@pytest.mark.parametrize("options, message", [
+    ([], "one of the arguments --max-norm --sample is required"),
+    (["--max-norm", "20", "--sample", "5", "--bound", "100"],
+     "argument --sample: not allowed with argument --max-norm"),
+    (["--sample", "5"], "error: --sample needs --bound >= 2"),
+    (["--sample", "5", "--bound", "1"], "error: --sample needs --bound >= 2"),
+    (["--max-norm", "1"], "error: --max-norm must be >= 2"),
+])
+def test_cli_scan_option_errors_name_the_options(curve_file, capsys, options, message):
+    rc, out, err = run_cli(capsys, "scan", "--curve", curve_file, *options)
+    assert rc == 1 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("command", ["parity", "character"])
 def test_cli_zero_twist_is_a_usage_error(curve_file, capsys, command):
     rc, out, err = run_cli(capsys, command, "--curve", curve_file, "--d", "0")

@@ -20,7 +20,7 @@ from twistparity.frobenius import (
     prime_scan,
     sigma_set,
 )
-from twistparity.modular import kronecker_symbol, sieve_primes
+from twistparity.modular import iter_primes, kronecker_symbol
 from twistparity.papercases import (
     curve_1440d1,
     curve_g,
@@ -90,7 +90,7 @@ def test_dichotomy_class_parity_vs_disc_symbol(golden_curves):
             curve.discriminant().numerator * curve.discriminant().denominator
         )
         sigma = sigma_set(curve)
-        for l in sieve_primes(2000):
+        for l in iter_primes(2, 2001):
             if l == 2 or l in sigma:
                 continue
             pc = classify_prime(curve, l)
@@ -112,7 +112,7 @@ def test_class_parity_is_permutation_sign():
 def test_square_disc_curve_has_only_even_classes():
     c = curve_1440d1()
     assert disc_is_square(c)
-    for pc in prime_scan(c, 2, 1000):
+    for pc in prime_scan(c, 1000):
         assert pc.i % 2 == 0
 
 
@@ -121,7 +121,7 @@ def test_s3_cycle_type_distribution():
     c = curve_x3_minus_2()
     counts = {(1, 1, 1): 0, (1, 2): 0, (3,): 0}
     total = 0
-    for pc in prime_scan(c, 2, 10**5):
+    for pc in prime_scan(c, 10**5):
         counts[pc.lengths] += 1
         total += 1
     assert total > 9000
@@ -132,18 +132,18 @@ def test_s3_cycle_type_distribution():
 
 def test_prime_scan_p0_primes_below_50():
     c = curve_x3_minus_2()
-    got = [pc.l for pc in prime_scan(c, 2, 50) if pc.i == 0]
+    got = [pc.l for pc in prime_scan(c, 50) if pc.i == 0]
     assert got == [7, 13, 19, 37]
 
 
 def test_prime_scan_p2_one_mod_8_below_500():
     c = curve_x3_minus_2()
-    got = [pc.l for pc in prime_scan(c, 2, 501, prime_filter=lambda l: l % 8 == 1) if pc.i == 2]
+    got = [pc.l for pc in prime_scan(c, 501, prime_filter=lambda l: l % 8 == 1) if pc.i == 2]
     assert got == [433, 457]
 
 
 def test_prime_scan_empty_range():
-    assert list(prime_scan(curve_x3_minus_2(), 10, 10)) == []
+    assert list(prime_scan(curve_x3_minus_2(), 2)) == []
 
 
 def test_cache_roundtrip_and_truncation(tmp_path):
@@ -215,12 +215,12 @@ def _cache_text(rng, keys):
 
 def test_cache_load_matches_the_whole_text_oracle(tmp_path):
     """Line by line, the loader keeps the records and leaves the bytes that
-    reading the whole text and its splitlines keeps and leaves."""
+    reading the whole file and splitting it at each newline keeps and leaves."""
     rng = random.Random(2024)
     spoil = random.Random(7)  # bytes that are not UTF-8, spliced into a copy of some files
     keys = ["%016x" % rng.getrandbits(64) for _ in range(3)]
     ours, oracle = tmp_path / "ours", tmp_path / "oracle"
-    rewritten = kept_as_is = spoilt = 0
+    truncated = kept_as_is = spoilt = 0
     for _ in range(1500):
         data = _cache_text(rng, keys).encode()
         files = [data]
@@ -238,9 +238,65 @@ def test_cache_load_matches_the_whole_text_oracle(tmp_path):
             if oracle.read_bytes() == data:
                 kept_as_is += 1
             else:
-                rewritten += 1
+                truncated += 1
         spoilt += len(files) - 1
-    assert rewritten > 300 and kept_as_is > 300 and spoilt > 200
+    assert truncated > 300 and kept_as_is > 300 and spoilt > 200
+
+
+@pytest.mark.parametrize("data, kept", [
+    (b"h 5 1,2\r\nh 7 3\r\n", b"h 5 1,2\r\nh 7 3\r\n"),  # CRLF: every record and byte
+    (b"h 5 1,2\nh 7 3", b"h 5 1,2\n"),  # a last line without its newline is torn
+])
+def test_cache_keeps_only_newline_ended_records(tmp_path, data, kept):
+    path = tmp_path / "c"
+    path.write_bytes(data)
+    cache = PrimeCache(str(path))
+    assert path.read_bytes() == kept
+    assert cache.get("h", 5) == (1, 2)
+    assert cache.get("h", 7) == ((3,) if kept == data else None)
+
+
+def _spy_on_writes(monkeypatch):
+    """The list of each mode the cache opens a file in and each truncate it calls.
+
+    A suite run as root ignores file modes, so a read-only file would not
+    show a write."""
+    calls = []
+    real_open, real_truncate = open, os.truncate
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        calls.append(("open", mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def spy_truncate(*args):
+        calls.append(("truncate", *args))
+        return real_truncate(*args)
+
+    monkeypatch.setattr(frobenius, "open", spy_open, raising=False)
+    monkeypatch.setattr(os, "truncate", spy_truncate)
+    return calls
+
+
+def test_cache_reloads_what_put_wrote_by_reading_only(tmp_path, monkeypatch):
+    path = tmp_path / "c"
+    with PrimeCache(str(path)) as cache:
+        cache.put("a" * 16, 5, (1, 2))
+        cache.put("a" * 16, 5, [3])  # a later record overrides
+        cache.put("b" * 16, 7, (1, 1, 1))
+    written = path.read_bytes()
+    calls = _spy_on_writes(monkeypatch)
+    again = PrimeCache(str(path))
+    assert calls == [("open", "rb")]
+    assert again._mem == cache._mem == {"a" * 16: {5: (3,)}, "b" * 16: {7: (1, 1, 1)}}
+    assert path.read_bytes() == written
+
+
+def test_cache_put_after_a_truncating_load_appends_after_the_records(tmp_path):
+    path = tmp_path / "c"
+    path.write_bytes(b"h 5 1,2\nnot a record\nh 7 3\n")
+    with PrimeCache(str(path)) as cache:
+        cache.put("h", 11, (1, 1, 1))
+    assert path.read_bytes() == b"h 5 1,2\nh 11 1,1,1\n"
 
 
 def test_cache_shares_one_tuple_per_cycle_type(tmp_path):
@@ -360,8 +416,8 @@ def psl28_cycle_types():
 def _classify_types(monkeypatch, degree, types, square=True):
     """galois_classify on an irreducible f of the degree whose disc is a
     square or not, and whose Frobenius cycle types at 3, 5, 7, ... are ``types``."""
-    def scan(curve, start, stop, cache=None):
-        return (PrimeClass(l, t, len(t) - 1) for l, t in zip(sieve_primes(stop)[1:], types))
+    def scan(curve, stop, cache=None):
+        return (PrimeClass(l, t, len(t) - 1) for l, t in zip(iter_primes(3, stop + 1), types))
 
     monkeypatch.setattr(frobenius, "prime_scan", scan)
     monkeypatch.setattr(frobenius, "disc_is_square", lambda curve: square)

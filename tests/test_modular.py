@@ -18,7 +18,6 @@ from twistparity.modular import (
     iter_primes,
     kronecker_symbol,
     local_classes,
-    sieve_primes,
     square_class_index,
     squarefree_part,
 )
@@ -143,7 +142,7 @@ def test_factor_degrees_matches_sympy_factor_list():
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(2024)
-    primes = [p for p in sieve_primes(10**4) if p > 2]
+    primes = list(iter_primes(3, 10**4 + 1))
     checked = bad = degree_drops = 0
     for degree in range(3, 14):
         for _ in range(6):
@@ -169,7 +168,7 @@ def test_factor_degrees_matches_sympy_factor_list():
 def test_factor_count_parity_is_stickelberger():
     """(disc f | l) = (-1)^(n - #factors), with CurveSpec's discriminant as the oracle."""
     rng = random.Random(61)
-    primes = [p for p in sieve_primes(3000) if p > 2]
+    primes = list(iter_primes(3, 3001))
     checked = 0
     for degree in (3, 5, 7, 9, 11, 13):
         for _ in range(6):
@@ -202,13 +201,13 @@ def test_one_powering_ladder_per_prime(monkeypatch):
 
     monkeypatch.setattr(gfpoly, "x_pow", counting)
     quintic = curve_s5_quintic()
-    good = [l for l in sieve_primes(3000)[1:] if l not in sigma_set(quintic)]
+    good = [l for l in iter_primes(3, 3001) if l not in sigma_set(quintic)]
     for l in good:
         factor_degrees(quintic.f, l, quintic.discriminant())
     assert calls == good
 
     cubic = curve_x3_minus_2()
-    good = [l for l in sieve_primes(3000)[1:] if l not in sigma_set(cubic)]
+    good = [l for l in iter_primes(3, 3001) if l not in sigma_set(cubic)]
     for sign in (-1, 1):
         calls.clear()
         primes = [l for l in good if kronecker_symbol(-108, l) == sign]
@@ -354,7 +353,7 @@ def test_factor_integer_draws_no_random_numbers(monkeypatch):
 
 
 def test_is_prime():
-    assert [p for p in range(2, 60) if is_prime(p)] == sieve_primes(59)
+    assert [p for p in range(2, 60) if is_prime(p)] == list(iter_primes(2, 60))
     assert not is_prime(561)  # Carmichael
     assert not is_prime(1)
     assert is_prime(2**61 - 1)
@@ -386,7 +385,7 @@ def test_is_prime_matches_sympy_at_strong_pseudoprimes():
 
 def test_iter_primes_resumable():
     first = list(iter_primes(2, 50))
-    assert first == sieve_primes(49)
+    assert first == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     resumed = list(iter_primes(first[3] + 1, 50))
     assert resumed == first[4:]
 

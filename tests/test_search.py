@@ -62,7 +62,7 @@ def test_h_quintic_stream_is_empty():
     ch = curve_h()
     assert take(find_shift_primes(ch, "lower2", 20000), 1) == []
     assert take(find_shift_primes(ch, "raise2", 20000), 1) == []
-    for l in [pc.l for pc in prime_scan(ch, 2, 3000) if pc.i == 2]:
+    for l in [pc.l for pc in prime_scan(ch, 3000) if pc.i == 2]:
         assert l % 8 in (3, 5)
 
 
@@ -86,7 +86,7 @@ def test_stream_density_sanity():
     s5 = curve_s5_quintic()
     limit = 30000
     hits = len(list(find_shift_primes(s5, "raise2", limit)))
-    total = len(list(prime_scan(s5, 2, limit + 1)))
+    total = len(list(prime_scan(s5, limit + 1)))
     naive = (1 / 6) * (1 / 4) * (1 / 4)
     assert naive / 3 < hits / total < naive * 3
 
