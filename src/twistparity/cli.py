@@ -18,7 +18,7 @@ from .errors import InvalidInputError, ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
 from .modular import local_classes, place_name, square_class_index, squarefree_part
-from .parity import delta_v, density_scan, disparity, omega_tables, parity_flip
+from .parity import delta_v, density_scan, disparity, exact_scan, omega_tables, parity_flip
 from .report import Report, sha256_text
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--profiles", default=None)
-    p.add_argument("--r1-parity", type=int, default=0)
+    p.add_argument("--r1-parity", type=int, choices=(0, 1), default=0)
 
     p = sub.add_parser("find-twist", help="candidate rank-shift primes")
     p.add_argument("--curve", required=True)
@@ -155,13 +155,14 @@ def _cmd_analyze(args) -> int:
         torsion_info = {"value": torsion, "provenance": "computed"}
     except TwistParityError as exc:
         torsion_info = {"value": None, "note": str(exc)}
+    tables = omega_tables(curve)
     out = {
         "degree": curve.degree,
         "discriminant": disc,
         "disc_sign": -1 if disc < 0 else 1,
         "real_root_signature": {"real_roots": r, "k1": k1, "k2": k2},
-        "sigma": [place_name(v) for v in sigma_set(curve)],
-        "delta_infinity": delta_v(curve, 0, None),
+        "sigma": [place_name(v) for v in tables],
+        "delta_infinity": delta_v(tables[0]),
         "galois": {"label": label, "evidence": evidence},
         "two_torsion_dim": torsion_info,
     }
@@ -247,9 +248,10 @@ def _cmd_parity(args) -> int:
         inputs["profiles_provenance"] = "user"
     inputs["d"] = args.d
     d = squarefree_part(args.d)
-    verdict = parity_flip(curve, d, profiles)
+    tables = omega_tables(curve, profiles)
+    verdict = parity_flip(tables, d)
     contributions = {}
-    for v, row in omega_tables(curve, profiles).items():
+    for v, row in tables.items():
         i = square_class_index(d, v)
         contributions[place_name(v)] = {"class": local_classes(v)[i], "omega": row[i]}
     out = {
@@ -274,23 +276,17 @@ def _cmd_parity(args) -> int:
 def _cmd_scan(args) -> int:
     if args.max_norm is not None and args.max_norm < 2:
         raise InvalidInputError("--max-norm must be >= 2")
+    if args.max_norm is not None and args.bound is not None:
+        raise InvalidInputError("--bound is read only by --sample")
     if args.sample is not None and (args.bound is None or args.bound < 2):
         raise InvalidInputError("--sample needs --bound >= 2")
     curve, inputs = _curve_input(args.curve)
-    profiles = _profiles_input(args, inputs)
-    result = density_scan(
-        curve,
-        profiles,
-        max_norm=args.max_norm,
-        sample=args.sample,
-        bound=args.bound,
-        r1_parity=args.r1_parity,
-        seed=args.seed,
-    )
-    try:
-        rep_d = disparity(curve, profiles, args.r1_parity)
-    except TwistParityError:
-        rep_d = None
+    tables = omega_tables(curve, _profiles_input(args, inputs))
+    if args.max_norm is not None:
+        result = exact_scan(tables, args.max_norm, args.r1_parity)
+    else:
+        result = density_scan(tables, args.sample, args.bound, args.r1_parity, args.seed)
+    rep_d = disparity(tables, args.r1_parity)
     rep = Report("scan", args.seed, inputs, {"scan": result, "disparity": rep_d})
 
     def lines():

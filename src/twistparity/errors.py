@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all twistparity modules."""
+"""Exception hierarchy shared by all twistparity modules.  A missing local
+h entry is no error: its omega is None, and the outputs that read it say so."""
 
 
 class TwistParityError(Exception):
@@ -15,17 +16,6 @@ class BadPrimeError(InvalidInputError):
 
 class UnknownFactorizationError(TwistParityError):
     """A rational factorization was requested but cannot be certified."""
-
-
-class UnknownProfileError(TwistParityError):
-    """A local h-table entry needed for the computation is missing.
-
-    ``missing`` lists (place, label) pairs that would have been consumed.
-    """
-
-    def __init__(self, missing):
-        self.missing = tuple(missing)
-        super().__init__(f"unknown local profile entries: {self.missing}")
 
 
 class ResourceLimitError(TwistParityError):

@@ -10,8 +10,9 @@ reads them) and every output that consumed a missing entry says so in
 its status.  Local tables are tuples indexed by
 ``modular.square_class_index``: an h table holds h or None (unknown) per
 class, with h = 0 at the trivial class, index 0.  ``omega_tables`` holds
-omega_v in that order at each place of Sigma; flips, scans and disparity
-all read from it.
+omega_v in that order at each place of Sigma; a command builds it once,
+and flips, scans and disparity read only it.  A row holding None restricts
+a scan to the Sigma-trivial twists and leaves disparity None.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from .characters import sigma_trivial
 from .curves import CurveSpec
-from .errors import InvalidInputError, ResourceLimitError, UnknownProfileError
+from .errors import InvalidInputError, ResourceLimitError
 from .frobenius import classify_prime, sigma_set
 from .metabolic import echelon, span
 from .modular import (
@@ -45,6 +46,7 @@ __all__ = [
     "DisparityReport",
     "disparity",
     "DensityResult",
+    "exact_scan",
     "density_scan",
 ]
 
@@ -90,13 +92,17 @@ def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
     return {place: _omega_row(curve, place, profiles.get(place)) for place in sigma_set(curve)}
 
 
-def parity_flip(curve: CurveSpec, d: int, profiles: dict | None = None) -> ParityVerdict:
-    """The verdict for the twist by a squarefree d."""
+def _unknown(tables: dict) -> bool:
+    """True when some omega entry is unknown: scans restrict, disparity is None."""
+    return any(None in row for row in tables.values())
+
+
+def parity_flip(tables: dict, d: int) -> ParityVerdict:
+    """The verdict for the twist by a squarefree d; Sigma is ``tuple(tables)``."""
     if d == 1:
         return ParityVerdict(1, "exact")
-    if sigma_trivial(d, sigma_set(curve)):
+    if sigma_trivial(d, tuple(tables)):
         return ParityVerdict(1, "relative_only")
-    tables = omega_tables(curve, profiles)
     weights = {v: row[square_class_index(d, v)] for v, row in tables.items()}
     missing = tuple(place for place, w in weights.items() if w is None)
     if missing:
@@ -128,12 +134,8 @@ def global_consistency_check(curve: CurveSpec, d: int) -> bool:
 # disparity
 
 
-def delta_v(curve: CurveSpec, place: int, h: tuple | None) -> Fraction:
-    """Average of omega_v over the local character group (2, 8 or 4 classes)."""
-    row = _omega_row(curve, place, h)
-    missing = [(place, label) for label, w in zip(local_classes(place), row) if w is None]
-    if missing:
-        raise UnknownProfileError(missing)
+def delta_v(row: tuple) -> Fraction:
+    """Average of one known omega row over the local character group (2, 8 or 4 classes)."""
     return Fraction(sum(row), len(row))
 
 
@@ -149,19 +151,14 @@ class DisparityReport(namedtuple("DisparityReport", "per_place delta even_densit
         }
 
 
-def disparity(
-    curve: CurveSpec, profiles: dict | None, r1_parity: int
-) -> DisparityReport:
-    """delta = (-1)^r1 * prod delta_v and the predicted even-parity density."""
-    profiles = profiles or {}
-    per_place = {}
-    prod = Fraction(1)
-    for place in sigma_set(curve):
-        dv = delta_v(curve, place, profiles.get(place))
-        per_place[place] = dv
-        prod *= dv
-    delta = Fraction((-1) ** (r1_parity % 2)) * prod
-    return DisparityReport(per_place, delta, (1 + delta) / 2, r1_parity % 2)
+def disparity(tables: dict, r1: int) -> DisparityReport | None:
+    """delta = (-1)^r1 * prod delta_v and the predicted even-parity density;
+    None when some omega entry is unknown."""
+    if _unknown(tables):
+        return None
+    per_place = {v: delta_v(row) for v, row in tables.items()}
+    delta = (-1) ** r1 * math.prod(per_place.values())
+    return DisparityReport(per_place, delta, (1 + delta) / 2, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +214,26 @@ def _image_sum(image: tuple, factors) -> int:
     return sum(math.prod(t[(y >> off) & mask] for off, mask, t in factors) for y in span(image))
 
 
-def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
+def exact_scan(tables: dict, max_norm: int, r1: int) -> DensityResult:
     """Exact counts over the 2^k characters of norm below max_norm.
 
     They are the products of -1, 2 and the odd primes below max_norm (only
     1 at max_norm = 2).  A flip depends only on the image in
     prod_{v in Sigma} Q_v^x/(Q_v^x)^2 = F_2^dim (coordinates: the bits of
     ``square_class_index``, place after place), and each point of the image
-    W has 2^k/|W| preimages; the Sigma-trivial twists lie over 0.
+    W has 2^k/|W| preimages; the Sigma-trivial twists lie over 0, and the
+    scan counts only them, every flip +1, when some omega is unknown.
     """
     if max_norm < 2:
         raise InvalidInputError("bound must be >= 2")
     gens = [-1, 2, *iter_primes(3, max_norm)] if max_norm > 2 else []
     layout, dim = [], 0  # (place, offset of its coordinates, mask of its index)
-    for v in sigma:
-        size = len(local_classes(v))
-        layout.append((v, dim, size - 1))
-        dim += size.bit_length() - 1
+    for v, row in tables.items():
+        layout.append((v, dim, len(row) - 1))
+        dim += len(row).bit_length() - 1
     image = echelon(sum(square_class_index(g, v) << off for v, off, _ in layout) for g in gens)
     kernel = 1 << (len(gens) - len(image))
-    if tables is None:
+    if _unknown(tables):
         warning = "incomplete profiles; restricted to the Sigma-trivial subgroup"
         return _counts("sigma_trivial_only", kernel, kernel, r1, warning=warning)
     factors = [(off, mask, tables[v]) for v, off, mask in layout]
@@ -244,37 +241,19 @@ def _exact_scan(sigma, tables, max_norm: int, r1: int) -> DensityResult:
     return _counts("exhaustive", 1 << len(gens), kernel * plus_in_image, r1)
 
 
-def density_scan(
-    curve: CurveSpec,
-    profiles: dict | None = None,
-    max_norm: int | None = None,
-    sample: int | None = None,
-    bound: int | None = None,
-    r1_parity: int = 0,
-    seed: int = 0,
-) -> DensityResult:
-    """Fraction of twists with even predicted Selmer parity.
+def density_scan(tables: dict, sample: int, bound: int, r1: int, seed: int) -> DensityResult:
+    """Monte-Carlo fraction of twists with even predicted Selmer parity.
 
-    Exhaustive mode counts, exactly, the finite group of characters of
-    norm below ``max_norm``; Monte-Carlo mode draws ``sample`` uniform
-    squarefree d in [-bound, bound] with the recorded seed.  When the
-    profiles leave some omega undetermined the scan falls back to the
-    Sigma-trivial subgroup (every flip is +1 there) and says so; a sampled
-    scan then counts ``sample`` twists, all even-flip, without drawing any.
+    Draws ``sample`` uniform squarefree d in [-bound, bound] with the
+    recorded seed.  When some omega is unknown the scan falls back to the
+    Sigma-trivial twists (every flip is +1 there) and says so; it then
+    counts ``sample`` twists, all even-flip, without drawing any.
     """
-    if (max_norm is None) == (sample is None):
-        raise InvalidInputError("choose exactly one of max_norm / sample")
-    r1 = r1_parity % 2
-    tables = omega_tables(curve, profiles)
-    restricted = any(None in row for row in tables.values())
-    if max_norm is not None:
-        return _exact_scan(sigma_set(curve), None if restricted else tables, max_norm, r1)
-
-    if bound is None or bound < 2:
+    if bound < 2:
         raise InvalidInputError("monte-carlo mode needs a bound >= 2")
     if sample < 1:
         raise InvalidInputError("monte-carlo mode needs a sample >= 1")
-    if restricted:  # every flip is +1 on the Sigma-trivial twists: no draw moves a count
+    if _unknown(tables):  # every flip is +1 on the Sigma-trivial twists: no draw moves a count
         warning = "incomplete profiles; restricted to Sigma-trivial twists"
         return _counts("monte_carlo_sigma_trivial", sample, sample, r1,
                        seed=seed, bound=bound, warning=warning)

@@ -30,7 +30,7 @@ from .papercases import (
     curve_h,
     sextic_h0,
 )
-from .parity import global_consistency_check, parity_flip
+from .parity import global_consistency_check, omega_tables, parity_flip
 from .ratpoly import RatPoly, homogenize
 from .report import Report
 from .torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
@@ -119,13 +119,14 @@ def run_paper_verification(seed: int = 0) -> Report:
 
     # c. Sigma-trivial twists of C_H never flip parity
     ch = curve_h()
+    tables = omega_tables(ch)
     twists = _sample_sigma_trivial(ch, 200, 10**6, rng)
     # parity_flip is +1 on every Sigma-trivial d by construction; the reason
     # it holds is the consistency identity: prod_Sigma (d, disc)_v = 1, so the
     # good-prime h over the primes of d must sum to an even number
     bad = [
         d for d in twists
-        if parity_flip(ch, d).flip != 1 or not global_consistency_check(ch, d)
+        if parity_flip(tables, d).flip != 1 or not global_consistency_check(ch, d)
     ]
     checks.append(
         {

@@ -37,7 +37,7 @@ def enumerate_characters(bound: int, cap: int = 1 << 20):
     at bound = 2 only the trivial character survives the norm cut.
     Raises ResourceLimitError when the subgroup would exceed ``cap``
     elements (sample instead of enumerating at that size).  Oracle for
-    ``parity._exact_scan``.
+    ``parity.exact_scan``.
     """
     if bound < 2:
         raise InvalidInputError("bound must be >= 2")

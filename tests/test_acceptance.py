@@ -23,9 +23,10 @@ from twistparity.modular import (
 from twistparity.papercases import curve_g, curve_h
 from twistparity.parity import (
     delta_v,
-    density_scan,
     disparity,
+    exact_scan,
     global_consistency_check,
+    omega_tables,
     parity_flip,
 )
 from twistparity.curves import CurveSpec
@@ -121,7 +122,7 @@ def test_acceptance_05_delta_infinity():
     for _ in range(20):
         n = rng.choice((3, 5, 7, 9))
         curve = CurveSpec(f=random_separable_poly(rng, n))
-        brute = delta_v(curve, INF, None)
+        brute = delta_v(omega_tables(curve)[INF])
         want = Fraction(1) if n % 4 == 1 else Fraction(0)
         assert brute == want == delta_inf_closed_form(n)
     elapsed = time.monotonic() - t0
@@ -135,6 +136,7 @@ def test_acceptance_06_sigma_trivial_preservation(golden_curves):
     total = 0
     for name, curve in golden_curves.items():
         sigma = sigma_set(curve)
+        tables = omega_tables(curve)
         odd_sigma = sigma[2:]
         for d in range(9, 10**5, 8):  # Sigma-trivial forces d > 0, d = 1 mod 8
             if not flags[d]:
@@ -142,7 +144,7 @@ def test_acceptance_06_sigma_trivial_preservation(golden_curves):
             if any(kronecker_symbol(d, q) != 1 for q in odd_sigma):
                 continue
             assert sigma_trivial(d, sigma)
-            verdict = parity_flip(curve, d)
+            verdict = parity_flip(tables, d)
             assert verdict.flip == 1, (name, d)
             total += 1
     elapsed = time.monotonic() - t0
@@ -185,12 +187,13 @@ def test_acceptance_08_density_group_identity():
         for place in sigma_set(curve)
         if place
     }
-    res = density_scan(curve, profiles, max_norm=50)
+    tables = omega_tables(curve, profiles)
+    res = exact_scan(tables, 50, 0)
     assert res.mode == "exhaustive" and res.total == 65536
     # the density is the group average of the flip indicator
     assert res.fraction_even == (1 + res.flip_average) / 2
     # and the flip average matches the product of local closed sums
-    rep = disparity(curve, profiles, 0)
+    rep = disparity(tables, 0)
     prod = Fraction(1)
     for v in rep.per_place.values():
         prod *= v

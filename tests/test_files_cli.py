@@ -1,6 +1,8 @@
 """File formats and the command-line front end."""
 
 import json
+import pathlib
+import random
 import sys
 import types
 
@@ -11,6 +13,8 @@ from twistparity.cli import main
 from twistparity.curves import curve_hash
 from twistparity.errors import ParseError
 from twistparity.files import parse_curve_text, parse_profiles_text
+from twistparity.frobenius import sigma_set
+from twistparity.modular import local_classes
 from twistparity.papercases import GOLDEN_CURVES
 
 GOOD_CURVE = """\
@@ -435,6 +439,9 @@ def test_cli_scan_sample_below_one_is_a_usage_error(curve_file, capsys, sample):
     (["--sample", "5"], "error: --sample needs --bound >= 2"),
     (["--sample", "5", "--bound", "1"], "error: --sample needs --bound >= 2"),
     (["--max-norm", "1"], "error: --max-norm must be >= 2"),
+    (["--max-norm", "20", "--bound", "100"], "error: --bound is read only by --sample"),
+    (["--max-norm", "20", "--r1-parity", "3"],
+     "argument --r1-parity: invalid choice: 3 (choose from 0, 1)"),
 ])
 def test_cli_scan_option_errors_name_the_options(curve_file, capsys, options, message):
     rc, out, err = run_cli(capsys, "scan", "--curve", curve_file, *options)
@@ -552,3 +559,77 @@ def test_cache_file_updates_do_not_change_values(curve_file, tmp_path, capsys):
     )
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+PAPERCASES = pathlib.Path(__file__).resolve().parent.parent / "papercases"
+
+
+def _profiles_text(curve, rng, drop):
+    """A random h table at every finite place of Sigma, in file form; with
+    ``drop`` the last class of the last place has no line, so it is unknown."""
+    lines = []
+    for place in sigma_set(curve)[1:]:
+        lines.append(f"place = {place}")
+        lines += [f"h[{k}] = {0 if k == 1 else rng.randint(0, 1)}" for k in local_classes(place)]
+    return "\n".join(lines[:-1] if drop else lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CURVES))
+def test_cli_builds_each_omega_row_once_per_command(name, tmp_path, monkeypatch, capsys):
+    """Every parity-layer command builds the omega tables once: one
+    ``_omega_row`` call per place of Sigma."""
+    curve = GOLDEN_CURVES[name]()
+    prof = tmp_path / "full.prof"
+    prof.write_text(_profiles_text(curve, random.Random(name), drop=False))
+    calls = []
+    build = parity._omega_row
+
+    def counting(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(parity, "_omega_row", counting)
+    path = str(PAPERCASES / f"{name}.curve")
+    profiled = ["--profiles", str(prof)]
+    commands = [
+        ["--cache", str(tmp_path / "c.cache"), "analyze", "--curve", path],
+        ["parity", "--curve", path, "--d", "-15"],
+        ["parity", "--curve", path, "--d", "-15", *profiled],
+        ["scan", "--curve", path, "--max-norm", "20"],
+        ["scan", "--curve", path, "--max-norm", "20", *profiled],
+        ["scan", "--curve", path, "--sample", "20", "--bound", "1000"],
+        ["scan", "--curve", path, "--sample", "20", "--bound", "1000", *profiled],
+    ]
+    for argv in commands:
+        calls.clear()
+        rc, _, _ = run_cli(capsys, "--format", "json", *argv)
+        assert rc == 0
+        assert sorted(calls) == list(sigma_set(curve)), argv
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CURVES))
+def test_cli_scan_is_restricted_exactly_when_disparity_is_null(name, tmp_path, capsys):
+    """No profiles, full profiles and profiles missing one entry, in both
+    scan modes: the scan restricts to Sigma-trivial twists iff disparity is null."""
+    curve = GOLDEN_CURVES[name]()
+    rng = random.Random(name)
+    path = str(PAPERCASES / f"{name}.curve")
+    seen = set()
+    for kind in ("none", "full", "partial"):
+        profiled = []
+        if kind != "none":
+            prof = tmp_path / f"{kind}.prof"
+            prof.write_text(_profiles_text(curve, rng, drop=kind == "partial"))
+            profiled = ["--profiles", str(prof)]
+        for mode in (["--max-norm", "20"], ["--sample", "30", "--bound", "1000"]):
+            for r1 in ("0", "1"):
+                rc, out, _ = run_cli(capsys, "--format", "json", "scan", "--curve", path,
+                                     *mode, *profiled, "--r1-parity", r1)
+                assert rc == 0
+                outputs = json.loads(out)["outputs"]
+                restricted = outputs["scan"]["mode"] in ("sigma_trivial_only",
+                                                         "monte_carlo_sigma_trivial")
+                assert restricted == (outputs["disparity"] is None), (kind, mode)
+                assert restricted == (kind != "full"), (kind, mode)
+                seen.add(restricted)
+    assert seen == {True, False}

@@ -12,7 +12,6 @@ from twistparity.errors import (
     InvalidInputError,
     ParseError,
     ResourceLimitError,
-    UnknownProfileError,
 )
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.files import parse_profiles_text
@@ -35,6 +34,7 @@ from twistparity.parity import (
     delta_v,
     density_scan,
     disparity,
+    exact_scan,
     global_consistency_check,
     omega_tables,
     parity_flip,
@@ -118,23 +118,22 @@ def test_omega_consumes_profile_entries():
 
 
 def test_parity_flip_examples():
-    c = curve_x3_minus_2()
-    v = parity_flip(c, 73)
+    tables = omega_tables(curve_x3_minus_2())
+    v = parity_flip(tables, 73)
     assert (v.flip, v.status) == (1, "relative_only")
-    v = parity_flip(c, 1)
+    v = parity_flip(tables, 1)
     assert (v.flip, v.status) == (1, "exact")
-    v = parity_flip(c, 5)
+    v = parity_flip(tables, 5)
     assert v.flip is None and v.status == "unknown"
     assert set(v.missing) == {2, 3}
     # nontrivial only at the real place: exact without any user profile
-    v = parity_flip(c, -23)
+    v = parity_flip(tables, -23)
     assert (v.flip, v.status) == (-1, "exact")
 
 
 def test_parity_flip_with_full_profiles_is_exact():
     c = curve_x3_minus_2()
-    prof = zero_profiles(c)
-    v = parity_flip(c, 5, prof)
+    v = parity_flip(omega_tables(c, zero_profiles(c)), 5)
     assert v.status == "exact"
     assert v.flip == hilbert_symbol(5, -108, 2) * hilbert_symbol(
         5, -108, 3
@@ -144,6 +143,7 @@ def test_parity_flip_with_full_profiles_is_exact():
 def test_sigma_trivial_twists_of_h_never_flip():
     ch = curve_h()
     sigma = sigma_set(ch)
+    tables = omega_tables(ch)
     found = 0
     d = 1
     while found < 25:
@@ -152,7 +152,7 @@ def test_sigma_trivial_twists_of_h_never_flip():
             continue
         if sigma_trivial(d, sigma):
             found += 1
-            assert parity_flip(ch, d).flip == 1
+            assert parity_flip(tables, d).flip == 1
 
 
 def test_global_consistency_spec_example():
@@ -181,7 +181,7 @@ def test_flip_multiplicative_on_disjoint_ramified_sets():
     """With linear-parity profiles, flip(d) flip(d') = flip(dd')."""
     rng = random.Random(66)
     for curve in (curve_x3_minus_2(), curve_g()):
-        profs = linear_profiles(curve, rng)
+        tables = omega_tables(curve, linear_profiles(curve, rng))
         pairs = 0
         while pairs < 60:
             a = squarefree_part(rng.randint(1, 5000) * rng.choice((1, -1)))
@@ -189,22 +189,22 @@ def test_flip_multiplicative_on_disjoint_ramified_sets():
             if set(ramified_primes(a)) & set(ramified_primes(b)):
                 continue
             pairs += 1
-            va = parity_flip(curve, a, profs)
-            vb = parity_flip(curve, b, profs)
-            vab = parity_flip(curve, squarefree_part(a * b), profs)
+            va = parity_flip(tables, a)
+            vb = parity_flip(tables, b)
+            vab = parity_flip(tables, squarefree_part(a * b))
             assert va.flip * vb.flip == vab.flip, (a, b)
 
 
 def test_flip_depends_only_on_local_classes():
     c = curve_x3_minus_2()
-    profs = zero_profiles(c)
+    tables = omega_tables(c, zero_profiles(c))
     rng = random.Random(10)
     sigma = sigma_set(c)
     seen = {}
     for _ in range(400):
         d = squarefree_part(rng.randint(1, 10**5) * rng.choice((1, -1)))
         key = tuple(square_class_index(d, v) for v in sigma)
-        flip = parity_flip(c, d, profs).flip
+        flip = parity_flip(tables, d).flip
         if key in seen:
             assert seen[key] == flip, (key, d)
         else:
@@ -220,7 +220,7 @@ def test_delta_infinity_closed_form_matches_brute_average():
         f = random_separable_poly(rng, n)
         count += 1
         curve = CurveSpec(f=f)
-        brute = delta_v(curve, INF, None)
+        brute = delta_v(omega_tables(curve)[INF])
         assert brute == delta_inf_closed_form(n), str(f)
 
 
@@ -236,7 +236,7 @@ def test_delta_infinity_every_signature_up_to_degree_11():
                 f = f * RatPoly((b + 1, 0, 1))  # x^2 + (b+1): no real roots
             curve = CurveSpec(f=f)
             assert real_root_signature(f)[1] == k1
-            assert delta_v(curve, INF, None) == delta_inf_closed_form(n), (n, k1)
+            assert delta_v(omega_tables(curve)[INF]) == delta_inf_closed_form(n), (n, k1)
 
 
 def test_delta_infinity_brute_force_detail():
@@ -244,22 +244,27 @@ def test_delta_infinity_brute_force_detail():
     c = curve_h()
     w_triv = omega_by_definition(c, INF, 1, None)
     w_sign = omega_by_definition(c, INF, -1, None)
-    assert delta_v(c, INF, None) == Fraction(w_triv + w_sign, 2) == 1
-    assert delta_v(curve_x3_minus_2(), INF, None) == 0
+    assert delta_v(omega_tables(c)[INF]) == Fraction(w_triv + w_sign, 2) == 1
+    assert delta_v(omega_tables(curve_x3_minus_2())[INF]) == 0
 
 
-def test_delta_v_reports_unknown_entries():
+def test_disparity_is_none_on_unknown_entries():
     c = curve_x3_minus_2()
     p3 = 3
-    with pytest.raises(UnknownProfileError) as err:
-        delta_v(c, p3, (0, 1, None, None))
-    assert (p3, 3) in err.value.missing and (p3, 6) in err.value.missing
+    profs = zero_profiles(c)
+    assert disparity(omega_tables(c, profs), 0) is not None
+    profs[p3] = (0, 1, None, None)
+    tables = omega_tables(c, profs)
+    unknown = [(p3, label) for label, w in zip(local_classes(p3), tables[p3]) if w is None]
+    assert (p3, 3) in unknown and (p3, 6) in unknown
+    for r1 in (0, 1):
+        assert disparity(tables, r1) is None
 
 
 def test_disparity_report():
     c = curve_x3_minus_2()
-    profs = zero_profiles(c)
-    rep = disparity(c, profs, 0)
+    tables = omega_tables(c, zero_profiles(c))
+    rep = disparity(tables, 0)
     prod = Fraction(1)
     for place, v in rep.per_place.items():
         prod *= v
@@ -270,18 +275,18 @@ def test_disparity_report():
     assert rep.delta == prod
     assert -1 <= rep.delta <= 1
     assert rep.even_density == (1 + rep.delta) / 2
-    flipped = disparity(c, profs, 1)
+    flipped = disparity(tables, 1)
     assert flipped.delta == -rep.delta
 
 
 def test_density_scan_exhaustive_matches_group_average():
     c = curve_x3_minus_2()
-    profs = zero_profiles(c)
-    res = density_scan(c, profs, max_norm=50)
+    tables = omega_tables(c, zero_profiles(c))
+    res = exact_scan(tables, 50, 0)
     assert res.mode == "exhaustive"
     assert res.total == 1 << 16
     assert res.fraction_even == (1 + res.flip_average) / 2
-    rep = disparity(c, profs, 0)
+    rep = disparity(tables, 0)
     prod = Fraction(1)
     for v in rep.per_place.values():
         prod *= v
@@ -291,15 +296,15 @@ def test_density_scan_exhaustive_matches_group_average():
 
 def test_density_scan_r1_parity_shifts_even_fraction():
     c = curve_x3_minus_2()
-    profs = zero_profiles(c)
-    even = density_scan(c, profs, max_norm=20, r1_parity=0)
-    odd = density_scan(c, profs, max_norm=20, r1_parity=1)
+    tables = omega_tables(c, zero_profiles(c))
+    even = exact_scan(tables, 20, 0)
+    odd = exact_scan(tables, 20, 1)
     assert even.even_count + odd.even_count == even.total
 
 
 def test_density_scan_restricted_mode():
     c = curve_x3_minus_2()
-    res = density_scan(c, None, max_norm=50)
+    res = exact_scan(omega_tables(c), 50, 0)
     assert res.mode == "sigma_trivial_only"
     assert res.fraction_even == 1
     assert res.warning
@@ -324,6 +329,7 @@ def test_density_scan_exact_counts_match_enumeration(name):
         for place in sigma
     }
     tables = omega_tables(curve, complete)
+    restricted = omega_tables(curve, None)
     assert tables == {place: tuple(row.values()) for place, row in omega.items()}
     flip = {}
     for d in enumerate_characters(30):
@@ -335,10 +341,10 @@ def test_density_scan_exact_counts_match_enumeration(name):
         kept = [d for d in chars if sigma_trivial(d, sigma)]
         plus = sum(1 for d in chars if flip[d] == 1)
         for r1 in (0, 1):
-            res = density_scan(curve, None, max_norm=bound, r1_parity=r1)
+            res = exact_scan(restricted, bound, r1)
             assert res.mode == "sigma_trivial_only"
             assert (res.total, res.even_count) == (len(kept), len(kept) * (1 - r1))
-            res = density_scan(curve, complete, max_norm=bound, r1_parity=r1)
+            res = exact_scan(tables, bound, r1)
             even = plus if r1 == 0 else len(chars) - plus
             assert res.mode == "exhaustive"
             assert (res.total, res.even_count) == (len(chars), even), (bound, r1)
@@ -349,7 +355,7 @@ def test_density_scan_exact_counts_match_enumeration(name):
 def test_density_scan_exact_resource_limits():
     c = curve_x3_minus_2()
     # generators -1, 2 and the 17,983 odd primes below 200,000: no cap on k
-    res = density_scan(c, zero_profiles(c), max_norm=200_000)
+    res = exact_scan(omega_tables(c, zero_profiles(c)), 200_000, 0)
     assert res.mode == "exhaustive" and res.total == 1 << 17_985
     with pytest.raises(ResourceLimitError):
         parity_module._image_sum(echelon(1 << i for i in range(21)), [])
@@ -357,9 +363,9 @@ def test_density_scan_exact_resource_limits():
 
 def test_density_scan_monte_carlo_deterministic():
     c = curve_x3_minus_2()
-    profs = zero_profiles(c)
-    a = density_scan(c, profs, sample=300, bound=10**5, seed=7)
-    b = density_scan(c, profs, sample=300, bound=10**5, seed=7)
+    tables = omega_tables(c, zero_profiles(c))
+    a = density_scan(tables, 300, 10**5, 0, 7)
+    b = density_scan(tables, 300, 10**5, 0, 7)
     assert a == b
     assert a.mode == "monte_carlo" and a.total == 300
     # delta = 0 here: the sampled even fraction should hover around 1/2
@@ -368,13 +374,14 @@ def test_density_scan_monte_carlo_deterministic():
 
 def test_density_scan_argument_validation():
     c = curve_x3_minus_2()
-    with pytest.raises(InvalidInputError):
-        density_scan(c, None)
-    with pytest.raises(InvalidInputError):
-        density_scan(c, None, max_norm=10, sample=5)
     for profiles in (None, zero_profiles(c)):  # restricted and complete
+        tables = omega_tables(c, profiles)
         with pytest.raises(InvalidInputError):
-            density_scan(c, profiles, sample=0, bound=100)
+            density_scan(tables, 0, 100, 0, 0)
+        with pytest.raises(InvalidInputError):
+            density_scan(tables, 5, 1, 0, 0)
+        with pytest.raises(InvalidInputError):
+            exact_scan(tables, 1, 0)
 
 
 def test_local_profile_validation():
