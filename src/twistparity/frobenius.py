@@ -125,16 +125,19 @@ class PrimeCache:
         return None if by_l is None else by_l.get(l)
 
     def put(self, key, l, lengths):
+        """Record the cycle type of l; return the one tuple held for it."""
         lengths = tuple(lengths)
         by_l = self._mem.setdefault(key, {})
-        if by_l.get(l) == lengths:
-            return
+        held = by_l.get(l)
+        if held == lengths:
+            return held
         text = b",".join(b"%d" % x for x in lengths)
-        by_l[l] = self._types.setdefault(text + b"\n", lengths)
+        held = by_l[l] = self._types.setdefault(text + b"\n", lengths)
         if self._fh is None:
             self._fh = open(self.path, "ab")
         self._fh.write(b"%s %d %s\n" % (key.encode(), l, text))
         self._fh.flush()
+        return held
 
 
 def classify_prime(
@@ -148,7 +151,7 @@ def classify_prime(
     if lengths is None or sum(lengths) != curve.degree:
         lengths = factor_degrees(curve.f, l, curve.discriminant())
         if cache is not None:
-            cache.put(key, l, lengths)
+            lengths = cache.put(key, l, lengths)
     return PrimeClass(l=l, lengths=tuple(lengths), i=len(lengths) - 1)
 
 
@@ -156,18 +159,20 @@ def prime_scan(
     curve: CurveSpec,
     stop: int,
     cache: PrimeCache | None = None,
+    m: int = 1,
     prime_filter=None,
 ):
-    """The PrimeClass of each good prime in [2, stop) passing ``prime_filter``.
+    """The PrimeClass of each good prime l = 1 mod m in [2, stop) passing ``prime_filter``.
 
-    The filter sees the bare prime before classification (use it for
-    congruence or symbol conditions, which are much cheaper than
-    factoring f mod l).  Yields PrimeClass records in increasing
-    prime order, one prime at a time, so a consumer that stops early
-    classifies no further.
+    Only the primes l = 1 mod m are sieved (``iter_primes``), so a
+    congruence costs nothing per excluded prime.  The filter sees the bare
+    prime before classification (use it for symbol conditions, which are
+    much cheaper than factoring f mod l).  Yields PrimeClass records in
+    increasing prime order, one prime at a time, so a consumer that stops
+    early classifies no further.
     """
     sigma = sigma_set(curve)
-    for l in iter_primes(2, stop):
+    for l in iter_primes(2, stop, m):
         if l in sigma:
             continue
         if prime_filter is not None and not prime_filter(l):

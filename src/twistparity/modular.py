@@ -134,30 +134,42 @@ def is_prime(n: int) -> bool:
     )
 
 
-_SEGMENT = 1 << 15  # integers sieved per window of iter_primes
+_SEGMENT = 1 << 15  # indices k sieved per window of iter_primes
 
 
-def iter_primes(start: int, stop: int):
-    """Primes in [start, stop), increasing; resumable by passing a new start.
+def iter_primes(start: int, stop: int, m: int = 1):
+    """Primes p = 1 mod m in [start, stop), increasing; resumable by passing a new start.
 
-    A segmented sieve: the primes up to isqrt(stop), sieved the same way,
-    strike out composites in windows of ``_SEGMENT`` integers, so memory
-    stays bounded and a consumer that stops early sieves no further.
+    A segmented sieve over the index k of the progression p = m*k + 1, so
+    m = 1 gives every prime and m = 8 only the primes p = 1 mod 8, with
+    no work spent on the rest.  The primes q up to isqrt(stop), sieved
+    the same way with m = 1, strike out their multiples in windows of
+    ``_SEGMENT`` indices: a q dividing m divides no member, and any other
+    q divides m*k + 1 exactly when k = -1/m mod q, struck from the first
+    member at or above q^2.  Memory stays bounded, and a consumer that
+    stops early sieves no further.
     """
-    lo = max(start, 2)
-    if lo >= stop:
+    lo = max(-(-(start - 1) // m), 1)  # the first k with m*k + 1 >= max(start, 2)
+    hi = -(-(stop - 1) // m)  # the first k with m*k + 1 >= stop
+    if lo >= hi:
         return
-    base = list(iter_primes(2, math.isqrt(stop) + 1))
-    while lo < stop:
-        hi = min(lo + _SEGMENT, stop)
-        flags = bytearray([1]) * (hi - lo)
-        for p in base:
-            if p * p >= hi:
+    base = []  # (q, k = -1/m mod q, the first such k with m*k + 1 >= q^2)
+    for q in iter_primes(2, math.isqrt(stop) + 1):
+        if m % q:
+            r = -pow(m, -1, q) % q
+            k = -(-(q * q - 1) // m)
+            base.append((q, r, k + (r - k) % q))
+    while lo < hi:
+        top = min(lo + _SEGMENT, hi)
+        last = m * (top - 1) + 1  # the largest member in the window
+        flags = bytearray([1]) * (top - lo)
+        for q, r, k in base:
+            if q * q > last:
                 break
-            first = max(p * p, -(-lo // p) * p)
-            flags[first - lo :: p] = bytes(len(range(first, hi, p)))
-        yield from itertools.compress(range(lo, hi), flags)
-        lo = hi
+            first = max(k, lo + (r - lo) % q)
+            flags[first - lo :: q] = bytes(len(range(first, top, q)))
+        yield from itertools.compress(range(m * lo + 1, m * top + 1, m), flags)
+        lo = top
 
 
 _RHO_BATCH = 128  # differences multiplied together per gcd in _pollard_rho

@@ -87,9 +87,18 @@ def omega_tables(curve: CurveSpec, profiles: dict | None = None) -> dict:
 
     The real place is filled in from the curve; a finite place reads its h
     table from ``profiles``, and without one only its trivial class is known.
+    A profile for a place outside Sigma would never be read, so it is
+    refused.
     """
     profiles = profiles or {}
-    return {place: _omega_row(curve, place, profiles.get(place)) for place in sigma_set(curve)}
+    sigma = sigma_set(curve)
+    unread = sorted(set(profiles).difference(sigma))
+    if unread:
+        raise InvalidInputError(
+            f"the profile at place {', '.join(map(str, unread))} is never read: "
+            f"it lies outside Sigma = {{{', '.join(map(place_name, sigma))}}}"
+        )
+    return {place: _omega_row(curve, place, profiles.get(place)) for place in sigma}
 
 
 def _unknown(tables: dict) -> bool:

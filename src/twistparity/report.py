@@ -26,7 +26,7 @@ TOOL_VERSION = "0.1.0"
 
 __all__ = ["Report", "TOOL_VERSION", "sha256_text"]
 
-_BATCH = 8192  # pieces of text joined into one write
+_BATCH = 1 << 16  # characters of text after which the pieces are joined into one write
 
 
 def sha256_text(text: str) -> str:
@@ -53,14 +53,22 @@ class Report:
         when two convert alike); an object with ``as_json_dict`` as that
         dict, a named tuple too, before any tuple or list is written as a
         list; and any other value, a ``Fraction`` among them, as the
-        string ``str`` gives.  Pieces of text are handed to ``fh.write``
-        in batches of ``_BATCH``, so no copy of the whole report is ever
-        built.
+        string ``str`` gives.  The pieces of text are handed to ``fh.write``
+        in batches, each flushed after the element of a list or tuple that
+        brings it to ``_BATCH`` characters, so no copy of the whole report
+        is ever built.  The text of each exact tuple is kept by (id, indent)
+        together with the tuple, whose id therefore stays taken until the
+        write ends, so a tuple shared by many records (a cycle type, the
+        conditions of a recipe) is encoded once and then costs one append.
+        A tuple whose text spans a flush is not kept.
         """
         out = []
         put = out.append
+        memo = {}  # (id, indent) -> (exact tuple, its text)
+        size = counted = flushes = 0  # size is the characters in out[:counted]
 
         def emit(x, pad):
+            nonlocal size, counted, flushes
             # a class derives from at most one of str, int, list, tuple and
             # dict, so the order of these tests changes no result; the exact
             # types come first, so a plain list or tuple is never asked for
@@ -77,16 +85,30 @@ class Report:
                 if not x:
                     put("[]")
                     return
+                shared = type(x) is tuple
+                if shared:
+                    key = (id(x), pad)
+                    hit = memo.get(key)
+                    if hit is not None:
+                        put(hit[1])
+                        return
+                    start, batch = len(out), flushes
                 inner = pad + "  "
                 sep = "[" + inner
                 for v in x:
                     put(sep)
                     emit(v, inner)
                     sep = "," + inner
-                    if len(out) >= _BATCH:
+                    size += sum(map(len, out[counted:]))
+                    counted = len(out)
+                    if size >= _BATCH:
                         fh.write("".join(out))
                         out.clear()
+                        size = counted = 0
+                        flushes += 1
                 put(pad + "]")
+                if shared and flushes == batch:
+                    memo[key] = (x, "".join(out[start:]))
             elif isinstance(x, dict):
                 if not x:
                     put("{}")

@@ -52,8 +52,10 @@ def find_shift_primes(
     raise2: class index 2 with three odd orbit lengths; lower2: class
     index 2 with any cycle type.  Both demand l = 1 mod 8 and (l|q) = +1
     at the odd bad primes, so d = l is the Sigma-trivial twist ramified
-    exactly at l.  An empty stream is a legitimate outcome (some curves,
-    including reducible ones, never satisfy the combination).
+    exactly at l.  Only the primes l = 1 mod 8 are sieved and passed to
+    ``sigma_trivial``, whose Kronecker symbols decide the rest before any
+    prime is classified.  An empty stream is a legitimate outcome (some
+    curves, including reducible ones, never satisfy the combination).
     """
     if direction not in _DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {_DIRECTIONS}")
@@ -72,7 +74,7 @@ def find_shift_primes(
         ("loc_image_zero" if raise2 else "loc_image_dim_2", "unverified"),
     )
     for pc in prime_scan(
-        curve, limit + 1, cache=cache,
+        curve, limit + 1, cache=cache, m=8,
         prime_filter=lambda l: sigma_trivial(l, sigma),
     ):
         if pc.i != 2 or (raise2 and not all(x % 2 for x in pc.lengths)):

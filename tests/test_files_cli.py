@@ -475,6 +475,25 @@ def test_cli_classify_primes_identical_cold_warm_and_poisoned(tmp_path, capsys):
     assert rc == 0 and poisoned == cold
 
 
+def test_cli_find_twist_identical_cold_and_warm(tmp_path, capsys):
+    cache = tmp_path / "1440d1.cache"
+    path = str(PAPERCASES / "cubic_1440d1.curve")
+    runs = {}
+    for state in ("cold", "warm"):
+        for way in ("up", "down"):
+            rc, out, err = run_cli(
+                capsys, "--format", "json", "--cache", str(cache), "find-twist",
+                "--curve", path, "--direction", way, "--limit", "300000",
+            )
+            assert (rc, err) == (0, "")
+            runs[state, way] = out
+        runs[state, "cache"] = cache.read_bytes()
+    for way in ("up", "down"):
+        assert runs["warm", way] == runs["cold", way]
+        assert len(json.loads(runs["cold", way])["outputs"]["recipes"]) > 100
+    assert runs["warm", "cache"] == runs["cold", "cache"]  # the warm runs wrote nothing
+
+
 def test_cli_classify_primes_keeps_the_valid_prefix_of_a_cache_that_is_not_utf8(
     tmp_path, capsys
 ):
@@ -605,6 +624,30 @@ def test_cli_builds_each_omega_row_once_per_command(name, tmp_path, monkeypatch,
         rc, _, _ = run_cli(capsys, "--format", "json", *argv)
         assert rc == 0
         assert sorted(calls) == list(sigma_set(curve)), argv
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ("place = 5\nh[1] = 0\n", ["parity", "--d", "5"]),
+        ("place = 3\nh[2] = 1\nplace = 5\nh[1] = 0\n", ["parity", "--d", "5"]),
+        ("place = 5\nh[1] = 0\n", ["scan", "--max-norm", "20"]),
+        ("place = 5\nh[1] = 0\n", ["scan", "--sample", "20", "--bound", "1000"]),
+    ],
+    ids=["parity", "parity-with-a-place-of-sigma", "scan-exact", "scan-sampled"],
+)
+def test_cli_refuses_a_profile_outside_sigma(text, command, tmp_path, capsys):
+    """5 is a good prime of y^2 = x^3 - 2, so a table there would never be
+    read: the command exits 1, names the place and Sigma, and prints nothing."""
+    prof = tmp_path / "good_prime.prof"
+    prof.write_text(text)
+    path = str(PAPERCASES / "x3_minus_2.curve")
+    rc, out, err = run_cli(
+        capsys, "--cache", str(tmp_path / "c.cache"), command[0], "--curve", path,
+        *command[1:], "--profiles", str(prof),
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: the profile at place 5 is never read: it lies outside Sigma = {inf, 2, 3}\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CURVES))

@@ -140,6 +140,7 @@ def test_prime_scan_p2_one_mod_8_below_500():
     c = curve_x3_minus_2()
     got = [pc.l for pc in prime_scan(c, 501, prime_filter=lambda l: l % 8 == 1) if pc.i == 2]
     assert got == [433, 457]
+    assert [pc.l for pc in prime_scan(c, 501, m=8) if pc.i == 2] == got
 
 
 def test_prime_scan_empty_range():

@@ -405,6 +405,31 @@ def test_iter_primes_matches_sympy_across_segments():
         )
 
 
+def test_iter_primes_one_mod_8_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    seg = modular._SEGMENT  # indices k of p = 8k + 1 per window
+    windows = [
+        (-10, 30), (2, 18), (17, 18), (18, 1000), (8 * seg - 99, 8 * seg + 900),
+        (1, 8 * (2 * seg + 50) + 1), (8 * seg + 5, 8 * (3 * seg + 7)), (10**6 - 999, 10**6 + 8 * seg),
+    ]
+    sympy.sieve.extend(max(stop for _, stop in windows))
+    for start, stop in windows:
+        want = [p for p in sympy.sieve.primerange(start, stop) if p % 8 == 1]
+        assert list(iter_primes(start, stop, 8)) == want, (start, stop)
+    for start in range(-3, 10):
+        for stop in range(-3, 10):
+            assert list(iter_primes(start, stop, 8)) == []
+
+
+def test_iter_primes_one_mod_8_resumable():
+    stop = 8 * (2 * modular._SEGMENT + 40) + 1
+    whole = list(iter_primes(2, stop, 8))
+    assert whole[:4] == [17, 41, 73, 89]
+    for i in (0, 1, 500, len(whole) // 2, len(whole) - 2):
+        assert list(iter_primes(whole[i] + 1, stop, 8)) == whole[i + 1 :]
+        assert list(iter_primes(whole[i], stop, 8)) == whole[i:]
+
+
 def test_factor_integer_and_squarefree():
     rng = random.Random(23)
     for _ in range(80):

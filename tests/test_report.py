@@ -4,6 +4,7 @@ the built-in SHA-256 against hashlib's."""
 import enum
 import hashlib
 import io
+import json
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -90,14 +91,63 @@ def test_colliding_keys_keep_the_later_entry():
 
 
 def test_large_report_is_written_in_batches():
-    rows = [{"l": l, "cycle_type": (1, 2), "ok": l % 3 == 0, "x": Fraction(l, 7)} for l in range(20_000)]
+    conditions = tuple((f"condition_{i}", True if i % 3 else "unverified") for i in range(7))
+    rows = [
+        {"l": l, "cycle_type": (1, 2), "ok": l % 3 == 0, "x": Fraction(l, 7), "checked": conditions}
+        for l in range(20_000)
+    ]
     rep = Report("find-twist", 0, {"curve": "p=2;f=[-2,0,0,1]"}, {"rows": rows})
     writes = _Writes()
     rep.write(writes)
     text = "".join(writes)
     assert text == _text(rep) == report_json(rep)
-    assert len(writes) >= len(rows) * 10 // report._BATCH  # rows are 10+ pieces each
-    assert max(map(len, writes)) < len(text) // 4
+    # a batch is flushed at the end of the row that brings it to _BATCH
+    # characters, so no write is longer than that plus one row
+    row = max(len(json.dumps(r, default=str, indent=2)) for r in rows[-3:]) * 2
+    assert all(report._BATCH <= len(w) < report._BATCH + row for w in writes[:-1])
+    assert len(writes[-1]) < report._BATCH + row
+    assert len(writes) > len(text) // (report._BATCH + row)
+
+
+def test_shared_tuple_is_written_right_at_each_indent():
+    inner = (1, "a", (2, None))
+    big = tuple(range(report._BATCH // 4))  # its text spans a flush
+    outputs = {
+        "deep": {"deeper": [inner, {"x": inner}]},
+        "flat": inner,
+        "twice": [inner, inner],
+        "big": [big, {"again": big}, big],
+    }
+    rep = Report("cmd", 0, {"top": inner}, outputs)
+    text = _text(rep)
+    assert text == report_json(rep)
+    assert '"flat": [\n      1,\n      "a",\n      [\n        2,\n        null\n      ]\n    ]' in text
+    assert '"x": [\n            1,' in text
+
+
+def test_shared_tuple_holding_a_list_or_fraction_matches_the_oracle():
+    items = [Fraction(1, 3)]
+    shared = (items, Fraction(-2, 5), {"k": (Fraction(7), [])})
+    rep = Report("cmd", 0, {}, {"a": [shared, shared], "b": {"c": shared}, "d": shared})
+    assert _text(rep) == report_json(rep)
+
+
+class _Counted(namedtuple("_Counted", "a")):  # a tuple written as a fresh dict each time
+    __slots__ = ()
+    calls = []
+
+    def as_json_dict(self):
+        self.calls.append(self)
+        return {"a": self.a, "call": len(self.calls)}
+
+
+def test_named_tuple_with_as_json_dict_skips_the_tuple_cache():
+    _Counted.calls.clear()
+    one = _Counted((1, 2))
+    rep = Report("cmd", 0, {}, {"rows": [one, one, one]})
+    text = _text(rep)
+    assert len(_Counted.calls) == 3
+    assert all(f'"call": {i}' in text for i in (1, 2, 3))
 
 
 def test_named_tuple_with_as_json_dict_is_written_as_its_dict():

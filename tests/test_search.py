@@ -3,7 +3,8 @@
 import itertools
 import sys
 
-from twistparity.frobenius import prime_scan, sigma_set
+from twistparity.frobenius import classify_prime, prime_scan, sigma_set
+from twistparity.modular import iter_primes
 from twistparity.papercases import (
     curve_1440d1,
     curve_h,
@@ -12,7 +13,7 @@ from twistparity.papercases import (
 )
 from twistparity.search import find_shift_primes
 
-from oracles import verify_recipe
+from oracles import sigma_trivial_by_classes, verify_recipe
 
 
 def take(stream, k):
@@ -111,3 +112,28 @@ def test_find_shift_primes_factors_no_integer_per_recipe(monkeypatch):
     monkeypatch.undo()
     assert {r.direction for r in recipes} == {"raise2", "lower2"}
     assert all(verify_recipe(curve, r) for r in recipes)
+
+
+def test_find_shift_primes_matches_an_oracle_over_every_prime():
+    """Both streams equal the recipes rebuilt from every prime up to the
+    limit, Sigma-triviality read from the square classes."""
+    curve = curve_1440d1()
+    limit = 300_000
+    sigma = sigma_set(curve)
+    index_2 = [
+        pc
+        for pc in (
+            classify_prime(curve, l)
+            for l in iter_primes(2, limit + 1)
+            if l not in sigma and sigma_trivial_by_classes(l, sigma)
+        )
+        if pc.i == 2
+    ]
+    want = {
+        "raise2": [(pc.l, pc.l, pc.lengths) for pc in index_2 if all(x % 2 for x in pc.lengths)],
+        "lower2": [(pc.l, pc.l, pc.lengths) for pc in index_2],
+    }
+    for direction, recipes in want.items():
+        got = [(r.l, r.d, r.cycle_type) for r in find_shift_primes(curve, direction, limit)]
+        assert got == recipes, direction
+        assert len(recipes) > 100
