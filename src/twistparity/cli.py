@@ -4,6 +4,14 @@ Exit codes: 0 success, 1 usage/parse error, 2 verification failure,
 3 resource limit.  ``--format json`` emits the canonical report (byte
 identical across runs for fixed inputs and seed); text mode is for
 humans and may include timing on stderr.
+
+Handlers: each subparser sets its subcommand's handler, a function from
+the parsed arguments to ``(inputs, outputs, text_lines)``: the report's
+two dicts and a function that returns the text-mode lines.  ``main``
+alone builds the ``Report`` and prints it in the chosen format; it maps
+``ResourceLimitError`` to exit 3 and any other ``TwistParityError`` or
+an ``OSError`` to exit 1, returns 2 when a verify-paper check fails, and
+in text mode prints verify-paper's wall time on stderr.
 """
 
 from __future__ import annotations
@@ -56,30 +64,36 @@ def _twist(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="twistparity", description=__doc__)
+    # --help shows the docstring down to its paragraph on handlers
+    top = _Parser(prog="twistparity", description=__doc__.partition("\n\nHandlers:")[0])
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--cache", default=None, help="prime-classification cache file")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", help="curve-level invariants")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("--curve", required=True)
 
     p = sub.add_parser("classify-primes", help="Frobenius cycle types of good primes")
+    p.set_defaults(run=_cmd_classify_primes)
     p.add_argument("--curve", required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--class", dest="class_index", type=int, default=None)
 
     p = sub.add_parser("character", help="local behavior of a quadratic twist")
+    p.set_defaults(run=_cmd_character)
     p.add_argument("--d", type=_twist, required=True)
     p.add_argument("--curve", default=None)
 
     p = sub.add_parser("parity", help="parity flip of one twist")
+    p.set_defaults(run=_cmd_parity)
     p.add_argument("--curve", required=True)
     p.add_argument("--d", type=_twist, required=True)
     p.add_argument("--profiles", default=None)
 
     p = sub.add_parser("scan", help="twist-family parity density")
+    p.set_defaults(run=_cmd_scan)
     p.add_argument("--curve", required=True)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--max-norm", type=int, default=None)
@@ -89,11 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1-parity", type=int, choices=(0, 1), default=0)
 
     p = sub.add_parser("find-twist", help="candidate rank-shift primes")
+    p.set_defaults(run=_cmd_find_twist)
     p.add_argument("--curve", required=True)
     p.add_argument("--direction", choices=("up", "down"), required=True)
     p.add_argument("--limit", type=int, required=True)
 
-    sub.add_parser("verify-paper", help="run the built-in example verification suite")
+    p = sub.add_parser("verify-paper", help="run the built-in example verification suite")
+    p.set_defaults(run=_cmd_verify_paper)
     return top
 
 
@@ -144,7 +160,7 @@ def _curve_input(path):
     }
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     curve, inputs = _curve_input(args.curve)
     disc = curve.discriminant()
     r, k1, k2 = curve.real_root_signature()
@@ -166,26 +182,20 @@ def _cmd_analyze(args) -> int:
         "galois": {"label": label, "evidence": evidence},
         "two_torsion_dim": torsion_info,
     }
-    rep = Report("analyze", args.seed, inputs, out)
-    _emit(
-        rep,
-        args,
-        lambda: [
-            f"curve: {curve}",
-            f"degree n = {curve.degree}",
-            f"disc = {disc} (sign {out['disc_sign']})",
-            f"real roots = {r} (k1 = {k1}, k2 = {k2})",
-            "Sigma = {" + ", ".join(out["sigma"]) + "}",
-            f"delta_inf = {out['delta_infinity']}",
-            f"Galois: {label} {evidence}",
-            f"dim J(Q)[2] = {torsion_info['value']}"
-            + (f"  [{torsion_info.get('note')}]" if torsion_info["value"] is None else ""),
-        ],
-    )
-    return 0
+    return inputs, out, lambda: [
+        f"curve: {curve}",
+        f"degree n = {curve.degree}",
+        f"disc = {disc} (sign {out['disc_sign']})",
+        f"real roots = {r} (k1 = {k1}, k2 = {k2})",
+        "Sigma = {" + ", ".join(out["sigma"]) + "}",
+        f"delta_inf = {out['delta_infinity']}",
+        f"Galois: {label} {evidence}",
+        f"dim J(Q)[2] = {torsion_info['value']}"
+        + (f"  [{torsion_info.get('note')}]" if torsion_info["value"] is None else ""),
+    ]
 
 
-def _cmd_classify_primes(args) -> int:
+def _cmd_classify_primes(args):
     curve, inputs = _curve_input(args.curve)
     with _cache_for(args, args.curve) as cache:
         primes = [
@@ -193,22 +203,13 @@ def _cmd_classify_primes(args) -> int:
             for pc in prime_scan(curve, args.limit + 1, cache=cache)
             if args.class_index is None or pc.i == args.class_index
         ]
-    rep = Report(
-        "classify-primes",
-        args.seed,
-        inputs,
-        {"limit": args.limit, "class_filter": args.class_index, "primes": primes},
-    )
-    _emit(
-        rep,
-        args,
-        lambda: [f"{pc.l}: type {list(pc.lengths)} in P_{pc.i}" for pc in primes]
-        or ["(no matching primes)"],
-    )
-    return 0
+    out = {"limit": args.limit, "class_filter": args.class_index, "primes": primes}
+    return inputs, out, lambda: [
+        f"{pc.l}: type {list(pc.lengths)} in P_{pc.i}" for pc in primes
+    ] or ["(no matching primes)"]
 
 
-def _cmd_character(args) -> int:
+def _cmd_character(args):
     d = squarefree_part(args.d)
     ramified = ramified_primes(d)
     places = {0, 2, *ramified}
@@ -228,7 +229,6 @@ def _cmd_character(args) -> int:
         for v in sorted(places)
     }
     out = {"norm": max(ramified, default=1), "local": behavior, **extra}
-    rep = Report("character", args.seed, inputs, out)
 
     def lines():
         yield f"d = {d} (norm {out['norm']})"
@@ -237,11 +237,10 @@ def _cmd_character(args) -> int:
         if "sigma_trivial" in extra:
             yield f"Sigma-trivial: {extra['sigma_trivial']}"
 
-    _emit(rep, args, lines)
-    return 0
+    return inputs, out, lines
 
 
-def _cmd_parity(args) -> int:
+def _cmd_parity(args):
     curve, inputs = _curve_input(args.curve)
     profiles = _profiles_input(args, inputs)
     if profiles is not None:
@@ -260,7 +259,6 @@ def _cmd_parity(args) -> int:
         "missing_places": [place_name(v) for v in verdict.missing],
         "contributions": contributions,
     }
-    rep = Report("parity", args.seed, inputs, out)
 
     def lines():
         yield f"flip = {verdict.flip}  status = {verdict.status}"
@@ -269,11 +267,10 @@ def _cmd_parity(args) -> int:
         for v, c in contributions.items():
             yield f"  omega_{v} = {c['omega']} (class {c['class']})"
 
-    _emit(rep, args, lines)
-    return 0
+    return inputs, out, lines
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     if args.max_norm is not None and args.max_norm < 2:
         raise InvalidInputError("--max-norm must be >= 2")
     if args.max_norm is not None and args.bound is not None:
@@ -287,7 +284,6 @@ def _cmd_scan(args) -> int:
     else:
         result = density_scan(tables, args.sample, args.bound, args.r1_parity, args.seed)
     rep_d = disparity(tables, args.r1_parity)
-    rep = Report("scan", args.seed, inputs, {"scan": result, "disparity": rep_d})
 
     def lines():
         yield f"mode = {result.mode}  characters = {result.total}"
@@ -297,37 +293,25 @@ def _cmd_scan(args) -> int:
         if rep_d is not None:
             yield f"delta = {rep_d.delta}; predicted even density = {rep_d.even_density}"
 
-    _emit(rep, args, lines)
-    return 0
+    return inputs, {"scan": result, "disparity": rep_d}, lines
 
 
-def _cmd_find_twist(args) -> int:
+def _cmd_find_twist(args):
     curve, inputs = _curve_input(args.curve)
     direction = "raise2" if args.direction == "up" else "lower2"
     with _cache_for(args, args.curve) as cache:
         recipes = list(find_shift_primes(curve, direction, args.limit, cache=cache))
-    rep = Report(
-        "find-twist",
-        args.seed,
-        inputs,
-        {"direction": direction, "limit": args.limit, "recipes": recipes},
-    )
-    _emit(
-        rep,
-        args,
-        lambda: [f"l = {r.l}  d = {r.d}  type {list(r.cycle_type)}" for r in recipes]
-        or ["(empty stream: no prime satisfies every checkable condition)"],
-    )
-    return 0
+    out = {"direction": direction, "limit": args.limit, "recipes": recipes}
+    return inputs, out, lambda: [
+        f"l = {r.l}  d = {r.d}  type {list(r.cycle_type)}" for r in recipes
+    ] or ["(empty stream: no prime satisfies every checkable condition)"]
 
 
-def _cmd_verify_paper(args) -> int:
-    t0 = time.time()
-    rep = run_paper_verification(seed=args.seed)
-    ok = rep.outputs["all_passed"]
+def _cmd_verify_paper(args):
+    inputs, out = run_paper_verification(args.seed)
 
     def lines():
-        for check in rep.outputs["checks"]:
+        for check in out["checks"]:
             yield f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}"
             det = check["details"]
             if check["name"] == "sextic_transformation_identity" and not det.get("identity_holds", True):
@@ -335,23 +319,9 @@ def _cmd_verify_paper(args) -> int:
                     "       stated identity fails; exact quotient = "
                     f"({det['quotient_numerator']}) / ({det['quotient_denominator']})"
                 )
-        yield f"overall: {'PASS' if ok else 'FAIL'}"
+        yield f"overall: {'PASS' if out['all_passed'] else 'FAIL'}"
 
-    _emit(rep, args, lines)
-    if args.format == "text":
-        print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
-    return 0 if ok else 2
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "classify-primes": _cmd_classify_primes,
-    "character": _cmd_character,
-    "parity": _cmd_parity,
-    "scan": _cmd_scan,
-    "find-twist": _cmd_find_twist,
-    "verify-paper": _cmd_verify_paper,
-}
+    return inputs, out, lines
 
 
 def main(argv=None) -> int:
@@ -360,17 +330,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.time()
     try:
-        return _COMMANDS[args.cmd](args)
+        inputs, outputs, text_lines = args.run(args)
+        _emit(Report(args.cmd, args.seed, inputs, outputs), args, text_lines)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except TwistParityError as exc:
+    except (TwistParityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.run is not _cmd_verify_paper:
+        return 0
+    if args.format == "text":
+        print(f"elapsed: {time.time() - t0:.2f}s", file=sys.stderr)
+    return 0 if outputs["all_passed"] else 2
 
 
 if __name__ == "__main__":

@@ -37,13 +37,11 @@ class Report:
     __slots__ = ("command", "seed", "inputs", "outputs")
     tool_version = TOOL_VERSION
 
-    def __init__(
-        self, command: str, seed: int, inputs: dict | None = None, outputs: dict | None = None
-    ):
+    def __init__(self, command: str, seed: int, inputs: dict, outputs: dict):
         self.command = command
         self.seed = seed
-        self.inputs = {} if inputs is None else inputs
-        self.outputs = {} if outputs is None else outputs
+        self.inputs = inputs
+        self.outputs = outputs
 
     def write(self, fh) -> None:
         """Write the canonical JSON report, one newline-terminated document, to fh.

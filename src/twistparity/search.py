@@ -59,8 +59,6 @@ def find_shift_primes(
     """
     if direction not in _DIRECTIONS:
         raise InvalidInputError(f"direction must be one of {_DIRECTIONS}")
-    if curve.degree < 3:
-        raise InvalidInputError("degree below 3 cannot carry the construction")
     sigma = sigma_set(curve)
     raise2 = direction == "raise2"
     orbits = (("three_odd_orbits", True),) if raise2 else ()

@@ -32,7 +32,6 @@ from .papercases import (
 )
 from .parity import global_consistency_check, omega_tables, parity_flip
 from .ratpoly import RatPoly, homogenize
-from .report import Report
 from .torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
 
 __all__ = ["run_paper_verification", "transformation_identity"]
@@ -89,33 +88,26 @@ def _sample_sigma_trivial(curve, count, bound, rng):
     return out
 
 
-def run_paper_verification(seed: int = 0) -> Report:
+def run_paper_verification(seed: int):
+    """The suite's report inputs and outputs: the embedded curves' hashes,
+    and each check's name, verdict and details in the order a to f."""
     rng = random.Random(seed)
-    checks = []
+    checks = []  # (name, passed, details)
 
     # a. torsion dimensions
     dims = {
         "h_quintic": rational_two_torsion_dim(curve_h()),
         "g_quintic": rational_two_torsion_dim(curve_g()),
     }
-    checks.append(
-        {
-            "name": "two_torsion_dimensions",
-            "passed": dims["h_quintic"] == 2 and dims["g_quintic"] == 2,
-            "details": dims,
-        }
-    )
+    passed = dims["h_quintic"] == 2 and dims["g_quintic"] == 2
+    checks.append(("two_torsion_dimensions", passed, dims))
 
     # b. substitution identity with exact quotient on mismatch
     ident = transformation_identity()
-    checks.append(
-        {
-            "name": "sextic_transformation_identity",
-            "passed": ident["identity_holds"]
-            or (ident["quotient_numerator"], ident["quotient_denominator"]) == _EXPECTED_QUOTIENT,
-            "details": ident,
-        }
+    passed = ident["identity_holds"] or (
+        (ident["quotient_numerator"], ident["quotient_denominator"]) == _EXPECTED_QUOTIENT
     )
+    checks.append(("sextic_transformation_identity", passed, ident))
 
     # c. Sigma-trivial twists of C_H never flip parity
     ch = curve_h()
@@ -128,17 +120,8 @@ def run_paper_verification(seed: int = 0) -> Report:
         d for d in twists
         if parity_flip(tables, d).flip != 1 or not global_consistency_check(ch, d)
     ]
-    checks.append(
-        {
-            "name": "sigma_trivial_parity_preserved",
-            "passed": not bad,
-            "details": {
-                "sampled": len(twists),
-                "violations": bad,
-                "first_five": twists[:5],
-            },
-        }
-    )
+    details = {"sampled": len(twists), "violations": bad, "first_five": twists[:5]}
+    checks.append(("sigma_trivial_parity_preserved", not bad, details))
 
     # d. fixed-space oracle vs the closed form
     trials = 0
@@ -153,25 +136,15 @@ def run_paper_verification(seed: int = 0) -> Report:
         rng.shuffle(images)
         if fixed_space_dim(images, p) != len(cycle_lengths(images)) - 1:
             mismatches.append((n, p, images))
-    checks.append(
-        {
-            "name": "fixed_space_dimension_oracle",
-            "passed": not mismatches,
-            "details": {"trials": trials, "mismatches": mismatches[:3]},
-        }
-    )
+    details = {"trials": trials, "mismatches": mismatches[:3]}
+    checks.append(("fixed_space_dimension_oracle", not mismatches, details))
 
     # e. disjoint-Lagrangian counts in dims 2, 4, 6
     counts = [
         count_disjoint_lagrangians(m, echelon(1 << (2 * i) for i in range(m))) for m in (1, 2, 3)
     ]
-    checks.append(
-        {
-            "name": "disjoint_lagrangian_counts",
-            "passed": counts == [1, 2, 8],
-            "details": {"dims": [2, 4, 6], "counts": counts, "expected": [1, 2, 8]},
-        }
-    )
+    details = {"dims": [2, 4, 6], "counts": counts, "expected": [1, 2, 8]}
+    checks.append(("disjoint_lagrangian_counts", counts == [1, 2, 8], details))
 
     # f. global consistency identity across the golden curves
     failures = []
@@ -188,25 +161,11 @@ def run_paper_verification(seed: int = 0) -> Report:
             else:
                 failures.append((name, d))
         per_curve[name] = ok
-    checks.append(
-        {
-            "name": "global_consistency_identity",
-            "passed": not failures,
-            "details": {"per_curve_passes": per_curve, "failures": failures[:5]},
-        }
-    )
+    details = {"per_curve_passes": per_curve, "failures": failures[:5]}
+    checks.append(("global_consistency_identity", not failures, details))
 
-    report = Report(
-        command="verify-paper",
-        seed=seed,
-        inputs={
-            "embedded_curves": {
-                name: curve_hash(build()) for name, build in GOLDEN_CURVES.items()
-            }
-        },
-        outputs={
-            "checks": checks,
-            "all_passed": all(c["passed"] for c in checks),
-        },
-    )
-    return report
+    hashes = {name: curve_hash(build()) for name, build in GOLDEN_CURVES.items()}
+    return {"embedded_curves": hashes}, {
+        "checks": [{"name": n, "passed": p, "details": d} for n, p, d in checks],
+        "all_passed": all(p for _, p, _ in checks),
+    }

@@ -6,12 +6,13 @@ alongside the values.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines.
 """
 
-import io
+import json
 import random
 import time
 from fractions import Fraction
 
 from twistparity.characters import sigma_trivial
+from twistparity.cli import main
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.metabolic import count_disjoint_lagrangians, echelon
 from twistparity.modular import (
@@ -31,7 +32,7 @@ from twistparity.parity import (
 )
 from twistparity.curves import CurveSpec
 from twistparity.torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
-from twistparity.verify import run_paper_verification, transformation_identity
+from twistparity.verify import transformation_identity
 from twistparity.modular import iter_primes
 
 from conftest import random_separable_poly, squarefree_flags
@@ -226,15 +227,15 @@ def test_acceptance_09_hilbert_product_formula():
     _report(9, "Hilbert product formula, 500/500 pairs", elapsed)
 
 
-def test_acceptance_10_verify_paper_determinism():
+def test_acceptance_10_verify_paper_determinism(capsys):
     """Two verify-paper runs at seed 0 give byte-identical JSON reports."""
     t0 = time.monotonic()
-    a, b = io.StringIO(), io.StringIO()
-    run_paper_verification(seed=0).write(a)
-    rep = run_paper_verification(seed=0)
-    rep.write(b)
-    assert a.getvalue() == b.getvalue()
-    assert rep.outputs["all_passed"] is True
-    assert a.getvalue().encode() == b.getvalue().encode()
+    assert main(["--format", "json", "verify-paper"]) == 0
+    a = capsys.readouterr().out
+    assert main(["--format", "json", "verify-paper"]) == 0
+    b = capsys.readouterr().out
+    assert a == b
+    assert json.loads(b)["outputs"]["all_passed"] is True
+    assert a.encode() == b.encode()
     elapsed = time.monotonic() - t0
     _report(10, "verify-paper reports byte-identical, all checks green", elapsed)

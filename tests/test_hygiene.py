@@ -3,8 +3,8 @@ uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
 package; every defaulted parameter is passed by some call in the package;
 every name a module exports it defines; every function and method runs in
-some command line run; importing the command line loads no costly standard
-module; the benchmark's hooks resolve."""
+some command line run; only ``cli.main`` builds a ``Report``; importing the
+command line loads no costly standard module; the benchmark's hooks resolve."""
 
 import ast
 import collections
@@ -233,6 +233,45 @@ def test_dead_public_definition_is_reported():
         ("a.py", "Poly.unused"),
         ("a.py", "_Private.hook"),
         ("a.py", "orphan"),
+    ]
+
+
+def report_constructions(sources: dict):
+    """(module, function) of each call of ``Report``, by its name or as an
+    attribute, with the innermost function around the call ("" at module
+    level)."""
+    found = []
+    for module, text in sources.items():
+        stack = [(ast.parse(text), "")]
+        while stack:
+            node, fn = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = node.name
+            elif isinstance(node, ast.Call) and "Report" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.append((module, fn))
+            stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_report_is_built_only_by_cli_main():
+    # each command returns its inputs and outputs; main alone assembles them
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert report_constructions(sources) == [("cli.py", "main")]
+
+
+def test_report_construction_is_reported():
+    sources = {
+        "cli.py": "def main():\n    return Report('a', 0, {}, {})\n",
+        "verify.py": "from . import report\n\nR = report.Report('b', 0, {}, {})\n\n\n"
+        "def run():\n    def inner():\n        return Report('c', 0, {}, {})\n\n"
+        "    return inner, DisparityReport()\n",
+    }
+    assert report_constructions(sources) == [
+        ("cli.py", "main"),
+        ("verify.py", ""),
+        ("verify.py", "inner"),
     ]
 
 

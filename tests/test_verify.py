@@ -1,13 +1,12 @@
 """The built-in verification suite and its mismatch reporting."""
 
-import io
 import json
+import re
 
 from twistparity import cli, parity, verify
 from twistparity.frobenius import PrimeClass
 from twistparity.papercases import TRANSFORM_CONSTANT, curve_h, sextic_h0
 from twistparity.ratpoly import RatPoly, homogenize
-from twistparity.report import Report
 from twistparity.verify import run_paper_verification, transformation_identity
 
 
@@ -29,8 +28,8 @@ def test_transformation_identity_quotient_closes_algebraically():
 
 
 def test_suite_structure_and_names():
-    rep = run_paper_verification(seed=0)
-    names = [c["name"] for c in rep.outputs["checks"]]
+    _, out = run_paper_verification(0)
+    names = [c["name"] for c in out["checks"]]
     assert names == [
         "two_torsion_dimensions",
         "sextic_transformation_identity",
@@ -39,8 +38,8 @@ def test_suite_structure_and_names():
         "disjoint_lagrangian_counts",
         "global_consistency_identity",
     ]
-    assert all(c["passed"] for c in rep.outputs["checks"])
-    details = {c["name"]: c["details"] for c in rep.outputs["checks"]}
+    assert all(c["passed"] for c in out["checks"])
+    details = {c["name"]: c["details"] for c in out["checks"]}
     assert details["two_torsion_dimensions"] == {"h_quintic": 2, "g_quintic": 2}
     assert details["fixed_space_dimension_oracle"]["trials"] == 1000
     assert details["disjoint_lagrangian_counts"]["counts"] == [1, 2, 8]
@@ -48,34 +47,32 @@ def test_suite_structure_and_names():
 
 
 def test_seed_changes_samples_but_not_verdicts():
-    a = run_paper_verification(seed=0)
-    b = run_paper_verification(seed=1)
-    assert a.outputs["all_passed"] and b.outputs["all_passed"]
+    _, a = run_paper_verification(0)
+    _, b = run_paper_verification(1)
+    assert a["all_passed"] and b["all_passed"]
     da = next(
-        c for c in a.outputs["checks"] if c["name"] == "sigma_trivial_parity_preserved"
+        c for c in a["checks"] if c["name"] == "sigma_trivial_parity_preserved"
     )["details"]["first_five"]
     db = next(
-        c for c in b.outputs["checks"] if c["name"] == "sigma_trivial_parity_preserved"
+        c for c in b["checks"] if c["name"] == "sigma_trivial_parity_preserved"
     )["details"]["first_five"]
     assert da != db  # different sample, same conclusion
 
 
 def test_cli_exit_code_2_on_failed_check(monkeypatch, capsys):
-    def fake(seed=0):
-        return Report(
-            command="verify-paper",
-            seed=seed,
-            outputs={
-                "checks": [{"name": "synthetic", "passed": False, "details": {}}],
-                "all_passed": False,
-            },
-        )
-
-    monkeypatch.setattr(cli, "run_paper_verification", fake)
-    rc = cli.main(["verify-paper"])
-    out = capsys.readouterr().out
-    assert rc == 2
-    assert "FAIL" in out
+    """A failed check exits 2 in both formats; text mode alone prints the
+    wall time, as one line on stderr."""
+    wrong = dict(transformation_identity(), quotient_numerator="91*x^2 + 60*x + 11")
+    monkeypatch.setattr(verify, "transformation_identity", lambda: wrong)
+    assert cli.main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] sextic_transformation_identity\n" in captured.out
+    assert captured.out.endswith("overall: FAIL\n")
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", captured.err)
+    assert cli.main(["--format", "json", "verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["outputs"]["all_passed"] is False
+    assert "elapsed:" not in captured.err
 
 
 def test_cli_exit_code_3_when_sampling_stalls(monkeypatch, capsys):
@@ -84,19 +81,17 @@ def test_cli_exit_code_3_when_sampling_stalls(monkeypatch, capsys):
     assert "sampling stalled" in capsys.readouterr().err
 
 
-def _report_text(rep):
-    buf = io.StringIO()
-    rep.write(buf)
-    return buf.getvalue()
+def _report_text(capsys):
+    assert cli.main(["--format", "json", "verify-paper"]) == 0
+    return capsys.readouterr().out
 
 
-def test_report_json_is_canonical():
-    rep = run_paper_verification(seed=0)
-    text = _report_text(rep)
+def test_report_json_is_canonical(capsys):
+    text = _report_text(capsys)
     doc = json.loads(text)
     assert doc["command"] == "verify-paper"
     assert doc["tool_version"] == "0.1.0"
-    assert _report_text(rep) == text
+    assert _report_text(capsys) == text
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
 
 
@@ -109,17 +104,17 @@ def test_sigma_trivial_check_fails_on_wrong_good_prime_h(monkeypatch):
         return PrimeClass(pc.l, pc.lengths, pc.i + 1)
 
     monkeypatch.setattr(parity, "classify_prime", one_too_high)
-    rep = run_paper_verification(seed=0)
-    check = next(c for c in rep.outputs["checks"] if c["name"] == "sigma_trivial_parity_preserved")
+    _, out = run_paper_verification(0)
+    check = next(c for c in out["checks"] if c["name"] == "sigma_trivial_parity_preserved")
     assert check["passed"] is False
     assert check["details"]["violations"]
-    assert rep.outputs["all_passed"] is False
+    assert out["all_passed"] is False
 
 
 def test_transformation_check_fails_on_a_wrong_quotient(monkeypatch):
     wrong = dict(transformation_identity(), quotient_numerator="91*x^2 + 60*x + 11")
     monkeypatch.setattr(verify, "transformation_identity", lambda: wrong)
-    rep = run_paper_verification(seed=0)
-    check = next(c for c in rep.outputs["checks"] if c["name"] == "sextic_transformation_identity")
+    _, out = run_paper_verification(0)
+    check = next(c for c in out["checks"] if c["name"] == "sextic_transformation_identity")
     assert check["passed"] is False
-    assert rep.outputs["all_passed"] is False
+    assert out["all_passed"] is False
