@@ -11,7 +11,7 @@ only read in profiles and written in reports.
 
 from __future__ import annotations
 
-from .modular import factor_integer, kronecker_symbol, local_classes, square_class_index
+from .modular import factor_integer, local_classes, square_class_index
 
 __all__ = ["ramified_primes", "local_behavior", "sigma_trivial", "local_square_class"]
 
@@ -46,9 +46,9 @@ def sigma_trivial(d: int, sigma: tuple) -> bool:
 
     For squarefree d that is d > 0, d = 1 mod 8 and (d|q) = 1 at each odd
     bad prime q, ``sigma[2:]``: square class index 0 at the real place, at
-    2 and at q.
+    2 and at q, where Euler's criterion decides (d|q) for the prime q.
     """
-    return d > 0 and d % 8 == 1 and all(kronecker_symbol(d, q) == 1 for q in sigma[2:])
+    return d > 0 and d % 8 == 1 and all(pow(d, (q - 1) // 2, q) == 1 for q in sigma[2:])
 
 
 def local_square_class(d: int, place: int) -> int:

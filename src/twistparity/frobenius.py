@@ -4,21 +4,24 @@ At a good prime l the degrees of the irreducible factors of f mod l are
 the orbit lengths of Frobenius acting on the roots; the class index of l
 is (number of orbits) - 1.  Everything downstream (local h-invariants,
 parity weights, twist searches) keys off this classification.  It is a
-deterministic function of (curve, l), computed by ``factor_degrees`` on
-one serial path: distinct-degree factorization in which the sign
-(disc f | l) = (-1)^(n - #orbits) of Stickelberger's theorem decides
-the last step whenever one cycle type alone fits it (every quintic after
-x^l mod f, every cubic with a nonsquare discriminant mod l without it),
-and each step after the first applies the Frobenius matrix of x^l
-instead of powering again.  The result is cached per (curve hash, l) in
-an append-only line file, cut back after its last whole record.  A cached
-cycle type whose lengths do not sum to the degree of f is never trusted:
-it is recomputed and the corrected record appended, so deleting or
-damaging a cache never changes a reported value.
+deterministic function of (curve, l), computed by ``factor_degrees``:
+distinct-degree factorization in which the sign (disc f | l) =
+(-1)^(n - #orbits) of Stickelberger's theorem decides the last step
+whenever one cycle type alone fits it (every quintic after x^l mod f,
+every cubic with a nonsquare discriminant mod l without it), and each
+step after the first applies the Frobenius matrix of x^l instead of
+powering again.  A scan shares the primes its cache lacks out to forked
+children, one per usable core, and writes their cycle types to the
+cache itself, in the order one core gives.  The result is cached per
+(curve hash, l) in an append-only line file, cut back after its last
+whole record.  A cached cycle type whose lengths do not sum to the
+degree of f is never trusted: it is recomputed and the corrected record
+appended, so deleting or damaging a cache never changes a reported value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter, namedtuple
@@ -167,17 +170,91 @@ def prime_scan(
     Only the primes l = 1 mod m are sieved (``iter_primes``), so a
     congruence costs nothing per excluded prime.  The filter sees the bare
     prime before classification (use it for symbol conditions, which are
-    much cheaper than factoring f mod l).  Yields PrimeClass records in
-    increasing prime order, one prime at a time, so a consumer that stops
-    early classifies no further.
+    much cheaper than factoring f mod l).  Candidates come ``_BLOCK`` at a
+    time: with a cache, the primes of a block it lacks are factored first
+    (``_factor_split``) and appended in prime order, and the block is then
+    read back, so records come in increasing prime order, and a consumer
+    that stops early classifies at most the rest of its block.
     """
     sigma = sigma_set(curve)
-    for l in iter_primes(2, stop, m):
-        if l in sigma:
-            continue
-        if prime_filter is not None and not prime_filter(l):
-            continue
-        yield classify_prime(curve, l, cache=cache)
+    key, n = curve_hash(curve), curve.degree
+    good = (
+        l for l in iter_primes(2, stop, m)
+        if l not in sigma and (prime_filter is None or prime_filter(l))
+    )
+    while block := list(itertools.islice(good, _BLOCK)):
+        if cache is not None:
+            todo = [l for l in block if (t := cache.get(key, l)) is None or sum(t) != n]
+            for l, lengths in zip(todo, _factor_split(curve, todo)):
+                cache.put(key, l, lengths)
+        for l in block:
+            yield classify_prime(curve, l, cache=cache)
+
+
+_BLOCK = 4096  # candidate primes prime_scan takes at a time
+_MIN_SHARE = 64  # the fewest primes a forked share of a block may hold
+
+
+def _factor_split(curve: CurveSpec, ls: list) -> list:
+    """``factor_degrees`` of f mod each l in ls, on every usable core.
+
+    ls is cut into k shares ls[j::k], one per usable core but none below
+    ``_MIN_SHARE`` primes.  Forked children take shares j >= 1 from the
+    front, writing a line per cycle type to a pipe, and leave by
+    ``os._exit``, so no buffer is flushed twice.  This process takes share
+    0, then each child's share from the back, reading the pipe between
+    primes, until the ends meet.  A slow core, or a child that dies or
+    writes a torn line, costs time only.
+    """
+    f, disc, k = curve.f, curve.discriminant(), 1
+    if len(ls) >= 2 * _MIN_SHARE and hasattr(os, "fork"):
+        affinity = getattr(os, "sched_getaffinity", None)
+        k = min(len(ls) // _MIN_SHARE, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    children = {}  # share j -> (pid, read end of its pipe)
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one takes the other shares
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    for l in ls[j::k]:
+                        os.write(w, b",".join(b"%d" % x for x in factor_degrees(f, l, disc)) + b"\n")
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            os.set_blocking(r, False)
+            children[j] = pid, r
+        out = [None] * len(ls)
+        for j in range(k):
+            share, front, back, torn = ls[j::k], [], [], b""
+            r = children[j][1] if j in children else None
+            while len(front) + len(back) < len(share):
+                try:
+                    lines = (torn + os.read(r, 1 << 16)).split(b"\n") if r is not None else [b""]
+                    torn = lines.pop()
+                    types = [tuple(map(int, line.split(b","))) for line in lines]
+                    if any(sum(t) != curve.degree or min(t) < 1 for t in types):
+                        raise ValueError
+                    front += types
+                except BlockingIOError:  # nothing new from the child
+                    pass
+                except ValueError:  # a garbled line: trust this child no further
+                    r = None
+                if len(front) + len(back) < len(share):
+                    back.append(factor_degrees(f, share[-1 - len(back)], disc))
+            out[j::k] = front[: len(share) - len(back)] + back[::-1]
+        return out
+    finally:
+        for pid, r in children.values():
+            os.close(r)
+            os.kill(pid, 9)  # SIGKILL, by number: importing signal costs every command
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

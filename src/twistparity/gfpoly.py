@@ -1,25 +1,27 @@
 """Dense polynomial arithmetic over GF(l), the kernel of ``factor_degrees``.
 
-A polynomial is a list of ints in [0, l), ascending degree.  General
-polynomials are trimmed (no zero leading coefficient; the zero
-polynomial is the empty list).  Residues mod a fixed monic f of degree n
-are lists of exactly n coefficients, whose top ones may be zero, so the
-fixed-modulus steps never trim or pop: products are summed unreduced and
-then folded through a table of x^n .. x^(2n-1) mod f, which reduces each
-coefficient mod l once.
+A polynomial is a list of ints in [0, l), ascending degree; the gcds trim
+theirs (the zero polynomial is the empty list).  Residues mod a fixed
+monic f of degree n are lists of exactly n coefficients, multiplied
+Kronecker-packed (Harvey, J. Symb. Comput. 2009): coefficient i sits in
+slot i of one int, with slots wide enough that one int product is the
+polynomial product, no slot carrying into the next.  The high slots of a
+product weight packed rows of x^n .. x^(2n-1) mod f, so each step
+reduces each slot mod l once.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import add, mul
+from struct import Struct
 
 __all__ = [
     "trim",
     "quo_rem",
     "gcd",
-    "fold_columns",
+    "residue_ring",
     "fold",
-    "modmul",
     "x_pow",
     "frobenius_matrix",
     "frobenius",
@@ -37,21 +39,21 @@ def trim(a):
 def quo_rem(a, b, l):
     """Quotient and remainder of a by a nonzero b."""
     a = list(a)
+    m = len(b) - 1
     inv = pow(b[-1], -1, l)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while a and len(a) >= len(b):
-        c = a[-1] * inv % l
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % l
-        trim(a)
-    return trim(q), a
+    neg = [-y for y in b[:-1]]
+    q = []
+    for t in range(len(a) - 1, m - 1, -1):
+        c = a.pop() * inv % l
+        q.append(c)
+        if c:  # reduced mod l once, at the end
+            a[t - m : t] = map(add, a[t - m : t], map(mul, neg, repeat(c)))
+    return trim(q[::-1]), trim([c % l for c in a])
 
 
 def gcd(a, b, l):
     """The monic gcd of a and b (empty if both are zero)."""
-    a, b = list(a), list(b)
+    a, b = trim(list(a)), trim(list(b))
     while b:
         a, b = b, quo_rem(a, b, l)[1]
     if a:
@@ -60,79 +62,84 @@ def gcd(a, b, l):
     return a
 
 
-def fold_columns(f, l):
-    """The table of x^n .. x^(2n-1) mod a monic f of degree n, by columns.
+def residue_ring(f, l):
+    """GF(l)[x]/f for a monic f of degree n >= 2, packed: (l, slot bits, shape, rows).
 
-    Entry k of column j is the x^j coefficient of x^(n+k) mod f, so that
-    reducing a product mod f is one dot product per output coefficient.
+    Slots are 64 w bits wide, the least w holding 2n (l-1)^2, so the width
+    grows with l; ``shape`` packs their n w words; rows[k] is x^(n+k) mod f.
     """
+    n = len(f) - 1
+    w = -(-(2 * n * (l - 1) ** 2).bit_length() // 64)
+    ring = (l, 64 * w, Struct(f"<{n * w}Q"), [])
     first = row = [-c % l for c in f[:-1]]
-    rows = [row]
-    for _ in range(len(f) - 2):
-        t = row[-1]
-        row = [(y + t * z) % l for y, z in zip([0] + row, first)]
-        rows.append(row)
-    return list(zip(*rows))
+    for _ in range(n - 1):
+        ring[3].append(_packed(row, ring))
+        row = [(y + row[-1] * z) % l for y, z in zip([0] + row, first)]
+    ring[3].append(_packed(row, ring))
+    return ring
 
 
-def fold(c, cols, l):
-    """c mod f for an unreduced c of length n to 2n, given the fold columns of f."""
-    hi = [x % l for x in c[len(cols) :]]
-    return [(x + sum(map(mul, col, hi))) % l for x, col in zip(c, cols)]
+def _packed(a, ring):
+    """The int whose slot i holds a[i], for a reduced residue a."""
+    l, width, shape, rows = ring
+    if width == 64:
+        return int.from_bytes(shape.pack(*a), "little")
+    return int.from_bytes(b"".join(c.to_bytes(width // 8, "little") for c in a), "little")
 
 
-def modmul(a, b, cols, l):
-    """a * b mod f over GF(l)."""
-    out = [0] * (2 * len(a) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return fold(out, cols, l)
+def _slots(x, ring):
+    """The n low slots of the packed x, each reduced mod l."""
+    l, width, shape, rows = ring
+    b = x.to_bytes(shape.size, "little")
+    if width == 64:
+        return [c % l for c in shape.unpack(b)]
+    step = width // 8
+    return [int.from_bytes(b[i : i + step], "little") % l for i in range(0, len(b), step)]
 
 
-def x_pow(e, cols, l):
-    """x^e mod f, for deg f >= 2, by left-to-right squaring.
+def fold(s, ring):
+    """s mod f as a reduced list, for s a packed product of two reduced residues.
 
-    Powers of x below deg f are written down; each square is formed with
-    every cross product once, and a multiply by x is a shift of the
-    square before it is folded.
+    The at most 2n slots of s are below n (l-1)^2; the high n, reduced,
+    weight the rows x^(n+k) mod f, so each low slot stays below 2n (l-1)^2.
     """
-    n = len(cols)
+    low = len(ring[3]) * ring[1]
+    hi = _slots(s >> low, ring)
+    return _slots(sum(map(mul, hi, ring[3]), s & ((1 << low) - 1)), ring)
+
+
+def x_pow(e, ring):
+    """x^e mod f, for deg f >= 2, by left-to-right squaring of packed residues.
+
+    Powers of x below deg f are written down; each square is one int
+    product, and a multiply by x shifts it by one slot before the fold.
+    """
+    n = len(ring[3])
     k, bits = 1, bin(e)[3:]
     while bits and 2 * k + int(bits[0]) < n:
         k, bits = 2 * k + int(bits[0]), bits[1:]
     r = [0] * n
     r[k] = 1
     for bit in bits:
-        out = [0] * (2 * n - 1)
-        for i, x in enumerate(r):
-            if x:
-                out[2 * i] += x * x
-                x += x
-                for j in range(i + 1, n):
-                    out[i + j] += x * r[j]
-        if bit == "1":
-            out.insert(0, 0)
-        r = fold(out, cols, l)
+        x = _packed(r, ring)
+        r = fold(x * x << ring[1] * (bit == "1"), ring)
     return r
 
 
-def frobenius_matrix(xl, cols, l):
-    """The matrix of g -> g^l on GF(l)[x]/f, by columns.
+def frobenius_matrix(xl, ring):
+    """The packed powers (x^l)^i mod f for i < deg f: the matrix of g -> g^l.
 
-    Its rows are the powers (x^l)^i mod f for i < deg f, since
-    g(x)^l = g(x^l) for g over GF(l).
+    Since g(x)^l = g(x^l) for g over GF(l), g^l is the sum of g_i (x^l)^i.
     """
-    rows = [[1] + [0] * (len(xl) - 1), xl]
+    rows = [1, _packed(xl, ring)]
     while len(rows) < len(xl):
-        rows.append(modmul(rows[-1], xl, cols, l))
-    return list(zip(*rows))
+        rows.append(_packed(fold(rows[-1] * rows[1], ring), ring))
+    return rows
 
 
-def frobenius(g, matrix, l):
-    """g^l mod f = sum of g_i (x^l)^i, given the Frobenius matrix of f."""
-    return [sum(map(mul, g, col)) % l for col in matrix]
+def frobenius(g, matrix, ring):
+    """g^l mod f as a reduced list, given the Frobenius matrix of f."""
+    return _slots(sum(map(mul, g, matrix)), ring)
 
 
 def pad(a, n):

@@ -396,15 +396,13 @@ def _reduce_poly(f, l: int):
     """f mod l as a monic int list; BadPrimeError if l hits lead or denominators."""
     if f.degree < 1:
         raise InvalidInputError("need a nonconstant polynomial")
-    coeffs = []
-    for c in f.coeffs:
-        if c.denominator % l == 0:
-            raise BadPrimeError(f"{l} divides a coefficient denominator")
-        coeffs.append(c.numerator * pow(c.denominator, -1, l) % l)
-    if coeffs[-1] == 0:
+    ints, scale = f.primitive_int()  # l divides a denominator exactly when it divides scale
+    if scale.numerator % l == 0:
+        raise BadPrimeError(f"{l} divides a coefficient denominator")
+    if ints[-1] % l == 0:
         raise BadPrimeError(f"{l} divides the leading coefficient")
-    inv = pow(coeffs[-1], -1, l)
-    return [c * inv % l for c in coeffs]
+    inv = pow(ints[-1], -1, l)
+    return [c * inv % l for c in ints]
 
 
 def factor_degrees(f, l: int, disc):
@@ -433,8 +431,8 @@ def factor_degrees(f, l: int, disc):
     Only the first step runs the powering ladder x^l mod cur.  Each later
     step applies the Frobenius matrix, the powers of x^l mod cur, to the
     previous x^(l^d): x^(l^(d+1)) = sum of c_i (x^l)^i where
-    x^(l^d) = sum of c_i x^i.  After a division the matrix is rebuilt from
-    x^l reduced mod the new cur.
+    x^(l^d) = sum of c_i x^i.  Found factors leave cur only when another
+    step is due, which then rebuilds the matrix from x^l mod the new cur.
     """
     if not is_prime(l):
         raise InvalidInputError(f"{l} is not prime")
@@ -446,9 +444,9 @@ def factor_degrees(f, l: int, disc):
     square = pow(disc.numerator * disc.denominator, (l - 1) // 2, l) == 1
     parity = (len(cur) - 1 + (not square)) % 2  # of the number of factors
     degrees = []
-    d = 1
-    xl = frob = matrix = None  # x^l and x^(l^(d-1)) mod cur; Frobenius matrix of cur
-    while (m := len(cur) - 1) > 0:
+    d, m = 1, len(cur) - 1  # m: the degree of cur with the factors found divided out
+    xl = frob = matrix = gd = ring = None  # x^l, x^(l^(d-1)), Frobenius matrix, ring mod cur
+    while m > 0:
         odd = (parity + len(degrees)) % 2  # cur has an odd number of factors
         if 2 * d > m or (odd and m < 3 * d):
             degrees.append(m)
@@ -456,20 +454,22 @@ def factor_degrees(f, l: int, disc):
         if not odd and m in (2 * d, 2 * d + 1):
             degrees += [d, m - d]
             break
+        if m < len(cur) - 1:  # a step is due: divide out what the last one found
+            cur = gfpoly.quo_rem(cur, gd, l)[0]
+            xl = gfpoly.pad(gfpoly.quo_rem(xl, cur, l)[1], m)
+            frob = gfpoly.pad(gfpoly.quo_rem(frob, cur, l)[1], m)
+            matrix = ring = None
+        ring = ring or gfpoly.residue_ring(cur, l)
         if xl is None:
-            xl = frob = gfpoly.x_pow(l, gfpoly.fold_columns(cur, l), l)
+            xl = frob = gfpoly.x_pow(l, ring)
         else:
-            if matrix is None:
-                matrix = gfpoly.frobenius_matrix(xl, gfpoly.fold_columns(cur, l), l)
-            frob = gfpoly.frobenius(frob, matrix, l)
+            matrix = matrix or gfpoly.frobenius_matrix(xl, ring)
+            frob = gfpoly.frobenius(frob, matrix, ring)
         diff = list(frob)
         diff[1] = (diff[1] - 1) % l
-        gd = gfpoly.gcd(cur, gfpoly.trim(diff), l)
+        gd = gfpoly.gcd(cur, diff, l)
         if len(gd) > 1:
             degrees += [d] * ((len(gd) - 1) // d)
-            cur = gfpoly.quo_rem(cur, gd, l)[0]
-            xl = gfpoly.pad(gfpoly.quo_rem(xl, cur, l)[1], len(cur) - 1)
-            frob = gfpoly.pad(gfpoly.quo_rem(frob, cur, l)[1], len(cur) - 1)
-            matrix = None
+            m -= len(gd) - 1
         d += 1
     return tuple(degrees)

@@ -32,7 +32,7 @@ __all__ = [
 class RatPoly:
     """An exact polynomial with rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_primitive")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
@@ -133,18 +133,14 @@ class RatPoly:
 
         Returns (poly_as_int_tuple, scale) with scale > 0 rational and
         int coefficients of content 1; the sign pattern matches self.
+        It is computed on the first call and kept.
         """
-        if not self:
-            return (), Fraction(1)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        return tuple(ints), Fraction(den, g)
+        if not hasattr(self, "_primitive"):
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            g = math.gcd(*ints) or 1
+            self._primitive = tuple(v // g for v in ints), Fraction(den, g)
+        return self._primitive
 
     def __str__(self):
         if not self.coeffs:

@@ -6,6 +6,7 @@ that a faster library path must agree with.
 
 import json
 from fractions import Fraction
+from operator import mul
 
 from twistparity.characters import ramified_primes, sigma_trivial
 from twistparity.errors import InvalidInputError, ResourceLimitError
@@ -218,3 +219,52 @@ def load_prime_cache_whole(path) -> dict:
         with open(path, "r+b") as fh:
             fh.truncate(kept)
     return records
+
+
+def fold_columns(f, l):
+    """The table of x^n .. x^(2n-1) mod a monic f of degree n, by columns.
+
+    Entry k of column j is the x^j coefficient of x^(n+k) mod f, so that
+    reducing a product mod f is one dot product per output coefficient.
+    """
+    first = row = [-c % l for c in f[:-1]]
+    rows = [row]
+    for _ in range(len(f) - 2):
+        t = row[-1]
+        row = [(y + t * z) % l for y, z in zip([0] + row, first)]
+        rows.append(row)
+    return list(zip(*rows))
+
+
+def fold(c, cols, l):
+    """c mod f for an unreduced c of length n to 2n, given the fold columns of f."""
+    hi = [x % l for x in c[len(cols):]]
+    return [(x + sum(map(mul, col, hi))) % l for x, col in zip(c, cols)]
+
+
+def x_pow(e, f, l):
+    """x^e mod a monic f of degree >= 2 over GF(l), coefficient lists throughout.
+
+    The list ladder that ``gfpoly.x_pow`` packs: left-to-right squaring,
+    each square formed with every cross product once, a multiply by x a
+    shift of the square before it is folded.
+    """
+    cols = fold_columns(f, l)
+    n = len(cols)
+    k, bits = 1, bin(e)[3:]
+    while bits and 2 * k + int(bits[0]) < n:
+        k, bits = 2 * k + int(bits[0]), bits[1:]
+    r = [0] * n
+    r[k] = 1
+    for bit in bits:
+        out = [0] * (2 * n - 1)
+        for i, x in enumerate(r):
+            if x:
+                out[2 * i] += x * x
+                x += x
+                for j in range(i + 1, n):
+                    out[i + j] += x * r[j]
+        if bit == "1":
+            out.insert(0, 0)
+        r = fold(out, cols, l)
+    return r

@@ -10,11 +10,18 @@ from twistparity.frobenius import sigma_set
 from twistparity.modular import (
     hilbert_symbol,
     is_squarefree,
+    kronecker_symbol,
     local_classes,
     smallest_nonresidue,
     squarefree_part,
 )
-from twistparity.papercases import curve_x3_minus_2
+from twistparity.papercases import (
+    curve_1440d1,
+    curve_g,
+    curve_h,
+    curve_s5_quintic,
+    curve_x3_minus_2,
+)
 
 from oracles import enumerate_characters, twist_norm
 
@@ -96,6 +103,18 @@ def test_sigma_trivial_examples():
     assert not sigma_trivial(41, sigma)
     assert sigma_trivial(1, sigma)
     assert not sigma_trivial(-73, sigma)  # fails at infinity
+
+
+def test_sigma_trivial_matches_kronecker_symbols():
+    """Euler's criterion at each odd bad prime agrees with the Kronecker
+    symbol, on a window of d holding negatives and multiples of every q."""
+    for make in (curve_x3_minus_2, curve_1440d1, curve_s5_quintic, curve_g, curve_h):
+        sigma = sigma_set(make())
+        window = range(-3000, 3001)
+        assert all(any(d % q == 0 and d > 0 and d % 8 == 1 for d in window) for q in sigma[2:])
+        for d in window:
+            want = d > 0 and d % 8 == 1 and all(kronecker_symbol(d, q) == 1 for q in sigma[2:])
+            assert sigma_trivial(d, sigma) == want, (sigma, d)
 
 
 def test_trivial_behavior_is_a_subgroup():

@@ -1,9 +1,11 @@
 """Sigma sets, prime classification, the disc dichotomy, Galois labels."""
 
+import errno
 import itertools
 import math
 import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -526,3 +528,130 @@ def test_galois_classify_certifies_only_alternating_or_symmetric_groups(monkeypa
 
 def test_galois_low_bound_degrades_to_unknown():
     assert galois_classify(curve_x3_minus_2(), 4)[0] == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# the cold scan shared over the cores
+
+_SEPTIC = RatPoly((-3, 0, 0, 2, 0, 0, 0, 1))  # not the hygiene test's septic: sigma_set is cached
+
+
+def _cores(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
+def _scan_with_cache(curve, path, stop):
+    with PrimeCache(str(path)) as cache:
+        got = list(prime_scan(curve, stop, cache=cache))
+    with pytest.raises(ChildProcessError):  # every forked child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+    return got, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [curve_x3_minus_2, curve_1440d1, curve_s5_quintic, curve_g, curve_h, lambda: CurveSpec(_SEPTIC)],
+    ids=["x3_minus_2", "cubic_1440d1", "s5_quintic", "g_quintic", "h_quintic", "septic"],
+)
+def test_split_scan_matches_one_worker(make, tmp_path, monkeypatch):
+    curve = make()
+    _cores(monkeypatch, 1)
+    one = _scan_with_cache(curve, tmp_path / "one.cache", 20_000)
+    _cores(monkeypatch, 3)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    several = _scan_with_cache(curve, tmp_path / "several.cache", 20_000)
+    assert several == one
+    assert forks and len(forks) % 2 == 0  # two children per block shared out
+
+
+def _in_children(monkeypatch, module, name, act):
+    """Make each forked child call act(real, *args) where it calls module.name."""
+    parent = os.getpid()
+    real = getattr(module, name)
+
+    def patched(*args):
+        return real(*args) if os.getpid() == parent else act(real, *args)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def _exit_after(count):
+    calls = []
+
+    def act(real, *args):
+        calls.append(1)
+        if len(calls) > count:
+            os._exit(0)
+        return real(*args)
+
+    return act
+
+
+_FAILURES = {
+    "raises": (frobenius, "factor_degrees", lambda real, *args: 1 / 0),  # leaves by os._exit(1)
+    "killed": (frobenius, "factor_degrees", lambda real, *args: os.kill(os.getpid(), signal.SIGKILL)),
+    "short": (frobenius, "factor_degrees", _exit_after(25)),  # exits 0 with a share half sent
+    "garbled": (frobenius, "factor_degrees", lambda real, *args: (1,)),  # lengths not summing to n
+    "truncated": (os, "write", lambda real, fd, data: real(fd, data[: len(data) // 2])),
+}
+
+
+def _no_process_to_spare():
+    raise OSError(errno.EAGAIN, "fork failed")
+
+
+@pytest.mark.parametrize("failure", ["unforked", *_FAILURES])
+def test_failed_children_are_recomputed(failure, tmp_path, monkeypatch):
+    curve = curve_s5_quintic()
+    _cores(monkeypatch, 1)
+    want = _scan_with_cache(curve, tmp_path / "one.cache", 5000)
+    _cores(monkeypatch, 3)
+    if failure == "unforked":
+        monkeypatch.setattr(os, "fork", _no_process_to_spare)
+    else:
+        _in_children(monkeypatch, *_FAILURES[failure])
+    assert _scan_with_cache(curve, tmp_path / "several.cache", 5000) == want
+
+
+def test_children_are_reaped_when_the_parent_raises(tmp_path, monkeypatch):
+    _cores(monkeypatch, 3)
+    parent = os.getpid()
+    factor = frobenius.factor_degrees
+
+    def factor_degrees(f, l, disc):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return factor(f, l, disc)
+
+    monkeypatch.setattr(frobenius, "factor_degrees", factor_degrees)
+    with PrimeCache(str(tmp_path / "x.cache")) as cache:
+        with pytest.raises(KeyboardInterrupt):
+            list(prime_scan(curve_s5_quintic(), 5000, cache=cache))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_warm_scan_forks_nothing(tmp_path, monkeypatch):
+    _cores(monkeypatch, 3)
+    curve = curve_h()
+    cold = _scan_with_cache(curve, tmp_path / "h.cache", 5000)
+
+    def no_fork():
+        raise AssertionError("a warm scan forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _scan_with_cache(curve, tmp_path / "h.cache", 5000) == cold
+
+
+def test_small_blocks_and_scans_without_a_cache_stay_in_process(tmp_path, monkeypatch):
+    _cores(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    curve = curve_s5_quintic()
+    want = [classify_prime(curve, l) for l in iter_primes(2, 20_000) if l not in sigma_set(curve)]
+    assert list(prime_scan(curve, 20_000)) == want
+    small = [pc for pc in want if pc.l < 300]
+    assert len(small) < 2 * frobenius._MIN_SHARE
+    with PrimeCache(str(tmp_path / "s.cache")) as cache:
+        assert list(prime_scan(curve, 300, cache=cache)) == small

@@ -3,8 +3,9 @@ uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
 package; every defaulted parameter is passed by some call in the package;
 every name a module exports it defines; every function and method runs in
-some command line run; only ``cli.main`` builds a ``Report``; importing the
-command line loads no costly standard module; the benchmark's hooks resolve."""
+some command line run; only ``cli.main`` builds a ``Report``; one function
+forks, and its child leaves by ``os._exit``; importing the command line
+loads no costly standard module; the benchmark's hooks resolve."""
 
 import ast
 import collections
@@ -272,6 +273,78 @@ def test_report_construction_is_reported():
         ("cli.py", "main"),
         ("verify.py", ""),
         ("verify.py", "inner"),
+    ]
+
+
+def _is_call(node, module, name) -> bool:
+    """node is a call of module.name."""
+    func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute) and func.attr == name
+        and isinstance(func.value, ast.Name) and func.value.id == module
+    )
+
+
+def _leaves_by_exit(body) -> bool:
+    """The last statement of body calls os._exit, itself or as the last
+    statement of a ``finally``."""
+    last = body[-1]
+    if isinstance(last, ast.Try) and last.finalbody:
+        return _leaves_by_exit(last.finalbody)
+    return isinstance(last, ast.Expr) and _is_call(last.value, "os", "_exit")
+
+
+def fork_sites(sources: dict):
+    """(module, function, child leaves by os._exit) for each call of
+    ``os.fork``, with the innermost function around it ("" at module level).
+    The child branch is the one ``if`` of that function that compares the
+    name the fork's result is bound to with 0."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        stack = [(tree, "", tree)]
+        while stack:
+            node, name, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, scope = node.name, node
+            if _is_call(node, "os", "fork"):
+                pids = {
+                    t.id for a in ast.walk(scope) if isinstance(a, ast.Assign) and a.value is node
+                    for t in a.targets if isinstance(t, ast.Name)
+                }
+                children = [
+                    b for b in ast.walk(scope)
+                    if isinstance(b, ast.If) and isinstance(b.test, ast.Compare)
+                    and getattr(b.test.left, "id", None) in pids
+                    and isinstance(b.test.ops[0], ast.Eq)
+                    and getattr(b.test.comparators[0], "value", None) == 0
+                ]
+                found.append((module, name, len(children) == 1 and _leaves_by_exit(children[0].body)))
+            stack.extend((child, name, scope) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_only_one_function_forks_and_its_child_exits():
+    # a child that returned would run the parent's code on: flush its
+    # buffers and cache handle a second time, and write a second report
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert fork_sites(sources) == [("frobenius.py", "_factor_split", True)]
+
+
+def test_fork_sites_are_reported():
+    sources = {
+        "a.py": "import os\n\n\ndef split():\n    pid = os.fork()\n    if pid == 0:\n"
+        "        try:\n            work()\n        finally:\n            os._exit(0)\n"
+        "    return pid\n\n\ndef leaky():\n    pid = os.fork()\n    if pid == 0:\n"
+        "        work()\n    return pid\n",
+        "b.py": "import os\n\nos.fork()\n\n\ndef bare():\n    if os.fork() == 0:\n"
+        "        os._exit(0)\n",
+    }
+    assert fork_sites(sources) == [
+        ("a.py", "leaky", False),
+        ("a.py", "split", True),
+        ("b.py", "", False),
+        ("b.py", "bare", False),
     ]
 
 
