@@ -12,11 +12,12 @@ every cubic with a nonsquare discriminant mod l without it), and each
 step after the first applies the Frobenius matrix of x^l instead of
 powering again.  A scan shares the primes its cache lacks out to forked
 children, one per usable core, and writes their cycle types to the
-cache itself, in the order one core gives.  The result is cached per
-(curve hash, l) in an append-only line file, cut back after its last
-whole record.  A cached cycle type whose lengths do not sum to the
-degree of f is never trusted: it is recomputed and the corrected record
-appended, so deleting or damaging a cache never changes a reported value.
+cache itself, in the order one core gives.  Every scan has a cache: an
+append-only line file of cycle types per (curve hash, l), cut back after
+its last whole record.  A cached cycle type whose lengths do not sum to
+the degree of f is never trusted: it is recomputed and the corrected
+record appended, so deleting or damaging a cache never changes a
+reported value.  ``classify_prime`` computes one prime without a cache.
 """
 
 from __future__ import annotations
@@ -42,20 +43,16 @@ __all__ = [
 ]
 
 
-_sigma_cache: dict = {}
-
-
 def sigma_set(curve: CurveSpec) -> tuple:
     """The bad set as its places, sorted: (0, 2, q, ...).
 
     0 is the real place, then 2 and the primes of the lead coefficient,
     the denominators and the discriminant, so ``sigma[2:]`` are the odd
-    bad primes.
+    bad primes.  It is computed once per curve and held on it.
     """
-    key = curve_hash(curve)
-    if key not in _sigma_cache:
-        _sigma_cache[key] = (0, *sorted({2} | bad_primes(curve.f, curve.discriminant())))
-    return _sigma_cache[key]
+    if curve._sigma is None:
+        curve._sigma = (0, *sorted({2} | bad_primes(curve.f, curve.discriminant())))
+    return curve._sigma
 
 
 class PrimeClass(namedtuple("PrimeClass", "l lengths i")):
@@ -128,52 +125,34 @@ class PrimeCache:
         return None if by_l is None else by_l.get(l)
 
     def put(self, key, l, lengths):
-        """Record the cycle type of l; return the one tuple held for it."""
-        lengths = tuple(lengths)
-        by_l = self._mem.setdefault(key, {})
-        held = by_l.get(l)
-        if held == lengths:
-            return held
+        """Append the record of l's cycle type and hold it."""
         text = b",".join(b"%d" % x for x in lengths)
-        held = by_l[l] = self._types.setdefault(text + b"\n", lengths)
+        self._mem.setdefault(key, {})[l] = self._types.setdefault(text + b"\n", tuple(lengths))
         if self._fh is None:
             self._fh = open(self.path, "ab")
         self._fh.write(b"%s %d %s\n" % (key.encode(), l, text))
         self._fh.flush()
-        return held
 
 
-def classify_prime(
-    curve: CurveSpec, l: int, cache: PrimeCache | None = None
-) -> PrimeClass:
-    """Cycle type and class index of a good prime l."""
+def classify_prime(curve: CurveSpec, l: int) -> PrimeClass:
+    """Cycle type and class index of a good prime l, computed without a cache."""
     if l in sigma_set(curve):
         raise BadPrimeError(f"{l} is a bad prime for this curve")
-    key = curve_hash(curve)
-    lengths = cache.get(key, l) if cache is not None else None
-    if lengths is None or sum(lengths) != curve.degree:
-        lengths = factor_degrees(curve.f, l, curve.discriminant())
-        if cache is not None:
-            lengths = cache.put(key, l, lengths)
-    return PrimeClass(l=l, lengths=tuple(lengths), i=len(lengths) - 1)
+    lengths = factor_degrees(curve.f, l, curve.discriminant())
+    return PrimeClass(l, lengths, len(lengths) - 1)
 
 
-def prime_scan(
-    curve: CurveSpec,
-    stop: int,
-    cache: PrimeCache | None = None,
-    m: int = 1,
-    prime_filter=None,
-):
+def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime_filter=None):
     """The PrimeClass of each good prime l = 1 mod m in [2, stop) passing ``prime_filter``.
 
     Only the primes l = 1 mod m are sieved (``iter_primes``), so a
     congruence costs nothing per excluded prime.  The filter sees the bare
     prime before classification (use it for symbol conditions, which are
     much cheaper than factoring f mod l).  Candidates come ``_BLOCK`` at a
-    time: with a cache, the primes of a block it lacks are factored first
-    (``_factor_split``) and appended in prime order, and the block is then
-    read back, so records come in increasing prime order, and a consumer
+    time: the records of a block are read from the cache once, the primes
+    it lacks or holds poisoned are factored (``_factor_split``) and
+    appended in prime order, and the block is yielded from the tuples the
+    cache holds, so records come in increasing prime order, and a consumer
     that stops early classifies at most the rest of its block.
     """
     sigma = sigma_set(curve)
@@ -183,12 +162,13 @@ def prime_scan(
         if l not in sigma and (prime_filter is None or prime_filter(l))
     )
     while block := list(itertools.islice(good, _BLOCK)):
-        if cache is not None:
-            todo = [l for l in block if (t := cache.get(key, l)) is None or sum(t) != n]
-            for l, lengths in zip(todo, _factor_split(curve, todo)):
-                cache.put(key, l, lengths)
-        for l in block:
-            yield classify_prime(curve, l, cache=cache)
+        held = [cache.get(key, l) for l in block]
+        todo = [j for j, t in enumerate(held) if t is None or sum(t) != n]
+        for j, lengths in zip(todo, _factor_split(curve, [block[j] for j in todo])):
+            cache.put(key, block[j], lengths)
+            held[j] = cache.get(key, block[j])
+        for l, t in zip(block, held):
+            yield PrimeClass(l, t, len(t) - 1)
 
 
 _BLOCK = 4096  # candidate primes prime_scan takes at a time
@@ -266,7 +246,7 @@ def disc_is_square(curve: CurveSpec) -> bool:
     return d > 0 and all(math.isqrt(n) ** 2 == n for n in (d.numerator, d.denominator))
 
 
-def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache | None = None):
+def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
     """(label, evidence) for Gal(f), from the disc-square test plus sampled cycle types.
 
     The label is Sn_certified, An_certified, inside_An or unknown.  Only
@@ -290,7 +270,7 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache | Non
 
     seen = set()
     first_at: dict = {}
-    for pc in prime_scan(curve, sample_bound + 1, cache=cache):
+    for pc in prime_scan(curve, sample_bound + 1, cache):
         t = pc.lengths
         seen.add(t)
         for name, ok in _pattern_tests(t, n):

@@ -41,12 +41,7 @@ class TwistRecipe(namedtuple("TwistRecipe", "l d direction cycle_type checked_co
         }
 
 
-def find_shift_primes(
-    curve: CurveSpec,
-    direction: str,
-    limit: int,
-    cache: PrimeCache | None = None,
-):
+def find_shift_primes(curve: CurveSpec, direction: str, limit: int, cache: PrimeCache):
     """Yield TwistRecipe for every good prime <= limit meeting the conditions.
 
     raise2: class index 2 with three odd orbit lengths; lower2: class
@@ -71,10 +66,8 @@ def find_shift_primes(
         ("twist_sigma_trivial", True),
         ("loc_image_zero" if raise2 else "loc_image_dim_2", "unverified"),
     )
-    for pc in prime_scan(
-        curve, limit + 1, cache=cache, m=8,
-        prime_filter=lambda l: sigma_trivial(l, sigma),
-    ):
+    scan = prime_scan(curve, limit + 1, cache, m=8, prime_filter=lambda l: sigma_trivial(l, sigma))
+    for pc in scan:
         if pc.i != 2 or (raise2 and not all(x % 2 for x in pc.lengths)):
             continue
         yield TwistRecipe(

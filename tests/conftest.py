@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistparity.frobenius import PrimeCache
 from twistparity.papercases import GOLDEN_CURVES
 from twistparity.ratpoly import RatPoly, discriminant
 
@@ -10,6 +11,13 @@ from twistparity.ratpoly import RatPoly, discriminant
 @pytest.fixture(scope="session")
 def golden_curves():
     return {name: build() for name, build in GOLDEN_CURVES.items()}
+
+
+@pytest.fixture
+def cache(tmp_path):
+    """A prime cache in a new file, as a command opens one for its scans."""
+    with PrimeCache(str(tmp_path / "primes.cache")) as cache:
+        yield cache
 
 
 def random_separable_poly(rng: random.Random, degree: int, coeff_bound: int = 9) -> RatPoly:

@@ -174,15 +174,16 @@ def report_json(report) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def verify_recipe(curve, recipe, cache=None) -> bool:
-    """Recompute every checkable condition of a TwistRecipe from scratch.
+def verify_recipe(curve, recipe) -> bool:
+    """Recompute every checkable condition of a TwistRecipe from scratch,
+    classifying its prime without a cache.
 
     Oracle for ``search.find_shift_primes``.
     """
     sigma = sigma_set(curve)
     if recipe.l in sigma:
         return False
-    pc = classify_prime(curve, recipe.l, cache=cache)
+    pc = classify_prime(curve, recipe.l)
     ok = pc.i == 2 and pc.lengths == recipe.cycle_type
     if recipe.direction == "raise2":
         ok = ok and all(x % 2 for x in pc.lengths)

@@ -111,19 +111,19 @@ def test_class_parity_is_permutation_sign():
         assert (-1) ** i == sign * (-1) ** (n - 1)
 
 
-def test_square_disc_curve_has_only_even_classes():
+def test_square_disc_curve_has_only_even_classes(cache):
     c = curve_1440d1()
     assert disc_is_square(c)
-    for pc in prime_scan(c, 1000):
+    for pc in prime_scan(c, 1000, cache):
         assert pc.i % 2 == 0
 
 
-def test_s3_cycle_type_distribution():
+def test_s3_cycle_type_distribution(cache):
     """Empirical Chebotarev for x^3 - 2: frequencies near (1/6, 1/2, 1/3)."""
     c = curve_x3_minus_2()
     counts = {(1, 1, 1): 0, (1, 2): 0, (3,): 0}
     total = 0
-    for pc in prime_scan(c, 10**5):
+    for pc in prime_scan(c, 10**5, cache):
         counts[pc.lengths] += 1
         total += 1
     assert total > 9000
@@ -132,43 +132,45 @@ def test_s3_cycle_type_distribution():
     assert abs(counts[(3,)] / total - 1 / 3) < 0.02
 
 
-def test_prime_scan_p0_primes_below_50():
+def test_prime_scan_p0_primes_below_50(cache):
     c = curve_x3_minus_2()
-    got = [pc.l for pc in prime_scan(c, 50) if pc.i == 0]
+    got = [pc.l for pc in prime_scan(c, 50, cache) if pc.i == 0]
     assert got == [7, 13, 19, 37]
 
 
-def test_prime_scan_p2_one_mod_8_below_500():
+def test_prime_scan_p2_one_mod_8_below_500(cache):
     c = curve_x3_minus_2()
-    got = [pc.l for pc in prime_scan(c, 501, prime_filter=lambda l: l % 8 == 1) if pc.i == 2]
+    got = [pc.l for pc in prime_scan(c, 501, cache, prime_filter=lambda l: l % 8 == 1) if pc.i == 2]
     assert got == [433, 457]
-    assert [pc.l for pc in prime_scan(c, 501, m=8) if pc.i == 2] == got
+    assert [pc.l for pc in prime_scan(c, 501, cache, m=8) if pc.i == 2] == got
 
 
-def test_prime_scan_empty_range():
-    assert list(prime_scan(curve_x3_minus_2(), 2)) == []
+def test_prime_scan_empty_range(cache):
+    assert list(prime_scan(curve_x3_minus_2(), 2, cache)) == []
 
 
 def test_cache_roundtrip_and_truncation(tmp_path):
-    path = str(tmp_path / "primes.cache")
+    path = tmp_path / "primes.cache"
     c = curve_x3_minus_2()
-    with PrimeCache(path) as cache:
-        first = [classify_prime(c, l, cache=cache) for l in (5, 7, 11, 13)]
-    # reload: values come from the file and match a fresh computation
-    with PrimeCache(path) as cache2:
-        again = [classify_prime(c, l, cache=cache2) for l in (5, 7, 11, 13)]
-    assert [pc.lengths for pc in first] == [pc.lengths for pc in again]
+    with PrimeCache(str(path)) as cache:
+        first = list(prime_scan(c, 14, cache))
+    assert [pc.l for pc in first] == [5, 7, 11, 13]
+    written = path.read_bytes()
+    # reload: values come from the file, and a warm scan only reads it
+    with PrimeCache(str(path)) as cache2:
+        assert list(prime_scan(c, 14, cache2)) == first
+    assert path.read_bytes() == written
 
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("deadbeef 17 torn-rec")  # corrupt trailing record, no newline
-    cache3 = PrimeCache(path)
+    cache3 = PrimeCache(str(path))
     assert cache3.get("deadbeef", 17) is None
-    with open(path, "r", encoding="utf-8") as fh:
-        assert "torn-rec" not in fh.read()  # truncated back to the valid prefix
+    assert path.read_bytes() == written  # truncated back to the valid prefix
     # cache deletion changes nothing about reported values
     os.remove(path)
-    fresh = [classify_prime(c, l) for l in (5, 7, 11, 13)]
-    assert [pc.lengths for pc in fresh] == [pc.lengths for pc in first]
+    assert [classify_prime(c, l) for l in (5, 7, 11, 13)] == first
+    with PrimeCache(str(path)) as cache4:
+        assert list(prime_scan(c, 14, cache4)) == first
 
 
 def test_poisoned_cache_record_is_recomputed(tmp_path):
@@ -177,10 +179,9 @@ def test_poisoned_cache_record_is_recomputed(tmp_path):
     path = tmp_path / "primes.cache"
     path.write_text(f"{key} 7 1,1\n")  # two lengths on a cubic
     with PrimeCache(str(path)) as cache:
-        pc = classify_prime(c, 7, cache=cache)
-    assert pc.lengths == (3,) and pc.i == 0
-    # the corrected record is appended and wins on the next load
-    assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 7 3"]
+        assert list(prime_scan(c, 8, cache)) == [PrimeClass(5, (1, 2), 1), PrimeClass(7, (3,), 0)]
+    # the corrected record is appended, in prime order, and wins on the next load
+    assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 5 1,2", f"{key} 7 3"]
     assert PrimeCache(str(path)).get(key, 7) == (3,)
 
 
@@ -315,25 +316,25 @@ def test_cache_shares_one_tuple_per_cycle_type(tmp_path):
         assert cache.get(keys[1], 17) is cache.get(keys[0], 19)
 
 
-def test_galois_classify_examples():
-    assert galois_classify(curve_x3_minus_2(), 100)[0] == "Sn_certified"
-    label, evidence = galois_classify(curve_1440d1(), 100)
+def test_galois_classify_examples(cache):
+    assert galois_classify(curve_x3_minus_2(), 100, cache)[0] == "Sn_certified"
+    label, evidence = galois_classify(curve_1440d1(), 100, cache)
     assert label == "unknown"
     assert "reducible" in evidence["note"]
-    assert galois_classify(curve_h(), 500)[0] == "unknown"
-    assert galois_classify(curve_s5_quintic(), 300)[0] == "Sn_certified"
+    assert galois_classify(curve_h(), 500, cache)[0] == "unknown"
+    assert galois_classify(curve_s5_quintic(), 300, cache)[0] == "Sn_certified"
 
 
-def test_galois_classify_an_side():
+def test_galois_classify_an_side(cache):
     # x^3 + x^2 - 2x - 1: cyclic cubic, disc 49
     c = CurveSpec(f=RatPoly((-1, -2, 1, 1)))
     assert disc_is_square(c)
-    assert galois_classify(c, 200)[0] == "An_certified"
+    assert galois_classify(c, 200, cache)[0] == "An_certified"
     # with a tiny sample bound nothing can be certified
-    assert galois_classify(c, 12)[0] in ("inside_An", "An_certified")
+    assert galois_classify(c, 12, cache)[0] in ("inside_An", "An_certified")
 
 
-def test_galois_classify_agrees_with_sympy_galois_group():
+def test_galois_classify_agrees_with_sympy_galois_group(cache):
     """A certified label never disagrees with sympy's Galois group."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
@@ -359,7 +360,7 @@ def test_galois_classify_agrees_with_sympy_galois_group():
         assert name in (None, group.name)
         n = poly.degree()
         curve = CurveSpec(RatPoly([int(c) for c in reversed(poly.all_coeffs())]))
-        label = galois_classify(curve, 1000)[0]
+        label = galois_classify(curve, 1000, cache)[0]
         labels.add(label)
         if label == "Sn_certified":
             assert group.name == f"S{n}", poly
@@ -419,13 +420,13 @@ def psl28_cycle_types():
 def _classify_types(monkeypatch, degree, types, square=True):
     """galois_classify on an irreducible f of the degree whose disc is a
     square or not, and whose Frobenius cycle types at 3, 5, 7, ... are ``types``."""
-    def scan(curve, stop, cache=None):
+    def scan(curve, stop, cache):
         return (PrimeClass(l, t, len(t) - 1) for l, t in zip(iter_primes(3, stop + 1), types))
 
     monkeypatch.setattr(frobenius, "prime_scan", scan)
     monkeypatch.setattr(frobenius, "disc_is_square", lambda curve: square)
     curve = CurveSpec(f=RatPoly((-1, -1, *[0] * (degree - 2), 1)))  # x^n - x - 1
-    return galois_classify(curve, 3000)
+    return galois_classify(curve, 3000, None)  # the stand-in scan reads no cache
 
 
 def test_galois_classify_psl28_is_not_certified_alternating(monkeypatch):
@@ -526,14 +527,14 @@ def test_galois_classify_certifies_only_alternating_or_symmetric_groups(monkeypa
         assert _classify_types(monkeypatch, n, even, square=True)[0] == "An_certified", n
 
 
-def test_galois_low_bound_degrades_to_unknown():
-    assert galois_classify(curve_x3_minus_2(), 4)[0] == "unknown"
+def test_galois_low_bound_degrades_to_unknown(cache):
+    assert galois_classify(curve_x3_minus_2(), 4, cache)[0] == "unknown"
 
 
 # ---------------------------------------------------------------------------
 # the cold scan shared over the cores
 
-_SEPTIC = RatPoly((-3, 0, 0, 2, 0, 0, 0, 1))  # not the hygiene test's septic: sigma_set is cached
+_SEPTIC = RatPoly((-3, 0, 0, 2, 0, 0, 0, 1))
 
 
 def _cores(monkeypatch, k):
@@ -645,13 +646,53 @@ def test_warm_scan_forks_nothing(tmp_path, monkeypatch):
     assert _scan_with_cache(curve, tmp_path / "h.cache", 5000) == cold
 
 
-def test_small_blocks_and_scans_without_a_cache_stay_in_process(tmp_path, monkeypatch):
+def test_small_blocks_stay_in_process(cache, monkeypatch):
     _cores(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     curve = curve_s5_quintic()
-    want = [classify_prime(curve, l) for l in iter_primes(2, 20_000) if l not in sigma_set(curve)]
-    assert list(prime_scan(curve, 20_000)) == want
-    small = [pc for pc in want if pc.l < 300]
+    small = [classify_prime(curve, l) for l in iter_primes(2, 300) if l not in sigma_set(curve)]
     assert len(small) < 2 * frobenius._MIN_SHARE
-    with PrimeCache(str(tmp_path / "s.cache")) as cache:
-        assert list(prime_scan(curve, 300, cache=cache)) == small
+    assert list(prime_scan(curve, 300, cache)) == small
+
+
+def test_scan_repairs_a_seeded_cache_over_two_blocks(tmp_path, monkeypatch):
+    """A cache holding good records, records whose lengths do not sum to n,
+    a record for a Sigma prime and a torn tail: the scan yields what
+    classify_prime gives prime by prime, appends one record for each prime
+    it lacked or held poisoned, and a second scan only reads."""
+    curve = curve_s5_quintic()
+    key = curve_hash(curve)
+    want = [classify_prime(curve, l) for l in iter_primes(2, 40_000) if l not in sigma_set(curve)]
+    assert len(want) > frobenius._BLOCK
+
+    def record(l, lengths):
+        return f"{key} {l} {','.join(map(str, lengths))}"
+
+    seeded, poisoned = [], []
+    for j, pc in enumerate(want):
+        if j % 3 == 0:
+            seeded.append(record(*pc[:2]))
+        elif j % 7 == 1:
+            seeded.append(record(pc.l, ((1, 1), (5, 5), (1, 2, 3))[j // 7 % 3]))
+            poisoned.append(pc.l)
+    assert min(poisoned) < want[frobenius._BLOCK].l < max(poisoned)
+    seeded.insert(len(seeded) // 2, record(19, (1,) * 5))  # 19 divides disc f: never scanned
+    path = tmp_path / "s5.cache"
+    path.write_text("".join(line + "\n" for line in seeded) + f"{key} 23 1,")  # torn tail
+    _cores(monkeypatch, 3)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    got, data = _scan_with_cache(curve, path, 40_000)
+    assert got == want and forks
+    lines = data.decode().splitlines()
+    assert lines[: len(seeded)] == seeded  # the torn tail is cut, every record kept
+    appended = lines[len(seeded):]
+    assert appended == [record(*pc[:2]) for j, pc in enumerate(want) if j % 3]
+    # so one corrected record per poisoned prime
+    assert [l for l in (int(line.split()[1]) for line in appended) if l in poisoned] == poisoned
+
+    forks.clear()
+    assert _scan_with_cache(curve, path, 40_000) == (want, data)
+    assert not forks

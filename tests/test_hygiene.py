@@ -10,7 +10,7 @@ loads no costly standard module; the benchmark's hooks resolve."""
 import ast
 import collections
 import importlib
-import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -18,7 +18,6 @@ import sys
 
 import pytest
 
-from twistparity.cli import main
 from twistparity.files import load_curve
 from twistparity.frobenius import sigma_set
 
@@ -348,19 +347,44 @@ def test_fork_sites_are_reported():
     ]
 
 
-def unreached_definitions(paths, run):
-    """(file name, qualified name) of each module-level function and each
-    method of a module-level class in the files at ``paths`` that no frame
-    enters while ``run()`` runs.  A frame is matched to a definition by its
-    code's file and first line, which is a decorator's when there is one."""
-    codes = set()
-    outer = sys.getprofile()
+# execs setup, then run under a profiler that collects each code object a
+# frame enters, dropping what run prints; prints what run binds to result
+# and the entered (real file path, first line) pairs as JSON
+_PROBE = """\
+import io, json, os, sys
+from contextlib import redirect_stdout
+
+setup, run = json.loads(sys.argv[1])
+exec(setup)
+codes = set()
+with redirect_stdout(io.StringIO()):
     sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code))
-    try:
-        run()
-    finally:
-        sys.setprofile(outer)
-    entered = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
+    exec(run)
+    sys.setprofile(None)
+entered = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in codes}
+print(json.dumps({"result": result, "entered": sorted(entered)}))
+"""
+
+
+def profiled_run(setup: str, run: str, *path):
+    """(result, entered) of the probe in a fresh interpreter, so that no memo
+    an earlier test filled in this process can hide a definition; the
+    package and the directories ``path`` are importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (PACKAGE.parent, *path))))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps([setup, run])],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    return doc["result"], {tuple(pair) for pair in doc["entered"]}
+
+
+def unreached_definitions(paths, entered):
+    """(file name, qualified name) of each module-level function and each
+    method of a module-level class in the files at ``paths`` whose (real
+    path, first line) is not in ``entered``.  The first line of a
+    definition is a decorator's when there is one, as for its code."""
     found = []
     for path in paths:
         for qual, node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
@@ -383,10 +407,10 @@ _FULL_PROFILES = (
 )
 
 
-def test_every_definition_is_reached(tmp_path, capsys):
+def test_every_definition_is_reached(tmp_path):
     """Each function and method in the package runs in some command: a fixed
-    set of in-process runs, every file and cache under tmp_path, leaves
-    unentered only the allow-listed definitions."""
+    set of runs in one fresh interpreter, every file and cache under
+    tmp_path, leaves unentered only the allow-listed definitions."""
     for path in (ROOT / "papercases").glob("*.curve"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     (tmp_path / "septic.curve").write_text("p = 2\nf = [-1, -1, 0, 0, 0, 0, 0, 1]\n")
@@ -417,13 +441,12 @@ def test_every_definition_is_reached(tmp_path, capsys):
         (1, ["analyze", *curve("malformed")]),
         (0, ["--format", "json", "verify-paper"]),
     ]
-    codes = []
-    unreached = unreached_definitions(
-        MODULES, lambda: codes.extend((main(argv), argv) for _, argv in runs)
+    argvs = [argv for _, argv in runs]
+    codes, entered = profiled_run(
+        "from twistparity.cli import main", f"result = [main(argv) for argv in {argvs!r}]"
     )
-    capsys.readouterr()
-    assert codes == runs
-    assert unreached == sorted(UNREACHED)
+    assert codes == [code for code, _ in runs]
+    assert unreached_definitions(MODULES, entered) == sorted(UNREACHED)
 
 
 def test_unreached_definition_is_reported(tmp_path):
@@ -435,10 +458,9 @@ def test_unreached_definition_is_reported(tmp_path):
         "    def method(self):\n        return self.prop\n\n"
         "    def never(self):\n        pass\n"
     )
-    spec = importlib.util.spec_from_file_location("probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
-    assert unreached_definitions([path], probe.used) == [("probe.py", "C.never"), ("probe.py", "unused")]
+    result, entered = profiled_run("import probe", "result = probe.used()", tmp_path)
+    assert result == 1
+    assert unreached_definitions([path], entered) == [("probe.py", "C.never"), ("probe.py", "unused")]
 
 
 def unpassed_defaults(sources: dict):
