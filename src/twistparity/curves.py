@@ -19,8 +19,8 @@ __all__ = ["CurveSpec", "curve_hash"]
 class CurveSpec:
     # discriminant, signature and key are computed once per curve and read
     # through discriminant(), real_root_signature() and curve_hash(); Sigma
-    # is computed on first use by frobenius.sigma_set
-    __slots__ = ("f", "declared_factors", "_discriminant", "_sigma", "_signature", "_key")
+    # and the cycle-type parts are computed on first use in frobenius
+    __slots__ = ("f", "declared_factors", "_discriminant", "_sigma", "_parts", "_signature", "_key")
 
     def __init__(self, f: RatPoly, declared_factors: tuple = ()):
         if f.degree < 3 or f.degree % 2 == 0:
@@ -31,7 +31,7 @@ class CurveSpec:
         self.f = f
         self.declared_factors = tuple(declared_factors)
         self._discriminant = disc
-        self._sigma = None
+        self._sigma = self._parts = None
         self._signature = real_root_signature(f)
         self._key = sha256_text(self.canonical_text())[:16]
         if self.declared_factors:

@@ -4,20 +4,25 @@ At a good prime l the degrees of the irreducible factors of f mod l are
 the orbit lengths of Frobenius acting on the roots; the class index of l
 is (number of orbits) - 1.  Everything downstream (local h-invariants,
 parity weights, twist searches) keys off this classification.  It is a
-deterministic function of (curve, l), computed by ``factor_degrees``:
-distinct-degree factorization in which the sign (disc f | l) =
-(-1)^(n - #orbits) of Stickelberger's theorem decides the last step
-whenever one cycle type alone fits it (every quintic after x^l mod f,
-every cubic with a nonsquare discriminant mod l without it), and each
-step after the first applies the Frobenius matrix of x^l instead of
-powering again.  A scan shares the primes its cache lacks out to forked
-children, one per usable core, and writes their cycle types to the
-cache itself, in the order one core gives.  Every scan has a cache: an
-append-only line file of cycle types per (curve hash, l), cut back after
-its last whole record.  A cached cycle type whose lengths do not sum to
-the degree of f is never trusted: it is recomputed and the corrected
-record appended, so deleting or damaging a cache never changes a
-reported value.  ``classify_prime`` computes one prime without a cache.
+deterministic function of (curve, l), the union of the cycle types of
+the declared factors: made primitive integer polynomials, they multiply
+to a constant times f (Gauss's lemma), so mod a good l they keep their
+degrees and stay separable and coprime.  A linear factor is a fixed
+point, a quadratic one (1, 1) or (2) by Euler's criterion on its
+discriminant; any other factor g, or f when none is declared, goes to
+``factor_degrees``, distinct-degree factorization in which the sign
+(disc g | l) = (-1)^(deg g - #orbits) of Stickelberger's theorem decides
+the last step whenever one cycle type alone fits it (every quintic after
+x^l mod g, every cubic with a nonsquare discriminant mod l without it),
+and each step after the first applies the Frobenius matrix of x^l
+instead of powering again.  A scan shares the primes its cache lacks out
+to forked children, one per usable core, and writes their cycle types to
+the cache itself, in the order one core gives.  Every scan has a cache:
+an append-only line file of cycle types per (curve hash, l), cut back
+after its last whole record.  A cached cycle type whose lengths do not
+sum to the degree of f is never trusted: it is recomputed and the
+corrected record appended, so deleting or damaging a cache never changes
+a reported value.  ``classify_prime`` reads no cache.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import os
 from collections import Counter, namedtuple
 
 from .curves import CurveSpec, curve_hash
-from .errors import BadPrimeError
+from .errors import BadPrimeError, InvalidInputError
 from .modular import factor_degrees, is_prime, iter_primes
-from .ratpoly import bad_primes, rational_roots
+from .ratpoly import RatPoly, bad_primes, discriminant, rational_roots
 
 __all__ = [
     "sigma_set",
@@ -135,11 +140,34 @@ class PrimeCache:
 
 
 def classify_prime(curve: CurveSpec, l: int) -> PrimeClass:
-    """Cycle type and class index of a good prime l, computed without a cache."""
+    """Cycle type and class index of a good prime l, read from the curve's parts uncached."""
     if l in sigma_set(curve):
         raise BadPrimeError(f"{l} is a bad prime for this curve")
-    lengths = factor_degrees(curve.f, l, curve.discriminant())
+    if not is_prime(l):  # no part of degree 2 or less would see it
+        raise InvalidInputError(f"{l} is not prime")
+    lengths = _cycle_type(_parts(curve), l)
     return PrimeClass(l, lengths, len(lengths) - 1)
+
+
+def _parts(curve: CurveSpec) -> list:
+    """(part, discriminant) pairs held on the curve: f alone, or each declared
+    factor made a primitive integer polynomial, whose lead and discriminant
+    a good l never divides."""
+    if curve._parts is None:
+        parts = [RatPoly(g.primitive_int()[0]) for g in curve.declared_factors]
+        curve._parts = [(g, discriminant(g)) for g in parts] or [(curve.f, curve.discriminant())]
+    return curve._parts
+
+
+def _cycle_type(parts: list, l: int) -> tuple:
+    """The sorted union of the cycle types of the parts mod a good prime l."""
+    lengths = []
+    for g, disc in parts:
+        if g.degree > 2:
+            lengths += factor_degrees(g, l, disc)
+        else:  # a linear disc is 1; a quadratic has two roots when its integer disc is a square
+            lengths += (1,) * g.degree if pow(disc.numerator, l // 2, l) == 1 else (2,)
+    return tuple(sorted(lengths))
 
 
 def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime_filter=None):
@@ -176,7 +204,7 @@ _MIN_SHARE = 64  # the fewest primes a forked share of a block may hold
 
 
 def _factor_split(curve: CurveSpec, ls: list) -> list:
-    """``factor_degrees`` of f mod each l in ls, on every usable core.
+    """The ``_cycle_type`` of f mod each l in ls, on every usable core.
 
     ls is cut into k shares ls[j::k], one per usable core but none below
     ``_MIN_SHARE`` primes.  Forked children take shares j >= 1 from the
@@ -186,7 +214,7 @@ def _factor_split(curve: CurveSpec, ls: list) -> list:
     primes, until the ends meet.  A slow core, or a child that dies or
     writes a torn line, costs time only.
     """
-    f, disc, k = curve.f, curve.discriminant(), 1
+    parts, k = _parts(curve), 1
     if len(ls) >= 2 * _MIN_SHARE and hasattr(os, "fork"):
         affinity = getattr(os, "sched_getaffinity", None)
         k = min(len(ls) // _MIN_SHARE, len(affinity(0)) if affinity else os.cpu_count() or 1)
@@ -203,7 +231,7 @@ def _factor_split(curve: CurveSpec, ls: list) -> list:
             if pid == 0:
                 try:
                     for l in ls[j::k]:
-                        os.write(w, b",".join(b"%d" % x for x in factor_degrees(f, l, disc)) + b"\n")
+                        os.write(w, b",".join(b"%d" % x for x in _cycle_type(parts, l)) + b"\n")
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -227,7 +255,7 @@ def _factor_split(curve: CurveSpec, ls: list) -> list:
                 except ValueError:  # a garbled line: trust this child no further
                     r = None
                 if len(front) + len(back) < len(share):
-                    back.append(factor_degrees(f, share[-1 - len(back)], disc))
+                    back.append(_cycle_type(parts, share[-1 - len(back)]))
             out[j::k] = front[: len(share) - len(back)] + back[::-1]
         return out
     finally:

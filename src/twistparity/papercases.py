@@ -2,9 +2,10 @@
 
 C_H is the quintic whose Jacobian splits up to isogeny as a product of
 two copies of the elliptic curve y^2 = x^3 - 273x + 1672 (Cremona label
-1440D1); C_G plays the same game with y^2 = x^3 - x.  SEXTIC_H0 is the
-even-degree model that the rational substitution x -> (3x+1)/x carries
-onto a constant multiple of C_H's quintic.
+1440D1).  The Jacobian of C_G is isogenous to two copies of 3y^2 = x^3 - x,
+the twist by 3 of E': y^2 = x^3 - x, so a_l(C_G) = 2 (3 | l) a_l(E') for
+the Frobenius traces at every good l.  SEXTIC_H0 is the even-degree model
+that x -> (3x+1)/x carries onto a constant multiple of C_H's quintic.
 """
 
 from __future__ import annotations

@@ -269,3 +269,37 @@ def x_pow(e, f, l):
             out.insert(0, 0)
         r = fold(out, cols, l)
     return r
+
+
+def root_count(ints, l):
+    """The number of x in [0, l) with F(x) = 0 mod l, F given by its
+    ascending integer coefficients, each x tried by Horner's rule.
+
+    The fixed points of Frobenius on the roots at a good l.  Oracle for
+    the 1s of ``frobenius.classify_prime``.
+    """
+    count = 0
+    for x in range(l):
+        v = 0
+        for c in reversed(ints):
+            v = (v * x + c) % l
+        count += v == 0
+    return count
+
+
+def frobenius_trace(f, l):
+    """a_l of the Jacobian of y^2 = f(x), f of odd degree over Q, at an odd good l.
+
+    The curve has l + 1 + sum of (f(x) | l) points over GF(l), one of them
+    at infinity, so a_l = -sum of (f(x) | l) over x in GF(l), each symbol
+    read by Euler's criterion.
+    """
+    coeffs = [c.numerator * pow(c.denominator, -1, l) % l for c in f.coeffs]
+    total = 0
+    for x in range(l):
+        v = 0
+        for c in reversed(coeffs):
+            v = (v * x + c) % l
+        s = pow(v, (l - 1) // 2, l)
+        total += -1 if s == l - 1 else s
+    return -total

@@ -42,6 +42,9 @@ DIGESTS = {
     "character:h_quintic": "871a267e3c90aa5f343193e8c0def742ceb85e5fab0e9763c09d2af84466ae12",
     "character:s5_quintic": "a36cba519aaa98c4bc8a9306313e8e203e89ffe305643a09518ccbd8a57702d2",
     "character:x3_minus_2": "2ae21dedb52a1a4e07d22c6637e3efa2b0be1cc03ef577c72a148d6b0a491137",
+    "classify-primes:cubic_1440d1": "12a47d9ed854b6d3149e4a8c15262c23f628bbfa883f9ee5fd472b8d03da0d53",
+    "classify-primes:g_quintic": "057883fe12d415f8ec115d0b168558060896a9d9e4bfeae4b23a8f22a80b8114",
+    "classify-primes:h_quintic": "5d4909d1e92e67af8661fc3f26f525c90d335e90f21ad5e65a7cfa5eef0916ac",
     "classify-primes:s5_quintic": "a9e631a38851870326997edf13527ecd8e70dfb51f5e82419c21fccbc2e398df",
     "classify-primes:x3_minus_2": "c6667247a1d6f63ddf82a90fcce5945ec648d32a0a17dfb7d92020b4bde50cc2",
     "parity:cubic_1440d1": "05579dc7721ea73d3e0621582e8b0a36d67c7e074e94c03042089b3fac0e174c",
@@ -84,6 +87,9 @@ TEXT_DIGESTS = {
     "parity:s5_quintic": "2b67034da176666df2b31e9b825be4ec83ac4237d25c56c5e2318897a177db48",
     "parity:x3_minus_2": "7e7d9f4f76a24f120d3ae3aa9b65bf75b42c95d5a75150e0e4c2489c65c36550",
     "profiled-parity:x3_minus_2": "4a0405a5f0200013ce5f588a16259ee561dc1155ff11d50d33a9f5f7260ab73f",
+    "classify-primes:cubic_1440d1": "26efb39971d0c14750b0e7fc85864d6d588b52bdedd39f998561105e284cfb24",
+    "classify-primes:g_quintic": "6057fdc75107699572f3577bd6cec43f302068fe552456b5e4be8108feb1014e",
+    "classify-primes:h_quintic": "825841b082f47cc35d5e709c83734569b1222518b21dcbe33d35a5f6f2c125a9",
     "classify-primes:s5_quintic": "c1415154e655b4efbf8c4e77e9c443e736589b7f07b14ff011b534b9452d8652",
     "classify-primes:x3_minus_2": "a06dd84d723004e48df11e15c0a695c84445275cc2b94c18e65bbb613a37727d",
     "find-twist:cubic_1440d1": "8991ab047927b801800a432c82a1748f3bbe4decc5db69accf87931358fe48a8",

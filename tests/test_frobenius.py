@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from twistparity.curves import CurveSpec, curve_hash
-from twistparity.errors import BadPrimeError
-from twistparity import frobenius
+from twistparity.errors import BadPrimeError, InvalidInputError
+from twistparity import frobenius, gfpoly, ratpoly
 from twistparity.frobenius import (
     PrimeCache,
     PrimeClass,
@@ -22,8 +22,9 @@ from twistparity.frobenius import (
     prime_scan,
     sigma_set,
 )
-from twistparity.modular import iter_primes, kronecker_symbol
+from twistparity.modular import factor_degrees, iter_primes, kronecker_symbol
 from twistparity.papercases import (
+    GOLDEN_CURVES,
     curve_1440d1,
     curve_g,
     curve_h,
@@ -33,7 +34,7 @@ from twistparity.papercases import (
 from twistparity.ratpoly import RatPoly, discriminant
 from twistparity.torsion import cycle_lengths
 
-from oracles import load_prime_cache_whole
+from oracles import load_prime_cache_whole, root_count
 
 
 def test_sigma_set_examples():
@@ -696,3 +697,118 @@ def test_scan_repairs_a_seeded_cache_over_two_blocks(tmp_path, monkeypatch):
     forks.clear()
     assert _scan_with_cache(curve, path, 40_000) == (want, data)
     assert not forks
+
+
+# ---------------------------------------------------------------------------
+# cycle types read factor by factor from the declared factors
+
+_SPLIT = {"cubic_1440d1": curve_1440d1, "g_quintic": curve_g, "h_quintic": curve_h}
+
+
+def _good_primes(curve, stop):
+    return [l for l in iter_primes(2, stop) if l not in sigma_set(curve)]
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT))
+def test_declared_factors_give_the_cycle_type_of_f(name):
+    curve = _SPLIT[name]()
+    for l in _good_primes(curve, 20_000):
+        assert classify_prime(curve, l).lengths == factor_degrees(curve.f, l, curve.discriminant()), l
+    for n in (-7, 1, 9, 25, 11 * 17):  # refused as factor_degrees refuses them
+        with pytest.raises(InvalidInputError):
+            classify_prime(curve, n)
+
+
+def test_declared_factors_match_sympy_factor_list():
+    """f = c g_1 ... g_k, with 2 to 4 factors of degree 1 to 3 and odd sum,
+    rational coefficients and c other than 1: each cycle type is the
+    degrees of sympy's factorization of the primitive f mod l."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    x = sympy.symbols("x")
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    nonzero = rational.filter(bool)
+
+    @st.composite
+    def factor(draw):
+        degree = draw(st.integers(1, 3))
+        return RatPoly([*draw(st.lists(rational, min_size=degree, max_size=degree)), draw(nonzero)])
+
+    @hypothesis.settings(max_examples=6, deadline=None)
+    @hypothesis.given(
+        st.lists(factor(), min_size=2, max_size=4).filter(lambda gs: sum(g.degree for g in gs) % 2),
+        nonzero.filter(lambda c: c != 1),
+    )
+    def check(factors, c):
+        f = RatPoly((c,))
+        for g in factors:
+            f = f * g
+        hypothesis.assume(f.degree >= 3 and discriminant(f) != 0)
+        curve = CurveSpec(f, factors)
+        ints = [int(v) for v in reversed(f.primitive_int()[0])]
+        for l in _good_primes(curve, 2000):
+            factors_mod_l = sympy.Poly(ints, x, modulus=l).factor_list()[1]
+            want = sorted(g.degree() for g, e in factors_mod_l for _ in range(e))
+            assert classify_prime(curve, l).lengths == tuple(want), (f, l)
+
+    check()
+
+
+# f = x^3 + 7x^2 + 3x + 21 = (x + 7)(x^2 + 3): 7 is good, and x^2 + 3 = (x - 2)(x + 2) mod 7
+_SEVEN = RatPoly((21, 3, 7, 1))
+
+
+@pytest.mark.parametrize("factors", [
+    ((1, Fraction(1, 7)), (3, 0, 1)),
+    ((1, Fraction(1, 7)), (21, 0, 7)),  # the quadratic's content is 7
+    ((3, Fraction(3, 7), 1, Fraction(1, 7)),),  # f / 7, denominators 7
+], ids=["linear", "quadratic", "cubic"])
+def test_declared_factors_are_made_primitive(factors, cache):
+    curve = CurveSpec(_SEVEN, tuple(RatPoly(g) for g in factors))
+    assert sigma_set(curve) == (0, 2, 3, 13)
+    assert classify_prime(curve, 7).lengths == (1, 1, 1)
+    assert PrimeClass(7, (1, 1, 1), 2) in prime_scan(curve, 100, cache)
+
+
+def test_declared_factors_run_no_ladder(tmp_path, monkeypatch):
+    """Linear and quadratic factors need neither x^l nor a residue ring,
+    in this process or in a forked child."""
+    want = {}
+    _cores(monkeypatch, 1)
+    for name, make in _SPLIT.items():
+        want[name] = _scan_with_cache(make(), tmp_path / f"{name}.before", 20_000)
+
+    def no_ladder(*args):
+        raise AssertionError("a powering ladder ran")
+
+    monkeypatch.setattr(gfpoly, "x_pow", no_ladder)
+    monkeypatch.setattr(gfpoly, "residue_ring", no_ladder)
+    for k in (1, 3):
+        _cores(monkeypatch, k)
+        for name, make in _SPLIT.items():
+            assert _scan_with_cache(make(), tmp_path / f"{name}.{k}", 20_000) == want[name]
+
+
+@pytest.mark.parametrize("make", [*_SPLIT.values(), curve_s5_quintic], ids=[*_SPLIT, "s5_quintic"])
+def test_parts_are_built_once_per_curve(make, monkeypatch):
+    curve = make()
+    calls = []
+    real = frobenius.discriminant
+    monkeypatch.setattr(frobenius, "discriminant", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(ratpoly, "discriminant", frobenius.discriminant)
+    primes = _good_primes(curve, 10_000)[:1000]
+    assert len(primes) == 1000
+    for l in primes:
+        classify_prime(curve, l)
+    assert len(calls) <= len(curve.declared_factors)
+
+
+@pytest.mark.parametrize(
+    "make", [*GOLDEN_CURVES.values(), lambda: CurveSpec(_SEPTIC)], ids=[*GOLDEN_CURVES, "septic"]
+)
+def test_fixed_points_are_the_roots_mod_l(make):
+    curve = make()
+    ints = curve.f.primitive_int()[0]
+    for l in _good_primes(curve, 1000):
+        assert classify_prime(curve, l).lengths.count(1) == root_count(ints, l), l

@@ -4,10 +4,13 @@ import json
 import re
 
 from twistparity import cli, parity, verify
-from twistparity.frobenius import PrimeClass
-from twistparity.papercases import TRANSFORM_CONSTANT, curve_h, sextic_h0
+from twistparity.frobenius import PrimeClass, sigma_set
+from twistparity.modular import iter_primes, kronecker_symbol
+from twistparity.papercases import TRANSFORM_CONSTANT, curve_g, curve_h, sextic_h0
 from twistparity.ratpoly import RatPoly, homogenize
 from twistparity.verify import run_paper_verification, transformation_identity
+
+from oracles import frobenius_trace
 
 
 def test_transformation_identity_quotient_closes_algebraically():
@@ -118,3 +121,13 @@ def test_transformation_check_fails_on_a_wrong_quotient(monkeypatch):
     check = next(c for c in out["checks"] if c["name"] == "sextic_transformation_identity")
     assert check["passed"] is False
     assert out["all_passed"] is False
+
+
+def test_jacobian_of_c_g_is_two_copies_of_the_twist_by_3_of_x3_minus_x():
+    """a_l(C_G) = 2 (3 | l) a_l(E') with E': y^2 = x^3 - x, by Legendre sums."""
+    curve = curve_g()
+    e = RatPoly((0, -1, 0, 1))
+    good = [l for l in iter_primes(2, 400) if l not in sigma_set(curve)]
+    assert len(good) == 76
+    for l in good:
+        assert frobenius_trace(curve.f, l) == 2 * kronecker_symbol(3, l) * frobenius_trace(e, l), l
