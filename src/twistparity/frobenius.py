@@ -7,22 +7,22 @@ parity weights, twist searches) keys off this classification.  It is a
 deterministic function of (curve, l), the union of the cycle types of
 the declared factors: made primitive integer polynomials, they multiply
 to a constant times f (Gauss's lemma), so mod a good l they keep their
-degrees and stay separable and coprime.  A linear factor is a fixed
-point, a quadratic one (1, 1) or (2) by Euler's criterion on its
-discriminant; any other factor g, or f when none is declared, goes to
-``factor_degrees``, distinct-degree factorization in which the sign
-(disc g | l) = (-1)^(deg g - #orbits) of Stickelberger's theorem decides
-the last step whenever one cycle type alone fits it (every quintic after
-x^l mod g, every cubic with a nonsquare discriminant mod l without it),
-and each step after the first applies the Frobenius matrix of x^l
-instead of powering again.  A scan shares the primes its cache lacks out
-to forked children, one per usable core, and writes their cycle types to
-the cache itself, in the order one core gives.  Every scan has a cache:
-an append-only line file of cycle types per (curve hash, l), cut back
-after its last whole record.  A cached cycle type whose lengths do not
-sum to the degree of f is never trusted: it is recomputed and the
-corrected record appended, so deleting or damaging a cache never changes
-a reported value.  ``classify_prime`` reads no cache.
+degrees and stay separable and coprime.  Each factor g, or f when none
+is declared, goes to ``factor_degrees``, distinct-degree factorization
+in which the sign (disc g | l) = (-1)^(deg g - #orbits) of
+Stickelberger's theorem decides the last step whenever one cycle type
+alone fits it (every linear or quadratic g and every cubic with a
+nonsquare discriminant mod l without any x^l ladder, every quintic
+after x^l mod g), and each step after the first applies the Frobenius
+matrix of x^l instead of powering again.  A scan shares the primes its
+cache lacks out to forked children, one per usable core, and writes
+their cycle types to the cache itself, in the order one core gives.
+Every scan has a cache: an append-only line file of cycle types per
+(curve hash, l), cut back after its last whole record.  A cached cycle
+type whose lengths do not sum to the degree of f is never trusted: it is
+recomputed and the corrected record appended, so deleting or damaging a
+cache never changes a reported value.  ``classify_prime`` reads no
+cache.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 from collections import Counter, namedtuple
 
 from .curves import CurveSpec, curve_hash
-from .errors import BadPrimeError, InvalidInputError
+from .errors import BadPrimeError
 from .modular import factor_degrees, is_prime, iter_primes
 from .ratpoly import RatPoly, bad_primes, discriminant, rational_roots
 
@@ -143,8 +143,6 @@ def classify_prime(curve: CurveSpec, l: int) -> PrimeClass:
     """Cycle type and class index of a good prime l, read from the curve's parts uncached."""
     if l in sigma_set(curve):
         raise BadPrimeError(f"{l} is a bad prime for this curve")
-    if not is_prime(l):  # no part of degree 2 or less would see it
-        raise InvalidInputError(f"{l} is not prime")
     lengths = _cycle_type(_parts(curve), l)
     return PrimeClass(l, lengths, len(lengths) - 1)
 
@@ -161,13 +159,7 @@ def _parts(curve: CurveSpec) -> list:
 
 def _cycle_type(parts: list, l: int) -> tuple:
     """The sorted union of the cycle types of the parts mod a good prime l."""
-    lengths = []
-    for g, disc in parts:
-        if g.degree > 2:
-            lengths += factor_degrees(g, l, disc)
-        else:  # a linear disc is 1; a quadratic has two roots when its integer disc is a square
-            lengths += (1,) * g.degree if pow(disc.numerator, l // 2, l) == 1 else (2,)
-    return tuple(sorted(lengths))
+    return tuple(sorted(x for g, disc in parts for x in factor_degrees(g, l, disc)))
 
 
 def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime_filter=None):
