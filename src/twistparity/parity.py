@@ -13,6 +13,11 @@ class, with h = 0 at the trivial class, index 0.  ``omega_tables`` holds
 omega_v in that order at each place of Sigma; a command builds it once,
 and flips, scans and disparity read only it.  A row holding None restricts
 a scan to the Sigma-trivial twists and leaves disparity None.
+
+An exact scan works in F_2 subspaces.  A vector of F_2^n is an int, bit i
+its i-th coordinate; a subspace is its reduced echelon basis: a tuple of
+ints with strictly decreasing pivots (top bits), each pivot clear in
+every other row, so the same tuple comes out whatever vectors span it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError, ResourceLimitError
 from .frobenius import classify_prime, sigma_set
-from .metabolic import echelon, span
 from .modular import (
     factor_integer,
     hilbert_symbol,
@@ -46,6 +50,9 @@ __all__ = [
     "DisparityReport",
     "disparity",
     "DensityResult",
+    "reduced",
+    "echelon",
+    "span",
     "exact_scan",
     "density_scan",
 ]
@@ -210,6 +217,32 @@ def _counts(mode: str, total: int, plus: int, r1: int, **extra) -> DensityResult
     return DensityResult(
         mode, total, even, Fraction(even, total), Fraction(2 * plus - total, total), r1, **extra
     )
+
+
+def reduced(v: int, basis) -> int:
+    """v reduced against an echelon basis: 0 exactly when v lies in the span."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def echelon(vectors) -> tuple:
+    """The reduced echelon basis of the span of the vectors."""
+    basis: list[int] = []
+    for v in vectors:
+        v = reduced(v, basis)
+        if v:
+            # v is clear at every pivot; clear v's pivot from the other rows
+            basis = sorted([min(b, b ^ v) for b in basis] + [v], reverse=True)
+    return tuple(basis)
+
+
+def span(basis) -> list:
+    """All 2^k vectors of the subspace with the given basis."""
+    out = [0]
+    for b in basis:
+        out += [v ^ b for v in out]
+    return out
 
 
 # Largest image, by dimension, whose points an exact scan walks.

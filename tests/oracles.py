@@ -109,7 +109,7 @@ def is_lagrangian(m: int, basis) -> bool:
 
     q(v) = sum of x_i y_i, read bit by bit with x_i at bit 2i and y_i at
     bit 2i + 1.  The span is Lagrangian when it has 2^m points and q
-    vanishes on every one of them.  Oracle for ``metabolic.lagrangians``.
+    vanishes on every one of them.  Oracle for ``verify.lagrangians``.
     """
     if any(b >> 2 * m for b in basis):
         raise InvalidInputError("subspace vector outside the ambient space")

@@ -14,7 +14,6 @@ from fractions import Fraction
 from twistparity.characters import sigma_trivial
 from twistparity.cli import main
 from twistparity.frobenius import classify_prime, sigma_set
-from twistparity.metabolic import count_disjoint_lagrangians, echelon
 from twistparity.modular import (
     factor_integer,
     hilbert_symbol,
@@ -25,14 +24,20 @@ from twistparity.papercases import curve_g, curve_h
 from twistparity.parity import (
     delta_v,
     disparity,
+    echelon,
     exact_scan,
     global_consistency_check,
     omega_tables,
     parity_flip,
 )
 from twistparity.curves import CurveSpec
-from twistparity.torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
-from twistparity.verify import transformation_identity
+from twistparity.torsion import rational_two_torsion_dim
+from twistparity.verify import (
+    count_disjoint_lagrangians,
+    cycle_lengths,
+    fixed_space_dim,
+    transformation_identity,
+)
 from twistparity.modular import iter_primes
 
 from conftest import random_separable_poly, squarefree_flags

@@ -32,7 +32,7 @@ from twistparity.papercases import (
     curve_x3_minus_2,
 )
 from twistparity.ratpoly import RatPoly, discriminant
-from twistparity.torsion import cycle_lengths
+from twistparity.verify import cycle_lengths
 
 from oracles import load_prime_cache_whole, root_count
 

@@ -4,8 +4,10 @@ and every public function, class or method, is named somewhere else in the
 package; every defaulted parameter is passed by some call in the package;
 every name a module exports it defines; every function and method runs in
 some command line run; only ``cli.main`` builds a ``Report``; one function
-forks, and its child leaves by ``os._exit``; importing the command line
-loads no costly standard module; the benchmark's hooks resolve."""
+forks, and its child leaves by ``os._exit``; only ``cli`` imports
+``verify`` and only ``verify`` imports ``papercases``; importing the
+command line loads no costly standard module; the benchmark's hooks
+resolve."""
 
 import ast
 import collections
@@ -345,6 +347,44 @@ def test_fork_sites_are_reported():
         ("b.py", "", False),
         ("b.py", "bare", False),
     ]
+
+
+def importers(sources: dict, target: str):
+    """Sorted names of the modules with an import statement that names the
+    package module ``target``, relatively or as ``twistparity.target``."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["twistparity" if node.level else "", node.module]))
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            if f"twistparity.{target}" in names:
+                found.add(module)
+    return sorted(found)
+
+
+def test_verify_and_papercases_stay_at_the_top_layer():
+    # the lemma self-tests and the embedded curves serve verify-paper alone;
+    # no computational layer reaches them
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert importers(sources, "verify") == ["cli"]
+    assert importers(sources, "papercases") == ["verify"]
+
+
+def test_importer_is_reported():
+    sources = {
+        "a": "from .verify import run\n",
+        "b": "from . import parity, verify\n",
+        "c": "import twistparity.verify\n",
+        "d": "from twistparity.verify import run\n",
+        "e": "from twistparity import verify\n",
+        "f": "from .parity import verify\nfrom .verifying import x\nimport verify\n",
+    }
+    assert importers(sources, "verify") == ["a", "b", "c", "d", "e"]
 
 
 # execs setup, then run under a profiler that collects each code object a

@@ -1,12 +1,14 @@
-"""Echelon bases, the hyperbolic form, Lagrangians and disjoint counts."""
+"""Echelon bases (``parity``), and the hyperbolic form, Lagrangians and disjoint
+counts that ``verify-paper`` check e runs (``verify``)."""
 
 import random
 
 import pytest
 
-from twistparity import metabolic
+from twistparity import verify
 from twistparity.errors import InvalidInputError, ResourceLimitError
-from twistparity.metabolic import count_disjoint_lagrangians, echelon, lagrangians, span
+from twistparity.parity import echelon, span
+from twistparity.verify import count_disjoint_lagrangians, lagrangians
 
 from oracles import hyperbolic_q, is_lagrangian
 
@@ -69,7 +71,7 @@ def test_pairing_symmetric_bilinear_on_random_vectors():
     """The packed form is sum x_i y_i, and its polarization is the symmetric
     bilinear pairing sum x_i y'_i + x'_i y_i."""
     def pair(u, v):
-        return metabolic._q(u ^ v) ^ metabolic._q(u) ^ metabolic._q(v)
+        return verify._q(u ^ v) ^ verify._q(u) ^ verify._q(v)
 
     rng = random.Random(77)
     for _ in range(40):
@@ -79,7 +81,7 @@ def test_pairing_symmetric_bilinear_on_random_vectors():
             u = rng.randrange(1 << n)
             v = rng.randrange(1 << n)
             w = rng.randrange(1 << n)
-            assert metabolic._q(u) == hyperbolic_q(m, u)
+            assert verify._q(u) == hyperbolic_q(m, u)
             assert pair(u, v) == pair(v, u)
             assert pair(u ^ v, w) == pair(u, w) ^ pair(v, w)
             swapped = (u & 0x155) << 1 | (u >> 1) & 0x155

@@ -34,12 +34,12 @@ from twistparity.parity import (
     delta_v,
     density_scan,
     disparity,
+    echelon,
     exact_scan,
     global_consistency_check,
     omega_tables,
     parity_flip,
 )
-from twistparity.metabolic import echelon
 from twistparity.ratpoly import RatPoly, real_root_signature
 from twistparity import parity as parity_module
 

@@ -8,7 +8,6 @@ st = hypothesis.strategies
 
 from twistparity.characters import sigma_trivial  # noqa: E402
 from twistparity.frobenius import sigma_set  # noqa: E402
-from twistparity.metabolic import echelon, span  # noqa: E402
 from twistparity.modular import (  # noqa: E402
     factor_integer,
     is_prime,
@@ -16,6 +15,7 @@ from twistparity.modular import (  # noqa: E402
     squarefree_part,
 )
 from twistparity.papercases import curve_h  # noqa: E402
+from twistparity.parity import echelon, span  # noqa: E402
 
 from oracles import sigma_trivial_by_classes  # noqa: E402
 

@@ -1,4 +1,5 @@
-"""The permutation-module oracle and certified rational 2-torsion."""
+"""The permutation-module oracle that ``verify-paper`` check d runs (``verify``),
+and certified rational 2-torsion (``torsion``)."""
 
 import random
 from fractions import Fraction
@@ -15,7 +16,8 @@ from twistparity.papercases import (
 )
 from twistparity import torsion
 from twistparity.ratpoly import RatPoly
-from twistparity.torsion import cycle_lengths, fixed_space_dim, rational_two_torsion_dim
+from twistparity.torsion import rational_two_torsion_dim
+from twistparity.verify import cycle_lengths, fixed_space_dim
 
 from oracles import from_cycles
 

@@ -4,6 +4,7 @@ import json
 import re
 
 from twistparity import cli, parity, verify
+from twistparity.curves import CurveSpec
 from twistparity.frobenius import PrimeClass, sigma_set
 from twistparity.modular import iter_primes, kronecker_symbol
 from twistparity.papercases import TRANSFORM_CONSTANT, curve_g, curve_h, sextic_h0
@@ -60,6 +61,20 @@ def test_seed_changes_samples_but_not_verdicts():
         c for c in b["checks"] if c["name"] == "sigma_trivial_parity_preserved"
     )["details"]["first_five"]
     assert da != db  # different sample, same conclusion
+
+
+def test_suite_builds_each_golden_curve_once(monkeypatch):
+    # the five golden curves, and C_H once more for the substitution identity
+    built = []
+    init = CurveSpec.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveSpec, "__init__", counting_init)
+    run_paper_verification(0)
+    assert len(built) <= 6
 
 
 def test_cli_exit_code_2_on_failed_check(monkeypatch, capsys):
