@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .ratpoly import RatPoly, discriminant, real_root_signature
+from .ratpoly import RatPoly, discriminant, integer_part, real_root_signature
 from .report import sha256_text
 
 __all__ = ["CurveSpec", "curve_hash"]
@@ -18,9 +18,11 @@ __all__ = ["CurveSpec", "curve_hash"]
 
 class CurveSpec:
     # discriminant, signature and key are computed once per curve and read
-    # through discriminant(), real_root_signature() and curve_hash(); Sigma
-    # and the cycle-type parts are computed on first use in frobenius
-    __slots__ = ("f", "declared_factors", "_discriminant", "_sigma", "_parts", "_signature", "_key")
+    # through discriminant(), real_root_signature() and curve_hash(); parts
+    # holds (primitive integer coefficients, their int discriminant) for
+    # each declared factor, or for f when none is declared, and is read by
+    # frobenius at every prime; Sigma is computed on first use in frobenius
+    __slots__ = ("f", "declared_factors", "parts", "_discriminant", "_sigma", "_signature", "_key")
 
     def __init__(self, f: RatPoly, declared_factors: tuple = ()):
         if f.degree < 3 or f.degree % 2 == 0:
@@ -31,7 +33,7 @@ class CurveSpec:
         self.f = f
         self.declared_factors = tuple(declared_factors)
         self._discriminant = disc
-        self._sigma = self._parts = None
+        self._sigma = None
         self._signature = real_root_signature(f)
         self._key = sha256_text(self.canonical_text())[:16]
         if self.declared_factors:
@@ -46,6 +48,7 @@ class CurveSpec:
             scaled = prod * (f.lead / prod.lead)
             if scaled != f:
                 raise InvalidInputError("declared factors do not multiply to f")
+        self.parts = tuple(integer_part(g) for g in self.declared_factors or (f,))
 
     @property
     def degree(self) -> int:

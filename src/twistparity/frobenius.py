@@ -5,24 +5,29 @@ the orbit lengths of Frobenius acting on the roots; the class index of l
 is (number of orbits) - 1.  Everything downstream (local h-invariants,
 parity weights, twist searches) keys off this classification.  It is a
 deterministic function of (curve, l), the union of the cycle types of
-the declared factors: made primitive integer polynomials, they multiply
-to a constant times f (Gauss's lemma), so mod a good l they keep their
-degrees and stay separable and coprime.  Each factor g, or f when none
-is declared, goes to ``factor_degrees``, distinct-degree factorization
-in which the sign (disc g | l) = (-1)^(deg g - #orbits) of
-Stickelberger's theorem decides the last step whenever one cycle type
-alone fits it (every linear or quadratic g and every cubic with a
-nonsquare discriminant mod l without any x^l ladder, every quintic
-after x^l mod g), and each step after the first applies the Frobenius
-matrix of x^l instead of powering again.  A scan shares the primes its
-cache lacks out to forked children, one per usable core, and writes
-their cycle types to the cache itself, in the order one core gives.
-Every scan has a cache: an append-only line file of cycle types per
-(curve hash, l), cut back after its last whole record.  A cached cycle
-type whose lengths do not sum to the degree of f is never trusted: it is
-recomputed and the corrected record appended, so deleting or damaging a
-cache never changes a reported value.  ``classify_prime`` reads no
-cache.
+the curve's parts (``CurveSpec.parts``: the primitive integer
+coefficients of each declared factor, or of f when none is declared,
+with their discriminant).  The parts multiply to +-1 times the primitive
+form of f (Gauss's lemma), whose lead and discriminant gain only primes
+of f's denominators and content, all in Sigma; so mod an l outside Sigma
+the parts keep their degrees and stay separable and coprime.  Sigma alone
+decides which primes are good: ``classify_prime``, where a prime from
+outside the program arrives, checks that l is prime and outside Sigma; a
+scan passes only sieved primes outside it.  Each part g goes to
+``factor_degrees``, distinct-degree factorization in which the sign
+(disc g | l) = (-1)^(deg g - #orbits) of Stickelberger's theorem decides
+the last step whenever one cycle type alone fits it (every linear or
+quadratic g and every cubic with a nonsquare discriminant mod l without
+any x^l ladder, every quintic after x^l mod g), and each step after the
+first applies the Frobenius matrix of x^l instead of powering again.  A
+scan shares the primes its cache lacks out to forked children, one per
+usable core, and writes their cycle types to the cache itself, in the
+order one core gives.  Every scan has a cache: an append-only line file
+of cycle types per (curve hash, l), cut back after its last whole
+record.  A cached cycle type whose lengths do not sum to the degree of f
+is never trusted: it is recomputed and the corrected record appended, so
+deleting or damaging a cache never changes a reported value.
+``classify_prime`` reads no cache.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ import os
 from collections import Counter, namedtuple
 
 from .curves import CurveSpec, curve_hash
-from .errors import BadPrimeError
+from .errors import BadPrimeError, InvalidInputError
 from .modular import factor_degrees, is_prime, iter_primes
-from .ratpoly import RatPoly, bad_primes, discriminant, rational_roots
+from .ratpoly import bad_primes, rational_roots
 
 __all__ = [
     "sigma_set",
@@ -130,36 +135,29 @@ class PrimeCache:
         return None if by_l is None else by_l.get(l)
 
     def put(self, key, l, lengths):
-        """Append the record of l's cycle type and hold it."""
+        """Append the record of l's cycle type, hold it, and return the tuple held."""
         text = b",".join(b"%d" % x for x in lengths)
-        self._mem.setdefault(key, {})[l] = self._types.setdefault(text + b"\n", tuple(lengths))
+        held = self._mem.setdefault(key, {})[l] = self._types.setdefault(text + b"\n", tuple(lengths))
         if self._fh is None:
             self._fh = open(self.path, "ab")
         self._fh.write(b"%s %d %s\n" % (key.encode(), l, text))
         self._fh.flush()
+        return held
 
 
 def classify_prime(curve: CurveSpec, l: int) -> PrimeClass:
-    """Cycle type and class index of a good prime l, read from the curve's parts uncached."""
+    """Cycle type and class index of a prime l outside Sigma, read from the curve's parts uncached."""
+    if not is_prime(l):
+        raise InvalidInputError(f"{l} is not prime")
     if l in sigma_set(curve):
         raise BadPrimeError(f"{l} is a bad prime for this curve")
-    lengths = _cycle_type(_parts(curve), l)
+    lengths = _cycle_type(curve.parts, l)
     return PrimeClass(l, lengths, len(lengths) - 1)
 
 
-def _parts(curve: CurveSpec) -> list:
-    """(part, discriminant) pairs held on the curve: f alone, or each declared
-    factor made a primitive integer polynomial, whose lead and discriminant
-    a good l never divides."""
-    if curve._parts is None:
-        parts = [RatPoly(g.primitive_int()[0]) for g in curve.declared_factors]
-        curve._parts = [(g, discriminant(g)) for g in parts] or [(curve.f, curve.discriminant())]
-    return curve._parts
-
-
-def _cycle_type(parts: list, l: int) -> tuple:
-    """The sorted union of the cycle types of the parts mod a good prime l."""
-    return tuple(sorted(x for g, disc in parts for x in factor_degrees(g, l, disc)))
+def _cycle_type(parts: tuple, l: int) -> tuple:
+    """The sorted union of the cycle types of the parts mod a prime l outside Sigma."""
+    return tuple(sorted(x for ints, disc in parts for x in factor_degrees(ints, l, disc)))
 
 
 def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime_filter=None):
@@ -185,8 +183,7 @@ def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime
         held = [cache.get(key, l) for l in block]
         todo = [j for j, t in enumerate(held) if t is None or sum(t) != n]
         for j, lengths in zip(todo, _factor_split(curve, [block[j] for j in todo])):
-            cache.put(key, block[j], lengths)
-            held[j] = cache.get(key, block[j])
+            held[j] = cache.put(key, block[j], lengths)
         for l, t in zip(block, held):
             yield PrimeClass(l, t, len(t) - 1)
 
@@ -206,7 +203,7 @@ def _factor_split(curve: CurveSpec, ls: list) -> list:
     primes, until the ends meet.  A slow core, or a child that dies or
     writes a torn line, costs time only.
     """
-    parts, k = _parts(curve), 1
+    parts, k = curve.parts, 1
     if len(ls) >= 2 * _MIN_SHARE and hasattr(os, "fork"):
         affinity = getattr(os, "sched_getaffinity", None)
         k = min(len(ls) // _MIN_SHARE, len(affinity(0)) if affinity else os.cpu_count() or 1)

@@ -392,31 +392,22 @@ def hilbert_symbol(a, b, place: int) -> int:
 # factor degrees over GF(l)
 
 
-def _reduce_poly(f, l: int):
-    """f mod l as a monic int list; BadPrimeError if l hits lead or denominators."""
-    if f.degree < 1:
-        raise InvalidInputError("need a nonconstant polynomial")
-    ints, scale = f.primitive_int()  # l divides a denominator exactly when it divides scale
-    if scale.numerator % l == 0:
-        raise BadPrimeError(f"{l} divides a coefficient denominator")
-    if ints[-1] % l == 0:
-        raise BadPrimeError(f"{l} divides the leading coefficient")
-    inv = pow(ints[-1], -1, l)
-    return [c * inv % l for c in ints]
+def factor_degrees(ints, l: int, disc: int):
+    """Sorted tuple of the irreducible factor degrees of g mod l.
 
+    g is the integer polynomial with coefficients ``ints``, constant term
+    first, and ``disc`` its int discriminant, both held by the caller; l
+    is an odd prime, which the caller decides (``classify_prime`` checks
+    it, and scans pass only sieved primes).  Only the cheap guards against
+    a wrong value remain here: BadPrimeError when l divides the lead of g
+    or disc, where g mod l loses its degree or a factor repeats.
 
-def factor_degrees(f, l: int, disc):
-    """Sorted tuple of the irreducible factor degrees of f mod l, l a good odd prime.
+    The discriminant also fixes the parity of the number of factors: by
+    Stickelberger's theorem (in Swan's form), (disc h | l) =
+    (-1)^(n - #factors) for the monic h = g/lead mod l, and
+    disc g = lead^(2n-2) disc(h) has the same quadratic character mod l.
 
-    ``disc`` is the exact discriminant of f, which the caller holds.  Good
-    reduction is enforced: l must not divide the leading coefficient, any
-    coefficient denominator, or the numerator of disc.  The discriminant
-    also fixes the parity of the number of factors: by Stickelberger's
-    theorem (in Swan's form), (disc g | l) = (-1)^(n - #factors) for the
-    monic g = f/lead mod l, and disc f = lead^(2n-2) disc(f/lead) has the
-    same quadratic character mod l.
-
-    Distinct-degree factorization: with cur the part of f not yet
+    Distinct-degree factorization: with cur the part of g not yet
     accounted for, g_d = gcd(cur, x^(l^d) - x) is the product of the
     degree-d factors, so it holds deg(g_d)/d of them.  Before each step,
     cur has no factor of degree below d; when only one partition of
@@ -434,14 +425,13 @@ def factor_degrees(f, l: int, disc):
     x^(l^d) = sum of c_i x^i.  Found factors leave cur only when another
     step is due, which then rebuilds the matrix from x^l mod the new cur.
     """
-    if not is_prime(l):
-        raise InvalidInputError(f"{l} is not prime")
-    if l == 2:
-        raise BadPrimeError("2 is always a bad prime here")
-    cur = _reduce_poly(f, l)
-    if disc.numerator % l == 0:
-        raise BadPrimeError(f"{l} divides the discriminant of f")
-    square = pow(disc.numerator * disc.denominator, (l - 1) // 2, l) == 1
+    if ints[-1] % l == 0:
+        raise BadPrimeError(f"{l} divides the leading coefficient")
+    if disc % l == 0:
+        raise BadPrimeError(f"{l} divides the discriminant")
+    inv = pow(ints[-1], -1, l)
+    cur = [c * inv % l for c in ints]
+    square = pow(disc, (l - 1) // 2, l) == 1
     parity = (len(cur) - 1 + (not square)) % 2  # of the number of factors
     degrees = []
     d, m = 1, len(cur) - 1  # m: the degree of cur with the factors found divided out

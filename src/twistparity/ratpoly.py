@@ -22,6 +22,7 @@ from .modular import factor_integer, is_prime
 __all__ = [
     "RatPoly",
     "discriminant",
+    "integer_part",
     "bad_primes",
     "real_root_signature",
     "homogenize",
@@ -32,7 +33,7 @@ __all__ = [
 class RatPoly:
     """An exact polynomial with rational coefficients."""
 
-    __slots__ = ("coeffs", "_primitive")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
@@ -133,14 +134,11 @@ class RatPoly:
 
         Returns (poly_as_int_tuple, scale) with scale > 0 rational and
         int coefficients of content 1; the sign pattern matches self.
-        It is computed on the first call and kept.
         """
-        if not hasattr(self, "_primitive"):
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            g = math.gcd(*ints) or 1
-            self._primitive = tuple(v // g for v in ints), Fraction(den, g)
-        return self._primitive
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        g = math.gcd(*ints) or 1
+        return tuple(v // g for v in ints), Fraction(den, g)
 
     def __str__(self):
         if not self.coeffs:
@@ -197,6 +195,13 @@ def discriminant(f: RatPoly) -> Fraction:
     for k in range(1, len(seq) - 1):
         res *= (-1) ** ((d[k - 1] + 1) * d[k]) * seq[k].lead ** (d[k - 1] - d[k + 1])
     return res * (-1) ** (n * (n - 1) // 2) / f.lead
+
+
+def integer_part(g: RatPoly) -> tuple:
+    """(ints, disc): the primitive integer coefficients of g and their int
+    discriminant, the form in which ``modular.factor_degrees`` reads g."""
+    ints = g.primitive_int()[0]
+    return ints, int(discriminant(RatPoly(ints)))
 
 
 def bad_primes(f: RatPoly, disc: Fraction) -> set:

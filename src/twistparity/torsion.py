@@ -11,7 +11,7 @@ from __future__ import annotations
 from .curves import CurveSpec
 from .errors import BadPrimeError, UnknownFactorizationError
 from .modular import factor_degrees, iter_primes
-from .ratpoly import RatPoly, discriminant, rational_roots
+from .ratpoly import RatPoly, integer_part, rational_roots
 
 __all__ = ["rational_two_torsion_dim"]
 
@@ -23,18 +23,19 @@ def _certify_irreducible(g: RatPoly) -> None:
     """Certify g irreducible over Q, given that g is linear or has no rational root.
 
     Degree <= 3 follows from that.  Higher degrees need a
-    cycle-type certificate: irreducible mod a good prime forces
-    irreducibility over Q (``factor_degrees`` rejects the bad ones); a
-    bounded scan that never finds one raises UnknownFactorizationError
+    cycle-type certificate: the primitive integer form of g irreducible
+    mod a prime dividing neither its lead nor its discriminant forces
+    irreducibility over Q (``factor_degrees`` rejects the other primes);
+    a bounded scan that never finds one raises UnknownFactorizationError
     rather than guessing.
     """
     d = g.degree
     if d <= 3:
         return
-    disc = discriminant(g)
+    ints, disc = integer_part(g)
     for l in iter_primes(3, _CERTIFY_BOUND):
         try:
-            degrees = factor_degrees(g, l, disc)
+            degrees = factor_degrees(ints, l, disc)
         except BadPrimeError:
             continue
         if degrees == (d,):

@@ -6,13 +6,14 @@ import math
 import os
 import random
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
 
 from twistparity.curves import CurveSpec, curve_hash
-from twistparity.errors import BadPrimeError, InvalidInputError
-from twistparity import frobenius, gfpoly, ratpoly
+from twistparity.errors import BadPrimeError, InvalidInputError, UnknownFactorizationError
+from twistparity import frobenius, gfpoly, modular, ratpoly
 from twistparity.frobenius import (
     PrimeCache,
     PrimeClass,
@@ -32,6 +33,7 @@ from twistparity.papercases import (
     curve_x3_minus_2,
 )
 from twistparity.ratpoly import RatPoly, discriminant
+from twistparity.torsion import rational_two_torsion_dim
 from twistparity.verify import cycle_lengths
 
 from oracles import load_prime_cache_whole, root_count
@@ -622,10 +624,10 @@ def test_children_are_reaped_when_the_parent_raises(tmp_path, monkeypatch):
     parent = os.getpid()
     factor = frobenius.factor_degrees
 
-    def factor_degrees(f, l, disc):
+    def factor_degrees(ints, l, disc):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return factor(f, l, disc)
+        return factor(ints, l, disc)
 
     monkeypatch.setattr(frobenius, "factor_degrees", factor_degrees)
     with PrimeCache(str(tmp_path / "x.cache")) as cache:
@@ -712,9 +714,10 @@ def _good_primes(curve, stop):
 @pytest.mark.parametrize("name", sorted(_SPLIT))
 def test_declared_factors_give_the_cycle_type_of_f(name):
     curve = _SPLIT[name]()
+    [(ints, disc)] = CurveSpec(curve.f).parts
     for l in _good_primes(curve, 20_000):
-        assert classify_prime(curve, l).lengths == factor_degrees(curve.f, l, curve.discriminant()), l
-    for n in (-7, 1, 9, 25, 11 * 17):  # refused as factor_degrees refuses them
+        assert classify_prime(curve, l).lengths == factor_degrees(ints, l, disc), l
+    for n in (-7, 1, 9, 25, 11 * 17):  # not prime
         with pytest.raises(InvalidInputError):
             classify_prime(curve, n)
 
@@ -790,18 +793,49 @@ def test_declared_factors_run_no_ladder(tmp_path, monkeypatch):
             assert _scan_with_cache(make(), tmp_path / f"{name}.{k}", 20_000) == want[name]
 
 
+def _counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, under that name in every
+    ``twistparity`` module that binds it."""
+    real, calls = getattr(owner, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("twistparity.") and mod.__dict__.get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("make", [*_SPLIT.values(), curve_s5_quintic], ids=[*_SPLIT, "s5_quintic"])
 def test_parts_are_built_once_per_curve(make, monkeypatch):
+    """CurveSpec computes the discriminant of f and one of each part, and
+    classifying 1,000 primes computes none."""
+    calls = _counting(monkeypatch, ratpoly, "discriminant")
     curve = make()
-    calls = []
-    real = frobenius.discriminant
-    monkeypatch.setattr(frobenius, "discriminant", lambda g: calls.append(g) or real(g))
-    monkeypatch.setattr(ratpoly, "discriminant", frobenius.discriminant)
+    assert len(curve.parts) == max(1, len(curve.declared_factors))
+    assert calls == [(curve.f,)] + [(RatPoly(ints),) for ints, _ in curve.parts]
+    calls.clear()
     primes = _good_primes(curve, 10_000)[:1000]
     assert len(primes) == 1000
     for l in primes:
         classify_prime(curve, l)
-    assert len(calls) <= len(curve.declared_factors)
+    assert calls == []
+
+
+def test_cold_scan_decides_no_prime_again(tmp_path, monkeypatch):
+    """A cold scan neither tests its sieved primes for primality nor makes
+    a part primitive: Sigma and CurveSpec settled both."""
+    curve = curve_h()
+    sigma_set(curve)
+    _cores(monkeypatch, 1)
+    primality = _counting(monkeypatch, modular, "is_prime")
+    primitive = _counting(monkeypatch, RatPoly, "primitive_int")
+    types, _ = _scan_with_cache(curve, tmp_path / "h.cache", 20_000)
+    assert len(types) == len(_good_primes(curve, 20_000))
+    assert primality == primitive == []
 
 
 @pytest.mark.parametrize(
@@ -812,3 +846,27 @@ def test_fixed_points_are_the_roots_mod_l(make):
     ints = curve.f.primitive_int()[0]
     for l in _good_primes(curve, 1000):
         assert classify_prime(curve, l).lengths.count(1) == root_count(ints, l), l
+
+
+def _two_torsion_dim(curve):
+    try:
+        return rational_two_torsion_dim(curve)
+    except UnknownFactorizationError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "make", [*GOLDEN_CURVES.values(), lambda: CurveSpec(_SEPTIC)], ids=[*GOLDEN_CURVES, "septic"]
+)
+def test_rational_multiples_of_f_keep_the_cycle_types(make):
+    """3/10 f with no declared factors reaches factor_degrees only through
+    its primitive part: its cycle types are those of the curve at every
+    prime good for both, and its 2-torsion is that of f undeclared (which
+    for g and h is not certified, as their quartic cofactor splits)."""
+    curve = make()
+    scaled = CurveSpec(curve.f * Fraction(3, 10))
+    primes = [l for l in _good_primes(curve, 2000) if l not in sigma_set(scaled)]
+    assert len(primes) > 250
+    for l in primes:
+        assert classify_prime(scaled, l) == classify_prime(curve, l), l
+    assert _two_torsion_dim(scaled) == _two_torsion_dim(CurveSpec(curve.f))

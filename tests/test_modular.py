@@ -22,13 +22,12 @@ from twistparity.modular import (
     squarefree_part,
 )
 from twistparity.papercases import curve_s5_quintic, curve_x3_minus_2
-from twistparity.ratpoly import RatPoly, discriminant
+from twistparity.ratpoly import RatPoly, discriminant, integer_part
 
 from conftest import random_separable_poly
 from oracles import hilbert_by_conic
 
-X3M2 = RatPoly((-2, 0, 0, 1))
-X3M2_DISC = discriminant(X3M2)  # -108
+X3M2, X3M2_DISC = integer_part(RatPoly((-2, 0, 0, 1)))  # disc -108
 
 
 def test_factor_degrees_examples():
@@ -43,8 +42,8 @@ def test_factor_degrees_rebuilds_frobenius_matrix_from_x_to_the_l():
     The Frobenius matrix after a division must come from x^l mod the new
     cur; built from x^(l^d) instead, this case reads (1, 2, 4, 4).
     """
-    f = RatPoly((7, 6, 8, 3, 5, 9, 8, -8, 8, -5, 4, 3))
-    assert factor_degrees(f, 11, discriminant(f)) == (1, 2, 3, 5)
+    ints, disc = integer_part(RatPoly((7, 6, 8, 3, 5, 9, 8, -8, 8, -5, 4, 3)))
+    assert factor_degrees(ints, 11, disc) == (1, 2, 3, 5)
 
 
 def test_factor_degrees_rejects_bad_primes():
@@ -52,12 +51,12 @@ def test_factor_degrees_rejects_bad_primes():
         factor_degrees(X3M2, 2, X3M2_DISC)
     with pytest.raises(BadPrimeError):
         factor_degrees(X3M2, 3, X3M2_DISC)  # 3 | disc = -108
+    ints, disc = integer_part(RatPoly((1, 0, 5)))
     with pytest.raises(BadPrimeError):
-        factor_degrees(RatPoly((1, 0, 5)), 5, Fraction(-20))  # 5 | lead
+        factor_degrees(ints, 5, disc)  # 5 | lead
+    ints, disc = integer_part(RatPoly((Fraction(1, 5), 0, 0, 1)))
     with pytest.raises(BadPrimeError):
-        factor_degrees(RatPoly((Fraction(1, 5), 0, 0, 1)), 5, Fraction(-27, 25))  # denominator
-    with pytest.raises(InvalidInputError):
-        factor_degrees(X3M2, 15, X3M2_DISC)
+        factor_degrees(ints, 5, disc)  # a denominator 5 is the lead of 5x^3 + 1
 
 
 def _fp_divides(d, f, l):
@@ -128,13 +127,14 @@ def test_factor_degrees_against_brute_force_oracle():
     while checked < 40:
         f = random_separable_poly(rng, rng.randint(2, 5), coeff_bound=20)
         l = rng.choice((3, 5, 7, 11, 13))
+        ints, disc = integer_part(f)
         try:
-            got = factor_degrees(f, l, discriminant(f))
+            got = factor_degrees(ints, l, disc)
         except BadPrimeError:
             continue
         checked += 1
-        inv = pow(f.lead.numerator * pow(f.lead.denominator, -1, l), -1, l)
-        monic = [c.numerator * pow(c.denominator, -1, l) * inv % l for c in f.coeffs]
+        inv = pow(ints[-1], -1, l)
+        monic = [c * inv % l for c in ints]
         assert got == _brute_factor_degrees(monic, l), (f, l)
 
 
@@ -146,27 +146,28 @@ def test_factor_degrees_matches_sympy_factor_list():
     checked = bad = degree_drops = 0
     for degree in range(3, 14):
         for _ in range(6):
-            f = random_separable_poly(rng, degree, coeff_bound=50)
-            ints = [int(c) for c in reversed(f.coeffs)]
-            disc = discriminant(f)
+            part, disc = integer_part(random_separable_poly(rng, degree, coeff_bound=50))
+            ints = part[::-1]
             for l in [3, 5, 7, 11, 13] + rng.sample(primes, 2):
                 factors = sympy.Poly(ints, x, modulus=l).factor_list()[1]
                 try:
-                    got = factor_degrees(f, l, disc)
+                    got = factor_degrees(part, l, disc)
                 except BadPrimeError:
                     # bad reduction: the degree drops or a factor repeats
                     bad += 1
-                    assert ints[0] % l == 0 or any(e > 1 for _, e in factors), (f, l)
+                    assert ints[0] % l == 0 or any(e > 1 for _, e in factors), (ints, l)
                     continue
                 checked += 1
                 degree_drops += degree % l == 0  # f' mod l has degree below n - 1
                 want = sorted(g.degree() for g, e in factors for _ in range(e))
-                assert got == tuple(want), (f, l)
+                assert got == tuple(want), (ints, l)
     assert checked > 300 and bad > 0 and degree_drops > 10
 
 
 def test_factor_count_parity_is_stickelberger():
-    """(disc f | l) = (-1)^(n - #factors), with CurveSpec's discriminant as the oracle."""
+    """(disc g | l) = (-1)^(n - #factors) for the primitive part g of f,
+    with the discriminant of CurveSpec's part as the oracle.  A prime that
+    divides only a denominator of f is good for g."""
     rng = random.Random(61)
     primes = list(iter_primes(3, 3001))
     checked = 0
@@ -177,14 +178,14 @@ def test_factor_count_parity_is_stickelberger():
                 f = RatPoly([c / rng.choice((1, 1, 2, 3)) for c in f.coeffs])
                 if discriminant(f) != 0:
                     break
-            disc = CurveSpec(f).discriminant()
+            [(ints, disc)] = CurveSpec(f).parts
             for l in [3, 5, 7, 11, 13] + rng.sample(primes, 4):
                 try:
-                    got = factor_degrees(f, l, disc)
+                    got = factor_degrees(ints, l, disc)
                 except BadPrimeError:
                     continue
                 checked += 1
-                symbol = kronecker_symbol(disc.numerator * disc.denominator, l)
+                symbol = kronecker_symbol(disc, l)
                 assert symbol == (-1) ** (degree - len(got)), (f, l, got)
     assert checked > 200
 
@@ -202,17 +203,19 @@ def test_one_powering_ladder_per_prime(monkeypatch):
     monkeypatch.setattr(gfpoly, "x_pow", counting)
     quintic = curve_s5_quintic()
     good = [l for l in iter_primes(3, 3001) if l not in sigma_set(quintic)]
+    [(ints, disc)] = quintic.parts
     for l in good:
-        factor_degrees(quintic.f, l, quintic.discriminant())
+        factor_degrees(ints, l, disc)
     assert calls == good
 
     cubic = curve_x3_minus_2()
+    [(ints, disc)] = cubic.parts
     good = [l for l in iter_primes(3, 3001) if l not in sigma_set(cubic)]
     for sign in (-1, 1):
         calls.clear()
         primes = [l for l in good if kronecker_symbol(-108, l) == sign]
         for l in primes:
-            factor_degrees(cubic.f, l, cubic.discriminant())
+            factor_degrees(ints, l, disc)
         assert calls == ([] if sign == -1 else primes)
 
 
