@@ -4,27 +4,18 @@ A character chi_d is the squarefree nonzero int d, for the extension
 Q(sqrt(d)); d = 1 is the trivial character.  Every local fact of chi_d
 (its behavior, the omega entry it selects) is read from the index of the
 square class of d, ``modular.square_class_index``, and tables of local
-data are tuples in that index order.  The class's canonical
-representative, the entry of ``modular.local_classes`` at that index, is
-only read in profiles and written in reports.
+data are tuples in that index order.  chi_d is ramified at a prime
+exactly where that index is 2 or more, so no function here factors d.
+The class's canonical representative, the entry of
+``modular.local_classes`` at that index, is only read in profiles and
+written in reports.
 """
 
 from __future__ import annotations
 
-from .modular import factor_integer, local_classes, square_class_index
+from .modular import local_classes, square_class_index
 
-__all__ = ["ramified_primes", "local_behavior", "sigma_trivial", "local_square_class"]
-
-
-def ramified_primes(d: int):
-    """Finite primes where chi_d is ramified, sorted."""
-    if d == 1:
-        return ()
-    out = set(factor_integer(abs(d)))
-    out.discard(2)
-    if d % 4 != 1:  # even d, or d = 3 mod 4
-        out.add(2)
-    return tuple(sorted(out))
+__all__ = ["local_behavior", "sigma_trivial", "local_square_class"]
 
 
 def local_behavior(d: int, place: int) -> str:

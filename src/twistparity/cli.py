@@ -17,15 +17,16 @@ in text mode prints verify-paper's wall time on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
-from .characters import local_behavior, local_square_class, ramified_primes, sigma_trivial
+from .characters import local_behavior, local_square_class
 from .curves import curve_hash
 from .errors import InvalidInputError, ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
-from .modular import local_classes, place_name, square_class_index, squarefree_part
+from .modular import factor_integer, local_classes, place_name, square_class_index
 from .parity import delta_v, density_scan, disparity, exact_scan, omega_tables, parity_flip
 from .report import Report, sha256_text
 from .search import find_shift_primes
@@ -210,9 +211,9 @@ def _cmd_classify_primes(args):
 
 
 def _cmd_character(args):
-    d = squarefree_part(args.d)
-    ramified = ramified_primes(d)
-    places = {0, 2, *ramified}
+    kernel_primes = [p for p, e in factor_integer(args.d).items() if e % 2]
+    d = math.prod(kernel_primes, start=-1 if args.d < 0 else 1)  # the squarefree kernel
+    places = {0, 2, *kernel_primes}
     inputs = {"d": args.d, "squarefree_kernel": d}
     extra = {}
     if args.curve:
@@ -220,15 +221,14 @@ def _cmd_character(args):
         inputs.update(curve_inputs)
         sigma = sigma_set(curve)
         places.update(sigma)
-        extra["sigma_trivial"] = sigma_trivial(d, sigma)
+        extra["sigma_trivial"] = not any(square_class_index(d, v) for v in sigma)
+    local = {v: local_behavior(d, v) for v in sorted(places)}
     behavior = {
-        place_name(v): {
-            "behavior": local_behavior(d, v),
-            "square_class": local_square_class(d, v),
-        }
-        for v in sorted(places)
+        place_name(v): {"behavior": b, "square_class": local_square_class(d, v)}
+        for v, b in local.items()
     }
-    out = {"norm": max(ramified, default=1), "local": behavior, **extra}
+    norm = max((v for v, b in local.items() if b == "ramified"), default=1)
+    out = {"norm": norm, "local": behavior, **extra}
 
     def lines():
         yield f"d = {d} (norm {out['norm']})"
@@ -246,12 +246,11 @@ def _cmd_parity(args):
     if profiles is not None:
         inputs["profiles_provenance"] = "user"
     inputs["d"] = args.d
-    d = squarefree_part(args.d)
     tables = omega_tables(curve, profiles)
-    verdict = parity_flip(tables, d)
+    verdict = parity_flip(tables, args.d)
     contributions = {}
     for v, row in tables.items():
-        i = square_class_index(d, v)
+        i = square_class_index(args.d, v)
         contributions[place_name(v)] = {"class": local_classes(v)[i], "omega": row[i]}
     out = {
         "flip": verdict.flip,

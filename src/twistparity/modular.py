@@ -26,7 +26,6 @@ __all__ = [
     "is_prime",
     "iter_primes",
     "factor_integer",
-    "squarefree_part",
     "is_squarefree",
     "kronecker_symbol",
     "local_classes",
@@ -243,16 +242,6 @@ def factor_integer(n: int) -> dict:
                 continue
             g = _pollard_rho(m)
             stack += [g, m // g]
-    return out
-
-
-def squarefree_part(n: int) -> int:
-    """The squarefree kernel of n, carrying the sign of n."""
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factor_integer(n).items():
-        if e % 2:
-            out *= p
     return out
 
 

@@ -27,7 +27,6 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError, ResourceLimitError
 from .frobenius import classify_prime, sigma_set
@@ -114,12 +113,17 @@ def _unknown(tables: dict) -> bool:
 
 
 def parity_flip(tables: dict, d: int) -> ParityVerdict:
-    """The verdict for the twist by a squarefree d; Sigma is ``tuple(tables)``."""
-    if d == 1:
-        return ParityVerdict(1, "exact")
-    if sigma_trivial(d, tuple(tables)):
-        return ParityVerdict(1, "relative_only")
-    weights = {v: row[square_class_index(d, v)] for v, row in tables.items()}
+    """The verdict for the twist by a nonzero int d; Sigma is ``tuple(tables)``.
+
+    d is read only through its square-class indices on Sigma, which are
+    those of its squarefree kernel, so d is never factored.  When every
+    index is 0 the twist is Sigma-trivial: ``exact`` for a perfect square
+    (the trivial twist), ``relative_only`` otherwise.
+    """
+    indices = {v: square_class_index(d, v) for v in tables}
+    if not any(indices.values()):
+        return ParityVerdict(1, "exact" if d > 0 and math.isqrt(d) ** 2 == d else "relative_only")
+    weights = {v: tables[v][i] for v, i in indices.items()}
     missing = tuple(place for place, w in weights.items() if w is None)
     if missing:
         return ParityVerdict(None, "unknown", missing)

@@ -3,7 +3,10 @@
 Its F_2-dimension is one less than the number of irreducible factors of
 f over Q.  That count divides out rational roots and certifies each
 cofactor of degree above 3 irreducible by a prime where it stays
-irreducible; a count it cannot certify is an error, never a guess.
+irreducible; a count it cannot certify is an error, never a guess.  A
+cofactor that splits into nonlinear factors over Q has no such prime, so
+an f declared without its factors reads UnknownFactorizationError there;
+declaring the factors is the way past it.
 """
 
 from __future__ import annotations

@@ -8,11 +8,32 @@ import json
 from fractions import Fraction
 from operator import mul
 
-from twistparity.characters import ramified_primes, sigma_trivial
+from twistparity.characters import sigma_trivial
 from twistparity.errors import InvalidInputError, ResourceLimitError
 from twistparity.frobenius import classify_prime, sigma_set
-from twistparity.modular import iter_primes, square_class_index
+from twistparity.modular import factor_integer, iter_primes, square_class_index
 from twistparity.ratpoly import RatPoly
+
+
+def squarefree_part(n: int) -> int:
+    """The squarefree kernel of n, carrying the sign of n."""
+    sign = -1 if n < 0 else 1
+    out = sign
+    for p, e in factor_integer(n).items():
+        if e % 2:
+            out *= p
+    return out
+
+
+def ramified_primes(d: int):
+    """Finite primes where chi_d is ramified, sorted, for squarefree d."""
+    if d == 1:
+        return ()
+    out = set(factor_integer(abs(d)))
+    out.discard(2)
+    if d % 4 != 1:  # even d, or d = 3 mod 4
+        out.add(2)
+    return tuple(sorted(out))
 
 
 def twist_norm(d: int) -> int:

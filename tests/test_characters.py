@@ -13,7 +13,6 @@ from twistparity.modular import (
     kronecker_symbol,
     local_classes,
     smallest_nonresidue,
-    squarefree_part,
 )
 from twistparity.papercases import (
     curve_1440d1,
@@ -23,7 +22,7 @@ from twistparity.papercases import (
     curve_x3_minus_2,
 )
 
-from oracles import enumerate_characters, twist_norm
+from oracles import enumerate_characters, squarefree_part, twist_norm
 
 INF = 0  # the real place
 P2 = 2

@@ -384,8 +384,7 @@ def test_cli_restricted_scan_sample_makes_no_draws(curve_file, monkeypatch, caps
     def no_draw(*args, **kwargs):
         raise AssertionError("a restricted sampled scan drew a twist")
 
-    for name in ("sigma_trivial", "is_squarefree"):  # what a draw would test
-        monkeypatch.setattr(parity, name, no_draw)
+    monkeypatch.setattr(parity, "is_squarefree", no_draw)  # what a draw would test
     monkeypatch.setattr(parity, "random", types.SimpleNamespace(Random=no_draw))
     rc, out, _ = run_cli(
         capsys, "--format", "json", "scan", "--curve", curve_file,
@@ -398,29 +397,57 @@ def test_cli_restricted_scan_sample_makes_no_draws(curve_file, monkeypatch, caps
     assert (scan["seed"], scan["bound"]) == (0, 10**40)
 
 
-@pytest.mark.parametrize("command, most", [("parity", 1), ("character", 2)])
-def test_cli_factors_the_twist_few_times(curve_file, monkeypatch, capsys, command, most):
-    """parity factors --d once (for its kernel); character at most twice
-    (the kernel, then the kernel's primes for the places and the norm)."""
-    n = 9 * 1000003 * 1000033  # the kernel's primes are past trial division
+def _watch_factor_integer(monkeypatch, check):
+    """Call check(m) before each factor_integer(m), in every module that binds it."""
     original = modular.factor_integer
-    calls = []
 
-    def counting(m):
-        if abs(m) in (n, n // 9):
-            calls.append(m)
+    def watched(m):
+        check(m)
         return original(m)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("twistparity") and getattr(mod, "factor_integer", None) is original:
-            monkeypatch.setattr(mod, "factor_integer", counting)
+            monkeypatch.setattr(mod, "factor_integer", watched)
+
+
+@pytest.mark.parametrize("command, times", [("parity", 0), ("character", 1)])
+def test_cli_factors_the_twist_few_times(curve_file, monkeypatch, capsys, command, times):
+    """parity reads --d only through its square classes and never factors it;
+    character factors it once, for the kernel, the places and the norm."""
+    n = 9 * 1000003 * 1000033  # the kernel's primes are past trial division
+    calls = []
+    _watch_factor_integer(monkeypatch, calls.append)
     rc, out, _ = run_cli(capsys, "--format", "json", command, "--curve", curve_file, "--d", str(n))
     assert rc == 0
     doc = json.loads(out)
     if command == "character":
         assert doc["inputs"]["squarefree_kernel"] == n // 9
         assert doc["outputs"]["norm"] == 1000033
-    assert 1 <= len(calls) <= most, calls
+    twist_calls = [m for m in calls if abs(m) in (n, n // 9)]
+    assert len(twist_calls) == times, twist_calls
+
+
+def test_cli_parity_of_a_233_digit_twist_factors_nothing(monkeypatch, capsys):
+    """parity answers for the 233-digit d = 10^232 + 7 from its square classes, unfactored."""
+
+    def refuse_large(m):
+        if abs(m) > 10**100:
+            raise AssertionError(f"factor_integer called on a {len(str(abs(m)))}-digit number")
+
+    _watch_factor_integer(monkeypatch, refuse_large)
+    curve = str(PAPERCASES / "x3_minus_2.curve")
+    rc, out, _ = run_cli(capsys, "--format", "json", "parity", "--curve", curve, "--d", str(10**232 + 7))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["d"] == 10**232 + 7
+    # d = 7 mod 8 and d = 2 mod 3: nontrivial at 2 and 3, unknown there without profiles
+    assert doc["outputs"]["status"] == "unknown"
+    assert doc["outputs"]["missing_places"] == ["2", "3"]
+    assert doc["outputs"]["contributions"] == {
+        "inf": {"class": 1, "omega": 1},
+        "2": {"class": -1, "omega": None},
+        "3": {"class": 2, "omega": None},
+    }
 
 
 @pytest.mark.parametrize("sample", ["0", "-3"])

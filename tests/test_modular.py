@@ -19,13 +19,12 @@ from twistparity.modular import (
     kronecker_symbol,
     local_classes,
     square_class_index,
-    squarefree_part,
 )
 from twistparity.papercases import curve_s5_quintic, curve_x3_minus_2
 from twistparity.ratpoly import RatPoly, discriminant, integer_part
 
 from conftest import random_separable_poly
-from oracles import hilbert_by_conic
+from oracles import hilbert_by_conic, squarefree_part
 
 X3M2, X3M2_DISC = integer_part(RatPoly((-2, 0, 0, 1)))  # disc -108
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistparity.characters import ramified_primes, sigma_trivial
+from twistparity.characters import sigma_trivial
 from twistparity.curves import CurveSpec
 from twistparity.errors import (
     BadPrimeError,
@@ -20,7 +20,6 @@ from twistparity.modular import (
     is_squarefree,
     local_classes,
     square_class_index,
-    squarefree_part,
 )
 from twistparity.papercases import (
     GOLDEN_CURVES,
@@ -44,7 +43,7 @@ from twistparity.ratpoly import RatPoly, real_root_signature
 from twistparity import parity as parity_module
 
 from conftest import random_separable_poly
-from oracles import delta_inf_closed_form, enumerate_characters
+from oracles import delta_inf_closed_form, enumerate_characters, ramified_primes, squarefree_part
 
 INF = 0  # the real place
 

@@ -1,5 +1,11 @@
-"""Property tests of the twist group law, the Sigma-triviality filter, row reduction,
-primality and factoring."""
+"""Property tests of the twist group law, the Sigma-triviality filter, reading a
+twist through its square classes, row reduction, primality and factoring."""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
 
 import pytest
 
@@ -7,17 +13,19 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from twistparity.characters import sigma_trivial  # noqa: E402
+from twistparity.cli import main  # noqa: E402
 from twistparity.frobenius import sigma_set  # noqa: E402
 from twistparity.modular import (  # noqa: E402
     factor_integer,
     is_prime,
     is_squarefree,
-    squarefree_part,
+    local_classes,
+    place_name,
 )
-from twistparity.papercases import curve_h  # noqa: E402
-from twistparity.parity import echelon, span  # noqa: E402
+from twistparity.papercases import GOLDEN_CURVES, curve_h  # noqa: E402
+from twistparity.parity import echelon, omega_tables, parity_flip, span  # noqa: E402
 
-from oracles import sigma_trivial_by_classes  # noqa: E402
+from oracles import ramified_primes, sigma_trivial_by_classes, squarefree_part  # noqa: E402
 
 nonzero = st.integers(-(10**12), 10**12).filter(lambda n: n != 0)
 
@@ -41,6 +49,44 @@ def test_sigma_trivial_twist_keeps_exactly_the_sigma_trivial_squarefree(n):
     assert (sigma_trivial(n, SIGMA_H) and is_squarefree(n)) == expected
     if is_squarefree(n):
         assert sigma_trivial(n, SIGMA_H) == sigma_trivial_by_classes(n, SIGMA_H)
+
+
+PAPERCASES = pathlib.Path(__file__).resolve().parent.parent / "papercases"
+GOLDEN = {name: build() for name, build in GOLDEN_CURVES.items()}
+PLAIN_TABLES = {name: omega_tables(curve) for name, curve in GOLDEN.items()}
+# 2, the odd primes of every golden Sigma, primes outside them, and two past trial division
+TWIST_PRIMES = sorted({2, 11, 17, 41, 73, 1000003, 1000033}.union(
+    *(sigma_set(curve)[2:] for curve in GOLDEN.values())))
+squarefree_ints = st.lists(st.sampled_from(TWIST_PRIMES), unique=True, max_size=4).map(math.prod)
+any_ints = st.lists(st.sampled_from(TWIST_PRIMES), max_size=4).map(math.prod)
+
+
+def complete_profiles(curve, rnd):
+    """A random known h table at every finite place of Sigma."""
+    return {v: (0, *(rnd.randrange(2) for _ in local_classes(v)[1:])) for v in sigma_set(curve)[1:]}
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(st.sampled_from((1, -1)), squarefree_ints, any_ints,
+                  st.sampled_from(sorted(GOLDEN)), st.randoms())
+def test_a_twist_reads_as_its_squarefree_kernel(s, k, m, name, rnd):
+    """d = s k m^2 has the flips, kernel, norm and places of its kernel s k."""
+    n = s * k * m * m
+    for curve_name, curve in GOLDEN.items():
+        for tables in (PLAIN_TABLES[curve_name], omega_tables(curve, complete_profiles(curve, rnd))):
+            assert parity_flip(tables, n) == parity_flip(tables, s * k), (curve_name, n)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["--format", "json", "character", "--d", str(n),
+                   "--curve", str(PAPERCASES / f"{name}.curve")])
+    assert rc == 0
+    doc = json.loads(out.getvalue())
+    kernel = squarefree_part(n)
+    assert kernel == s * k
+    assert doc["inputs"]["squarefree_kernel"] == kernel
+    assert doc["outputs"]["norm"] == max(ramified_primes(kernel), default=1)
+    places = {0, 2, *ramified_primes(kernel), *sigma_set(GOLDEN[name])}
+    assert set(doc["outputs"]["local"]) == set(map(place_name, places))
 
 
 @hypothesis.given(st.lists(st.integers(0, 255), max_size=10), st.randoms())
