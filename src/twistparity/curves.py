@@ -21,7 +21,8 @@ class CurveSpec:
     # through discriminant(), real_root_signature() and curve_hash(); parts
     # holds (primitive integer coefficients, their int discriminant) for
     # each declared factor, or for f when none is declared, and is read by
-    # frobenius at every prime; Sigma is computed on first use in frobenius
+    # frobenius at every prime and by rational_roots; Sigma is computed on
+    # first use in frobenius
     __slots__ = ("f", "declared_factors", "parts", "_discriminant", "_sigma", "_signature", "_key")
 
     def __init__(self, f: RatPoly, declared_factors: tuple = ()):

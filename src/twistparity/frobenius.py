@@ -281,7 +281,7 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
     n = curve.degree
     square = disc_is_square(curve)
     evidence: dict = {"disc_square": square, "sample_bound": sample_bound}
-    if len(curve.declared_factors) > 1 or rational_roots(curve.f):
+    if len(curve.parts) > 1 or rational_roots(*curve.parts[0]):
         evidence["note"] = "f reducible over Q"
         return "unknown", evidence
 

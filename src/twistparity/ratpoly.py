@@ -83,12 +83,6 @@ class RatPoly:
                     out[i + j] += a * b
         return RatPoly(out)
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def divmod(self, other: "RatPoly"):
         """Exact quotient and remainder over Q."""
         if not other:
@@ -109,9 +103,6 @@ class RatPoly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
@@ -238,37 +229,39 @@ def homogenize(f: RatPoly, num: RatPoly, den: RatPoly) -> RatPoly:
     return acc
 
 
-def rational_roots(f: RatPoly):
-    """All rational roots of f, increasing, by l-adic Newton lifting (Loos 1983).
+def _horner(ints: tuple, x):
+    """The polynomial with coefficients ints, ascending, at x."""
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
 
-    g is the squarefree part of f and l the least odd prime dividing neither
-    lead(g) nor Res(g, g'), so each root r of g mod l is simple and lifts to
-    one l-adic root.  A rational root x has a_n*x integral and, by Cauchy's
-    bound, |a_n*x| <= |a_n| + max|a_i|; once the modulus M exceeds twice
-    that, a_n*x is the symmetric residue of a_n*r mod M.  No integer is factored.
+
+def rational_roots(ints: tuple, disc: int):
+    """All rational roots of a separable polynomial, increasing, by l-adic
+    Newton lifting (Loos 1983).
+
+    The polynomial is read as its integer part (ints, disc), the form
+    ``integer_part`` returns.  l is the least odd prime dividing neither
+    lead nor disc, so each root r mod l is simple and lifts to one l-adic
+    root.  A rational root x has lead*x integral and, by Cauchy's bound,
+    |lead*x| <= |lead| + max|a_i|; once the modulus M exceeds twice that,
+    lead*x is the symmetric residue of lead*r mod M.  No integer is factored.
     """
-    if f.degree < 1:
-        if not f:
-            raise InvalidInputError("zero polynomial")
-        return []
-    # the sequence ends at gcd(f, f') times a constant whose numerator and
-    # denominator grow like Res(f, f'); dividing by it unscaled would carry them into g
-    g = RatPoly((f // _sturm_sequence(f)[-1].monic()).primitive_int()[0])
-    dg, lead = g.derivative(), int(g.lead)
-    # lead * disc(g) is Res(g, g') up to sign
-    bad = lead * (lead * discriminant(g)).numerator
-    l = next(q for q in itertools.count(3, 2) if bad % q and is_prime(q))
-    bound = 2 * (abs(lead) + max(abs(c) for c in g.coeffs))
+    lead = ints[-1]
+    dints = tuple(i * c for i, c in enumerate(ints))[1:]
+    l = next(q for q in itertools.count(3, 2) if lead * disc % q and is_prime(q))
+    bound = 2 * (abs(lead) + max(map(abs, ints)))
     roots = []
     for r in range(l):
-        if g(r) % l:
+        if _horner(ints, r) % l:
             continue
         m = l
         while m <= bound:
             m *= m
-            r = int(r - g(r) * pow(int(dg(r)), -1, m)) % m
+            r = (r - _horner(ints, r) * pow(_horner(dints, r), -1, m)) % m
         y = lead * r % m
         x = Fraction(y - m if 2 * y > m else y, lead)
-        if g(x) == 0:
+        if _horner(ints, x) == 0:
             roots.append(x)
     return sorted(roots)

@@ -1,9 +1,10 @@
 """The rational 2-torsion of the curve's Jacobian, by certified factor counts.
 
 Its F_2-dimension is one less than the number of irreducible factors of
-f over Q.  That count divides out rational roots and certifies each
-cofactor of degree above 3 irreducible by a prime where it stays
-irreducible; a count it cannot certify is an error, never a guess.  A
+f over Q.  That count reads each declared factor, or f, through its
+integer part in ``CurveSpec.parts``, divides out rational roots and
+certifies each cofactor of degree above 3 irreducible by a prime where it
+stays irreducible; a count it cannot certify is an error, never a guess.  A
 cofactor that splits into nonlinear factors over Q has no such prime, so
 an f declared without its factors reads UnknownFactorizationError there;
 declaring the factors is the way past it.
@@ -22,20 +23,20 @@ __all__ = ["rational_two_torsion_dim"]
 _CERTIFY_BOUND = 2000
 
 
-def _certify_irreducible(g: RatPoly) -> None:
-    """Certify g irreducible over Q, given that g is linear or has no rational root.
+def _certify_irreducible(g: RatPoly, ints: tuple, disc: int) -> None:
+    """Certify g irreducible over Q, given that g is linear or has no rational
+    root; (ints, disc) is its integer part.
 
     Degree <= 3 follows from that.  Higher degrees need a
-    cycle-type certificate: the primitive integer form of g irreducible
-    mod a prime dividing neither its lead nor its discriminant forces
-    irreducibility over Q (``factor_degrees`` rejects the other primes);
-    a bounded scan that never finds one raises UnknownFactorizationError
-    rather than guessing.
+    cycle-type certificate: the integer part irreducible mod a prime
+    dividing neither its lead nor its discriminant forces irreducibility
+    over Q (``factor_degrees`` rejects the other primes); a bounded scan
+    that never finds one raises UnknownFactorizationError rather than
+    guessing.
     """
     d = g.degree
     if d <= 3:
         return
-    ints, disc = integer_part(g)
     for l in iter_primes(3, _CERTIFY_BOUND):
         try:
             degrees = factor_degrees(ints, l, disc)
@@ -58,14 +59,15 @@ def rational_two_torsion_dim(curve: CurveSpec) -> int:
     undecidable inputs raise UnknownFactorizationError.
     """
     count = 0
-    for g in curve.declared_factors or (curve.f,):
-        roots = rational_roots(g)
+    for g, part in zip(curve.declared_factors or (curve.f,), curve.parts):
+        roots = rational_roots(*part)
         if curve.declared_factors and g.degree > 1 and roots:
             raise UnknownFactorizationError(f"declared factor {g} is not irreducible")
         for r in roots:
-            g = g // RatPoly((-r, 1))
+            g = g.divmod(RatPoly((-r, 1)))[0]
         count += len(roots)
         if g.degree >= 1:
-            _certify_irreducible(g)
+            # only a cofactor left by dividing out roots needs its own integer part
+            _certify_irreducible(g, *(integer_part(g) if roots else part))
             count += 1
     return count - 1

@@ -151,14 +151,19 @@ def rational_roots_by_divisors(f: RatPoly):
     roots = {Fraction(0)} if ints[0] == 0 else set()
     while ints[0] == 0:
         ints.pop(0)
-    g = RatPoly(ints)
 
     def divisors(n):
         return [d for d in range(1, abs(n) + 1) if n % d == 0]
 
+    def value(x):
+        acc = 0
+        for c in reversed(ints):
+            acc = acc * x + c
+        return acc
+
     for p in divisors(ints[0]):
         for q in divisors(ints[-1]):
-            roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if g(x) == 0)
+            roots.update(x for x in (Fraction(p, q), Fraction(-p, q)) if value(x) == 0)
     return sorted(roots)
 
 

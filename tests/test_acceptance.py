@@ -164,7 +164,7 @@ def test_acceptance_07_section8_ingredients():
     t0 = time.monotonic()
     assert rational_two_torsion_dim(curve_h()) == 2
     assert rational_two_torsion_dim(curve_g()) == 2
-    ident = transformation_identity()
+    ident = transformation_identity(curve_h().f)
     if ident["identity_holds"]:
         outcome = "identity exact"
     else:

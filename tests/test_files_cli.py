@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from twistparity import modular, parity
+from twistparity import modular, parity, ratpoly
 from twistparity.cli import main
 from twistparity.curves import curve_hash
 from twistparity.errors import ParseError
@@ -703,3 +703,38 @@ def test_cli_scan_is_restricted_exactly_when_disparity_is_null(name, tmp_path, c
                 assert restricted == (kind != "full"), (kind, mode)
                 seen.add(restricted)
     assert seen == {True, False}
+
+
+def _count_remainder_sequences(monkeypatch):
+    """A list that grows by one at each remainder sequence ``ratpoly`` builds."""
+    calls = []
+    original = ratpoly._sturm_sequence
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(ratpoly, "_sturm_sequence", counted)
+    return calls
+
+
+@pytest.mark.parametrize("path", sorted(PAPERCASES.glob("*.curve")), ids=lambda p: p.stem)
+def test_cli_analyze_builds_one_remainder_sequence_per_polynomial(path, tmp_path, monkeypatch, capsys):
+    """The discriminant and the signature of f, then one integer part per
+    factor; rational roots, the 2-torsion count and the reducibility test
+    read those parts and build none of their own."""
+    parts = parse_curve_text(path.read_text(encoding="utf-8")).parts
+    calls = _count_remainder_sequences(monkeypatch)
+    rc, _, _ = run_cli(capsys, "--format", "json", "--cache", str(tmp_path / "primes.cache"),
+                       "analyze", "--curve", str(path))
+    assert rc == 0
+    assert len(calls) <= 2 + len(parts), [str(f) for f in calls]
+
+
+def test_cli_verify_paper_builds_each_remainder_sequence_once(monkeypatch, capsys):
+    """Each golden curve is built once: 5 + 5 for the declared quintics and
+    3 + 5 + 3 for the others."""
+    calls = _count_remainder_sequences(monkeypatch)
+    rc, _, _ = run_cli(capsys, "--format", "json", "verify-paper")
+    assert rc == 0
+    assert len(calls) <= 21, [str(f) for f in calls]

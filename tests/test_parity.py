@@ -100,9 +100,15 @@ def test_good_prime_h_examples():
         classify_prime(c, 3)
 
 
-def test_omega_at_infinity_examples():
+def test_omega_at_infinity_examples(monkeypatch):
     assert omega_tables(curve_x3_minus_2())[INF] == (1, -1)  # h = 0, disc < 0
     assert omega_tables(curve_h())[INF][1] == 1  # (-1)^1 * (-1)^1
+    cg = curve_g()
+    assert omega_tables(cg)[INF] == (1, 1)  # k1 = 1 so h = 0, disc a positive square
+    # a real-place h read as k1, not k1 - 1, flips that row
+    r, k1, k2 = cg.real_root_signature()
+    monkeypatch.setattr(CurveSpec, "real_root_signature", lambda self: (r, k1 + 1, k2))
+    assert omega_tables(cg)[INF] == (1, -1)
 
 
 def test_omega_consumes_profile_entries():

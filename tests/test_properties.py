@@ -1,11 +1,13 @@
 """Property tests of the twist group law, the Sigma-triviality filter, reading a
-twist through its square classes, row reduction, primality and factoring."""
+twist through its square classes, row reduction, primality, factoring and
+the rational 2-torsion count."""
 
 import contextlib
 import io
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ st = hypothesis.strategies
 
 from twistparity.characters import sigma_trivial  # noqa: E402
 from twistparity.cli import main  # noqa: E402
+from twistparity.curves import CurveSpec  # noqa: E402
 from twistparity.frobenius import sigma_set  # noqa: E402
 from twistparity.modular import (  # noqa: E402
     factor_integer,
@@ -24,6 +27,8 @@ from twistparity.modular import (  # noqa: E402
 )
 from twistparity.papercases import GOLDEN_CURVES, curve_h  # noqa: E402
 from twistparity.parity import echelon, omega_tables, parity_flip, span  # noqa: E402
+from twistparity.ratpoly import RatPoly, discriminant  # noqa: E402
+from twistparity.torsion import rational_two_torsion_dim  # noqa: E402
 
 from oracles import ramified_primes, sigma_trivial_by_classes, squarefree_part  # noqa: E402
 
@@ -127,3 +132,33 @@ def test_factor_integer_splits_two_prime_products_like_sympy(a, b):
     sympy = pytest.importorskip("sympy")
     n = sympy.nextprime(a) * sympy.nextprime(b)
     assert factor_integer(n) == sympy.factorint(n)
+
+
+@st.composite
+def _roots_times_an_irreducible(draw):
+    """(f, k): a rational multiple of k = 1 or 2 rational linear factors times
+    an irreducible g of degree 4 or 6 (k = 1) or 5 (k = 2), separable, and
+    with g irreducible of full degree mod an odd prime below 50, which is
+    what the 2-torsion count needs to certify it."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    k = draw(st.sampled_from((1, 2)))
+    m = draw(st.sampled_from((4, 6))) if k == 1 else 5
+    g = [draw(st.integers(-9, 9)) for _ in range(m)] + [draw(st.integers(1, 5))]
+    reductions = (sympy.Poly(list(reversed(g)), x, modulus=l) for l in sympy.primerange(3, 50))
+    hypothesis.assume(any(r.degree() == m and r.is_irreducible for r in reductions))
+    assert sympy.Poly(list(reversed(g)), x).is_irreducible, g
+    f = RatPoly((Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))),)) * RatPoly(g)
+    for _ in range(k):
+        f = f * RatPoly((draw(st.integers(-20, 20)), draw(st.integers(1, 9))))
+    hypothesis.assume(discriminant(f))
+    return f, k
+
+
+@hypothesis.settings(max_examples=50, deadline=None)  # the first example imports sympy
+@hypothesis.given(_roots_times_an_irreducible())
+def test_two_torsion_divides_out_roots_and_certifies_the_cofactor(case):
+    """With no declared factors, the k roots are divided out and the cofactor
+    of degree 4 or more is certified: dim J(Q)[2] = (k + 1) - 1."""
+    f, k = case
+    assert rational_two_torsion_dim(CurveSpec(f)) == k, str(f)

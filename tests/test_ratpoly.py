@@ -14,6 +14,7 @@ from twistparity.ratpoly import (  # noqa: E402
     RatPoly,
     discriminant,
     homogenize,
+    integer_part,
     rational_roots,
     real_root_signature,
 )
@@ -73,12 +74,20 @@ def test_homogenize_examples():
     assert homogenize(RatPoly((-2, 0, 0, 1)), RatPoly((1,)), RatPoly((0, 1))) == RatPoly((1, 0, 0, -2))
 
 
+def _value(f, x):
+    """f(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _grid_sign_changes(f, npoints):
     bound = 1 + max(abs(c / f.lead) for c in f.coeffs)
     pts = [Fraction(-bound) + Fraction(2 * bound * i, npoints) for i in range(npoints + 1)]
     signs = []
     for x in pts:
-        v = f(x)
+        v = _value(f, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -168,23 +177,24 @@ def test_disc_of_product_detects_shared_roots():
 
 def test_rational_roots():
     f = RatPoly((1672, -273, 0, 1))
-    assert rational_roots(f) == [Fraction(-19), Fraction(8), Fraction(11)]
-    assert rational_roots(RatPoly((-2, 0, 0, 1))) == []
+    assert rational_roots(*integer_part(f)) == [Fraction(-19), Fraction(8), Fraction(11)]
+    assert rational_roots(*integer_part(RatPoly((-2, 0, 0, 1)))) == []
     g = RatPoly((0, 1)) * RatPoly((-1, 2)) * RatPoly((3, 0, 1))
-    assert rational_roots(g) == [Fraction(0), Fraction(1, 2)]
+    assert rational_roots(*integer_part(g)) == [Fraction(0), Fraction(1, 2)]
     # a 15-digit prime in the numerator of the root
     p = 100000000000031
     h = RatPoly((-p, 3)) * RatPoly((1, 1, 1))
-    assert rational_roots(h) == [Fraction(p, 3)]
+    assert rational_roots(*integer_part(h)) == [Fraction(p, 3)]
 
 
 def test_rational_roots_match_sympy_linear_factors():
-    """Products of linear and nonlinear factors, some repeated, scaled by a
-    rational constant: the roots are those of sympy's linear factors."""
+    """Products of linear and nonlinear factors, scaled by a rational
+    constant: the roots are those of sympy's linear factors.  A draw that
+    repeats a factor is drawn again."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(5)
-    cases = repeated = 0
+    cases = 0
     while cases < 100:
         factors = []
         for _ in range(rng.randint(0, 3)):
@@ -194,25 +204,46 @@ def test_rational_roots_match_sympy_linear_factors():
         f = RatPoly((rng.choice((1, -1, 2, 3)),))
         for g in factors:
             f = f * g
-        if f.degree < 1 or max(abs(c) for c in f.coeffs) >= 10**4:
+        if f.degree < 1 or max(abs(c) for c in f.coeffs) >= 10**4 or not discriminant(f):
             continue
         cases += 1
         _, sym_factors = sympy.Poly([int(c) for c in reversed(f.coeffs)], x).factor_list()
-        repeated += any(e > 1 for _, e in sym_factors)
         linear = [p.all_coeffs() for p, _ in sym_factors if p.degree() == 1]
         want = sorted(Fraction(-int(b), int(a)) for a, b in linear)
-        assert rational_roots(f * Fraction(1, rng.randint(1, 7))) == want, str(f)
-    assert repeated >= 5
+        assert rational_roots(*integer_part(f * Fraction(1, rng.randint(1, 7)))) == want, str(f)
 
 
 def test_rational_roots_match_divisor_oracle():
+    """A draw that repeats a factor is drawn again."""
     rng = random.Random(17)
-    for _ in range(150):
+    cases = 0
+    while cases < 150:
         f = RatPoly((rng.choice((1, -1, 2, 6)),))
         for _ in range(rng.randint(0, 3)):
             f = f * RatPoly((rng.randint(-12, 12), rng.randint(1, 6)))
         f = f * RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 4)])
-        assert rational_roots(f) == rational_roots_by_divisors(f), str(f)
+        if not discriminant(f):
+            continue
+        cases += 1
+        assert rational_roots(*integer_part(f)) == rational_roots_by_divisors(f), str(f)
+
+
+@st.composite
+def _separable_small_polys(draw):
+    """A rational multiple of up to three linear factors times one more factor
+    of degree 0 to 4, all with small coefficients, separable."""
+    f = RatPoly((Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))),))
+    for a, b in draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), max_size=3)):
+        f = f * RatPoly((a, b))
+    f = f * RatPoly(draw(st.lists(st.integers(-9, 9), max_size=4)) + [draw(st.integers(1, 4))])
+    hypothesis.assume(f.degree >= 1 and discriminant(f))
+    return f
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(_separable_small_polys())
+def test_rational_roots_of_the_integer_part_match_the_divisor_oracle(f):
+    assert rational_roots(*integer_part(f)) == rational_roots_by_divisors(f), str(f)
 
 
 def _sympy_roots(f, sympy):
@@ -226,7 +257,7 @@ def _sympy_roots(f, sympy):
 
 def test_rational_roots_match_sympy_on_smooth_end_coefficients():
     """End coefficients 2^a 3^b 5^c 7^d have many divisors; the lifting
-    never enumerates them."""
+    never enumerates them.  A draw that repeats a factor is drawn again."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(19)
 
@@ -234,37 +265,44 @@ def test_rational_roots_match_sympy_on_smooth_end_coefficients():
         a, b, c, d = (rng.randint(0, k) for k in (12, 8, 6, 5))
         return rng.choice((1, -1)) * 2**a * 3**b * 5**c * 7**d
 
-    found = 0
-    for _ in range(40):
+    cases = found = 0
+    while cases < 40:
         f = RatPoly((smooth(), 1, 0, abs(smooth())))
         for _ in range(rng.randint(0, 2)):
             f = f * RatPoly((smooth(), abs(smooth())))
+        if not discriminant(f):
+            continue
+        cases += 1
         want = _sympy_roots(f, sympy)
         found += bool(want)
-        assert rational_roots(f) == want, str(f)
+        assert rational_roots(*integer_part(f)) == want, str(f)
     assert found >= 20
 
 
 def test_rational_roots_match_sympy_on_large_coefficients():
     """Known linear and nonlinear factors whose products have 20- to
-    40-digit coefficients."""
+    40-digit coefficients.  A draw that repeats a factor is drawn again."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(23)
 
     def big(digits):
         return rng.choice((1, -1)) * rng.randint(10 ** (digits - 1), 10**digits)
 
-    for _ in range(25):
+    cases = 0
+    while cases < 25:
         linear = [RatPoly((big(10), rng.randint(1, 10**5))) for _ in range(rng.randint(1, 2))]
         other = RatPoly([big(15) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 10**4)])
         f = other
         for g in linear:
             f = f * g
+        if not discriminant(f):
+            continue
+        cases += 1
         digits = max(len(str(abs(c.numerator))) for c in f.coeffs)
         assert 20 <= digits <= 40, str(f)
         want = _sympy_roots(f, sympy)
         assert len(want) >= len(linear)
-        assert rational_roots(f) == want, str(f)
+        assert rational_roots(*integer_part(f)) == want, str(f)
 
 
 def test_rational_roots_factor_no_integer(monkeypatch):
@@ -273,9 +311,9 @@ def test_rational_roots_factor_no_integer(monkeypatch):
 
     monkeypatch.setattr(ratpoly, "factor_integer", refuse)
     monkeypatch.setattr(modular, "factor_integer", refuse)
-    assert rational_roots(RatPoly((2**12 * 5**12, 1, 0, 3**12 * 7**12))) == []
+    assert rational_roots(*integer_part(RatPoly((2**12 * 5**12, 1, 0, 3**12 * 7**12)))) == []
     p = 100000000000031
-    assert rational_roots(RatPoly((-p, 3)) * RatPoly((1, 1, 1))) == [Fraction(p, 3)]
+    assert rational_roots(*integer_part(RatPoly((-p, 3)) * RatPoly((1, 1, 1)))) == [Fraction(p, 3)]
 
 
 def test_poly_arithmetic_roundtrips():

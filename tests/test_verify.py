@@ -16,7 +16,7 @@ from oracles import frobenius_trace
 
 def test_transformation_identity_quotient_closes_algebraically():
     """lhs * den(quotient) == rhs * num(quotient) as exact polynomials."""
-    ident = transformation_identity()
+    ident = transformation_identity(curve_h().f)
     lhs = homogenize(sextic_h0(), RatPoly((1, 3)), RatPoly((0, 1)))
     rhs = curve_h().f * TRANSFORM_CONSTANT**2
     if ident["identity_holds"]:
@@ -80,8 +80,8 @@ def test_suite_builds_each_golden_curve_once(monkeypatch):
 def test_cli_exit_code_2_on_failed_check(monkeypatch, capsys):
     """A failed check exits 2 in both formats; text mode alone prints the
     wall time, as one line on stderr."""
-    wrong = dict(transformation_identity(), quotient_numerator="91*x^2 + 60*x + 11")
-    monkeypatch.setattr(verify, "transformation_identity", lambda: wrong)
+    wrong = dict(transformation_identity(curve_h().f), quotient_numerator="91*x^2 + 60*x + 11")
+    monkeypatch.setattr(verify, "transformation_identity", lambda h: wrong)
     assert cli.main(["verify-paper"]) == 2
     captured = capsys.readouterr()
     assert "[FAIL] sextic_transformation_identity\n" in captured.out
@@ -130,8 +130,8 @@ def test_sigma_trivial_check_fails_on_wrong_good_prime_h(monkeypatch):
 
 
 def test_transformation_check_fails_on_a_wrong_quotient(monkeypatch):
-    wrong = dict(transformation_identity(), quotient_numerator="91*x^2 + 60*x + 11")
-    monkeypatch.setattr(verify, "transformation_identity", lambda: wrong)
+    wrong = dict(transformation_identity(curve_h().f), quotient_numerator="91*x^2 + 60*x + 11")
+    monkeypatch.setattr(verify, "transformation_identity", lambda h: wrong)
     _, out = run_paper_verification(0)
     check = next(c for c in out["checks"] if c["name"] == "sextic_transformation_identity")
     assert check["passed"] is False
