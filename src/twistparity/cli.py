@@ -21,7 +21,7 @@ import math
 import sys
 import time
 
-from .characters import local_behavior, local_square_class
+from .characters import local_behavior, local_square_class, sigma_trivial
 from .curves import curve_hash
 from .errors import InvalidInputError, ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text, read_text
@@ -221,7 +221,7 @@ def _cmd_character(args):
         inputs.update(curve_inputs)
         sigma = sigma_set(curve)
         places.update(sigma)
-        extra["sigma_trivial"] = not any(square_class_index(d, v) for v in sigma)
+        extra["sigma_trivial"] = sigma_trivial(d, sigma)
     local = {v: local_behavior(d, v) for v in sorted(places)}
     behavior = {
         place_name(v): {"behavior": b, "square_class": local_square_class(d, v)}

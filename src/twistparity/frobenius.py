@@ -24,10 +24,12 @@ scan shares the primes its cache lacks out to forked children, one per
 usable core, and writes their cycle types to the cache itself, in the
 order one core gives.  Every scan has a cache: an append-only line file
 of cycle types per (curve hash, l), cut back after its last whole
-record.  A cached cycle type whose lengths do not sum to the degree of f
-is never trusted: it is recomputed and the corrected record appended, so
-deleting or damaging a cache never changes a reported value.
-``classify_prime`` reads no cache.
+record.  A cached cycle type is recomputed, and the corrected record
+appended, when its lengths do not sum to the degree n of f or its orbit
+count has the wrong sign, (disc f | l) = (-1)^(n - #orbits).  A Galois
+label is certified only from cycle types computed in its run; a wrong
+record of the right sign can still change what a scan yields, until the
+cache is deleted.  ``classify_prime`` reads no cache.
 """
 
 from __future__ import annotations
@@ -168,20 +170,25 @@ def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime
     prime before classification (use it for symbol conditions, which are
     much cheaper than factoring f mod l).  Candidates come ``_BLOCK`` at a
     time: the records of a block are read from the cache once, the primes
-    it lacks or holds poisoned are factored (``_factor_split``) and
-    appended in prime order, and the block is yielded from the tuples the
-    cache holds, so records come in increasing prime order, and a consumer
-    that stops early classifies at most the rest of its block.
+    it lacks or holds poisoned (of the wrong sum, or of the wrong sign by
+    Euler's criterion on num*den of disc f) are factored
+    (``_factor_split``) and appended in prime order, and the block is
+    yielded from the tuples the cache holds, so records come in increasing
+    prime order, and a consumer that stops early classifies at most the
+    rest of its block.
     """
-    sigma = sigma_set(curve)
-    key, n = curve_hash(curve), curve.degree
+    sigma, disc = sigma_set(curve), curve.discriminant()
+    key, n, s = curve_hash(curve), curve.degree, disc.numerator * disc.denominator
     good = (
         l for l in iter_primes(2, stop, m)
         if l not in sigma and (prime_filter is None or prime_filter(l))
     )
     while block := list(itertools.islice(good, _BLOCK)):
         held = [cache.get(key, l) for l in block]
-        todo = [j for j, t in enumerate(held) if t is None or sum(t) != n]
+        todo = [
+            j for j, (l, t) in enumerate(zip(block, held))
+            if t is None or sum(t) != n or (pow(s, (l - 1) // 2, l) == 1) != ((n - len(t)) % 2 == 0)
+        ]
         for j, lengths in zip(todo, _factor_split(curve, [block[j] for j in todo])):
             held[j] = cache.put(key, block[j], lengths)
         for l, t in zip(block, held):
@@ -276,7 +283,9 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
     from PGL(2,q) to PGammaL(2,q) on the projective line lie in A_n and
     hold both cycles too (PSL(2,8) at n = 9), so An also needs a power of
     an element to be a p-cycle, p prime and p <= n-3: a primitive group
-    with such a cycle contains A_n (Jordan, 1873).
+    with such a cycle contains A_n (Jordan, 1873).  The first prime of
+    each pattern is its witness, computed again: a cached record that
+    disagrees is corrected and the scan repeats.
     """
     n = curve.degree
     square = disc_is_square(curve)
@@ -285,15 +294,19 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
         evidence["note"] = "f reducible over Q"
         return "unknown", evidence
 
-    seen = set()
-    first_at: dict = {}
-    for pc in prime_scan(curve, sample_bound + 1, cache):
-        t = pc.lengths
-        seen.add(t)
-        for name, ok in _pattern_tests(t, n):
-            if ok and name not in first_at:
-                first_at[name] = pc.l
-    evidence["patterns"] = dict(sorted(first_at.items()))
+    key, wrong = curve_hash(curve), True
+    while wrong:  # until every witness's cycle type is one this run computed
+        seen, first_at = set(), {}
+        for pc in prime_scan(curve, sample_bound + 1, cache):
+            seen.add(pc.lengths)
+            for name, ok in _pattern_tests(pc.lengths, n):
+                if ok and name not in first_at:
+                    first_at[name] = pc
+        wrong = [(pc.l, t) for pc in sorted(set(first_at.values()))
+                 if (t := _cycle_type(curve.parts, pc.l)) != pc.lengths]
+        for l, t in wrong:
+            cache.put(key, l, t)
+    evidence["patterns"] = {name: pc.l for name, pc in sorted(first_at.items())}
     evidence["distinct_types"] = len(seen)
 
     has = first_at.__contains__

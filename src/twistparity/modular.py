@@ -1,5 +1,6 @@
-"""Primes, integer factorization, the classical quadratic symbols, the
-square classes of Q_v and factor degrees over GF(l).
+"""Primes, integer factorization, the square classes of Q_v and factor
+degrees over GF(l).  A Legendre symbol at a known odd prime q is Euler's
+criterion, a^((q-1)/2) mod q; the Jacobi symbol serves only Baillie-PSW.
 
 Only the degrees of the irreducible factors of f mod l are ever needed,
 and distinct-degree factorization yields them without splitting any
@@ -254,23 +255,10 @@ def is_squarefree(n: int) -> bool:
 
 
 def kronecker_symbol(a: int, m: int) -> int:
-    """Kronecker symbol (a|m); m must be nonzero."""
-    if m == 0:
-        raise InvalidInputError("kronecker symbol undefined for m = 0")
+    """The Jacobi symbol (a|m) for odd m > 0, for an m not yet known to be prime."""
+    if m < 1 or m % 2 == 0:
+        raise InvalidInputError(f"the Jacobi symbol needs an odd m > 0, got {m}")
     res = 1
-    if m < 0:
-        m = -m
-        if a < 0:
-            res = -res
-    twos = 0
-    while m % 2 == 0:
-        m //= 2
-        twos += 1
-    if twos:
-        if a % 2 == 0:
-            return 0
-        if twos % 2 and a % 8 in (3, 5):
-            res = -res
     a %= m
     while a:
         while a % 2 == 0:
@@ -298,12 +286,9 @@ def place_name(place: int) -> str:
 def smallest_nonresidue(q: int) -> int:
     """Least positive quadratic nonresidue mod an odd prime q."""
     n = 2
-    while kronecker_symbol(n, q) != -1:
+    while pow(n, (q - 1) // 2, q) == 1:
         n += 1
     return n
-
-
-_odd_classes: dict = {}  # q -> local_classes at q, so each q's nonresidue is found once
 
 
 def local_classes(place: int):
@@ -316,11 +301,8 @@ def local_classes(place: int):
         return (1, -1)
     if place == 2:
         return (1, 5, -1, -5, 2, 10, -2, -10)
-    classes = _odd_classes.get(place)
-    if classes is None:
-        u = smallest_nonresidue(place)
-        classes = _odd_classes[place] = (1, u, place, u * place)
-    return classes
+    u = smallest_nonresidue(place)
+    return (1, u, place, u * place)
 
 
 def square_class_index(x, place: int) -> int:
@@ -330,7 +312,8 @@ def square_class_index(x, place: int) -> int:
     Q_v^x / (Q_v^x)^2, with x = q^v * unit:
 
         real  : bit 0 the sign;
-        odd q : bit 1 v mod 2, bit 0 whether the unit is a nonresidue mod q;
+        odd q : bit 1 v mod 2, bit 0 whether the unit is a nonresidue mod q
+                (Euler's criterion: unit^((q-1)/2) is -1 mod q);
         q = 2 : bit 2 v mod 2, bit 1 eps(unit), bit 0 omega(unit),
 
     where eps(u) = (u - 1)/2 mod 2 and omega(u) = (u^2 - 1)/8 mod 2 (Serre,
@@ -353,7 +336,7 @@ def square_class_index(x, place: int) -> int:
     unit = num * den
     if q == 2:
         return (v & 1) << 2 | (unit % 4 == 3) << 1 | (unit % 8 in (3, 5))
-    return (v & 1) << 1 | (kronecker_symbol(unit, q) == -1)
+    return (v & 1) << 1 | (pow(unit, (q - 1) // 2, q) != 1)
 
 
 def hilbert_symbol(a, b, place: int) -> int:

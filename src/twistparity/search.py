@@ -48,7 +48,7 @@ def find_shift_primes(curve: CurveSpec, direction: str, limit: int, cache: Prime
     index 2 with any cycle type.  Both demand l = 1 mod 8 and (l|q) = +1
     at the odd bad primes, so d = l is the Sigma-trivial twist ramified
     exactly at l.  Only the primes l = 1 mod 8 are sieved and passed to
-    ``sigma_trivial``, whose Kronecker symbols decide the rest before any
+    ``sigma_trivial``, whose Legendre symbols decide the rest before any
     prime is classified.  An empty stream is a legitimate outcome (some
     curves, including reducible ones, never satisfy the combination).
     """

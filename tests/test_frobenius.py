@@ -2,6 +2,7 @@
 
 import errno
 import itertools
+import json
 import math
 import os
 import random
@@ -14,6 +15,7 @@ import pytest
 from twistparity.curves import CurveSpec, curve_hash
 from twistparity.errors import BadPrimeError, InvalidInputError, UnknownFactorizationError
 from twistparity import frobenius, gfpoly, modular, ratpoly
+from twistparity.cli import main
 from twistparity.frobenius import (
     PrimeCache,
     PrimeClass,
@@ -186,6 +188,18 @@ def test_poisoned_cache_record_is_recomputed(tmp_path):
     # the corrected record is appended, in prime order, and wins on the next load
     assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 5 1,2", f"{key} 7 3"]
     assert PrimeCache(str(path)).get(key, 7) == (3,)
+
+
+def test_cache_record_of_the_wrong_sign_is_recomputed(tmp_path):
+    """(1, 1, 1) sums to 3 but has the wrong sign at 5: (-108 | 5) = -1
+    asks for an odd 3 - #orbits, and the honest type is (1, 2)."""
+    c = curve_x3_minus_2()
+    key = curve_hash(c)
+    path = tmp_path / "primes.cache"
+    path.write_text(f"{key} 5 1,1,1\n")
+    with PrimeCache(str(path)) as cache:
+        assert list(prime_scan(c, 8, cache)) == [PrimeClass(5, (1, 2), 1), PrimeClass(7, (3,), 0)]
+    assert path.read_text().splitlines() == [f"{key} 5 1,1,1", f"{key} 5 1,2", f"{key} 7 3"]
 
 
 # lines that are not records
@@ -427,6 +441,9 @@ def _classify_types(monkeypatch, degree, types, square=True):
         return (PrimeClass(l, t, len(t) - 1) for l, t in zip(iter_primes(3, stop + 1), types))
 
     monkeypatch.setattr(frobenius, "prime_scan", scan)
+    # galois_classify computes each witness prime's type again: the stand-in gives the same
+    at = dict(zip(iter_primes(3, 3001), types))
+    monkeypatch.setattr(frobenius, "_cycle_type", lambda parts, l: at[l])
     monkeypatch.setattr(frobenius, "disc_is_square", lambda curve: square)
     curve = CurveSpec(f=RatPoly((-1, -1, *[0] * (degree - 2), 1)))  # x^n - x - 1
     return galois_classify(curve, 3000, None)  # the stand-in scan reads no cache
@@ -532,6 +549,68 @@ def test_galois_classify_certifies_only_alternating_or_symmetric_groups(monkeypa
 
 def test_galois_low_bound_degrades_to_unknown(cache):
     assert galois_classify(curve_x3_minus_2(), 4, cache)[0] == "unknown"
+
+
+# y^2 = x^5 - 5x + 12: Galois group D5, inside A5, with no 3-cycle
+_D5 = RatPoly((12, -5, 0, 0, 0, 1))
+
+
+def test_cache_edit_cannot_certify_a_false_galois_label(tmp_path, capsys):
+    """The record 11 5 edited to 11 1,1,3 keeps its sum and its (even)
+    sign, and (3, 1, 1) is the (n-2)-cycle that An_certified asks for: the
+    label rests only on the witness's type computed again, and the
+    corrected record is appended."""
+    curve_file, cache_file = tmp_path / "d5.curve", tmp_path / "d5.cache"
+    curve_file.write_text("p = 2\nf = [12, -5, 0, 0, 0, 1]\n")
+    argv = ["--cache", str(cache_file), "--format", "json", "analyze", "--curve", str(curve_file)]
+
+    def galois():
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["outputs"]["galois"]
+
+    honest = galois()
+    assert honest["label"] == "inside_An"
+    key = curve_hash(CurveSpec(_D5))
+    text = cache_file.read_text()
+    assert f"{key} 11 5\n" in text
+    cache_file.write_text(text.replace(f"{key} 11 5\n", f"{key} 11 1,1,3\n"))
+    assert galois() == honest
+    assert cache_file.read_text().splitlines()[-1] == f"{key} 11 5"
+
+
+@pytest.mark.parametrize("make", [lambda: CurveSpec(_D5), curve_s5_quintic], ids=["d5", "s5_quintic"])
+def test_cache_edits_of_the_right_sum_certify_no_other_label(make, tmp_path):
+    """Edits that keep each record's sum, of either sign, change a certified
+    label into nothing but the honest one; they may weaken it to unknown.
+    Every witness prime then holds its honest type in the cache."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    curve = make()
+    key, n = curve_hash(curve), curve.degree
+    path = tmp_path / "honest.cache"
+    with PrimeCache(str(path)) as cache:
+        honest = galois_classify(curve, 1000, cache)[0]
+    records = path.read_text().splitlines()
+    assert honest in ("inside_An", "Sn_certified") and len(records) > 100
+    edited = tmp_path / "edited.cache"
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.lists(
+        st.tuples(st.integers(0, len(records) - 1), st.sampled_from(sorted(_partitions(n)))),
+        min_size=1, max_size=8,
+    ))
+    def check(edits):
+        lines = list(records)
+        for j, lengths in edits:
+            lines[j] = f"{key} {lines[j].split()[1]} {','.join(map(str, lengths))}"
+        edited.write_text("".join(line + "\n" for line in lines))
+        with PrimeCache(str(edited)) as cache:
+            label, evidence = galois_classify(curve, 1000, cache)
+            for l in evidence["patterns"].values():
+                assert cache.get(key, l) == classify_prime(curve, l).lengths, l
+        assert label in (honest, "unknown") if honest.endswith("_certified") else label == honest
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ uses every name it imports; every module-level private function or class,
 and every public function, class or method, is named somewhere else in the
 package; every defaulted parameter is passed by some call in the package;
 every name a module exports it defines; every function and method runs in
-some command line run; only ``cli.main`` builds a ``Report``; one function
-forks, and its child leaves by ``os._exit``; only ``cli`` imports
-``verify`` and only ``verify`` imports ``papercases``; importing the
-command line loads no costly standard module; the benchmark's hooks
-resolve."""
+some command line run; only ``cli.main`` builds a ``Report``; only
+Baillie-PSW calls the Jacobi symbol; one function forks, and its child
+leaves by ``os._exit``; only ``cli`` imports ``verify`` and only
+``verify`` imports ``papercases``; importing the command line loads no
+costly standard module; the benchmark's hooks resolve."""
 
 import ast
 import collections
@@ -238,8 +238,8 @@ def test_dead_public_definition_is_reported():
     ]
 
 
-def report_constructions(sources: dict):
-    """(module, function) of each call of ``Report``, by its name or as an
+def call_sites(sources: dict, name: str):
+    """(module, function) of each call of ``name``, by its name or as an
     attribute, with the innermost function around the call ("" at module
     level)."""
     found = []
@@ -249,7 +249,7 @@ def report_constructions(sources: dict):
             node, fn = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = node.name
-            elif isinstance(node, ast.Call) and "Report" in (
+            elif isinstance(node, ast.Call) and name in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None)
             ):
                 found.append((module, fn))
@@ -260,7 +260,7 @@ def report_constructions(sources: dict):
 def test_report_is_built_only_by_cli_main():
     # each command returns its inputs and outputs; main alone assembles them
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert report_constructions(sources) == [("cli.py", "main")]
+    assert call_sites(sources, "Report") == [("cli.py", "main")]
 
 
 def test_report_construction_is_reported():
@@ -270,11 +270,18 @@ def test_report_construction_is_reported():
         "def run():\n    def inner():\n        return Report('c', 0, {}, {})\n\n"
         "    return inner, DisparityReport()\n",
     }
-    assert report_constructions(sources) == [
+    assert call_sites(sources, "Report") == [
         ("cli.py", "main"),
         ("verify.py", ""),
         ("verify.py", "inner"),
     ]
+
+
+def test_only_baillie_psw_takes_the_jacobi_symbol():
+    # a Legendre symbol at a known prime is Euler's criterion; reciprocity
+    # is needed only where the modulus may be composite
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert call_sites(sources, "kronecker_symbol") == [("modular.py", "_strong_lucas_probable_prime")]
 
 
 def _is_call(node, module, name) -> bool:

@@ -1,5 +1,6 @@
 """Symbols, primality, and factorization over GF(l)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from twistparity.modular import (
     iter_primes,
     kronecker_symbol,
     local_classes,
+    smallest_nonresidue,
     square_class_index,
 )
 from twistparity.papercases import curve_s5_quintic, curve_x3_minus_2
@@ -221,17 +223,18 @@ def test_one_powering_ladder_per_prime(monkeypatch):
 def test_kronecker_examples():
     assert kronecker_symbol(2, 15) == 1
     assert kronecker_symbol(-108, 5) == -1
-    for m in (1, 2, 3, -5, 17, 100):
+    for m in (1, 3, 17):
         assert kronecker_symbol(1, m) == 1
-    with pytest.raises(InvalidInputError):
-        kronecker_symbol(3, 0)
+    for m in (0, 2, 100, -5):  # the Jacobi symbol needs an odd m > 0
+        with pytest.raises(InvalidInputError):
+            kronecker_symbol(3, m)
 
 
 def test_kronecker_square_class_invariance():
     rng = random.Random(13)
     for _ in range(300):
         a = rng.randint(-500, 500) or 1
-        m = rng.randint(2, 500)
+        m = rng.randrange(3, 501, 2)
         c = rng.randint(1, 30)
         import math
 
@@ -246,6 +249,56 @@ def test_kronecker_agrees_with_euler_criterion():
             euler = pow(a, (q - 1) // 2, q)
             want = 1 if euler == 1 else -1
             assert kronecker_symbol(a, q) == want
+
+
+def _symbol_primes(sympy, rng):
+    """3, 5 and 7, and random primes below 10^4, near 2^64 and above
+    3.3e24: profile places and Sigma primes can be that large."""
+    return sorted(
+        {3, 5, 7}
+        | {sympy.nextprime(rng.randrange(2, 9973)) for _ in range(12)}
+        | {sympy.nextprime(2**64 + rng.randrange(-(2**40), 2**40)) for _ in range(4)}
+        | {sympy.nextprime(3_317_044_064_679_887_385_961_981 + rng.randrange(10**30)) for _ in range(4)}
+    )
+
+
+def test_square_class_index_matches_sympy_legendre_symbols():
+    """At an odd prime q, x = q^v * unit has index (v mod 2, [unit nonresidue])
+    with the Legendre symbol read from sympy, for ints and Fractions."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(35)
+    for q in _symbol_primes(sympy, rng):
+        for _ in range(40):
+            num = rng.choice((1, -1)) * rng.randint(1, 10**30) * q ** rng.randint(0, 3)
+            den = rng.randint(1, 10**30) * q ** rng.randint(0, 3) if rng.random() < 0.5 else 1
+            x = Fraction(num, den) if den > 1 else num
+            v = sympy.multiplicity(q, num) + sympy.multiplicity(q, den)
+            unit = num // q ** sympy.multiplicity(q, num) * (den // q ** sympy.multiplicity(q, den))
+            want = (v % 2) << 1 | (sympy.legendre_symbol(unit % q, q) == -1)
+            assert square_class_index(x, q) == want, (x, q)
+
+
+def test_smallest_nonresidue_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for q in _symbol_primes(sympy, random.Random(36)):
+        want = next(n for n in itertools.count(2) if sympy.legendre_symbol(n, q) == -1)
+        assert smallest_nonresidue(q) == want, q
+        assert local_classes(q) == (1, want, q, want * q)
+
+
+def test_kronecker_symbol_matches_sympy_jacobi_symbol_on_composites():
+    """The Jacobi symbol, which Baillie-PSW reads at a modulus not yet known
+    to be prime, on odd composite m of up to 40 digits, a of either sign."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    checked = 0
+    while checked < 600:
+        m = rng.randrange(9, 10 ** rng.choice((3, 12, 40)), 2)
+        if sympy.isprime(m):
+            continue
+        a = rng.choice((1, -1)) * rng.randrange(0, 3 * m)
+        assert kronecker_symbol(a, m) == sympy.jacobi_symbol(a, m), (a, m)
+        checked += 1
 
 
 def test_hilbert_examples():
@@ -291,26 +344,6 @@ def test_square_class_index_labels_and_coordinates():
             assert square_class_index(a * 36, v) == square_class_index(a, v)
     with pytest.raises(InvalidInputError):
         square_class_index(Fraction(0), 3)
-
-
-def test_local_classes_walk_to_the_nonresidue_once_per_prime(monkeypatch):
-    """The least nonresidue of q is found by one walk of Kronecker symbols;
-    a later call at q makes no symbol call at all."""
-    symbol = modular.kronecker_symbol
-    calls = []
-
-    def counting(a, m):
-        calls.append((a, m))
-        return symbol(a, m)
-
-    monkeypatch.setattr(modular, "kronecker_symbol", counting)
-    monkeypatch.setattr(modular, "_odd_classes", {}, raising=False)  # as in a fresh process
-    for q in (3, 71, 311):  # least nonresidues 2, 7 and 11
-        first = local_classes(q)
-        assert len(calls) == first[1] - 1
-        calls.clear()
-        assert local_classes(q) == first
-        assert calls == []
 
 
 def test_hilbert_square_class_invariance_and_bilinearity():
