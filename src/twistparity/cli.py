@@ -12,6 +12,14 @@ alone builds the ``Report`` and prints it in the chosen format; it maps
 ``ResourceLimitError`` to exit 3 and any other ``TwistParityError`` or
 an ``OSError`` to exit 1, returns 2 when a verify-paper check fails, and
 in text mode prints verify-paper's wall time on stderr.
+
+Streamed scans: classify-primes and find-twist hand their scans to the
+report unrun, their cache open until the scan ends, so a JSON report is
+written as the primes are classified and no command holds its records.
+A scan that fails part way, say when a cache append raises ``OSError``,
+exits 1 with the error on stderr, and stdout then holds the batches
+written before it: a cut-off prefix, never valid JSON.  Text mode builds
+every line before printing any.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from .characters import local_behavior, local_square_class, sigma_trivial
 from .curves import curve_hash
 from .errors import InvalidInputError, ResourceLimitError, TwistParityError
 from .files import parse_curve_text, parse_profiles_text, read_text
-from .frobenius import PrimeCache, galois_classify, prime_scan, sigma_set
+from .frobenius import galois_classify, prime_scan, sigma_set
 from .modular import factor_integer, local_classes, place_name, square_class_index
 from .parity import delta_v, density_scan, disparity, exact_scan, omega_tables, parity_flip
+from .primecache import PrimeCache
 from .report import Report, sha256_text
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
@@ -124,9 +133,11 @@ def _emit(report: Report, args, text_lines) -> None:
     A value with more digits than Python converts to text raises
     ResourceLimitError here, for every command and format, before
     anything is printed: text is printed once every line is built, and
-    JSON is written in batches, the first of which holds every report
-    but the long ones of classify-primes and find-twist, whose numbers
-    are bounded by --limit.
+    JSON is flushed only after a list element that fills a batch of
+    ``report._BATCH`` characters.  The streamed records of classify-primes
+    and find-twist hold only numbers bounded by --limit; every other report
+    fits in one batch, or writes its one long value, an analyze
+    discriminant, before its first list.
     """
     try:
         if args.format == "json":
@@ -196,14 +207,17 @@ def _cmd_analyze(args):
     ]
 
 
+def _while_open(cache: PrimeCache, records):
+    """Yield the records, a scan of cache, then close cache's append handle."""
+    with cache:
+        yield from records
+
+
 def _cmd_classify_primes(args):
     curve, inputs = _curve_input(args.curve)
-    with _cache_for(args, args.curve) as cache:
-        primes = [
-            pc
-            for pc in prime_scan(curve, args.limit + 1, cache=cache)
-            if args.class_index is None or pc.i == args.class_index
-        ]
+    cache = _cache_for(args, args.curve)
+    scan = prime_scan(curve, args.limit + 1, cache=cache)
+    primes = _while_open(cache, (pc for pc in scan if args.class_index in (None, pc.i)))
     out = {"limit": args.limit, "class_filter": args.class_index, "primes": primes}
     return inputs, out, lambda: [
         f"{pc.l}: type {list(pc.lengths)} in P_{pc.i}" for pc in primes
@@ -298,8 +312,8 @@ def _cmd_scan(args):
 def _cmd_find_twist(args):
     curve, inputs = _curve_input(args.curve)
     direction = "raise2" if args.direction == "up" else "lower2"
-    with _cache_for(args, args.curve) as cache:
-        recipes = list(find_shift_primes(curve, direction, args.limit, cache=cache))
+    cache = _cache_for(args, args.curve)
+    recipes = _while_open(cache, find_shift_primes(curve, direction, args.limit, cache=cache))
     out = {"direction": direction, "limit": args.limit, "recipes": recipes}
     return inputs, out, lambda: [
         f"l = {r.l}  d = {r.d}  type {list(r.cycle_type)}" for r in recipes

@@ -10,15 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .ratpoly import RatPoly, discriminant, integer_part, real_root_signature
+from .ratpoly import RatPoly, integer_part, sturm_invariants
 from .report import sha256_text
 
 __all__ = ["CurveSpec", "curve_hash"]
 
 
 class CurveSpec:
-    # discriminant, signature and key are computed once per curve and read
-    # through discriminant(), real_root_signature() and curve_hash(); parts
+    # discriminant and signature, from one remainder sequence, and key are
+    # computed once per curve and read through discriminant(),
+    # real_root_signature() and curve_hash(); parts
     # holds (primitive integer coefficients, their int discriminant) for
     # each declared factor, or for f when none is declared, and is read by
     # frobenius at every prime and by rational_roots; Sigma is computed on
@@ -28,14 +29,13 @@ class CurveSpec:
     def __init__(self, f: RatPoly, declared_factors: tuple = ()):
         if f.degree < 3 or f.degree % 2 == 0:
             raise InvalidInputError("f must have odd degree >= 3")
-        disc = discriminant(f)
+        disc, self._signature = sturm_invariants(f)
         if disc == 0:
             raise InvalidInputError("f must be separable")
         self.f = f
         self.declared_factors = tuple(declared_factors)
         self._discriminant = disc
         self._sigma = None
-        self._signature = real_root_signature(f)
         self._key = sha256_text(self.canonical_text())[:16]
         if self.declared_factors:
             prod = RatPoly((1,))
@@ -49,7 +49,7 @@ class CurveSpec:
             scaled = prod * (f.lead / prod.lead)
             if scaled != f:
                 raise InvalidInputError("declared factors do not multiply to f")
-        self.parts = tuple(integer_part(g) for g in self.declared_factors or (f,))
+        self.parts = tuple(map(integer_part, self.declared_factors)) or (integer_part(f, disc),)
 
     @property
     def degree(self) -> int:

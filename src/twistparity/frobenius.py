@@ -22,9 +22,11 @@ any x^l ladder, every quintic after x^l mod g), and each step after the
 first applies the Frobenius matrix of x^l instead of powering again.  A
 scan shares the primes its cache lacks out to forked children, one per
 usable core, and writes their cycle types to the cache itself, in the
-order one core gives.  Every scan has a cache: an append-only line file
-of cycle types per (curve hash, l), cut back after its last whole
-record.  A cached cycle type is recomputed, and the corrected record
+order one core gives.  Every scan has a cache (``primecache``): an
+append-only line file of cycle types per (curve hash, l), cut back after
+its last whole record.  A scan is a generator that holds one block of
+primes at a time, so a consumer can write each record as it comes and
+hold none.  A cached cycle type is recomputed, and the corrected record
 appended, when its lengths do not sum to the degree n of f or its orbit
 count has the wrong sign, (disc f | l) = (-1)^(n - #orbits).  A Galois
 label is certified only from cycle types computed in its run; a wrong
@@ -42,6 +44,7 @@ from collections import Counter, namedtuple
 from .curves import CurveSpec, curve_hash
 from .errors import BadPrimeError, InvalidInputError
 from .modular import factor_degrees, is_prime, iter_primes
+from .primecache import PrimeCache
 from .ratpoly import bad_primes, rational_roots
 
 __all__ = [
@@ -49,7 +52,6 @@ __all__ = [
     "PrimeClass",
     "classify_prime",
     "prime_scan",
-    "PrimeCache",
     "galois_classify",
     "disc_is_square",
 ]
@@ -74,77 +76,6 @@ class PrimeClass(namedtuple("PrimeClass", "l lengths i")):
 
     def as_json_dict(self) -> dict:
         return {"l": self.l, "cycle_type": self.lengths, "class_index": self.i}
-
-
-class PrimeCache:
-    """Append-only cycle-type cache: lines of ``<curve_hash> <l> <l1,l2,...>``.
-
-    A record is such a line split at single spaces: a UTF-8 curve hash, an
-    int l and ints >= 1, ended by a newline.  Loading stops at the first
-    line that is not a record and truncates the file after the last one
-    when more bytes follow, so a torn write never poisons later runs and a
-    valid file is only read.  A later record for the same key overrides an
-    earlier one.  Records are held by curve hash, then by l, so each curve
-    hash is one string, and each cycle type read or written is one tuple
-    however many primes share it.  The first ``put`` opens one append
-    handle, flushed after every record, so a killed scan keeps each record
-    written so far; leaving a ``with`` block closes it.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self._mem: dict = {}  # curve hash -> {l: cycle type}
-        self._types: dict = {}  # bytes of a lengths field, newline included -> its one tuple
-        self._fh = None
-        if os.path.exists(path):
-            self._load()
-
-    def _load(self):
-        """Read the records, truncating the file after them when more bytes follow."""
-        mem, types = self._mem, self._types
-        end = 0  # bytes in the records read so far
-        with open(self.path, "rb") as fh:
-            for line in fh:
-                try:
-                    key, ls, lens = line.split(b" ")
-                    l = int(ls)
-                    lengths = types.get(lens)
-                    if lengths is None:  # every field in types ends in a newline
-                        lengths = tuple(int(x) for x in lens.split(b","))
-                        if lens[-1:] != b"\n" or min(lengths) < 1:
-                            raise ValueError
-                        types[lens] = lengths
-                    key = key.decode()
-                except ValueError:  # UnicodeDecodeError included
-                    os.truncate(self.path, end)
-                    break
-                by_l = mem.get(key)
-                if by_l is None:
-                    by_l = mem[key] = {}
-                by_l[l] = lengths
-                end += len(line)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def get(self, key, l):
-        by_l = self._mem.get(key)
-        return None if by_l is None else by_l.get(l)
-
-    def put(self, key, l, lengths):
-        """Append the record of l's cycle type, hold it, and return the tuple held."""
-        text = b",".join(b"%d" % x for x in lengths)
-        held = self._mem.setdefault(key, {})[l] = self._types.setdefault(text + b"\n", tuple(lengths))
-        if self._fh is None:
-            self._fh = open(self.path, "ab")
-        self._fh.write(b"%s %d %s\n" % (key.encode(), l, text))
-        self._fh.flush()
-        return held
 
 
 def classify_prime(curve: CurveSpec, l: int) -> PrimeClass:
@@ -193,6 +124,7 @@ def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime
             held[j] = cache.put(key, block[j], lengths)
         for l, t in zip(block, held):
             yield PrimeClass(l, t, len(t) - 1)
+        del block, held  # so that two blocks are never held at once
 
 
 _BLOCK = 4096  # candidate primes prime_scan takes at a time

@@ -25,6 +25,7 @@ __all__ = [
     "integer_part",
     "bad_primes",
     "real_root_signature",
+    "sturm_invariants",
     "homogenize",
     "rational_roots",
 ]
@@ -165,7 +166,7 @@ def _sturm_sequence(f: RatPoly) -> list:
     return seq
 
 
-def discriminant(f: RatPoly) -> Fraction:
+def discriminant(f: RatPoly, seq: list = None) -> Fraction:
     """Discriminant normalized so Res(f, f') * (-1)^(n(n-1)/2) / lead(f).
 
     Equals lead(f)^(2n-2) * prod_(i<j) (root_i - root_j)^2, so its sign and
@@ -173,12 +174,12 @@ def discriminant(f: RatPoly) -> Fraction:
     1 for linear f and 0 when f has a repeated factor.  With a_k the
     members of the Sturm sequence and d_k their degrees, a_m the last,
     Res(f, f') = a_m^(d_(m-1)) * prod_(k=1..m-1) (-1)^((d_(k-1)+1) d_k)
-    lead(a_k)^(d_(k-1) - d_(k+1)).
+    lead(a_k)^(d_(k-1) - d_(k+1)).  seq is f's sequence when already built.
     """
     n = f.degree
     if n < 1:
         raise InvalidInputError("discriminant requires degree >= 1")
-    seq = _sturm_sequence(f)
+    seq = _sturm_sequence(f) if seq is None else seq
     d = [a.degree for a in seq]
     if d[-1] > 0:
         return Fraction(0)
@@ -188,11 +189,16 @@ def discriminant(f: RatPoly) -> Fraction:
     return res * (-1) ** (n * (n - 1) // 2) / f.lead
 
 
-def integer_part(g: RatPoly) -> tuple:
+def integer_part(g: RatPoly, disc: Fraction = None) -> tuple:
     """(ints, disc): the primitive integer coefficients of g and their int
-    discriminant, the form in which ``modular.factor_degrees`` reads g."""
-    ints = g.primitive_int()[0]
-    return ints, int(discriminant(RatPoly(ints)))
+    discriminant, the form in which ``modular.factor_degrees`` reads g.
+
+    ints = scale * g, and the discriminant is homogeneous of degree 2n - 2
+    in the coefficients, so it is scale^(2n-2) disc(g); disc(g) is built
+    here unless given.
+    """
+    ints, scale = g.primitive_int()
+    return ints, int(scale ** (2 * g.degree - 2) * (discriminant(g) if disc is None else disc))
 
 
 def bad_primes(f: RatPoly, disc: Fraction) -> set:
@@ -203,21 +209,30 @@ def bad_primes(f: RatPoly, disc: Fraction) -> set:
     return out
 
 
-def real_root_signature(f: RatPoly):
+def real_root_signature(f: RatPoly, seq: list = None):
     """(real root count, k1, k2) for separable odd-degree f.
 
     f has 2*k1 - 1 real roots and 2*k2 complex roots.  The count is
     Sturm's: the sign changes of the sequence at -inf less those at +inf.
+    seq is f's sequence when already built.
     """
     if f.degree < 1 or f.degree % 2 == 0:
         raise InvalidInputError("real_root_signature requires odd degree")
-    seq = _sturm_sequence(f)
+    seq = _sturm_sequence(f) if seq is None else seq
     if seq[-1].degree > 0:
         raise InvalidInputError("real_root_signature requires a separable polynomial")
     at_pos = [a.lead > 0 for a in seq]  # each member positive at +inf
     at_neg = [s == (a.degree % 2 == 0) for s, a in zip(at_pos, seq)]  # and at -inf
     r = sum(map(operator.ne, at_neg, at_neg[1:])) - sum(map(operator.ne, at_pos, at_pos[1:]))
     return r, (r + 1) // 2, (f.degree - r) // 2
+
+
+def sturm_invariants(f: RatPoly) -> tuple:
+    """(discriminant(f), real_root_signature(f)) of odd-degree f from one
+    sequence; the signature is None when the discriminant is 0."""
+    seq = _sturm_sequence(f)
+    disc = discriminant(f, seq)
+    return disc, real_root_signature(f, seq) if disc else None
 
 
 def homogenize(f: RatPoly, num: RatPoly, den: RatPoly) -> RatPoly:

@@ -26,7 +26,8 @@ TOOL_VERSION = "0.1.0"
 
 __all__ = ["Report", "TOOL_VERSION", "sha256_text"]
 
-_BATCH = 1 << 16  # characters of text after which the pieces are joined into one write
+_BATCH = 1 << 12  # characters of text after which the pieces are joined into one write
+_KEPT = 256  # tuple texts past which the writer forgets them all at its next flush
 
 
 def sha256_text(text: str) -> str:
@@ -51,14 +52,18 @@ class Report:
         when two convert alike); an object with ``as_json_dict`` as that
         dict, a named tuple too, before any tuple or list is written as a
         list; and any other value, a ``Fraction`` among them, as the
-        string ``str`` gives.  The pieces of text are handed to ``fh.write``
-        in batches, each flushed after the element of a list or tuple that
-        brings it to ``_BATCH`` characters, so no copy of the whole report
-        is ever built.  The text of each exact tuple is kept by (id, indent)
-        together with the tuple, whose id therefore stays taken until the
-        write ends, so a tuple shared by many records (a cycle type, the
-        conditions of a recipe) is encoded once and then costs one append.
-        A tuple whose text spans a flush is not kept.
+        string ``str`` gives; an iterator is written as a list, drawn one
+        element at a time.  The pieces of text are handed to ``fh.write``
+        in batches, each flushed after the element of a list, tuple or
+        iterator that brings it to ``_BATCH`` characters, so no copy of the
+        whole report is ever built, and a scan handed over as a generator
+        is written as it runs without being held whole.  The text of each
+        exact tuple is kept by (id, indent) together with the tuple, whose
+        id therefore stays taken, so a tuple shared by many records (a cycle
+        type, the conditions of a recipe) is encoded once and then costs one
+        append.  A tuple whose text spans a flush is not kept, and a flush
+        that finds more than ``_KEPT`` texts kept forgets them all, so
+        records that each bring a tuple of their own hold no more than that.
         """
         out = []
         put = out.append
@@ -70,19 +75,28 @@ class Report:
             # a class derives from at most one of str, int, list, tuple and
             # dict, so the order of these tests changes no result; the exact
             # types come first, so a plain list or tuple is never asked for
-            # as_json_dict
+            # as_json_dict, and only what is none of them for __next__
             if isinstance(x, str):
                 put(encode_basestring_ascii(x))
             elif x is None or x is True or x is False:
                 put("null" if x is None else "true" if x else "false")
             elif isinstance(x, int):
                 put(int.__repr__(x))
-            elif type(x) is list or type(x) is tuple or (
-                isinstance(x, (list, tuple)) and not hasattr(x, "as_json_dict")
-            ):
+            elif isinstance(x, dict):
                 if not x:
-                    put("[]")
+                    put("{}")
                     return
+                items = {str(k): v for k, v in x.items()}
+                inner = pad + "  "
+                sep = "{" + inner
+                for k in sorted(items):
+                    put(sep + encode_basestring_ascii(k) + ": ")
+                    emit(items[k], inner)
+                    sep = "," + inner
+                put(pad + "}")
+            elif type(x) is list or type(x) is tuple or not hasattr(x, "as_json_dict") and (
+                isinstance(x, (list, tuple)) or hasattr(x, "__next__")
+            ):
                 shared = type(x) is tuple
                 if shared:
                     key = (id(x), pad)
@@ -102,23 +116,13 @@ class Report:
                     if size >= _BATCH:
                         fh.write("".join(out))
                         out.clear()
+                        if len(memo) > _KEPT:
+                            memo.clear()
                         size = counted = 0
                         flushes += 1
-                put(pad + "]")
+                put("[]" if sep[0] == "[" else pad + "]")
                 if shared and flushes == batch:
                     memo[key] = (x, "".join(out[start:]))
-            elif isinstance(x, dict):
-                if not x:
-                    put("{}")
-                    return
-                items = {str(k): v for k, v in x.items()}
-                inner = pad + "  "
-                sep = "{" + inner
-                for k in sorted(items):
-                    put(sep + encode_basestring_ascii(k) + ": ")
-                    emit(items[k], inner)
-                    sep = "," + inner
-                put(pad + "}")
             elif hasattr(x, "as_json_dict"):
                 emit(x.as_json_dict(), pad)
             else:

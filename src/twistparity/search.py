@@ -16,7 +16,8 @@ from collections import namedtuple
 from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError
-from .frobenius import PrimeCache, prime_scan, sigma_set
+from .frobenius import prime_scan, sigma_set
+from .primecache import PrimeCache
 
 __all__ = ["TwistRecipe", "find_shift_primes"]
 

@@ -1,9 +1,14 @@
 """File formats and the command-line front end."""
 
+import contextlib
 import json
+import os
 import pathlib
 import random
+import re
+import subprocess
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -521,6 +526,77 @@ def test_cli_find_twist_identical_cold_and_warm(tmp_path, capsys):
     assert runs["warm", "cache"] == runs["cold", "cache"]  # the warm runs wrote nothing
 
 
+# runs the command line in its argv with every cache append of a prime above
+# 50,000 failing as a full disk does
+_FULL_DISK = """\
+import sys
+from twistparity import cli, primecache
+
+real_put = primecache.PrimeCache.put
+
+
+def put(self, key, l, lengths):
+    if l > 50_000:
+        raise OSError(28, "No space left on device")
+    return real_put(self, key, l, lengths)
+
+
+primecache.PrimeCache.put = put
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_scan_failing_part_way_prints_a_prefix_and_closes_its_cache(tmp_path):
+    """A cold scan whose cache appends fail from its second block of primes
+    on: exit 1 with the error on stderr, the batches written before it on
+    stdout, and the append handle closed, under ResourceWarning as an error."""
+    path = str(PAPERCASES / "cubic_1440d1.curve")
+    env = dict(os.environ, PYTHONPATH=str(PAPERCASES.parent / "src"))
+    full = tmp_path / "full.cache"
+    argv = ["--format", "json", "classify-primes", "--curve", path, "--limit", "100000"]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", _FULL_DISK,
+         "--cache", str(tmp_path / "c"), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: [Errno 28] No space left on device\n"
+    whole = subprocess.run(
+        [sys.executable, "-m", "twistparity.cli", "--cache", str(full), *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert 0 < len(done.stdout) < len(whole) and whole.startswith(done.stdout)
+    written = [int(l) for l in re.findall(r'"l": (\d+)', done.stdout)]
+    assert written and max(written) < 50_000  # the first block, whose appends all succeeded
+
+
+def _warm_scan_peak(tmp_path, limit):
+    """(peak traced bytes, cache records) of a warm JSON classify-primes to
+    limit on 1440D1, in this process, after a cold one filled its cache."""
+    cache = tmp_path / f"{limit}.cache"
+    argv = ["--format", "json", "--cache", str(cache), "classify-primes",
+            "--curve", str(PAPERCASES / "cubic_1440d1.curve"), "--limit", str(limit)]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, len(cache.read_bytes().splitlines())
+
+
+def test_warm_scan_memory_grows_by_its_cache_records_not_its_report(tmp_path):
+    """From a limit of 10^5 to 4*10^5, both past the first block of 4,096
+    primes, a warm scan holds at most 32 more bytes per cached record: the
+    records reach stdout as they are read, and the cache holds each in 12
+    bytes of arrays."""
+    small, big = _warm_scan_peak(tmp_path, 100_000), _warm_scan_peak(tmp_path, 400_000)
+    assert big[1] - small[1] > 24_000
+    assert (big[0] - small[0]) / (big[1] - small[1]) < 32, (small, big)
+
+
 def test_cli_classify_primes_keeps_the_valid_prefix_of_a_cache_that_is_not_utf8(
     tmp_path, capsys
 ):
@@ -720,21 +796,22 @@ def _count_remainder_sequences(monkeypatch):
 
 @pytest.mark.parametrize("path", sorted(PAPERCASES.glob("*.curve")), ids=lambda p: p.stem)
 def test_cli_analyze_builds_one_remainder_sequence_per_polynomial(path, tmp_path, monkeypatch, capsys):
-    """The discriminant and the signature of f, then one integer part per
-    factor; rational roots, the 2-torsion count and the reducibility test
-    read those parts and build none of their own."""
-    parts = parse_curve_text(path.read_text(encoding="utf-8")).parts
+    """One sequence of f for its discriminant, its signature and, when no
+    factor is declared, its integer part, then one per declared factor;
+    rational roots, the 2-torsion count and the reducibility test read
+    those parts and build none of their own."""
+    curve = parse_curve_text(path.read_text(encoding="utf-8"))
     calls = _count_remainder_sequences(monkeypatch)
     rc, _, _ = run_cli(capsys, "--format", "json", "--cache", str(tmp_path / "primes.cache"),
                        "analyze", "--curve", str(path))
     assert rc == 0
-    assert len(calls) <= 2 + len(parts), [str(f) for f in calls]
+    assert calls == [curve.f, *curve.declared_factors], [str(f) for f in calls]
 
 
 def test_cli_verify_paper_builds_each_remainder_sequence_once(monkeypatch, capsys):
-    """Each golden curve is built once: 5 + 5 for the declared quintics and
-    3 + 5 + 3 for the others."""
+    """Each golden curve is built once: 1 + 3 for each curve with three
+    declared factors (h and g quintics, 1440D1) and 1 for the others."""
     calls = _count_remainder_sequences(monkeypatch)
     rc, _, _ = run_cli(capsys, "--format", "json", "verify-paper")
     assert rc == 0
-    assert len(calls) <= 21, [str(f) for f in calls]
+    assert len(calls) == 14, [str(f) for f in calls]

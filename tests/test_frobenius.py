@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 from twistparity.curves import CurveSpec, curve_hash
 from twistparity.errors import BadPrimeError, InvalidInputError, UnknownFactorizationError
-from twistparity import frobenius, gfpoly, modular, ratpoly
+from twistparity import frobenius, gfpoly, modular, primecache, ratpoly
 from twistparity.cli import main
 from twistparity.frobenius import (
     PrimeCache,
@@ -234,6 +235,19 @@ def _cache_text(rng, keys):
     return text
 
 
+def _pairs_spelt(data):
+    """Each (curve hash, l) that a line of data spells in its first two words,
+    with the line cut at every \\n and \\r."""
+    pairs = set()
+    for line in re.split(rb"[\r\n]", data):
+        try:
+            h, l = line.split()[:2]
+            pairs.add((h.decode(), int(l)))
+        except ValueError:  # fewer than two words, a hash not UTF-8, or an l not an int
+            pass
+    return pairs
+
+
 def test_cache_load_matches_the_whole_text_oracle(tmp_path):
     """Line by line, the loader keeps the records and leaves the bytes that
     reading the whole file and splitting it at each newline keeps and leaves."""
@@ -241,7 +255,7 @@ def test_cache_load_matches_the_whole_text_oracle(tmp_path):
     spoil = random.Random(7)  # bytes that are not UTF-8, spliced into a copy of some files
     keys = ["%016x" % rng.getrandbits(64) for _ in range(3)]
     ours, oracle = tmp_path / "ours", tmp_path / "oracle"
-    truncated = kept_as_is = spoilt = 0
+    truncated = kept_as_is = spoilt = unkept = 0
     for _ in range(1500):
         data = _cache_text(rng, keys).encode()
         files = [data]
@@ -253,15 +267,17 @@ def test_cache_load_matches_the_whole_text_oracle(tmp_path):
             oracle.write_bytes(data)
             want = load_prime_cache_whole(oracle)
             cache = PrimeCache(str(ours))
-            got = {(h, l): t for h, by_l in cache._mem.items() for l, t in by_l.items()}
-            assert got == want, data
+            spelt = _pairs_spelt(data)
+            for pair in spelt | want.keys():  # kept or not, every key the text spells
+                assert cache.get(*pair) == want.get(pair), (pair, data)
+            unkept += len(spelt - want.keys())
             assert ours.read_bytes() == oracle.read_bytes(), data
             if oracle.read_bytes() == data:
                 kept_as_is += 1
             else:
                 truncated += 1
         spoilt += len(files) - 1
-    assert truncated > 300 and kept_as_is > 300 and spoilt > 200
+    assert truncated > 300 and kept_as_is > 300 and spoilt > 200 and unkept > 1000
 
 
 @pytest.mark.parametrize("data, kept", [
@@ -293,7 +309,7 @@ def _spy_on_writes(monkeypatch):
         calls.append(("truncate", *args))
         return real_truncate(*args)
 
-    monkeypatch.setattr(frobenius, "open", spy_open, raising=False)
+    monkeypatch.setattr(primecache, "open", spy_open, raising=False)
     monkeypatch.setattr(os, "truncate", spy_truncate)
     return calls
 
@@ -308,8 +324,33 @@ def test_cache_reloads_what_put_wrote_by_reading_only(tmp_path, monkeypatch):
     calls = _spy_on_writes(monkeypatch)
     again = PrimeCache(str(path))
     assert calls == [("open", "rb")]
-    assert again._mem == cache._mem == {"a" * 16: {5: (3,)}, "b" * 16: {7: (1, 1, 1)}}
+    for held in (cache, again):
+        got = [held.get(h, l) for h in ("a" * 16, "b" * 16) for l in (5, 7)]
+        assert got == [(3,), None, None, (1, 1, 1)]
     assert path.read_bytes() == written
+
+
+def test_cache_reads_as_a_dict_of_the_latest_records(tmp_path, monkeypatch):
+    """Records put in any order, repeated, negative or past a machine word,
+    with a merge after every third out of order: after each put, and after
+    a reload, every key reads what a dict of the latest record per key reads."""
+    monkeypatch.setattr(primecache, "_MERGE", 3)
+    rng = random.Random(11)
+    primes = [-(2**63) - 1, -(2**63), -5, 0, 2, 3, 5, 7, 11, 13, 2**63 - 1, 2**63, 10**30]
+    keys = [(h, l) for h in "abc" for l in primes]
+    for trial in range(150):
+        path, want = tmp_path / f"c{trial}", {}
+        with PrimeCache(str(path)) as cache:
+            for _ in range(rng.randint(0, 40)):
+                key = (rng.choice("ab"), rng.choice(primes))
+                lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+                assert cache.put(*key, lengths) == lengths
+                want[key] = lengths
+                probe = rng.choice(keys)
+                assert cache.get(*probe) == want.get(probe), (probe, want)
+            assert [cache.get(*key) for key in keys] == [want.get(key) for key in keys]
+        again = PrimeCache(str(path))
+        assert [again.get(*key) for key in keys] == [want.get(key) for key in keys]
 
 
 def test_cache_put_after_a_truncating_load_appends_after_the_records(tmp_path):
@@ -890,12 +931,13 @@ def _counting(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("make", [*_SPLIT.values(), curve_s5_quintic], ids=[*_SPLIT, "s5_quintic"])
 def test_parts_are_built_once_per_curve(make, monkeypatch):
-    """CurveSpec computes the discriminant of f and one of each part, and
-    classifying 1,000 primes computes none."""
+    """CurveSpec computes the discriminant of f and one of each declared
+    factor, scaling f's for the part of an undeclared f, and classifying
+    1,000 primes computes none."""
     calls = _counting(monkeypatch, ratpoly, "discriminant")
     curve = make()
     assert len(curve.parts) == max(1, len(curve.declared_factors))
-    assert calls == [(curve.f,)] + [(RatPoly(ints),) for ints, _ in curve.parts]
+    assert [args[0] for args in calls] == [curve.f, *curve.declared_factors]
     calls.clear()
     primes = _good_primes(curve, 10_000)[:1000]
     assert len(primes) == 1000

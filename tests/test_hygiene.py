@@ -462,7 +462,7 @@ def test_every_definition_is_reached(tmp_path):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     (tmp_path / "septic.curve").write_text("p = 2\nf = [-1, -1, 0, 0, 0, 0, 0, 1]\n")
     (tmp_path / "malformed.curve").write_text("p = 2\nf = [1, 0, 1]\n")
-    (tmp_path / "corrupt.cache").write_text("0123456789abcdef 3 1,2\nnot a record\n")
+    (tmp_path / "corrupt.cache").write_text("0123456789abcdef 5 2,1\n0123456789abcdef 3 1,2\nnot a record\n")
     (tmp_path / "full.profiles").write_text(_FULL_PROFILES)
 
     def curve(name):

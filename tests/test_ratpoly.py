@@ -17,6 +17,7 @@ from twistparity.ratpoly import (  # noqa: E402
     integer_part,
     rational_roots,
     real_root_signature,
+    sturm_invariants,
 )
 from twistparity.papercases import curve_h  # noqa: E402
 
@@ -163,6 +164,28 @@ def test_sturm_sequence_matches_sympy(f):
             real_root_signature(f)
     else:
         assert real_root_signature(f)[0] == sym.count_roots(), str(f)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(_polys().filter(lambda f: f.degree % 2 == 1))
+def test_invariants_from_one_sequence_match_sympy(f):
+    """The discriminant and signature read from one sequence are sympy's
+    discriminant and real-root count, and the integer part's discriminant
+    scaled from f's is sympy's discriminant of the integer coefficients."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    sym = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+    want = sympy.discriminant(sym)
+    disc, signature = sturm_invariants(f)
+    assert disc == Fraction(int(want.p), int(want.q)), str(f)
+    if disc == 0:
+        assert signature is None
+        return
+    r = sym.count_roots()
+    assert signature == (r, (r + 1) // 2, (f.degree - r) // 2), str(f)
+    ints, int_disc = integer_part(f, disc)
+    assert (ints, int_disc) == integer_part(f)
+    assert int_disc == int(sympy.discriminant(sympy.Poly(ints[::-1], x))), str(f)
 
 
 def test_disc_of_product_detects_shared_roots():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
@@ -107,6 +108,61 @@ def test_large_report_is_written_in_batches():
     assert all(report._BATCH <= len(w) < report._BATCH + row for w in writes[:-1])
     assert len(writes[-1]) < report._BATCH + row
     assert len(writes) > len(text) // (report._BATCH + row)
+
+
+# tuples that records share, as scans share cycle types and recipe conditions
+_SHARED = ((), (1,), (1, 2), (3, 1, 1), (("good_prime", True), ("loc_image_zero", "unverified")))
+_rows = st.lists(
+    st.tuples(st.integers(0, 10**9), st.integers(0, len(_SHARED) - 1), st.text(max_size=60)),
+    max_size=150,
+)
+
+
+def _report(primes):
+    return Report("classify-primes", 0, {"shared": _SHARED[2]}, {"primes": primes, "z": _SHARED})
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(_rows)
+@hypothesis.example([])
+@hypothesis.example([(7, 2, "")])
+@hypothesis.example([(l, l % len(_SHARED), "x" * (l % 50)) for l in range(300)])  # many batches
+def test_write_of_an_iterator_matches_the_list(rows):
+    """A generator is written as the list of what it yields, byte for byte,
+    in batches as the list's are, and shared tuples read the same in every
+    batch."""
+    records = [{"l": l, "cycle_type": _SHARED[k], "row": (l, _SHARED[k]), "note": note}
+               for l, k, note in rows]
+    texts = []
+    for primes in (records, (r for r in records)):
+        writes = _Writes()
+        _report(primes).write(writes)
+        texts.append(writes)
+    assert texts[1] == texts[0]
+    assert "".join(texts[0]) == report_json(_report(records))
+    assert all(len(w) >= report._BATCH for w in texts[0][:-1])
+    assert len(texts[0]) > 5 or len(rows) < 300
+
+
+class _Sink:
+    """A file that drops what is written."""
+
+    def write(self, text):
+        pass
+
+
+def test_written_generator_keeps_few_tuples():
+    """A generator of 10,000 records, each with a tuple of its own, is
+    written in the memory of a batch and a few hundred kept tuples: the
+    kept tuples are let go at the flushes that find too many."""
+    rows = ({"l": l, "pair": (l, l + 1)} for l in range(10**6, 10**6 + 10_000))
+    tracemalloc.start()
+    try:
+        Report("cmd", 0, {}, {"rows": rows}).write(_Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000
 
 
 def test_shared_tuple_is_written_right_at_each_indent():
