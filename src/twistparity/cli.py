@@ -13,13 +13,12 @@ alone builds the ``Report`` and prints it in the chosen format; it maps
 an ``OSError`` to exit 1, returns 2 when a verify-paper check fails, and
 in text mode prints verify-paper's wall time on stderr.
 
-Streamed scans: classify-primes and find-twist hand their scans to the
-report unrun, their cache open until the scan ends, so a JSON report is
-written as the primes are classified and no command holds its records.
-A scan that fails part way, say when a cache append raises ``OSError``,
-exits 1 with the error on stderr, and stdout then holds the batches
-written before it: a cut-off prefix, never valid JSON.  Text mode builds
-every line before printing any.
+Streamed scans: classify-primes and find-twist hand their scans, each
+of which opens ``--cache`` (or the curve file's path plus ``.primecache``)
+while it runs, to the report unrun, so either format is written as the
+primes are classified and no command holds its records.  A scan that
+fails part way, say when a cache append raises ``OSError``, exits 1 with
+the error on stderr after the batches written before it: a cut-off prefix.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import galois_classify, prime_scan, sigma_set
 from .modular import factor_integer, local_classes, place_name, square_class_index
 from .parity import delta_v, density_scan, disparity, exact_scan, omega_tables, parity_flip
-from .primecache import PrimeCache
-from .report import Report, sha256_text
+from .report import _BATCH, Report, sha256_text
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
 from .verify import run_paper_verification
@@ -123,33 +121,44 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cache_for(args, curve_path) -> PrimeCache:
-    return PrimeCache(args.cache or str(curve_path) + ".primecache")
+def _cache_path(args) -> str:
+    return args.cache or args.curve + ".primecache"
 
 
 def _emit(report: Report, args, text_lines) -> None:
-    """Print the report as JSON, or as the lines text_lines() returns.
+    """Print the report as JSON, or as the lines text_lines() yields, in
+    batches flushed after the element or line that fills ``_BATCH`` characters.
 
     A value with more digits than Python converts to text raises
-    ResourceLimitError here, for every command and format, before
-    anything is printed: text is printed once every line is built, and
-    JSON is flushed only after a list element that fills a batch of
-    ``report._BATCH`` characters.  The streamed records of classify-primes
-    and find-twist hold only numbers bounded by --limit; every other report
-    fits in one batch, or writes its one long value, an analyze
-    discriminant, before its first list.
+    ResourceLimitError, in either format, before anything is printed: the
+    streamed records of classify-primes and find-twist hold only numbers
+    bounded by --limit, and every other report meets its one long value
+    (an analyze discriminant, a scan count) in its first batch, or, in
+    JSON, before its first list.
     """
     try:
         if args.format == "json":
             report.write(sys.stdout)
             return
-        text = "".join(f"{line}\n" for line in text_lines())
+        text = ""
+        for line in text_lines():
+            text += f"{line}\n"
+            if len(text) >= _BATCH:
+                sys.stdout.write(text)
+                text = ""
     except ValueError as exc:  # the int-to-str digit limit
         raise ResourceLimitError(
             f"a value has more than the {sys.get_int_max_str_digits()} digits "
             "Python converts to text: too long to report"
         ) from exc
     sys.stdout.write(text)
+
+
+def _or_else(lines, empty):
+    """Yield the lines of a streamed scan as they come, or the one line empty."""
+    line = next(lines, None)
+    yield empty if line is None else line
+    yield from lines
 
 
 def _profiles_input(args, inputs):
@@ -176,8 +185,7 @@ def _cmd_analyze(args):
     curve, inputs = _curve_input(args.curve)
     disc = curve.discriminant()
     r, k1, k2 = curve.real_root_signature()
-    with _cache_for(args, args.curve) as cache:
-        label, evidence = galois_classify(curve, 1000, cache=cache)
+    label, evidence = galois_classify(curve, 1000, _cache_path(args))
     try:
         torsion = rational_two_torsion_dim(curve)
         torsion_info = {"value": torsion, "provenance": "computed"}
@@ -207,21 +215,14 @@ def _cmd_analyze(args):
     ]
 
 
-def _while_open(cache: PrimeCache, records):
-    """Yield the records, a scan of cache, then close cache's append handle."""
-    with cache:
-        yield from records
-
-
 def _cmd_classify_primes(args):
     curve, inputs = _curve_input(args.curve)
-    cache = _cache_for(args, args.curve)
-    scan = prime_scan(curve, args.limit + 1, cache=cache)
-    primes = _while_open(cache, (pc for pc in scan if args.class_index in (None, pc.i)))
+    scan = prime_scan(curve, args.limit + 1, _cache_path(args))
+    primes = (pc for pc in scan if args.class_index in (None, pc.i))
     out = {"limit": args.limit, "class_filter": args.class_index, "primes": primes}
-    return inputs, out, lambda: [
-        f"{pc.l}: type {list(pc.lengths)} in P_{pc.i}" for pc in primes
-    ] or ["(no matching primes)"]
+    return inputs, out, lambda: _or_else(
+        (f"{pc.l}: type {list(pc.lengths)} in P_{pc.i}" for pc in primes), "(no matching primes)"
+    )
 
 
 def _cmd_character(args):
@@ -312,12 +313,12 @@ def _cmd_scan(args):
 def _cmd_find_twist(args):
     curve, inputs = _curve_input(args.curve)
     direction = "raise2" if args.direction == "up" else "lower2"
-    cache = _cache_for(args, args.curve)
-    recipes = _while_open(cache, find_shift_primes(curve, direction, args.limit, cache=cache))
+    recipes = find_shift_primes(curve, direction, args.limit, _cache_path(args))
     out = {"direction": direction, "limit": args.limit, "recipes": recipes}
-    return inputs, out, lambda: [
-        f"l = {r.l}  d = {r.d}  type {list(r.cycle_type)}" for r in recipes
-    ] or ["(empty stream: no prime satisfies every checkable condition)"]
+    return inputs, out, lambda: _or_else(
+        (f"l = {r.l}  d = {r.d}  type {list(r.cycle_type)}" for r in recipes),
+        "(empty stream: no prime satisfies every checkable condition)",
+    )
 
 
 def _cmd_verify_paper(args):

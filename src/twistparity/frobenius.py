@@ -22,9 +22,10 @@ any x^l ladder, every quintic after x^l mod g), and each step after the
 first applies the Frobenius matrix of x^l instead of powering again.  A
 scan shares the primes its cache lacks out to forked children, one per
 usable core, and writes their cycle types to the cache itself, in the
-order one core gives.  Every scan has a cache (``primecache``): an
-append-only line file of cycle types per (curve hash, l), cut back after
-its last whole record.  A scan is a generator that holds one block of
+order one core gives.  Every scan opens its own cache (``primecache``)
+at the path it is given: an append-only line file of cycle types per
+(curve hash, l), cut back after its last whole record, of which it holds
+only its curve's records.  A scan is a generator that holds one block of
 primes at a time, so a consumer can write each record as it comes and
 hold none.  A cached cycle type is recomputed, and the corrected record
 appended, when its lengths do not sum to the degree n of f or its orbit
@@ -93,13 +94,14 @@ def _cycle_type(parts: tuple, l: int) -> tuple:
     return tuple(sorted(x for ints, disc in parts for x in factor_degrees(ints, l, disc)))
 
 
-def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime_filter=None):
+def prime_scan(curve: CurveSpec, stop: int, cache_path: str, m: int = 1, prime_filter=None):
     """The PrimeClass of each good prime l = 1 mod m in [2, stop) passing ``prime_filter``.
 
     Only the primes l = 1 mod m are sieved (``iter_primes``), so a
     congruence costs nothing per excluded prime.  The filter sees the bare
     prime before classification (use it for symbol conditions, which are
-    much cheaper than factoring f mod l).  Candidates come ``_BLOCK`` at a
+    much cheaper than factoring f mod l).  The cache at ``cache_path``
+    stays open while the scan runs.  Candidates come ``_BLOCK`` at a
     time: the records of a block are read from the cache once, the primes
     it lacks or holds poisoned (of the wrong sum, or of the wrong sign by
     Euler's criterion on num*den of disc f) are factored
@@ -109,22 +111,23 @@ def prime_scan(curve: CurveSpec, stop: int, cache: PrimeCache, m: int = 1, prime
     rest of its block.
     """
     sigma, disc = sigma_set(curve), curve.discriminant()
-    key, n, s = curve_hash(curve), curve.degree, disc.numerator * disc.denominator
+    n, s = curve.degree, disc.numerator * disc.denominator
     good = (
         l for l in iter_primes(2, stop, m)
         if l not in sigma and (prime_filter is None or prime_filter(l))
     )
-    while block := list(itertools.islice(good, _BLOCK)):
-        held = [cache.get(key, l) for l in block]
-        todo = [
-            j for j, (l, t) in enumerate(zip(block, held))
-            if t is None or sum(t) != n or (pow(s, (l - 1) // 2, l) == 1) != ((n - len(t)) % 2 == 0)
-        ]
-        for j, lengths in zip(todo, _factor_split(curve, [block[j] for j in todo])):
-            held[j] = cache.put(key, block[j], lengths)
-        for l, t in zip(block, held):
-            yield PrimeClass(l, t, len(t) - 1)
-        del block, held  # so that two blocks are never held at once
+    with PrimeCache(cache_path, curve_hash(curve)) as cache:
+        while block := list(itertools.islice(good, _BLOCK)):
+            held = [cache.get(l) for l in block]
+            todo = [
+                j for j, (l, t) in enumerate(zip(block, held))
+                if t is None or sum(t) != n or (pow(s, (l - 1) // 2, l) == 1) != ((n - len(t)) % 2 == 0)
+            ]
+            for j, lengths in zip(todo, _factor_split(curve, [block[j] for j in todo])):
+                held[j] = cache.put(block[j], lengths)
+            for l, t in zip(block, held):
+                yield PrimeClass(l, t, len(t) - 1)
+            del block, held  # so that two blocks are never held at once
 
 
 _BLOCK = 4096  # candidate primes prime_scan takes at a time
@@ -202,7 +205,7 @@ def disc_is_square(curve: CurveSpec) -> bool:
     return d > 0 and all(math.isqrt(n) ** 2 == n for n in (d.numerator, d.denominator))
 
 
-def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
+def galois_classify(curve: CurveSpec, sample_bound: int, cache_path: str):
     """(label, evidence) for Gal(f), from the disc-square test plus sampled cycle types.
 
     The label is Sn_certified, An_certified, inside_An or unknown.  Only
@@ -217,7 +220,8 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
     an element to be a p-cycle, p prime and p <= n-3: a primitive group
     with such a cycle contains A_n (Jordan, 1873).  The first prime of
     each pattern is its witness, computed again: a cached record that
-    disagrees is corrected and the scan repeats.
+    disagrees is corrected, through a cache opened for that alone, and
+    the scan repeats.  A reducible f opens no cache.
     """
     n = curve.degree
     square = disc_is_square(curve)
@@ -226,18 +230,20 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache: PrimeCache):
         evidence["note"] = "f reducible over Q"
         return "unknown", evidence
 
-    key, wrong = curve_hash(curve), True
+    wrong = True
     while wrong:  # until every witness's cycle type is one this run computed
         seen, first_at = set(), {}
-        for pc in prime_scan(curve, sample_bound + 1, cache):
+        for pc in prime_scan(curve, sample_bound + 1, cache_path):
             seen.add(pc.lengths)
             for name, ok in _pattern_tests(pc.lengths, n):
                 if ok and name not in first_at:
                     first_at[name] = pc
         wrong = [(pc.l, t) for pc in sorted(set(first_at.values()))
                  if (t := _cycle_type(curve.parts, pc.l)) != pc.lengths]
-        for l, t in wrong:
-            cache.put(key, l, t)
+        if wrong:
+            with PrimeCache(cache_path, curve_hash(curve)) as cache:
+                for l, t in wrong:
+                    cache.put(l, t)
     evidence["patterns"] = {name: pc.l for name, pc in sorted(first_at.items())}
     evidence["distinct_types"] = len(seen)
 

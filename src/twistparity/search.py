@@ -17,7 +17,6 @@ from .characters import sigma_trivial
 from .curves import CurveSpec
 from .errors import InvalidInputError
 from .frobenius import prime_scan, sigma_set
-from .primecache import PrimeCache
 
 __all__ = ["TwistRecipe", "find_shift_primes"]
 
@@ -42,7 +41,7 @@ class TwistRecipe(namedtuple("TwistRecipe", "l d direction cycle_type checked_co
         }
 
 
-def find_shift_primes(curve: CurveSpec, direction: str, limit: int, cache: PrimeCache):
+def find_shift_primes(curve: CurveSpec, direction: str, limit: int, cache_path: str):
     """Yield TwistRecipe for every good prime <= limit meeting the conditions.
 
     raise2: class index 2 with three odd orbit lengths; lower2: class
@@ -50,7 +49,8 @@ def find_shift_primes(curve: CurveSpec, direction: str, limit: int, cache: Prime
     at the odd bad primes, so d = l is the Sigma-trivial twist ramified
     exactly at l.  Only the primes l = 1 mod 8 are sieved and passed to
     ``sigma_trivial``, whose Legendre symbols decide the rest before any
-    prime is classified.  An empty stream is a legitimate outcome (some
+    prime is classified; the scan reads and appends to the cache file at
+    ``cache_path``.  An empty stream is a legitimate outcome (some
     curves, including reducible ones, never satisfy the combination).
     """
     if direction not in _DIRECTIONS:
@@ -67,7 +67,7 @@ def find_shift_primes(curve: CurveSpec, direction: str, limit: int, cache: Prime
         ("twist_sigma_trivial", True),
         ("loc_image_zero" if raise2 else "loc_image_dim_2", "unverified"),
     )
-    scan = prime_scan(curve, limit + 1, cache, m=8, prime_filter=lambda l: sigma_trivial(l, sigma))
+    scan = prime_scan(curve, limit + 1, cache_path, m=8, prime_filter=lambda l: sigma_trivial(l, sigma))
     for pc in scan:
         if pc.i != 2 or (raise2 and not all(x % 2 for x in pc.lengths)):
             continue

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from twistparity.frobenius import PrimeCache
 from twistparity.papercases import GOLDEN_CURVES
 from twistparity.ratpoly import RatPoly, discriminant
 
@@ -15,9 +14,8 @@ def golden_curves():
 
 @pytest.fixture
 def cache(tmp_path):
-    """A prime cache in a new file, as a command opens one for its scans."""
-    with PrimeCache(str(tmp_path / "primes.cache")) as cache:
-        yield cache
+    """The path of a new prime-cache file, as a command passes to its scans."""
+    return str(tmp_path / "primes.cache")
 
 
 def random_separable_poly(rng: random.Random, degree: int, coeff_bound: int = 9) -> RatPoly:

@@ -5,8 +5,11 @@ that a faster library path must agree with.
 """
 
 import json
+import math
 from fractions import Fraction
 from operator import mul
+
+from conftest import squarefree_flags
 
 from twistparity.characters import sigma_trivial
 from twistparity.errors import InvalidInputError, ResourceLimitError
@@ -329,3 +332,49 @@ def frobenius_trace(f, l):
         s = pow(v, (l - 1) // 2, l)
         total += -1 if s == l - 1 else s
     return -total
+
+
+def local_class_masses(place: int) -> tuple:
+    """The density of each square class of Q_v among the squarefree d,
+    ordered by |d|, in ``local_classes`` order.
+
+    1/(p+1) of the squarefree integers are divisible by a prime p, and the
+    unit parts are equidistributed: 1/2 per sign at the real place; 1/6 per
+    unit class and 1/12 per class of valuation 1 at 2; q/(2(q+1)) per unit
+    class and 1/(2(q+1)) per class of valuation 1 at an odd q.
+    """
+    if place == 0:
+        return (Fraction(1, 2),) * 2
+    if place == 2:
+        return (Fraction(1, 6),) * 4 + (Fraction(1, 12),) * 4
+    return (Fraction(place, 2 * place + 2),) * 2 + (Fraction(1, 2 * place + 2),) * 2
+
+
+def flip_average_limit(tables: dict, masses=local_class_masses) -> Fraction:
+    """prod_v sum_c mu_v(c) omega_v(c), for a complete omega table.
+
+    The limit, as B grows, of the average flip prod_v omega_v(class of d)
+    over the squarefree d with 0 < |d| <= B: the local classes of such d
+    at finitely many places are independent, with the masses mu_v.
+    """
+    return math.prod(sum(m * w for m, w in zip(masses(v), row)) for v, row in tables.items())
+
+
+def exact_flip_average(tables: dict, bound: int) -> Fraction:
+    """The average flip over every squarefree d with 0 < |d| <= bound.
+
+    The class of a squarefree d at each place of Sigma is fixed by its sign
+    and its residue mod M = 16 * prod q^2 over the odd q in Sigma.  So the
+    squarefree n <= bound are counted per residue r mod M in the flags of
+    ``squarefree_flags``, and the flips of r and -r stand for those of n
+    and -n.
+    """
+    flags = squarefree_flags(bound)
+    m = 16 * math.prod(q * q for q in tables if q > 2)
+    total = flips = 0
+    for r in range(1, m + 1):
+        count = flags[r::m].count(1)
+        for d in (r, -r):
+            total += count
+            flips += count * math.prod(row[square_class_index(d, v)] for v, row in tables.items())
+    return Fraction(flips, total)

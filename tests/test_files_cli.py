@@ -21,6 +21,7 @@ from twistparity.files import parse_curve_text, parse_profiles_text
 from twistparity.frobenius import sigma_set
 from twistparity.modular import local_classes
 from twistparity.papercases import GOLDEN_CURVES
+from twistparity.primecache import PrimeCache
 
 GOOD_CURVE = """\
 # a comment
@@ -535,10 +536,10 @@ from twistparity import cli, primecache
 real_put = primecache.PrimeCache.put
 
 
-def put(self, key, l, lengths):
+def put(self, l, lengths):
     if l > 50_000:
         raise OSError(28, "No space left on device")
-    return real_put(self, key, l, lengths)
+    return real_put(self, l, lengths)
 
 
 primecache.PrimeCache.put = put
@@ -570,11 +571,12 @@ def test_cli_scan_failing_part_way_prints_a_prefix_and_closes_its_cache(tmp_path
     assert written and max(written) < 50_000  # the first block, whose appends all succeeded
 
 
-def _warm_scan_peak(tmp_path, limit):
-    """(peak traced bytes, cache records) of a warm JSON classify-primes to
-    limit on 1440D1, in this process, after a cold one filled its cache."""
-    cache = tmp_path / f"{limit}.cache"
-    argv = ["--format", "json", "--cache", str(cache), "classify-primes",
+def _warm_scan_peak(tmp_path, limit, fmt="json"):
+    """(peak traced bytes, cache records) of a warm classify-primes to limit
+    on 1440D1 in the format fmt, in this process, after a cold one filled
+    its cache."""
+    cache = tmp_path / f"{fmt}.cache"  # the larger limit reuses the smaller one's records
+    argv = ["--format", fmt, "--cache", str(cache), "classify-primes",
             "--curve", str(PAPERCASES / "cubic_1440d1.curve"), "--limit", str(limit)]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert main(argv) == 0
@@ -595,6 +597,71 @@ def test_warm_scan_memory_grows_by_its_cache_records_not_its_report(tmp_path):
     small, big = _warm_scan_peak(tmp_path, 100_000), _warm_scan_peak(tmp_path, 400_000)
     assert big[1] - small[1] > 24_000
     assert (big[0] - small[0]) / (big[1] - small[1]) < 32, (small, big)
+
+
+def test_warm_text_scan_memory_grows_by_its_cache_records_not_its_lines(tmp_path):
+    """As in JSON, a warm text-mode scan from a limit of 10^5 to 4*10^5
+    holds at most 32 more bytes per cached record: its lines are written
+    in batches as the records are read."""
+    small = _warm_scan_peak(tmp_path, 100_000, "text")
+    big = _warm_scan_peak(tmp_path, 400_000, "text")
+    assert big[1] - small[1] > 24_000
+    assert (big[0] - small[0]) / (big[1] - small[1]) < 32, (small, big)
+
+
+def test_one_cache_file_serves_two_curves(tmp_path, capsys):
+    """classify-primes on cubic_1440d1 and x3_minus_2 through one --cache
+    reports what each does with a cache of its own; a second run of both
+    appends nothing; a junk line after one curve's records cuts the file
+    there for the other curve's command; and neither curve reads the
+    other's records."""
+    names = ("cubic_1440d1", "x3_minus_2")
+
+    def run(name, cache):
+        rc, out, err = run_cli(
+            capsys, "--format", "json", "--cache", str(cache), "classify-primes",
+            "--curve", str(PAPERCASES / f"{name}.curve"), "--limit", "3000",
+        )
+        assert (rc, err) == (0, "")
+        return out
+
+    own = {name: tmp_path / f"{name}.cache" for name in names}
+    alone = {name: run(name, own[name]) for name in names}
+    shared = tmp_path / "shared.cache"
+    assert {name: run(name, shared) for name in names} == alone
+    filled = shared.read_bytes()
+    assert filled == own["cubic_1440d1"].read_bytes() + own["x3_minus_2"].read_bytes()
+    assert {name: run(name, shared) for name in names} == alone
+    assert shared.read_bytes() == filled
+
+    shared.write_bytes(own["cubic_1440d1"].read_bytes() + b"junk\n")
+    assert run("x3_minus_2", shared) == alone["x3_minus_2"]
+    assert shared.read_bytes() == filled
+
+    records = own["cubic_1440d1"].read_bytes().splitlines()
+    other = PrimeCache(str(own["cubic_1440d1"]), curve_hash(GOLDEN_CURVES["x3_minus_2"]()))
+    assert len(records) > 300
+    assert all(other.get(int(line.split()[1])) is None for line in records)
+
+
+def test_analyze_loads_a_cache_only_to_sample_an_irreducible_f(tmp_path, capsys, monkeypatch):
+    """With a cache filled by classify-primes, analyze on a curve with
+    declared factors, whose Galois label needs no sample, loads no cache;
+    on s5_quintic it loads the cache once."""
+    real, loads = PrimeCache._load, []
+
+    def load(self):
+        loads.append(self.path)
+        return real(self)
+
+    for name, want in [("h_quintic", 0), ("g_quintic", 0), ("cubic_1440d1", 0), ("s5_quintic", 1)]:
+        cache, curve = str(tmp_path / f"{name}.cache"), str(PAPERCASES / f"{name}.curve")
+        assert run_cli(capsys, "--cache", cache, "classify-primes", "--curve", curve, "--limit", "1000")[0] == 0
+        monkeypatch.setattr(PrimeCache, "_load", load)
+        loads.clear()
+        assert run_cli(capsys, "--cache", cache, "analyze", "--curve", curve)[0] == 0
+        monkeypatch.undo()
+        assert loads == [cache] * want, name
 
 
 def test_cli_classify_primes_keeps_the_valid_prefix_of_a_cache_that_is_not_utf8(

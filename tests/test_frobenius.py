@@ -158,25 +158,22 @@ def test_prime_scan_empty_range(cache):
 def test_cache_roundtrip_and_truncation(tmp_path):
     path = tmp_path / "primes.cache"
     c = curve_x3_minus_2()
-    with PrimeCache(str(path)) as cache:
-        first = list(prime_scan(c, 14, cache))
+    first = list(prime_scan(c, 14, str(path)))
     assert [pc.l for pc in first] == [5, 7, 11, 13]
     written = path.read_bytes()
     # reload: values come from the file, and a warm scan only reads it
-    with PrimeCache(str(path)) as cache2:
-        assert list(prime_scan(c, 14, cache2)) == first
+    assert list(prime_scan(c, 14, str(path))) == first
     assert path.read_bytes() == written
 
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("deadbeef 17 torn-rec")  # corrupt trailing record, no newline
-    cache3 = PrimeCache(str(path))
-    assert cache3.get("deadbeef", 17) is None
+    cache3 = PrimeCache(str(path), "deadbeef")
+    assert cache3.get(17) is None
     assert path.read_bytes() == written  # truncated back to the valid prefix
     # cache deletion changes nothing about reported values
     os.remove(path)
     assert [classify_prime(c, l) for l in (5, 7, 11, 13)] == first
-    with PrimeCache(str(path)) as cache4:
-        assert list(prime_scan(c, 14, cache4)) == first
+    assert list(prime_scan(c, 14, str(path))) == first
 
 
 def test_poisoned_cache_record_is_recomputed(tmp_path):
@@ -184,11 +181,10 @@ def test_poisoned_cache_record_is_recomputed(tmp_path):
     key = curve_hash(c)
     path = tmp_path / "primes.cache"
     path.write_text(f"{key} 7 1,1\n")  # two lengths on a cubic
-    with PrimeCache(str(path)) as cache:
-        assert list(prime_scan(c, 8, cache)) == [PrimeClass(5, (1, 2), 1), PrimeClass(7, (3,), 0)]
+    assert list(prime_scan(c, 8, str(path))) == [PrimeClass(5, (1, 2), 1), PrimeClass(7, (3,), 0)]
     # the corrected record is appended, in prime order, and wins on the next load
     assert path.read_text().splitlines() == [f"{key} 7 1,1", f"{key} 5 1,2", f"{key} 7 3"]
-    assert PrimeCache(str(path)).get(key, 7) == (3,)
+    assert PrimeCache(str(path), key).get(7) == (3,)
 
 
 def test_cache_record_of_the_wrong_sign_is_recomputed(tmp_path):
@@ -198,8 +194,7 @@ def test_cache_record_of_the_wrong_sign_is_recomputed(tmp_path):
     key = curve_hash(c)
     path = tmp_path / "primes.cache"
     path.write_text(f"{key} 5 1,1,1\n")
-    with PrimeCache(str(path)) as cache:
-        assert list(prime_scan(c, 8, cache)) == [PrimeClass(5, (1, 2), 1), PrimeClass(7, (3,), 0)]
+    assert list(prime_scan(c, 8, str(path))) == [PrimeClass(5, (1, 2), 1), PrimeClass(7, (3,), 0)]
     assert path.read_text().splitlines() == [f"{key} 5 1,1,1", f"{key} 5 1,2", f"{key} 7 3"]
 
 
@@ -266,10 +261,13 @@ def test_cache_load_matches_the_whole_text_oracle(tmp_path):
             ours.write_bytes(data)
             oracle.write_bytes(data)
             want = load_prime_cache_whole(oracle)
-            cache = PrimeCache(str(ours))
             spelt = _pairs_spelt(data)
-            for pair in spelt | want.keys():  # kept or not, every key the text spells
-                assert cache.get(*pair) == want.get(pair), (pair, data)
+            # one cache per curve hash, kept or not, that the text spells; the first loads
+            # the bytes as written, and each parses the other hashes' records too
+            hashes = [keys[0], *{h for h, _ in spelt | want.keys()}]
+            caches = {h: PrimeCache(str(ours), h) for h in hashes}
+            for h, l in spelt | want.keys():  # kept or not, every key the text spells
+                assert caches[h].get(l) == want.get((h, l)), ((h, l), data)
             unkept += len(spelt - want.keys())
             assert ours.read_bytes() == oracle.read_bytes(), data
             if oracle.read_bytes() == data:
@@ -287,10 +285,10 @@ def test_cache_load_matches_the_whole_text_oracle(tmp_path):
 def test_cache_keeps_only_newline_ended_records(tmp_path, data, kept):
     path = tmp_path / "c"
     path.write_bytes(data)
-    cache = PrimeCache(str(path))
+    cache = PrimeCache(str(path), "h")
     assert path.read_bytes() == kept
-    assert cache.get("h", 5) == (1, 2)
-    assert cache.get("h", 7) == ((3,) if kept == data else None)
+    assert cache.get(5) == (1, 2)
+    assert cache.get(7) == ((3,) if kept == data else None)
 
 
 def _spy_on_writes(monkeypatch):
@@ -315,49 +313,52 @@ def _spy_on_writes(monkeypatch):
 
 
 def test_cache_reloads_what_put_wrote_by_reading_only(tmp_path, monkeypatch):
-    path = tmp_path / "c"
-    with PrimeCache(str(path)) as cache:
-        cache.put("a" * 16, 5, (1, 2))
-        cache.put("a" * 16, 5, [3])  # a later record overrides
-        cache.put("b" * 16, 7, (1, 1, 1))
+    path, hashes = tmp_path / "c", ("a" * 16, "b" * 16)
+    with PrimeCache(str(path), hashes[0]) as a:
+        a.put(5, (1, 2))
+        a.put(5, [3])  # a later record overrides
+    with PrimeCache(str(path), hashes[1]) as b:
+        b.put(7, (1, 1, 1))
     written = path.read_bytes()
     calls = _spy_on_writes(monkeypatch)
-    again = PrimeCache(str(path))
-    assert calls == [("open", "rb")]
-    for held in (cache, again):
-        got = [held.get(h, l) for h in ("a" * 16, "b" * 16) for l in (5, 7)]
+    again = [PrimeCache(str(path), h) for h in hashes]
+    assert calls == [("open", "rb")] * 2
+    for held in ((a, b), again):
+        got = [cache.get(l) for cache in held for l in (5, 7)]
         assert got == [(3,), None, None, (1, 1, 1)]
     assert path.read_bytes() == written
 
 
 def test_cache_reads_as_a_dict_of_the_latest_records(tmp_path, monkeypatch):
     """Records put in any order, repeated, negative or past a machine word,
-    with a merge after every third out of order: after each put, and after
-    a reload, every key reads what a dict of the latest record per key reads."""
+    with a merge after every third out of order, by two curves' caches
+    sharing a file: after each put, and after a reload, every key reads
+    what a dict of the latest record per key reads."""
     monkeypatch.setattr(primecache, "_MERGE", 3)
     rng = random.Random(11)
     primes = [-(2**63) - 1, -(2**63), -5, 0, 2, 3, 5, 7, 11, 13, 2**63 - 1, 2**63, 10**30]
     keys = [(h, l) for h in "abc" for l in primes]
     for trial in range(150):
         path, want = tmp_path / f"c{trial}", {}
-        with PrimeCache(str(path)) as cache:
+        with PrimeCache(str(path), "a") as a, PrimeCache(str(path), "b") as b:
+            caches = {"a": a, "b": b, "c": PrimeCache(str(path), "c")}
             for _ in range(rng.randint(0, 40)):
                 key = (rng.choice("ab"), rng.choice(primes))
                 lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-                assert cache.put(*key, lengths) == lengths
+                assert caches[key[0]].put(key[1], lengths) == lengths
                 want[key] = lengths
                 probe = rng.choice(keys)
-                assert cache.get(*probe) == want.get(probe), (probe, want)
-            assert [cache.get(*key) for key in keys] == [want.get(key) for key in keys]
-        again = PrimeCache(str(path))
-        assert [again.get(*key) for key in keys] == [want.get(key) for key in keys]
+                assert caches[probe[0]].get(probe[1]) == want.get(probe), (probe, want)
+            assert [caches[h].get(l) for h, l in keys] == [want.get(key) for key in keys]
+        again = {h: PrimeCache(str(path), h) for h in "abc"}
+        assert [again[h].get(l) for h, l in keys] == [want.get(key) for key in keys]
 
 
 def test_cache_put_after_a_truncating_load_appends_after_the_records(tmp_path):
     path = tmp_path / "c"
     path.write_bytes(b"h 5 1,2\nnot a record\nh 7 3\n")
-    with PrimeCache(str(path)) as cache:
-        cache.put("h", 11, (1, 1, 1))
+    with PrimeCache(str(path), "h") as cache:
+        cache.put(11, (1, 1, 1))
     assert path.read_bytes() == b"h 5 1,2\nh 11 1,1,1\n"
 
 
@@ -365,13 +366,14 @@ def test_cache_shares_one_tuple_per_cycle_type(tmp_path):
     path = tmp_path / "c"
     keys = ("a" * 16, "b" * 16)
     path.write_text("".join(f"{h} {l} 1,2,2\n" for h in keys for l in (5, 7, 11)))
-    with PrimeCache(str(path)) as cache:
-        cache.put(keys[0], 13, [1, 2, 2])
-        cache.put(keys[1], 17, (1, 4))
-        cache.put(keys[0], 19, [1, 4])
-        got = [cache.get(h, l) for h in keys for l in (5, 7, 11)] + [cache.get(keys[0], 13)]
-        assert len({id(t) for t in got}) == 1 and got[0] == (1, 2, 2)
-        assert cache.get(keys[1], 17) is cache.get(keys[0], 19)
+    for h in keys:
+        with PrimeCache(str(path), h) as cache:
+            cache.put(13, [1, 2, 2])
+            cache.put(17, (1, 4))
+            cache.put(19, [1, 4])
+            got = [cache.get(l) for l in (5, 7, 11, 13)]
+            assert len({id(t) for t in got}) == 1 and got[0] == (1, 2, 2)
+            assert cache.get(17) is cache.get(19)
 
 
 def test_galois_classify_examples(cache):
@@ -478,7 +480,7 @@ def psl28_cycle_types():
 def _classify_types(monkeypatch, degree, types, square=True):
     """galois_classify on an irreducible f of the degree whose disc is a
     square or not, and whose Frobenius cycle types at 3, 5, 7, ... are ``types``."""
-    def scan(curve, stop, cache):
+    def scan(curve, stop, cache_path):
         return (PrimeClass(l, t, len(t) - 1) for l, t in zip(iter_primes(3, stop + 1), types))
 
     monkeypatch.setattr(frobenius, "prime_scan", scan)
@@ -629,8 +631,7 @@ def test_cache_edits_of_the_right_sum_certify_no_other_label(make, tmp_path):
     curve = make()
     key, n = curve_hash(curve), curve.degree
     path = tmp_path / "honest.cache"
-    with PrimeCache(str(path)) as cache:
-        honest = galois_classify(curve, 1000, cache)[0]
+    honest = galois_classify(curve, 1000, str(path))[0]
     records = path.read_text().splitlines()
     assert honest in ("inside_An", "Sn_certified") and len(records) > 100
     edited = tmp_path / "edited.cache"
@@ -645,10 +646,10 @@ def test_cache_edits_of_the_right_sum_certify_no_other_label(make, tmp_path):
         for j, lengths in edits:
             lines[j] = f"{key} {lines[j].split()[1]} {','.join(map(str, lengths))}"
         edited.write_text("".join(line + "\n" for line in lines))
-        with PrimeCache(str(edited)) as cache:
-            label, evidence = galois_classify(curve, 1000, cache)
-            for l in evidence["patterns"].values():
-                assert cache.get(key, l) == classify_prime(curve, l).lengths, l
+        label, evidence = galois_classify(curve, 1000, str(edited))
+        cache = PrimeCache(str(edited), key)
+        for l in evidence["patterns"].values():
+            assert cache.get(l) == classify_prime(curve, l).lengths, l
         assert label in (honest, "unknown") if honest.endswith("_certified") else label == honest
 
     check()
@@ -665,8 +666,7 @@ def _cores(monkeypatch, k):
 
 
 def _scan_with_cache(curve, path, stop):
-    with PrimeCache(str(path)) as cache:
-        got = list(prime_scan(curve, stop, cache=cache))
+    got = list(prime_scan(curve, stop, str(path)))
     with pytest.raises(ChildProcessError):  # every forked child has been reaped
         os.waitpid(-1, os.WNOHANG)
     return got, path.read_bytes()
@@ -750,9 +750,8 @@ def test_children_are_reaped_when_the_parent_raises(tmp_path, monkeypatch):
         return factor(ints, l, disc)
 
     monkeypatch.setattr(frobenius, "factor_degrees", factor_degrees)
-    with PrimeCache(str(tmp_path / "x.cache")) as cache:
-        with pytest.raises(KeyboardInterrupt):
-            list(prime_scan(curve_s5_quintic(), 5000, cache=cache))
+    with pytest.raises(KeyboardInterrupt):
+        list(prime_scan(curve_s5_quintic(), 5000, str(tmp_path / "x.cache")))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -380,6 +380,8 @@ def test_verify_and_papercases_stay_at_the_top_layer():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert importers(sources, "verify") == ["cli"]
     assert importers(sources, "papercases") == ["verify"]
+    # a scan opens its own cache: no caller of frobenius handles one
+    assert importers(sources, "primecache") == ["frobenius"]
 
 
 def test_importer_is_reported():
@@ -462,7 +464,8 @@ def test_every_definition_is_reached(tmp_path):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     (tmp_path / "septic.curve").write_text("p = 2\nf = [-1, -1, 0, 0, 0, 0, 0, 1]\n")
     (tmp_path / "malformed.curve").write_text("p = 2\nf = [1, 0, 1]\n")
-    (tmp_path / "corrupt.cache").write_text("0123456789abcdef 5 2,1\n0123456789abcdef 3 1,2\nnot a record\n")
+    # cubic_1440d1's records, the second out of order, so that loading them merges
+    (tmp_path / "corrupt.cache").write_text("2c2a7e05d55586f7 5 2,1\n2c2a7e05d55586f7 3 1,2\nnot a record\n")
     (tmp_path / "full.profiles").write_text(_FULL_PROFILES)
 
     def curve(name):
