@@ -35,7 +35,7 @@ from .files import parse_curve_text, parse_profiles_text, read_text
 from .frobenius import galois_classify, prime_scan, sigma_set
 from .modular import factor_integer, local_classes, place_name, square_class_index
 from .parity import delta_v, density_scan, disparity, exact_scan, omega_tables, parity_flip
-from .report import _BATCH, Report, sha256_text
+from .report import Report, sha256_text, write_lines
 from .search import find_shift_primes
 from .torsion import rational_two_torsion_dim
 from .verify import run_paper_verification
@@ -126,8 +126,8 @@ def _cache_path(args) -> str:
 
 
 def _emit(report: Report, args, text_lines) -> None:
-    """Print the report as JSON, or as the lines text_lines() yields, in
-    batches flushed after the element or line that fills ``_BATCH`` characters.
+    """Print the report as JSON, or as the lines text_lines() yields, each
+    written in batches as it comes.
 
     A value with more digits than Python converts to text raises
     ResourceLimitError, in either format, before anything is printed: the
@@ -139,19 +139,13 @@ def _emit(report: Report, args, text_lines) -> None:
     try:
         if args.format == "json":
             report.write(sys.stdout)
-            return
-        text = ""
-        for line in text_lines():
-            text += f"{line}\n"
-            if len(text) >= _BATCH:
-                sys.stdout.write(text)
-                text = ""
+        else:
+            write_lines(sys.stdout, text_lines())
     except ValueError as exc:  # the int-to-str digit limit
         raise ResourceLimitError(
             f"a value has more than the {sys.get_int_max_str_digits()} digits "
             "Python converts to text: too long to report"
         ) from exc
-    sys.stdout.write(text)
 
 
 def _or_else(lines, empty):

@@ -24,7 +24,7 @@ except ImportError:
 
 TOOL_VERSION = "0.1.0"
 
-__all__ = ["Report", "TOOL_VERSION", "sha256_text"]
+__all__ = ["Report", "TOOL_VERSION", "sha256_text", "write_lines"]
 
 _BATCH = 1 << 12  # characters of text after which the pieces are joined into one write
 _KEPT = 256  # tuple texts past which the writer forgets them all at its next flush
@@ -32,6 +32,19 @@ _KEPT = 256  # tuple texts past which the writer forgets them all at its next fl
 
 def sha256_text(text: str) -> str:
     return _sha256(text.encode()).hexdigest()
+
+
+def write_lines(fh, lines) -> None:
+    """Write each of lines to fh with its newline, in batches flushed after
+    the line that brings one to ``_BATCH`` characters, as ``Report.write``
+    flushes its pieces."""
+    text = ""
+    for line in lines:
+        text += f"{line}\n"
+        if len(text) >= _BATCH:
+            fh.write(text)
+            text = ""
+    fh.write(text)
 
 
 class Report:
