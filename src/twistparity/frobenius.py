@@ -25,9 +25,10 @@ usable core, and writes their cycle types to the cache itself, in the
 order one core gives.  Every scan opens its own cache (``primecache``)
 at the path it is given: an append-only line file of cycle types per
 (curve hash, l), cut back after its last whole record, of which it holds
-only its curve's records.  A scan is a generator that holds one block of
-primes at a time, so a consumer can write each record as it comes and
-hold none.  A cached cycle type is recomputed, and the corrected record
+only its curve's records, as they were when it opened the file: what
+one scan appends, the next reads.  A scan is a generator that holds one
+block of primes at a time, so a consumer can write each record as it
+comes and hold none.  A cached cycle type is recomputed, and the corrected record
 appended, when its lengths do not sum to the degree n of f or its orbit
 count has the wrong sign, (disc f | l) = (-1)^(n - #orbits).  A Galois
 label is certified only from cycle types computed in its run; a wrong
@@ -106,9 +107,10 @@ def prime_scan(curve: CurveSpec, stop: int, cache_path: str, m: int = 1, prime_f
     it lacks or holds poisoned (of the wrong sum, or of the wrong sign by
     Euler's criterion on num*den of disc f) are factored
     (``_factor_split``) and appended in prime order, and the block is
-    yielded from the tuples the cache holds, so records come in increasing
-    prime order, and a consumer that stops early classifies at most the
-    rest of its block.
+    yielded from the one tuple per cycle type that the cache's ``get`` and
+    ``put`` return, so records come in increasing prime order, and a
+    consumer that stops early classifies at most the rest of its block.
+    Blocks are disjoint, so the scan never reads back a prime it put.
     """
     sigma, disc = sigma_set(curve), curve.discriminant()
     n, s = curve.degree, disc.numerator * disc.denominator

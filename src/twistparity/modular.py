@@ -146,28 +146,30 @@ def iter_primes(start: int, stop: int, m: int = 1):
     the same way with m = 1, strike out their multiples in windows of
     ``_SEGMENT`` indices: a q dividing m divides no member, and any other
     q divides m*k + 1 exactly when k = -1/m mod q, struck from the first
-    member at or above q^2.  Memory stays bounded, and a consumer that
-    stops early sieves no further.
+    member at or above q^2.  The q are drawn only as a window needs them,
+    so memory is one window and the q up to the square root of its last
+    member, and a consumer that stops early sieves no further.
     """
     lo = max(-(-(start - 1) // m), 1)  # the first k with m*k + 1 >= max(start, 2)
     hi = -(-(stop - 1) // m)  # the first k with m*k + 1 >= stop
     if lo >= hi:
         return
     base = []  # (q, k = -1/m mod q, the first such k with m*k + 1 >= q^2)
-    for q in iter_primes(2, math.isqrt(stop) + 1):
-        if m % q:
-            r = -pow(m, -1, q) % q
-            k = -(-(q * q - 1) // m)
-            base.append((q, r, k + (r - k) % q))
+    qs = iter_primes(2, math.isqrt(stop) + 1)
+    q = next(qs, stop)  # stop, whose square is above every member, once qs runs out
     while lo < hi:
         top = min(lo + _SEGMENT, hi)
         last = m * (top - 1) + 1  # the largest member in the window
+        while q * q <= last:
+            if m % q:
+                r = -pow(m, -1, q) % q
+                k = -(-(q * q - 1) // m)
+                base.append((q, r, k + (r - k) % q))
+            q = next(qs, stop)
         flags = bytearray([1]) * (top - lo)
-        for q, r, k in base:
-            if q * q > last:
-                break
-            first = max(k, lo + (r - lo) % q)
-            flags[first - lo :: q] = bytes(len(range(first, top, q)))
+        for p, r, k in base:
+            first = max(k, lo + (r - lo) % p)
+            flags[first - lo :: p] = bytes(len(range(first, top, p)))
         yield from itertools.compress(range(m * lo + 1, m * top + 1, m), flags)
         lo = top
 

@@ -1,5 +1,6 @@
 """The prime cache, which only ``frobenius`` opens: one curve's records
-in a file of Frobenius cycle types by curve hash and prime.  Kept apart
+in a file of Frobenius cycle types by curve hash and prime, held as the
+file was when it was opened, to which ``put`` only appends.  Kept apart
 so that neither module is long to compile when no bytecode is cached.
 """
 
@@ -11,13 +12,14 @@ from array import array
 
 __all__ = ["PrimeCache"]
 
-_WORD = 1 << 63  # the arrays of PrimeCache hold l in [-_WORD, _WORD)
-_MERGE = 4096  # records waiting outside the arrays that set off a merge
+_WORD = 1 << 63  # the arrays of PrimeCache hold l in [2, _WORD)
+_MERGE = 4096  # out-of-order records held by a load that set off a merge
 
 
 class PrimeCache:
-    """The records of curve hash ``key`` in an append-only file of
-    ``<curve_hash> <l> <l1,l2,...>`` lines, which may hold several curves.
+    """The records of curve hash ``key`` that an append-only file of
+    ``<curve_hash> <l> <l1,l2,...>`` lines, which may hold several curves,
+    had when the cache was opened.
 
     A record is such a line split at single spaces: a UTF-8 curve hash, an
     int l and ints >= 1, ended by a newline.  Loading parses every record,
@@ -27,10 +29,13 @@ class PrimeCache:
     an earlier one.  Each cycle type is one tuple however many primes
     share it, and a record is held in 12 bytes: an array of increasing l
     and a parallel one of cycle-type ids.  A record whose l is not above
-    the last, or does not fit a machine word, waits in a dict that
-    overrides the arrays until ``_MERGE`` of them, or the end of a load,
-    set off a merge.  The first ``put`` opens one append handle, flushed
-    after every record, and leaving a ``with`` block closes it for good.
+    the last waits in a dict of the load until ``_MERGE`` of them, or the
+    end of the load, set off a merge; a record whose l lies outside
+    [2, 2^63), which no scan asks for, is skipped.  ``put`` appends a
+    record to the file and leaves the arrays as they are: a scan never
+    reads back a prime it put, and a fresh cache reads it.  The first
+    ``put`` opens one append handle, flushed after every record, and
+    leaving a ``with`` block closes it for good.
     """
 
     def __init__(self, path, key):
@@ -38,9 +43,7 @@ class PrimeCache:
         self._key = key.encode()
         self._ls = array("q")  # l, increasing
         self._ids = array("I")  # their cycle-type ids
-        self._odd: dict = {}  # l -> cycle-type id, outside the arrays
-        self._waiting = 0  # records put in _odd since the last merge
-        self._next = 0  # the index after the last record get found in the arrays
+        self._next = 0  # the index after the last record get found
         self._types: dict = {}  # bytes of a lengths field, newline included -> its id
         self._tuples: list = []  # id -> its one tuple
         self._fh = None
@@ -51,6 +54,7 @@ class PrimeCache:
         """Read the records, truncating the file after them when more bytes follow."""
         types, tuples, mine = self._types, self._tuples, self._key
         ls, ids = self._ls, self._ids
+        odd: dict = {}  # l -> cycle-type id of the records not above the last, until a merge
         end = 0  # bytes in the records read so far
         with open(self.path, "rb") as fh:
             for line in fh:
@@ -70,39 +74,25 @@ class PrimeCache:
                     os.truncate(self.path, end)
                     break
                 end += len(line)
-                if key != mine:
+                if key != mine or not 2 <= l < _WORD:
                     continue
-                if ls and ls[-1] < l < _WORD:  # appended in place
+                if ls and l <= ls[-1]:
+                    odd[l] = t
+                    if len(odd) >= _MERGE:
+                        self._merge(odd)
+                        ls, ids, odd = self._ls, self._ids, {}  # a merge replaces the arrays
+                else:  # appended in place
                     ls.append(l)
                     ids.append(t)
-                else:
-                    self._hold(l, t)
-                    ls, ids = self._ls, self._ids  # a merge replaces them
-        if self._waiting:
-            self._merge()
+        if odd:
+            self._merge(odd)
 
-    def _hold(self, l, t):
-        """Hold l's cycle-type id t: appended to the arrays when l is above their last."""
-        ls = self._ls
-        if (not ls or l > ls[-1]) and -_WORD <= l < _WORD:
-            ls.append(l)
-            self._ids.append(t)
-            return
-        self._odd[l] = t
-        self._waiting += 1
-        if self._waiting >= _MERGE:
-            self._merge()
-
-    def _merge(self):
-        """Merge the records of _odd that fit a machine word into the arrays,
+    def _merge(self, odd):
+        """Merge odd's records into the arrays, over any of the same l,
         copying the runs of old records between them whole."""
-        odd, self._odd, self._waiting = self._odd, {}, 0
         ls, ids, i = self._ls, self._ids, 0
         new_ls, new_ids = array("q"), array("I")
         for l, t in sorted(odd.items()):
-            if not -_WORD <= l < _WORD:
-                self._odd[l] = t
-                continue
             j = bisect.bisect_left(ls, l, i)
             new_ls += ls[i:j]
             new_ids += ids[i:j]
@@ -119,24 +109,20 @@ class PrimeCache:
             self._fh.close()
 
     def get(self, l):
-        t = self._odd.get(l)
-        if t is None:
-            ls, j = self._ls, self._next
-            if not (j < len(ls) and ls[j] == l):  # not the record after the last one read
-                j = bisect.bisect_left(ls, l)
-                if j == len(ls) or ls[j] != l:
-                    return None
-            self._next = j + 1
-            t = self._ids[j]
-        return self._tuples[t]
+        ls, j = self._ls, self._next
+        if not (j < len(ls) and ls[j] == l):  # not the record after the last one read
+            j = bisect.bisect_left(ls, l)
+            if j == len(ls) or ls[j] != l:
+                return None
+        self._next = j + 1
+        return self._tuples[self._ids[j]]
 
     def put(self, l, lengths):
-        """Append the record of l's cycle type, hold it, and return the tuple held."""
+        """Append the record of l's cycle type to the file and return its one tuple."""
         text = b",".join(b"%d" % x for x in lengths)
         t = self._types.setdefault(text + b"\n", len(self._tuples))
         if t == len(self._tuples):
             self._tuples.append(tuple(lengths))
-        self._hold(l, t)
         if self._fh is None:
             self._fh = open(self.path, "ab")
         self._fh.write(b"%s %d %s\n" % (self._key, l, text))

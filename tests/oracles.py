@@ -334,6 +334,46 @@ def frobenius_trace(f, l):
     return -total
 
 
+def local_root_number(f, p):
+    """w_p of the elliptic curve y^2 = f(x), f a cubic over Q, at a prime p >= 5.
+
+    Rohrlich's rules (Compositio Math. 1993) on a model minimal at p: 1 at
+    good reduction, -(-c6 | p) at multiplicative reduction, (-1 | p) at
+    additive, potentially multiplicative reduction, and at potentially good
+    reduction, with e = 12/gcd(12, v_p(Delta)): (-1 | p) for e = 2 or 6,
+    (-3 | p) for e = 3 and (-2 | p) for e = 4.  The model: y^2 = den^2 f(x)
+    has integer coefficients c0..c3, and (c3 x, c3 y) makes it monic.
+    """
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    c0, c1, c2, c3 = (int(c * den * den) for c in f.coeffs)
+    a2, a4, a6 = c2, c1 * c3, c0 * c3 * c3
+    b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
+    c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+    delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    def v(n):  # the valuation at p, infinite at 0
+        if n == 0:
+            return math.inf
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        return k
+
+    def symbol(a):  # the Legendre symbol (a | p) of a unit, by Euler's criterion
+        return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+    while v(c4) >= 4 and v(c6) >= 6 and v(delta) >= 12:
+        c4, c6, delta = c4 // p**4, c6 // p**6, delta // p**12
+    if v(delta) == 0:
+        return 1
+    if v(c4) == 0:
+        return -symbol(-c6)
+    if 3 * v(c4) < v(delta):  # v(j) < 0
+        return symbol(-1)
+    e = 12 // math.gcd(12, v(delta))
+    return symbol(-3) if e == 3 else symbol(-2) if e == 4 else symbol(-1)
+
+
 def local_class_masses(place: int) -> tuple:
     """The density of each square class of Q_v among the squarefree d,
     ordered by |d|, in ``local_classes`` order.

@@ -324,17 +324,16 @@ def test_cache_reloads_what_put_wrote_by_reading_only(tmp_path, monkeypatch):
     calls = _spy_on_writes(monkeypatch)
     again = [PrimeCache(str(path), h) for h in hashes]
     assert calls == [("open", "rb")] * 2
-    for held in ((a, b), again):
-        got = [cache.get(l) for cache in held for l in (5, 7)]
-        assert got == [(3,), None, None, (1, 1, 1)]
+    got = [cache.get(l) for cache in again for l in (5, 7)]
+    assert got == [(3,), None, None, (1, 1, 1)]
     assert path.read_bytes() == written
 
 
 def test_cache_reads_as_a_dict_of_the_latest_records(tmp_path, monkeypatch):
     """Records put in any order, repeated, negative or past a machine word,
-    with a merge after every third out of order, by two curves' caches
-    sharing a file: after each put, and after a reload, every key reads
-    what a dict of the latest record per key reads."""
+    by two curves' caches sharing a file, and loaded with a merge after
+    every third out of order: a reload reads, at every key in [2, 2^63),
+    what a dict of the latest record per key reads, and None elsewhere."""
     monkeypatch.setattr(primecache, "_MERGE", 3)
     rng = random.Random(11)
     primes = [-(2**63) - 1, -(2**63), -5, 0, 2, 3, 5, 7, 11, 13, 2**63 - 1, 2**63, 10**30]
@@ -342,15 +341,13 @@ def test_cache_reads_as_a_dict_of_the_latest_records(tmp_path, monkeypatch):
     for trial in range(150):
         path, want = tmp_path / f"c{trial}", {}
         with PrimeCache(str(path), "a") as a, PrimeCache(str(path), "b") as b:
-            caches = {"a": a, "b": b, "c": PrimeCache(str(path), "c")}
+            caches = {"a": a, "b": b}
             for _ in range(rng.randint(0, 40)):
                 key = (rng.choice("ab"), rng.choice(primes))
                 lengths = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
                 assert caches[key[0]].put(key[1], lengths) == lengths
-                want[key] = lengths
-                probe = rng.choice(keys)
-                assert caches[probe[0]].get(probe[1]) == want.get(probe), (probe, want)
-            assert [caches[h].get(l) for h, l in keys] == [want.get(key) for key in keys]
+                if 2 <= key[1] < 2**63:
+                    want[key] = lengths
         again = {h: PrimeCache(str(path), h) for h in "abc"}
         assert [again[h].get(l) for h, l in keys] == [want.get(key) for key in keys]
 
@@ -369,12 +366,29 @@ def test_cache_shares_one_tuple_per_cycle_type(tmp_path):
     path.write_text("".join(f"{h} {l} 1,2,2\n" for h in keys for l in (5, 7, 11)))
     for h in keys:
         with PrimeCache(str(path), h) as cache:
-            cache.put(13, [1, 2, 2])
-            cache.put(17, (1, 4))
-            cache.put(19, [1, 4])
-            got = [cache.get(l) for l in (5, 7, 11, 13)]
+            got = [cache.get(l) for l in (5, 7, 11)]
             assert len({id(t) for t in got}) == 1 and got[0] == (1, 2, 2)
-            assert cache.get(17) is cache.get(19)
+            assert cache.put(13, [1, 2, 2]) is cache.get(5)
+            assert cache.put(17, (1, 4)) is cache.put(19, [1, 4])
+
+
+def test_cache_holds_its_file_as_it_was_opened(tmp_path):
+    """put only appends: the putting cache reads what the file held when
+    it opened, a fresh load reads the later records, and a record whose l
+    is past a machine word counts toward the valid prefix but is not held."""
+    path = tmp_path / "c"
+    path.write_bytes(b"h 5 1,2\n")
+    with PrimeCache(str(path), "h") as cache:
+        cache.put(7, (3,))
+        cache.put(5, (3,))
+        assert cache.get(5) == (1, 2) and cache.get(7) is None
+    again = PrimeCache(str(path), "h")
+    assert again.get(5) == (3,) and again.get(7) == (3,)
+    data = b"h 9223372036854775808 1,2\nh 7 3\n"
+    path.write_bytes(data)
+    cache = PrimeCache(str(path), "h")
+    assert path.read_bytes() == data
+    assert cache.get(7) == (3,) and cache.get(2**63) is None
 
 
 def test_galois_classify_examples(cache):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -463,6 +464,19 @@ def test_iter_primes_one_mod_8_resumable():
     for i in (0, 1, 500, len(whole) // 2, len(whole) - 2):
         assert list(iter_primes(whole[i] + 1, stop, 8)) == whole[i + 1 :]
         assert list(iter_primes(whole[i], stop, 8)) == whole[i:]
+
+
+def test_iter_primes_draws_its_base_primes_as_it_needs_them():
+    """The first prime below 10^12 costs one window, not every base prime
+    up to 10^6, so a scan to a huge limit prints its first record at once."""
+    tracemalloc.start()
+    try:
+        assert next(iter_primes(2, 10**12)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert list(itertools.islice(iter_primes(2, 10**30, 8), 3)) == [17, 41, 73]
 
 
 def test_factor_integer_and_squarefree():

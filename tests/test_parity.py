@@ -16,6 +16,7 @@ from twistparity.errors import (
 from twistparity.frobenius import classify_prime, sigma_set
 from twistparity.files import parse_profiles_text
 from twistparity.modular import (
+    factor_integer,
     hilbert_symbol,
     is_squarefree,
     local_classes,
@@ -48,6 +49,7 @@ from oracles import (
     enumerate_characters,
     exact_flip_average,
     flip_average_limit,
+    local_root_number,
     ramified_primes,
     squarefree_part,
 )
@@ -463,3 +465,54 @@ def test_real_row_of_opposite_signs_makes_the_flip_average_zero(make):
     for seed in range(5):
         average = density_scan(tables, 5000, 10**6, 0, seed).flip_average
         assert abs(average) < 4 / 5000**0.5, (seed, average)
+
+
+# elliptic curves y^2 = f(x), with h profiles derived from local points at odd bad primes
+_ROOT_NUMBER_CURVES = {
+    "x3_minus_2": (curve_x3_minus_2, {}),
+    "cubic_1440d1": (curve_1440d1, {5: (0, 1, 2, 2)}),
+    "x^3-x": (lambda: CurveSpec(f=RatPoly((0, -1, 0, 1))), {}),
+    "x^3-17x": (lambda: CurveSpec(f=RatPoly((0, -17, 0, 1))), {17: (0, 1, 0, 1)}),
+    "x^3+5x+7": (lambda: CurveSpec(f=RatPoly((7, 5, 0, 1))), {}),
+    "3x^3-7x+11": (lambda: CurveSpec(f=RatPoly((11, -7, 0, 3))), {}),
+}
+
+
+def _root_number_mismatches(curve, profiles):
+    """The (place, d) at which omega_v(d) differs from w_v(E) w_v(E^d) (d, -1)_v,
+    the Kramer-Tunnell identity (Compositio Math. 1982), over the squarefree
+    d != 1 with |d| <= 400: at the real place, where w = -1; at each good
+    p >= 5 dividing d, where omega is (-1)^(class index) (d, disc)_p; and at
+    each place of ``profiles``.  w_p comes from Rohrlich's rules."""
+    tables, sigma, disc = omega_tables(curve, profiles), sigma_set(curve), curve.discriminant()
+    w = {p: local_root_number(curve.f, p) for p in profiles}
+    out = []
+    for d in range(-400, 401):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        twist = RatPoly([d * c for c in curve.f.coeffs])
+        if tables[INF][square_class_index(d, INF)] != -1 * -1 * (-1 if d < 0 else 1):
+            out.append((INF, d))
+        for p in factor_integer(abs(d)):
+            if p >= 5 and p not in sigma:
+                omega = (-1) ** classify_prime(curve, p).i * hilbert_symbol(d, disc, p)
+                if omega != local_root_number(twist, p) * (-1 if p % 4 == 3 else 1):
+                    out.append((p, d))
+        for p in profiles:
+            minus_one = -1 if d % p == 0 and p % 4 == 3 else 1
+            if tables[p][square_class_index(d, p)] != w[p] * local_root_number(twist, p) * minus_one:
+                out.append((p, d))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_ROOT_NUMBER_CURVES))
+def test_omega_is_a_product_of_root_numbers(name):
+    make, profiles = _ROOT_NUMBER_CURVES[name]
+    assert _root_number_mismatches(make(), profiles) == []
+
+
+def test_the_zero_profile_at_17_disagrees_with_root_numbers():
+    """On y^2 = x^3 - 17x the Hilbert factor at 17 is not trivial, and the
+    profile h_17 = 0 misses the root numbers."""
+    curve = CurveSpec(f=RatPoly((0, -17, 0, 1)))
+    assert {p for p, _ in _root_number_mismatches(curve, {17: (0, 0, 0, 0)})} == {17}
