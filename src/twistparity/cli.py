@@ -10,8 +10,9 @@ the parsed arguments to ``(inputs, outputs, text_lines)``: the report's
 two dicts and a function that returns the text-mode lines.  ``main``
 alone builds the ``Report`` and prints it in the chosen format; it maps
 ``ResourceLimitError`` to exit 3 and any other ``TwistParityError`` or
-an ``OSError`` to exit 1, returns 2 when a verify-paper check fails, and
-in text mode prints verify-paper's wall time on stderr.
+an ``OSError`` to exit 1, a closed stdout to exit 1 with nothing on
+stderr, returns 2 when a verify-paper check fails, and in text mode
+prints verify-paper's wall time on stderr.
 
 Streamed scans: classify-primes and find-twist hand their scans, each
 of which opens ``--cache`` (or the curve file's path plus ``.primecache``)
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -345,6 +347,11 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout closed: devnull takes the interpreter's last flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (TwistParityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 A ``CurveSpec`` is the hyperelliptic model y^2 = f(x).  Every global
 operation works with the 2-torsion, so the torsion prime is 2 throughout;
-the curve file format still names it on its 'p = 2' line.
+the curve file format still names it on its 'p = 2' line.  A curve is
+split at its rational roots when it is built, so reducibility is read once.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .ratpoly import RatPoly, integer_part, sturm_invariants
+from .ratpoly import RatPoly, integer_part, rational_roots, sturm_invariants
 from .report import sha256_text
 
 __all__ = ["CurveSpec", "curve_hash"]
@@ -19,11 +20,11 @@ __all__ = ["CurveSpec", "curve_hash"]
 class CurveSpec:
     # discriminant and signature, from one remainder sequence, and key are
     # computed once per curve and read through discriminant(),
-    # real_root_signature() and curve_hash(); parts
-    # holds (primitive integer coefficients, their int discriminant) for
-    # each declared factor, or for f when none is declared, and is read by
-    # frobenius at every prime and by rational_roots; Sigma is computed on
-    # first use in frobenius
+    # real_root_signature() and curve_hash(); parts holds (primitive integer
+    # coefficients, their int discriminant): ((-num, den), 1) per rational root,
+    # then what is left of each declared factor, or of f, when not constant;
+    # frobenius reads it at every prime, and torsion and galois_classify
+    # count it; Sigma is computed on first use in frobenius
     __slots__ = ("f", "declared_factors", "parts", "_discriminant", "_sigma", "_signature", "_key")
 
     def __init__(self, f: RatPoly, declared_factors: tuple = ()):
@@ -49,7 +50,16 @@ class CurveSpec:
             scaled = prod * (f.lead / prod.lead)
             if scaled != f:
                 raise InvalidInputError("declared factors do not multiply to f")
-        self.parts = tuple(map(integer_part, self.declared_factors)) or (integer_part(f, disc),)
+        parts = []
+        for ints, d in tuple(map(integer_part, self.declared_factors)) or (integer_part(f, disc),):
+            roots = rational_roots(ints, d) if len(ints) > 2 else ()
+            rest = RatPoly(ints)
+            for r in roots:
+                parts.append(((-r.numerator, r.denominator), 1))
+                rest = rest.divmod(RatPoly((-r, 1)))[0]
+            if rest.degree > 0:
+                parts.append(integer_part(rest) if roots else (ints, d))
+        self.parts = tuple(parts)
 
     @property
     def degree(self) -> int:

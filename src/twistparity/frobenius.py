@@ -5,9 +5,9 @@ the orbit lengths of Frobenius acting on the roots; the class index of l
 is (number of orbits) - 1.  Everything downstream (local h-invariants,
 parity weights, twist searches) keys off this classification.  It is a
 deterministic function of (curve, l), the union of the cycle types of
-the curve's parts (``CurveSpec.parts``: the primitive integer
-coefficients of each declared factor, or of f when none is declared,
-with their discriminant).  The parts multiply to +-1 times the primitive
+the curve's parts (``CurveSpec.parts``: f, or its declared factors,
+split at its rational roots, as primitive integer coefficients and
+discriminant).  The parts multiply to +-1 times the primitive
 form of f (Gauss's lemma), whose lead and discriminant gain only primes
 of f's denominators and content, all in Sigma; so mod an l outside Sigma
 the parts keep their degrees and stay separable and coprime.  Sigma alone
@@ -47,7 +47,7 @@ from .curves import CurveSpec, curve_hash
 from .errors import BadPrimeError, InvalidInputError
 from .modular import factor_degrees, is_prime, iter_primes
 from .primecache import PrimeCache
-from .ratpoly import bad_primes, rational_roots
+from .ratpoly import bad_primes
 
 __all__ = [
     "sigma_set",
@@ -223,12 +223,12 @@ def galois_classify(curve: CurveSpec, sample_bound: int, cache_path: str):
     with such a cycle contains A_n (Jordan, 1873).  The first prime of
     each pattern is its witness, computed again: a cached record that
     disagrees is corrected, through a cache opened for that alone, and
-    the scan repeats.  A reducible f opens no cache.
+    the scan repeats.  An f of more than one part opens no cache.
     """
     n = curve.degree
     square = disc_is_square(curve)
     evidence: dict = {"disc_square": square, "sample_bound": sample_bound}
-    if len(curve.parts) > 1 or rational_roots(*curve.parts[0]):
+    if len(curve.parts) > 1:
         evidence["note"] = "f reducible over Q"
         return "unknown", evidence
 

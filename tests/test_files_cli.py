@@ -571,6 +571,33 @@ def test_cli_scan_failing_part_way_prints_a_prefix_and_closes_its_cache(tmp_path
     assert written and max(written) < 50_000  # the first block, whose appends all succeeded
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_scan_into_a_closed_pipe_ends_quietly(fmt, tmp_path):
+    """A reader that takes three lines of an endless scan and closes the
+    pipe ends the command with exit 1, nothing on stderr and the cache cut
+    after a whole record, under ResourceWarning as an error."""
+    cache = tmp_path / "c.cache"
+    env = dict(os.environ, PYTHONPATH=str(PAPERCASES.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "twistparity.cli",
+         "--format", fmt, "--cache", str(cache), "classify-primes",
+         "--curve", str(PAPERCASES / "x3_minus_2.curve"), "--limit", str(10**14)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        for _ in range(3):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert cache.read_bytes().endswith(b"\n")
+
+
 def _warm_scan_peak(tmp_path, limit, fmt="json"):
     """(peak traced bytes, cache records) of a warm classify-primes to limit
     on 1440D1 in the format fmt, in this process, after a cold one filled

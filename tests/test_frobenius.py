@@ -35,7 +35,7 @@ from twistparity.papercases import (
     curve_s5_quintic,
     curve_x3_minus_2,
 )
-from twistparity.ratpoly import RatPoly, discriminant
+from twistparity.ratpoly import RatPoly, discriminant, integer_part
 from twistparity.torsion import rational_two_torsion_dim
 from twistparity.verify import cycle_lengths
 
@@ -848,7 +848,7 @@ def _good_primes(curve, stop):
 @pytest.mark.parametrize("name", sorted(_SPLIT))
 def test_declared_factors_give_the_cycle_type_of_f(name):
     curve = _SPLIT[name]()
-    [(ints, disc)] = CurveSpec(curve.f).parts
+    ints, disc = integer_part(curve.f)
     for l in _good_primes(curve, 20_000):
         assert classify_prime(curve, l).lengths == factor_degrees(ints, l, disc), l
     for n in (-7, 1, 9, 25, 11 * 17):  # not prime
@@ -925,6 +925,83 @@ def test_declared_factors_run_no_ladder(tmp_path, monkeypatch):
         _cores(monkeypatch, k)
         for name, make in _SPLIT.items():
             assert _scan_with_cache(make(), tmp_path / f"{name}.{k}", 20_000) == want[name]
+
+
+_ROOTED = {
+    "x3_minus_x": (RatPoly((0, -1, 0, 1)), [((1, 1), 1), ((0, 1), 1), ((-1, 1), 1)]),
+    "x5_minus_x": (
+        RatPoly((0, -1, 0, 0, 0, 1)), [((1, 1), 1), ((0, 1), 1), ((-1, 1), 1), ((1, 0, 1), -4)]
+    ),
+    "cubic_1440d1": (curve_1440d1().f, [((19, 1), 1), ((-8, 1), 1), ((-11, 1), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROOTED))
+def test_undeclared_rational_roots_run_no_ladder(name, tmp_path, monkeypatch):
+    """An f declared without its factors is split at its rational roots, so
+    its cold scans, in this process or in a forked child, run no powering
+    ladder and read the cycle type of the whole f at every good prime."""
+    f, parts = _ROOTED[name]
+    curve = CurveSpec(f)
+    assert list(curve.parts) == parts
+    ints, disc = integer_part(f)
+    want = [(l, factor_degrees(ints, l, disc)) for l in _good_primes(curve, 20_000)]
+
+    def no_ladder(*args):
+        raise AssertionError("a powering ladder ran")
+
+    monkeypatch.setattr(gfpoly, "x_pow", no_ladder)
+    monkeypatch.setattr(gfpoly, "residue_ring", no_ladder)
+    for k in (1, 3):
+        _cores(monkeypatch, k)
+        got, _ = _scan_with_cache(curve, tmp_path / f"{k}.cache", 20_000)
+        assert [(pc.l, pc.lengths) for pc in got] == want
+
+
+def test_parts_split_at_the_rational_roots_of_sympy_factor_list():
+    """f = c g_1 ... g_k, undeclared or declared as g_1 g_2, g_3, ..., g_k:
+    the curve has one linear part per linear factor of sympy's
+    factorization of f over Q, no other part has a rational root, and the
+    parts multiply to +-1 times the primitive f."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    x = sympy.symbols("x")
+    rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    nonzero = rational.filter(bool)
+
+    @st.composite
+    def factor(draw):
+        degree = draw(st.integers(1, 4))
+        return RatPoly([*draw(st.lists(rational, min_size=degree, max_size=degree)), draw(nonzero)])
+
+    def as_sympy(ints):
+        return sympy.Poly([int(v) for v in reversed(ints)], x)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        st.lists(factor(), min_size=1, max_size=4).filter(lambda gs: sum(g.degree for g in gs) % 2),
+        nonzero,
+        st.booleans(),
+    )
+    def check(factors, c, declare):
+        f = RatPoly((c,))
+        for g in factors:
+            f = f * g
+        hypothesis.assume(f.degree >= 3 and discriminant(f) != 0)
+        declared = (factors[0] * factors[1], *factors[2:]) if declare and len(factors) > 1 else ()
+        curve = CurveSpec(f, declared)
+        over_q = sympy.factor_list(as_sympy(f.primitive_int()[0]).as_expr(), x)[1]
+        linear = [ints for ints, _ in curve.parts if len(ints) == 2]
+        assert len(linear) == sum(g.as_poly(x).degree() == 1 for g, _ in over_q), f
+        for ints, _ in curve.parts:
+            if len(ints) > 2:
+                over_q = sympy.factor_list(as_sympy(ints).as_expr(), x)[1]
+                assert all(g.as_poly(x).degree() > 1 for g, _ in over_q), (f, ints)
+        product = sympy.Mul(*(as_sympy(ints).as_expr() for ints, _ in curve.parts))
+        assert sympy.expand(product**2 - as_sympy(f.primitive_int()[0]).as_expr() ** 2) == 0, f
+
+    check()
 
 
 def _counting(monkeypatch, owner, name):

@@ -106,9 +106,9 @@ def test_two_torsion_certifies_irreducible_quintic():
         assert rational_two_torsion_dim(c) == 0
 
 
-def test_declared_factor_must_be_irreducible():
-    # (x^2 - 1) is declared but splits
+def test_declared_factor_with_a_rational_root_is_split():
+    # (x^2 - 1) is declared but splits: three linear parts
     f = RatPoly((-1, 0, 1)) * RatPoly((-2, 1))
     c = CurveSpec(f=f, declared_factors=(RatPoly((-1, 0, 1)), RatPoly((-2, 1))))
-    with pytest.raises(UnknownFactorizationError):
-        rational_two_torsion_dim(c)
+    assert sorted(c.parts) == [((-2, 1), 1), ((-1, 1), 1), ((1, 1), 1)]
+    assert rational_two_torsion_dim(c) == 2
